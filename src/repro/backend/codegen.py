@@ -535,7 +535,3 @@ def compute_liveness(design: Design) -> None:
                 frontier.append(e.src)
         cfg.active_nodes = active
         cfg.active_edges = active_edges
-
-
-# Backwards-compatible alias used inside this module.
-_compute_liveness = compute_liveness

@@ -48,14 +48,7 @@ def _build_engine(args: argparse.Namespace):
     if getattr(args, "no_cache", False):
         return BatchEngine(cache=None, workers=workers)
     cache_dir = getattr(args, "cache_dir", None)
-    shards = getattr(args, "cache_shards", 0) or 0
-    if shards > 1:
-        from .service.cache import default_cache_dir, shard_roots
-
-        base = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
-        cache = DesignCache(root=shard_roots(base, shards))
-    else:
-        cache = DesignCache(root=cache_dir) if cache_dir else DesignCache()
+    cache = DesignCache(root=cache_dir) if cache_dir else DesignCache()
     return BatchEngine(cache=cache, workers=workers)
 
 
@@ -397,8 +390,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if bad:
         return bad
     serve(engine=_build_engine(args), host=args.host, port=args.port,
-          step_evals=args.step_evals, processes=args.processes,
-          log_level=args.log_level,
+          step_evals=args.step_evals, log_level=args.log_level,
           slow_request_ms=args.slow_request_ms,
           persist=not args.no_persist_jobs,
           profile_hz=args.profile_hz if args.profile else None,
@@ -894,10 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (0 picks an ephemeral port)")
     srv.add_argument("--workers", type=int, default=1,
                      help="worker processes for cold generation batches")
-    srv.add_argument("--processes", type=int, default=1,
-                     help="SO_REUSEPORT server processes sharing the "
-                     "port (scale-out on multi-core hosts; designs are "
-                     "shared through the on-disk cache tier)")
     srv.add_argument("--step-evals", type=float, default=1.0,
                      metavar="E", help="checkpoint granularity of explore "
                      "jobs, in full-model evaluations per step")
@@ -911,17 +899,12 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="MS",
                      help="log a WARNING (with route and trace id) for "
                      "requests slower than this; 0 disables")
-    srv.add_argument("--cache-shards", type=int, default=0, metavar="N",
-                     help="fan the disk cache across N shard-NN/ "
-                     "subdirectories of the cache dir, keyed by spec "
-                     "hash prefix (eviction locks per shard; pairs with "
-                     "'repro route' sharding)")
     srv.add_argument("--no-persist-jobs", action="store_true",
                      help="don't journal jobs under <cache>/jobs/; "
                      "jobs then die with the process instead of being "
                      "recovered (paused/failed) on reboot")
     srv.add_argument("--profile", action="store_true",
-                     help="run a continuous sampling profiler in every "
+                     help="run a continuous sampling profiler in the "
                      "server process; GET /debug/profile (and `repro "
                      "profile --url`) snapshots it without a capture "
                      "window")
@@ -944,8 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--backend", action="append", required=True,
                     metavar="URL",
                     help="a backend server URL (repeat per shard); "
-                    "/generate and /batch shard by spec-hash prefix, "
-                    "matching each backend's --cache-shards layout")
+                    "/generate and /batch shard by spec-hash prefix")
     rt.add_argument("--host", default="127.0.0.1",
                     help="bind address (default: loopback only)")
     rt.add_argument("--port", type=int, default=8730,

@@ -72,11 +72,9 @@ def _health_line(health: dict | None) -> str:
         return (f"fleet: {up}/{health.get('shards', len(backends))} "
                 f"backends ok{verdict}   "
                 + " ".join(mark(b) for b in backends))
-    cache = health.get("cache") or {}
     return (f"server: ok={health.get('ok')} "
             f"workers={health.get('workers', '?')} "
-            f"persist={health.get('persist', False)} "
-            f"cache_shards={cache.get('shards', '?')}")
+            f"persist={health.get('persist', False)}")
 
 
 def _jobs_line(health: dict | None) -> str:

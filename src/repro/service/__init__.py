@@ -13,7 +13,7 @@ benchmarks all route through.
 from .api import (cache_stats, clear_cache, explore_cached, export_trace,
                   generate_many, get_engine, list_backends, metrics_text,
                   submit)
-from .cache import CacheStats, DesignCache, shard_roots
+from .cache import CacheStats, DesignCache
 from .client import ServiceClient, ServiceError
 from .engine import (BatchEngine, BatchPlan, PlanGroup, evaluate_archs,
                      model_fingerprint, requests_from_space)
@@ -39,7 +39,7 @@ __all__ = [
     "serve",
     "DesignRouter", "RouterThread", "route",
     "ServiceClient", "ServiceError",
-    "Job", "JobRegistry", "JobJournal", "shard_roots",
+    "Job", "JobRegistry", "JobJournal",
     "FaultError", "FaultRegistry", "get_faults", "parse_fault_spec",
     "reset_faults",
     "BackendHealth", "CircuitBreaker", "FleetHealth",

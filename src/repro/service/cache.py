@@ -15,23 +15,12 @@ the disk eviction scan takes a cross-process advisory file lock
 (``.evict.lock``) so concurrent writers don't both act on the same
 stale directory snapshot and evict twice the excess.
 
-The disk tier can be **sharded** across N roots: pass a sequence of
-directories as ``root`` and every key routes to
-``roots[int(key[:2], 16) % N]`` — the same two-hex-digit prefix that
-already fans entries into ``<hh>/`` subdirectories.  SHA-256 keys make
-the split uniform, the mapping is stable for a fixed root list (so a
-rebuilt cache over the same roots sees every entry), and each shard
-carries its own ``.evict.lock`` so concurrent writers on different
-shards never contend on one flock.  The fleet router shards *requests*
-by the same prefix, which keeps a design's cache entry and the backend
-that computes it on the same store.
-
 Besides finished designs, the cache stores **keyed intermediates** of
 the staged cold path (:meth:`DesignCache.get_phase` /
 :meth:`DesignCache.put_phase`): scheduled-design and golden-vector
 records addressed by ``(phase, phase key)``, namespaced into the same
-content-addressed store so eviction, sharding, and corruption recovery
-apply uniformly.  A small **live tier**
+content-addressed store so eviction and corruption recovery apply
+uniformly.  A small **live tier**
 (:meth:`~DesignCache.get_live`/:meth:`~DesignCache.put_live`) keeps
 unserializable in-process objects (front-end ADGs, reloaded designs)
 for the duration of a burst — it never touches disk and dies with the
@@ -72,7 +61,7 @@ from ..obs import get_registry
 from ..serialize import canonical_dumps
 
 __all__ = ["DesignCache", "CacheStats", "SingleFlight",
-           "default_cache_dir", "shard_roots"]
+           "default_cache_dir"]
 
 _FORMAT = "lego-cache-v1"
 
@@ -193,17 +182,6 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(xdg) / "repro" / "designs"
 
 
-def shard_roots(base, n: int) -> list[pathlib.Path]:
-    """The canonical N-shard layout under one base directory:
-    ``<base>/shard-00 .. shard-<n-1>`` (or just ``[base]`` for n <= 1).
-    ``repro serve --cache-shards N`` and the fleet benchmark build
-    their roots through this so every process agrees on the split."""
-    base = pathlib.Path(base)
-    if n <= 1:
-        return [base]
-    return [base / f"shard-{i:02d}" for i in range(n)]
-
-
 @dataclass
 class CacheStats:
     hits: int = 0
@@ -251,12 +229,8 @@ class CacheStats:
 
 @dataclass
 class DesignCache:
-    """Content-addressed record store keyed by SHA-256 hex digests.
-
-    ``root`` is a single directory or a sequence of shard directories;
-    see the module docstring for the shard routing rule.  With one root
-    the behaviour is exactly the unsharded cache.
-    """
+    """Content-addressed record store keyed by SHA-256 hex digests,
+    rooted at one directory (``<root>/<hh>/<hash>.json``)."""
 
     root: pathlib.Path = field(default_factory=default_cache_dir)
     memory_entries: int = 128
@@ -268,17 +242,7 @@ class DesignCache:
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self):
-        if isinstance(self.root, (list, tuple)):
-            roots = [pathlib.Path(r) for r in self.root]
-            if not roots:
-                roots = [default_cache_dir()]
-        else:
-            roots = [pathlib.Path(self.root)]
-        #: disk-tier shard directories (length >= 1, order significant)
-        self.roots: list[pathlib.Path] = roots
-        # Back-compat: `.root` stays a single path (the first shard) for
-        # display, journal placement, and existing single-root callers.
-        self.root = roots[0]
+        self.root = pathlib.Path(self.root)
         self._memory: OrderedDict[str, dict] = OrderedDict()
         self._live: OrderedDict[str, object] = OrderedDict()
         #: in-flight registry: concurrent identical phase computations
@@ -294,33 +258,14 @@ class DesignCache:
 
     # -- addressing --------------------------------------------------------
 
-    def shard_for(self, key: str) -> int:
-        """Which shard root holds *key* (0 with a single root)."""
-        if len(self.roots) == 1:
-            return 0
-        try:
-            prefix = int(key[:2], 16)
-        except ValueError:
-            # Non-hex keys never come from our hashes, but route them
-            # deterministically instead of crashing.
-            prefix = int(hashlib.sha256(key.encode()).hexdigest()[:2], 16)
-        return prefix % len(self.roots)
-
     def path_for(self, key: str) -> pathlib.Path:
-        return self.roots[self.shard_for(key)] / key[:2] / f"{key}.json"
-
-    def _shard_keys(self, index: int) -> list[str]:
-        root = self.roots[index]
-        if not root.is_dir():
-            return []
-        return sorted(p.stem for p in root.glob("??/*.json"))
+        return self.root / key[:2] / f"{key}.json"
 
     def keys(self) -> list[str]:
         """All keys currently on disk (sorted for stable listings)."""
-        seen = []
-        for index in range(len(self.roots)):
-            seen.extend(self._shard_keys(index))
-        return sorted(seen)
+        if not self.root.is_dir():
+            return []
+        return sorted(p.stem for p in self.root.glob("??/*.json"))
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -516,19 +461,17 @@ class DesignCache:
             self._memory.popitem(last=False)
 
     @contextlib.contextmanager
-    def _eviction_lock(self, root: pathlib.Path | None = None):
-        """Cross-process advisory lock for one shard's eviction scan.
-        Held by another process → yields False (skip: that process is
-        already shrinking the shard, and two scans of the same stale
-        snapshot would evict the excess twice).  Each shard root gets
-        its own ``.evict.lock``, so writers on different shards never
-        serialize against each other."""
+    def _eviction_lock(self):
+        """Cross-process advisory lock (``<root>/.evict.lock``) for the
+        eviction scan.  Held by another process → yields False (skip:
+        that process is already shrinking the store, and two scans of
+        the same stale snapshot would evict the excess twice)."""
         if fcntl is None:
             yield True
             return
-        lock_path = (root if root is not None else self.root) / ".evict.lock"
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+            fd = os.open(self.root / ".evict.lock",
+                         os.O_CREAT | os.O_RDWR, 0o644)
         except OSError:
             yield True
             return
@@ -557,29 +500,13 @@ class DesignCache:
                 self._disk_count = count
         if count <= self.disk_entries:
             return
-        # Each shard keeps its fair slice of the bound; with one root
-        # this is exactly the unsharded behaviour.
-        per_shard = max(1, self.disk_entries // len(self.roots))
-        total = 0
-        for index, root in enumerate(self.roots):
-            total += self._evict_shard(index, root, per_shard)
-        with self._lock:
-            self._disk_count = total
-
-    def _evict_shard(self, index: int, root: pathlib.Path,
-                     bound: int) -> int:
-        """Shrink one shard to *bound* entries; returns the shard's
-        entry count after any eviction."""
-        paths = [self.path_for(k) for k in self._shard_keys(index)]
-        if len(paths) <= bound:
-            return len(paths)
-        with self._eviction_lock(root) as held:
+        with self._eviction_lock() as held:
             if not held:
-                return len(paths)
-            # Re-scan under the lock: another process may have evicted
-            # since the approximate count tripped the threshold.
-            paths = [self.path_for(k) for k in self._shard_keys(index)]
-            excess = max(len(paths) - bound, 0)
+                return
+            # Scan under the lock: the count is approximate, and another
+            # process may have evicted since it tripped the threshold.
+            paths = list(self.root.glob("??/*.json"))
+            excess = max(len(paths) - self.disk_entries, 0)
 
             def mtime(p: pathlib.Path) -> float:
                 try:
@@ -596,4 +523,5 @@ class DesignCache:
                     pass
                 with self._lock:
                     self._memory.pop(path.stem, None)
-            return len(paths) - excess
+        with self._lock:
+            self._disk_count = len(paths) - excess

@@ -76,12 +76,10 @@ def _init_request_worker(cache_spec: dict | None) -> None:
 
 
 def _cache_spec(cache: DesignCache | None) -> dict | None:
-    """Picklable recipe for rebuilding an equivalent cache in a worker.
-    Carries every shard root, in order: a worker with a different
-    key→shard mapping would write warm designs to the wrong store."""
+    """Picklable recipe for rebuilding an equivalent cache in a worker."""
     if cache is None:
         return None
-    return {"root": [str(r) for r in cache.roots],
+    return {"root": str(cache.root),
             "memory_entries": cache.memory_entries,
             "disk_entries": cache.disk_entries}
 
@@ -423,9 +421,6 @@ def model_fingerprint(model) -> str:
     names/ints/floats, stable across processes).  Part of the eval-row
     address, and the thing a DSE checkpoint pins its models to."""
     return hashlib.sha256(repr(model).encode()).hexdigest()
-
-
-_model_fingerprint = model_fingerprint  # backward-compatible alias
 
 
 def _eval_key(model_fingerprints: list[str], arch, tech) -> str:

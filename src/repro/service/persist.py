@@ -16,7 +16,7 @@ the directory".  Recovery *policy* — which journaled states are
 resumable after a crash — lives in :meth:`JobRegistry.restore`, not
 here.
 
-The server places the journal under the first cache shard root
+The server places the journal under the cache root
 (``<root>/jobs/``), so "reboot on the same cache root" is all it takes
 to recover both the designs and the job table that produced them.
 """

@@ -9,14 +9,12 @@ engine: every request is forwarded to a backend server.
 Routing policy:
 
 * ``/generate`` and each entry of ``/batch`` go to
-  ``backends[int(spec_hash[:2], 16) % N]`` — the same two-hex-digit
-  prefix the :class:`~repro.service.cache.DesignCache` shards by, so a
-  design's requests, its cache entry, and the backend that computes it
-  always land together and every repeat is a warm hit.  The router
-  memoizes raw request body → shard in a bounded LRU, so the warm path
-  never parses a spec on the event loop: a repeated ``/generate`` costs
-  a dict lookup plus a byte-for-byte proxied round-trip on an executor
-  thread.
+  ``backends[int(spec_hash[:2], 16) % N]``, so a design's requests
+  always land on the backend whose cache holds it and every repeat is
+  a warm hit.  The router memoizes raw request body → shard in a
+  bounded LRU, so the warm path never parses a spec on the event loop:
+  a repeated ``/generate`` costs a dict lookup plus a byte-for-byte
+  proxied round-trip on an executor thread.
 * ``/batch`` bodies spanning several shards are split into per-shard
   sub-batches submitted concurrently and tracked under one composite
   ``fan-...`` job id; polling it merges the parts back into the
@@ -74,7 +72,6 @@ import os
 import queue as queue_module
 import re
 import secrets
-import signal
 import threading
 import time
 import urllib.parse
@@ -90,7 +87,7 @@ from .client import ServiceClient, ServiceError
 from .faults import get_faults
 from .health import FleetHealth, backoff_delays, classify_error
 from .server import (HttpServerBase, ServerOnThread, StreamPayload,
-                     _BadRequest, _request_from_body, _serve_async)
+                     _BadRequest, _request_from_body, _run_blocking)
 
 __all__ = ["DesignRouter", "RouterThread", "route"]
 
@@ -220,7 +217,7 @@ class DesignRouter(HttpServerBase):
     fault_scope = "router"
 
     def __init__(self, backends, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = 300.0, reuse_port: bool = False,
+                 timeout: float = 300.0,
                  slow_request_ms: float = 1000.0,
                  profile_hz: float | None = None,
                  history_interval_s: float = 2.0,
@@ -228,7 +225,7 @@ class DesignRouter(HttpServerBase):
                  probe_interval_s: float = 1.0,
                  breaker_threshold: int = 3,
                  retry_budget_s: float = 15.0):
-        super().__init__(host=host, port=port, reuse_port=reuse_port,
+        super().__init__(host=host, port=port,
                          slow_request_ms=slow_request_ms)
         urls = [str(u).rstrip("/") for u in backends]
         if not urls:
@@ -253,8 +250,10 @@ class DesignRouter(HttpServerBase):
         #: (``repro route --profile``)
         self.profiler = (SamplingProfiler(hz=profile_hz)
                          if profile_hz else None)
-        #: the router's own metrics time series (its registry covers
-        #: routed-traffic latencies) behind ``GET /metrics/history``
+        #: the *router's* own series (its registry holds the
+        #: fleet-facing route latencies).  Per-backend history stays on
+        #: the backends: merging misaligned sampling clocks would
+        #: fabricate rates.
         self.history = (MetricsHistory(interval_s=history_interval_s,
                                        refresh=refresh_trace_metrics)
                         if history_interval_s else None)
@@ -272,6 +271,12 @@ class DesignRouter(HttpServerBase):
         self._fans: dict[str, dict] = {}
         self._fan_lock = threading.Lock()
         self._fan_seq = itertools.count(1)
+
+    def banner(self) -> str:
+        return (f"repro fleet router on {self.url} -> "
+                f"{len(self.backends)} backend(s), "
+                f"{self.replicas} replica(s) per range: "
+                + ", ".join(self.backends))
 
     async def start(self) -> "DesignRouter":
         await super().start()
@@ -442,8 +447,9 @@ class DesignRouter(HttpServerBase):
     # -- shard selection ---------------------------------------------------
 
     def shard_for(self, spec_hash: str) -> int:
-        """``spec_hash`` prefix → backend index: the same mapping the
-        sharded cache uses, so requests follow their cache entries."""
+        """``spec_hash`` prefix → backend index.  The mapping is stable
+        for a fixed backend list, so a repeated request lands on the
+        backend whose cache already holds its design."""
         return int(spec_hash[:2], 16) % len(self.backends)
 
     def _shard_for_generate(self, data) -> int:
@@ -772,24 +778,6 @@ class DesignRouter(HttpServerBase):
             return 200, merged.snapshot()
         return 200, merged.render()
 
-    def _metrics_history(self, query: str) -> dict:
-        """``GET /metrics/history``: the *router's* sample window (its
-        registry holds the fleet-facing route latencies).  Per-backend
-        history stays on the backends — histories are time series, and
-        merging misaligned sampling clocks would fabricate rates."""
-        if self.history is None:
-            return {"interval_s": None, "max_samples": 0, "count": 0,
-                    "samples": []}
-        params = urllib.parse.parse_qs(query)
-        limit = None
-        raw = params.get("samples", [None])[0]
-        if raw is not None:
-            try:
-                limit = max(0, int(raw))
-            except ValueError:
-                raise _BadRequest('"samples" must be an integer') from None
-        return self.history.to_dict(limit)
-
     async def _merged_trace(self, query: str) -> tuple[int, dict]:
         """``GET /trace``: fan to every backend (query passes through,
         so ``drain``/``trace_id`` behave fleet-wide) and merge their
@@ -900,33 +888,16 @@ def route(backends, host: str = "127.0.0.1", port: int = 8730,
           retry_budget_s: float = 15.0) -> None:
     """Run the fleet router until interrupted (``repro route``)."""
     setup_logging(log_level)
-    router = DesignRouter(backends, host=host, port=port,
-                          timeout=timeout,
-                          slow_request_ms=slow_request_ms,
-                          profile_hz=profile_hz,
-                          history_interval_s=history_interval_s,
-                          replicas=replicas,
-                          probe_interval_s=probe_interval_s,
-                          breaker_threshold=breaker_threshold,
-                          retry_budget_s=retry_budget_s)
-
-    def announce(r: DesignRouter) -> None:
-        if not quiet:
-            print(f"repro fleet router on {r.url} -> "
-                  f"{len(r.backends)} backend(s), "
-                  f"{r.replicas} replica(s) per range: "
-                  + ", ".join(r.backends), flush=True)
-
-    def _terminate(signum, frame):  # pragma: no cover — signal path
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        asyncio.run(_serve_async(router, ready=announce))
-    except KeyboardInterrupt:  # pragma: no cover — interactive only
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    _run_blocking(DesignRouter(backends, host=host, port=port,
+                               timeout=timeout,
+                               slow_request_ms=slow_request_ms,
+                               profile_hz=profile_hz,
+                               history_interval_s=history_interval_s,
+                               replicas=replicas,
+                               probe_interval_s=probe_interval_s,
+                               breaker_threshold=breaker_threshold,
+                               retry_budget_s=retry_budget_s),
+                  quiet=quiet)
 
 
 class RouterThread(ServerOnThread):

@@ -44,7 +44,7 @@ POST     ``/jobs/<id>/resume`` resume a paused exploration
 =======  ====================  ===========================================
 
 When the engine has a cache, the job table is **journaled** under the
-first cache root (``<root>/jobs/``, see
+cache root (``<root>/jobs/``, see
 :mod:`repro.service.persist`): every transition and every exploration
 step's checkpoint hits disk, and a server rebooted on the same root
 reloads the table — interrupted explorations park as ``paused``
@@ -277,13 +277,14 @@ class HttpServerBase:
     #: prefix of this process's chaos-fault sites (the router overrides
     #: it): each request fires ``<scope>:<route label>``
     fault_scope = "server"
+    #: metrics time series behind ``GET /metrics/history`` (subclasses
+    #: build one unless the recorder is disabled)
+    history: MetricsHistory | None = None
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 reuse_port: bool = False,
                  slow_request_ms: float = 1000.0):
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
         #: requests slower than this are logged at WARNING with their
         #: route and trace id (0 disables the check)
         self.slow_request_ms = slow_request_ms
@@ -296,10 +297,9 @@ class HttpServerBase:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "HttpServerBase":
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            limit=_MAX_BODY, **kwargs)
+            limit=_MAX_BODY)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -328,6 +328,10 @@ class HttpServerBase:
         return f"http://{self.host}:{self.port}"
 
     # -- routing hooks (subclass responsibility) ---------------------------
+
+    def banner(self) -> str:
+        """The one-line startup announcement (must contain ``url``)."""
+        raise NotImplementedError
 
     async def _route(self, method, path, query, data) -> tuple[int, dict]:
         raise NotImplementedError
@@ -536,6 +540,22 @@ class HttpServerBase:
                             status, elapsed * 1000.0)
         return status, payload
 
+    def _metrics_history(self, query: str) -> dict:
+        """``GET /metrics/history``: this process's sample window (or
+        an empty shell when disabled); ``?samples=N`` trims it."""
+        if self.history is None:
+            return {"interval_s": None, "max_samples": 0, "count": 0,
+                    "samples": []}
+        params = urllib.parse.parse_qs(query)
+        limit = None
+        raw = params.get("samples", [None])[0]
+        if raw is not None:
+            try:
+                limit = max(0, int(raw))
+            except ValueError:
+                raise _BadRequest('"samples" must be an integer') from None
+        return self.history.to_dict(limit)
+
     def _faults_endpoint(self, method: str, data) -> tuple[int, dict]:
         """``/debug/faults``: the chaos-harness control surface.
 
@@ -575,7 +595,7 @@ class DesignServer(HttpServerBase):
     """The serving front end around one shared :class:`BatchEngine`.
 
     With a cached engine and ``persist_jobs=True`` (the default) the
-    job table is journaled under ``<first cache root>/jobs/`` and
+    job table is journaled under ``<cache root>/jobs/`` and
     reloaded on construction — see the module docstring's recovery
     matrix.  ``job_workers`` overrides the job-body executor width
     (defaults to ``min(max_jobs, 32)``).
@@ -584,22 +604,20 @@ class DesignServer(HttpServerBase):
     def __init__(self, engine: BatchEngine | None = None,
                  host: str = "127.0.0.1", port: int = 0,
                  step_evals: float = 1.0, max_jobs: int = 1024,
-                 reuse_port: bool = False,
                  slow_request_ms: float = 1000.0,
                  persist_jobs: bool = True,
                  job_workers: int | None = None,
                  profile_hz: float | None = None,
                  history_interval_s: float = 2.0,
                  history_samples: int = 600):
-        super().__init__(host=host, port=port, reuse_port=reuse_port,
+        super().__init__(host=host, port=port,
                          slow_request_ms=slow_request_ms)
         self.engine = engine if engine is not None else BatchEngine()
         #: always-on sampling profiler (``repro serve --profile``);
         #: ``GET /debug/profile`` without ``seconds=`` snapshots it.
         self.profiler = (SamplingProfiler(hz=profile_hz)
                          if profile_hz else None)
-        #: metrics time series behind ``GET /metrics/history``
-        #: (``history_interval_s=0`` disables the recorder).
+        # ``history_interval_s=0`` disables the recorder
         self.history = (MetricsHistory(interval_s=history_interval_s,
                                        max_samples=history_samples,
                                        refresh=self._refresh_job_gauges)
@@ -656,6 +674,12 @@ class DesignServer(HttpServerBase):
         if any(swept.values()):
             self._log.info("shutdown swept queued jobs: %s", swept)
         await super().stop()
+
+    def banner(self) -> str:
+        cache = self.engine.cache
+        where = cache.root if cache is not None else "disabled"
+        return (f"repro design service on {self.url} "
+                f"(cache: {where}, workers: {self.engine.workers})")
 
     # -- routing -----------------------------------------------------------
 
@@ -722,7 +746,6 @@ class DesignServer(HttpServerBase):
                 "profiling": self.profiler is not None,
                 "cache": (dict(cache.stats.as_dict(),
                                root=str(cache.root),
-                               shards=len(cache.roots),
                                tiers=cache.stats.tiers())
                           if cache is not None else None)}
 
@@ -744,22 +767,6 @@ class DesignServer(HttpServerBase):
         one combined exposition."""
         self._refresh_job_gauges()
         return get_registry().snapshot()
-
-    def _metrics_history(self, query: str) -> dict:
-        """``GET /metrics/history``: the recorder's sample window (or
-        an empty shell when disabled); ``?samples=N`` trims it."""
-        if self.history is None:
-            return {"interval_s": None, "max_samples": 0, "count": 0,
-                    "samples": []}
-        params = urllib.parse.parse_qs(query)
-        limit = None
-        raw = params.get("samples", [None])[0]
-        if raw is not None:
-            try:
-                limit = max(0, int(raw))
-            except ValueError:
-                raise _BadRequest('"samples" must be an integer') from None
-        return self.history.to_dict(limit)
 
     def _trace_payload(self, query: str) -> dict:
         """``GET /trace``: the span buffer as Chrome-trace JSON.
@@ -1083,60 +1090,40 @@ class DesignServer(HttpServerBase):
 # Entry points: blocking serve() for the CLI, ServerThread for embedding.
 # ---------------------------------------------------------------------------
 
-async def _serve_async(server: DesignServer, ready=None) -> None:
-    await server.start()
-    if ready is not None:
-        ready(server)
+def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
+    """Run *server* until ctrl-C or SIGTERM — the body of both ``repro
+    serve`` and ``repro route``.  Unless *quiet*, ``server.banner()``
+    is printed once the socket is bound (so ``--port 0`` shows the
+    real port)."""
+
+    async def main() -> None:
+        await server.start()
+        if not quiet:
+            print(server.banner(), flush=True)
+        try:
+            await server.serve_forever()
+        except asyncio.CancelledError:  # pragma: no cover — ctrl-C path
+            pass
+        finally:
+            await server.stop()
+
+    # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
+    # queued jobs swept and journaled, the profiler and prober stopped.
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover — ctrl-C path
+        asyncio.run(main())
+    except KeyboardInterrupt:
         pass
     finally:
-        await server.stop()
-
-
-def _engine_spec(engine: BatchEngine) -> dict:
-    """Picklable recipe for rebuilding an equivalent engine in a
-    sibling process (a live engine holds locks and can't cross a spawn
-    boundary)."""
-    spec: dict = {"workers": engine.workers, "cache": None}
-    if engine.cache is not None:
-        # All shard roots, in order: the sibling must agree on the
-        # key→shard mapping or it would miss every warm entry.
-        spec["cache"] = {"root": [str(r) for r in engine.cache.roots],
-                         "memory_entries": engine.cache.memory_entries,
-                         "disk_entries": engine.cache.disk_entries}
-    return spec
-
-
-def _serve_worker(engine_spec, host, port, step_evals,
-                  log_level="warning",
-                  slow_request_ms=1000.0,
-                  profile_hz=None) -> None:
-    """One SO_REUSEPORT sibling of a multi-process ``repro serve``."""
-    from .cache import DesignCache
-
-    setup_logging(log_level)
-    cache = (DesignCache(**engine_spec["cache"])
-             if engine_spec["cache"] is not None else None)
-    engine = BatchEngine(cache=cache, workers=engine_spec["workers"])
-    # Only the primary process journals jobs: siblings sharing the
-    # journal directory would each re-adopt (and could double-resume)
-    # the same journaled jobs at boot.  Jobs are per-connection-
-    # consistent anyway (see serve() below).
-    server = DesignServer(engine=engine, host=host, port=port,
-                          step_evals=step_evals, reuse_port=True,
-                          slow_request_ms=slow_request_ms,
-                          persist_jobs=False, profile_hz=profile_hz)
-    try:
-        asyncio.run(_serve_async(server))
-    except KeyboardInterrupt:  # pragma: no cover — parent tears us down
-        pass
+        signal.signal(signal.SIGTERM, previous)
 
 
 def serve(engine: BatchEngine | None = None, host: str = "127.0.0.1",
           port: int = 8731, step_evals: float = 1.0,
-          processes: int = 1, quiet: bool = False,
+          quiet: bool = False,
           log_level: str = "warning",
           slow_request_ms: float = 1000.0,
           persist: bool = True,
@@ -1144,13 +1131,8 @@ def serve(engine: BatchEngine | None = None, host: str = "127.0.0.1",
           history_interval_s: float = 2.0) -> None:
     """Run the server until interrupted (the ``repro serve`` command).
 
-    ``processes > 1`` forks that many SO_REUSEPORT siblings sharing the
-    same port: the kernel spreads incoming connections across them, and
-    they share warm designs through the (multi-process-safe) disk tier
-    of the cache.  Stateful job endpoints stay consistent per
-    *connection* (HTTP keep-alive pins a client to one sibling), so
-    submit-then-poll over one connection works; cross-connection polling
-    of a specific job is only guaranteed with ``processes=1``.
+    One process, one event loop; to scale out, run N of these behind
+    ``repro route`` (see ``docs/serving.md``).
 
     *log_level* configures the ``repro.*`` stdlib loggers (see
     :func:`repro.obs.setup_logging`); requests slower than
@@ -1158,68 +1140,21 @@ def serve(engine: BatchEngine | None = None, host: str = "127.0.0.1",
 
     *persist* (default on; ``repro serve --no-persist-jobs`` turns it
     off) journals the job table under the cache root so a restart on
-    the same root recovers it.  With ``processes > 1`` only the primary
-    process journals — siblings sharing one journal directory would
-    each re-adopt the same jobs at boot.
+    the same root recovers it.
 
     *profile_hz* (``repro serve --profile``) keeps a continuous
-    sampling profiler running in every process, snapshotted by
-    ``GET /debug/profile``; *history_interval_s* paces the metrics
-    ring buffer behind ``GET /metrics/history``.
+    sampling profiler running, snapshotted by ``GET /debug/profile``;
+    *history_interval_s* paces the metrics ring buffer behind
+    ``GET /metrics/history``.
     """
     setup_logging(log_level)
-    workers: list = []
-    server = DesignServer(engine=engine, host=host, port=port,
-                          step_evals=step_evals,
-                          reuse_port=processes > 1,
-                          slow_request_ms=slow_request_ms,
-                          persist_jobs=persist,
-                          profile_hz=profile_hz,
-                          history_interval_s=history_interval_s)
-    if processes > 1:
-        import multiprocessing
-
-        if port == 0:
-            raise ValueError("multi-process serving needs a fixed --port "
-                             "(ephemeral port 0 would bind one port per "
-                             "process)")
-        ctx = multiprocessing.get_context()
-        workers = [ctx.Process(target=_serve_worker, daemon=True,
-                               args=(_engine_spec(server.engine), host,
-                                     port, step_evals, log_level,
-                                     slow_request_ms, profile_hz))
-                   for _ in range(processes - 1)]
-
-    def announce(srv: DesignServer) -> None:
-        for worker in workers:
-            worker.start()
-        if not quiet:
-            cache = srv.engine.cache
-            where = cache.root if cache is not None else "disabled"
-            print(f"repro design service on {srv.url} "
-                  f"(cache: {where}, workers: {srv.engine.workers}, "
-                  f"processes: {processes})", flush=True)
-
-    # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C so the
-    # SO_REUSEPORT siblings are torn down too, not orphaned.
-    def _terminate(signum, frame):  # pragma: no cover — signal path
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        asyncio.run(_serve_async(server, ready=announce))
-    except KeyboardInterrupt:  # pragma: no cover — interactive only
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        # Only touch workers that actually started: a failed bind raises
-        # before announce(), and terminate()/join() on an unstarted
-        # Process would mask that error.
-        started = [w for w in workers if w.ident is not None]
-        for worker in started:
-            worker.terminate()
-        for worker in started:
-            worker.join(timeout=10)
+    _run_blocking(DesignServer(engine=engine, host=host, port=port,
+                               step_evals=step_evals,
+                               slow_request_ms=slow_request_ms,
+                               persist_jobs=persist,
+                               profile_hz=profile_hz,
+                               history_interval_s=history_interval_s),
+                  quiet=quiet)
 
 
 class ServerOnThread:

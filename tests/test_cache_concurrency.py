@@ -131,6 +131,37 @@ class TestThreadSafety:
         assert not errors, errors
         assert cache.stats.corrupt == 0
 
+    def test_many_threads_under_eviction_pressure(self, tmp_path):
+        """6 threads x 40 puts against a 32-entry bound: every put trips
+        an eviction scan while other threads read; reads see an intact
+        record or a clean miss, never a crash or a corrupt entry."""
+        cache = DesignCache(root=tmp_path, memory_entries=8,
+                            disk_entries=32)
+        errors: list = []
+
+        def worker(w):
+            try:
+                rng = random.Random(w)
+                for i in range(40):
+                    tag = f"s{w}-{i}"
+                    cache.put(_key_for(tag), _record_for(tag))
+                    probe = f"s{w}-{rng.randrange(i + 1)}"
+                    record = cache.get(_key_for(probe))
+                    if record is not None:
+                        assert record["echo"] == _key_for(probe)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(f"worker {w}: {exc}")
+
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert cache.stats.corrupt == 0
+
     def test_atomic_put_never_partially_visible(self, tmp_path):
         """A reader polling while a writer overwrites the same key must
         only ever see complete versions (os.replace atomicity)."""
@@ -168,86 +199,6 @@ class TestThreadSafety:
             t.join(timeout=30)
         assert not errors, errors
         assert cache_r.stats.corrupt == 0
-
-
-class TestShardedRoots:
-    """The cache's disk tier fanned across N shard roots by hash
-    prefix — the layout ``repro serve --cache-shards`` and the fleet
-    router key on."""
-
-    def _sharded(self, tmp_path, n=4, **kwargs):
-        from repro.service.cache import shard_roots
-        return DesignCache(root=shard_roots(tmp_path, n), **kwargs)
-
-    def test_shard_roots_helper(self, tmp_path):
-        from repro.service.cache import shard_roots
-        assert shard_roots(tmp_path, 1) == [tmp_path]
-        roots = shard_roots(tmp_path, 3)
-        assert [r.name for r in roots] == ["shard-00", "shard-01",
-                                           "shard-02"]
-
-    def test_entries_land_on_prefix_shard(self, tmp_path):
-        cache = self._sharded(tmp_path, n=4)
-        for i in range(32):
-            key = _key_for(f"spread-{i}")
-            cache.put(key, _record_for(f"spread-{i}"))
-            expected = cache.roots[int(key[:2], 16) % 4]
-            assert cache.path_for(key).parent.parent == expected
-            assert cache.path_for(key).is_file()
-
-    def test_keys_unions_all_shards(self, tmp_path):
-        cache = self._sharded(tmp_path, n=4)
-        keys = {_key_for(f"u-{i}") for i in range(24)}
-        for key in keys:
-            cache.put(key, {"k": key})
-        assert set(cache.keys()) == keys
-        # and every shard actually holds something (24 keys over 4
-        # shards going all to one bucket would be a routing bug)
-        per_shard = [len(list(cache._shard_keys(i))) for i in range(4)]
-        assert sum(per_shard) == 24 and max(per_shard) < 24
-
-    def test_reads_work_across_instances(self, tmp_path):
-        writer = self._sharded(tmp_path, n=2)
-        reader = self._sharded(tmp_path, n=2, memory_entries=0)
-        key = _key_for("cross")
-        writer.put(key, _record_for("cross"))
-        assert reader.get(key)["echo"] == key
-
-    def test_eviction_bounds_each_shard(self, tmp_path):
-        cache = self._sharded(tmp_path, n=2, memory_entries=4,
-                              disk_entries=10)
-        for i in range(60):
-            cache.put(_key_for(f"evict-{i}"), _record_for(f"evict-{i}"))
-        for index in range(2):
-            assert len(list(cache._shard_keys(index))) <= 5 + 1
-        assert len(cache.keys()) <= 11
-
-    def test_sharded_thread_stress(self, tmp_path):
-        cache = self._sharded(tmp_path, n=4, memory_entries=8,
-                              disk_entries=32)
-        errors: list = []
-
-        def worker(w):
-            try:
-                rng = random.Random(w)
-                for i in range(40):
-                    tag = f"s{w}-{i}"
-                    cache.put(_key_for(tag), _record_for(tag))
-                    probe = f"s{w}-{rng.randrange(i + 1)}"
-                    record = cache.get(_key_for(probe))
-                    if record is not None:
-                        assert record["echo"] == _key_for(probe)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"worker {w}: {exc}")
-
-        threads = [threading.Thread(target=worker, args=(w,))
-                   for w in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-        assert cache.stats.corrupt == 0
 
 
 class TestDiskCountAccounting:
@@ -338,11 +289,12 @@ class TestDiskCountAccounting:
         assert not errors, errors
         assert cache._disk_count == len(cache.keys())
 
-    def test_sharded_eviction_keeps_count_exact(self, tmp_path):
-        from repro.service.cache import shard_roots
-
-        cache = DesignCache(root=shard_roots(tmp_path, 2),
-                            memory_entries=4, disk_entries=12)
+    def test_eviction_keeps_count_exact(self, tmp_path):
+        """After real evictions the approximate count is the globbed
+        truth again, and the store is back within its bound."""
+        cache = DesignCache(root=tmp_path, memory_entries=4,
+                            disk_entries=12)
         for i in range(80):
             cache.put(_key_for(f"se-{i}"), _record_for(f"se-{i}"))
-        assert cache._disk_count == len(cache.keys())
+        assert cache.stats.evictions == 80 - 12
+        assert cache._disk_count == len(cache.keys()) == 12

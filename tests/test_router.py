@@ -63,7 +63,9 @@ def client(fleet):
 
 
 class TestShardRouting:
-    def test_shard_for_matches_cache_prefix_rule(self, fleet):
+    def test_shard_for_is_hash_prefix_mod_backends(self, fleet):
+        """The router's sharding rule: two-hex-digit spec-hash prefix
+        modulo the backend count (two backends here)."""
         router, _ = fleet
         assert router.server.shard_for("00" + "0" * 62) == 0
         assert router.server.shard_for("01" + "0" * 62) == 1

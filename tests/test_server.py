@@ -6,7 +6,14 @@ checkpoint, the killed-server scenario)."""
 
 import http.client
 import json
+import os
+import pathlib
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -439,3 +446,48 @@ class TestKeepAlive:
                 json.loads(response.read().decode())
         finally:
             conn.close()
+
+
+class TestBlockingEntryPoints:
+    """``repro serve`` / ``repro route`` as real processes: the shared
+    runner (banner once bound, SIGTERM -> clean stop) that the
+    in-thread fixtures above never reach."""
+
+    def _spawn(self, *args):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=subprocess.PIPE, text=True, env=env)
+
+    def _banner_url(self, proc, expect):
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, f"no banner from {expect!r} within 30 s"
+        banner = proc.stdout.readline()
+        assert expect in banner
+        return re.search(r"http://[\w.\-]+:\d+", banner).group(0)
+
+    def test_banner_healthz_and_sigterm_exit(self, tmp_path):
+        procs = []
+        try:
+            procs.append(self._spawn("serve", "--port", "0",
+                                     "--cache-dir", str(tmp_path)))
+            backend = self._banner_url(procs[0], "repro design service")
+            with ServiceClient.from_url(backend) as c:
+                assert c.health()["cache"]["root"] == str(tmp_path)
+            procs.append(self._spawn("route", "--port", "0",
+                                     "--backend", backend))
+            front = self._banner_url(procs[1], "repro fleet router")
+            with ServiceClient.from_url(front) as c:
+                health = c.health()
+                assert health["router"] and health["ok"]
+            for proc in reversed(procs):
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
