@@ -87,6 +87,28 @@ def _artifact_suffix(name: str, module: str) -> str:
     return name[len(module):] if name.startswith(module) else f"_{name}"
 
 
+def _write_artifacts(output: str, request, rtl: str,
+                     artifacts: dict) -> None:
+    """``generate -o``: the primary artifact goes to *output*; companion
+    artifacts (e.g. the hls_c testbench) land next to it, named after
+    its stem."""
+    out_path = pathlib.Path(output)
+    out_path.write_text(rtl)
+    print(f"wrote {len(rtl.splitlines())} lines ({request.backend}) "
+          f"to {output}")
+    primary = next(iter(artifacts), None)
+    stem = out_path.name
+    for suffix in (out_path.suffixes or [""])[::-1]:
+        stem = stem.removesuffix(suffix)
+    for name, text in artifacts.items():
+        if name == primary:
+            continue
+        side = out_path.with_name(
+            stem + _artifact_suffix(name, request.module))
+        side.write_text(text)
+        print(f"wrote companion artifact {side}")
+
+
 def _export_trace_arg(args: argparse.Namespace, trace_id: str) -> None:
     """Honour a ``--trace-out`` flag: write everything the tracer
     buffered (pool-worker spans included) as Perfetto-loadable JSON."""
@@ -117,8 +139,6 @@ def _remote_failed(what: str, url: str, exc: BaseException) -> int:
 
 
 def _cmd_generate_remote(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .service.client import ServiceError
 
     if args.topology:
@@ -140,22 +160,8 @@ def _cmd_generate_remote(args: argparse.Namespace) -> int:
     if result.get("from_cache"):
         print(f"(cache hit {result['spec_hash'][:12]})")
     if args.output:
-        out_path = pathlib.Path(args.output)
-        out_path.write_text(result.get("rtl") or "")
-        print(f"wrote {len((result.get('rtl') or '').splitlines())} "
-              f"lines ({request.backend}) to {args.output}")
-        artifacts = result.get("artifacts") or {}
-        primary = next(iter(artifacts), None)
-        stem = out_path.name
-        for suffix in (out_path.suffixes or [""])[::-1]:
-            stem = stem.removesuffix(suffix)
-        for name, text in artifacts.items():
-            if name == primary:
-                continue
-            side = out_path.with_name(
-                stem + _artifact_suffix(name, request.module))
-            side.write_text(text)
-            print(f"wrote companion artifact {side}")
+        _write_artifacts(args.output, request, result.get("rtl") or "",
+                         result.get("artifacts") or {})
     return 0
 
 
@@ -185,25 +191,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         for tensor in adg.tensor_names():
             print(render_topology(adg, tensor, dfs[0].name))
     if args.output:
-        import pathlib
-
-        out_path = pathlib.Path(args.output)
-        out_path.write_text(result.rtl)
-        print(f"wrote {len(result.rtl.splitlines())} lines "
-              f"({request.backend}) to {args.output}")
-        # Companion artifacts (e.g. the hls_c testbench) land next to
-        # the primary one, named after its stem.
-        primary = next(iter(result.artifacts), None)
-        stem = out_path.name
-        for suffix in (out_path.suffixes or [""])[::-1]:
-            stem = stem.removesuffix(suffix)
-        for name, text in result.artifacts.items():
-            if name == primary:
-                continue
-            side = out_path.with_name(
-                stem + _artifact_suffix(name, request.module))
-            side.write_text(text)
-            print(f"wrote companion artifact {side}")
+        _write_artifacts(args.output, request, result.rtl,
+                         result.artifacts)
     return 0
 
 
@@ -392,7 +381,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(engine=_build_engine(args), host=args.host, port=args.port,
           step_evals=args.step_evals, log_level=args.log_level,
           slow_request_ms=args.slow_request_ms,
-          persist=not args.no_persist_jobs,
+          persist_jobs=not args.no_persist_jobs,
           profile_hz=args.profile_hz if args.profile else None,
           history_interval_s=args.history_interval)
     return 0

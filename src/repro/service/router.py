@@ -6,35 +6,19 @@
 :class:`~repro.service.server.HttpServerBase` plumbing) but owns no
 engine: every request is forwarded to a backend server.
 
-Routing policy:
-
-* ``/generate`` and each entry of ``/batch`` go to
-  ``backends[int(spec_hash[:2], 16) % N]``, so a design's requests
-  always land on the backend whose cache holds it and every repeat is
-  a warm hit.  The router memoizes raw request body → shard in a
-  bounded LRU, so the warm path never parses a spec on the event loop:
-  a repeated ``/generate`` costs a dict lookup plus a byte-for-byte
-  proxied round-trip on an executor thread.
-* ``/batch`` bodies spanning several shards are split into per-shard
-  sub-batches submitted concurrently and tracked under one composite
-  ``fan-...`` job id; polling it merges the parts back into the
-  original request order.
-* ``/explore`` is round-robin (any backend can search; its cache tier
-  is shared work, not partitioned work).
-* ``/jobs`` merges every backend's listing; job ids are namespaced as
-  ``s<shard>.<job id>`` so ``GET``/``pause``/``resume``/``stream``
-  forward to the owning backend.
-* ``/metrics`` folds every backend's JSON snapshot
-  (``GET /metrics?format=json``) plus the router's own registry into
-  one Prometheus exposition via :meth:`MetricsRegistry.merge`;
-  ``/healthz`` reports per-backend liveness and summed job counts.
-* ``/trace`` fans to every backend and merges their Chrome-trace
-  events with the router's own proxy spans into one fleet tree (every
-  write-path forward runs under a ``proxy:<path>`` span whose id rides
-  to the backend in ``X-Repro-Trace``, so the hops link up);
-  ``/debug/profile`` fans a CPU capture across the fleet and merges
-  the flamegraphs; ``/metrics/history`` serves the router's own
-  metrics time series for the ``repro top`` dashboard.
+How each endpoint is answered is the ``fleet`` column of the route
+table (:data:`repro.service.server.ROUTES`; the policies are spelled
+out under "The router" in ``docs/serving.md``): ``owner`` rows go to
+the backend owning the spec-hash prefix, ``any`` rows round-robin over
+the live backends, ``tagged`` rows follow a job id's ``s<shard>.`` tag,
+``merged`` rows fan a ``GET`` to every backend and fold the answers
+with the router's own, ``local`` rows concern the router process
+itself.  Two things the table does not say: the router memoizes raw
+``/generate`` body → shard in a bounded LRU, so a warm repeat costs a
+dict lookup plus a byte-for-byte proxied round-trip on an executor
+thread, with no JSON work on the event loop; and every write-path
+forward runs under a ``proxy:<path>`` span whose id rides to the
+backend in ``X-Repro-Trace``, so the merged ``/trace`` links the hops.
 
 Fault tolerance (``--replicas N``): each hash-prefix range gets a
 **replica group** of N consecutive backends (a static map; the cache
@@ -68,26 +52,24 @@ import contextlib
 import http.client
 import itertools
 import json
-import os
 import queue as queue_module
 import re
 import secrets
 import threading
 import time
-import urllib.parse
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs import (DEFAULT_HZ, MetricsHistory, MetricsRegistry, Profile,
-                   SamplingProfiler, current_span_id, current_trace_id,
-                   format_trace_header, get_registry, get_tracer,
-                   new_trace_id, profile_for, refresh_trace_metrics,
-                   setup_logging, trace_context, trace_span)
+from ..obs import (DEFAULT_HZ, MetricsRegistry, Profile, current_span_id,
+                   current_trace_id, format_trace_header, get_registry,
+                   new_trace_id, refresh_trace_metrics, setup_logging,
+                   trace_context, trace_span)
 from .client import ServiceClient, ServiceError
 from .faults import get_faults
 from .health import FleetHealth, backoff_delays, classify_error
-from .server import (HttpServerBase, ServerOnThread, StreamPayload,
-                     _BadRequest, _request_from_body, _run_blocking)
+from .server import (HttpServerBase, Request, Route, ServerOnThread,
+                     StreamPayload, _BadRequest, _NotFound, _parse_body,
+                     _request_from_body, _run_blocking)
 
 __all__ = ["DesignRouter", "RouterThread", "route"]
 
@@ -216,17 +198,11 @@ class DesignRouter(HttpServerBase):
     log_name = "route"
     fault_scope = "router"
 
-    def __init__(self, backends, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = 300.0,
-                 slow_request_ms: float = 1000.0,
-                 profile_hz: float | None = None,
-                 history_interval_s: float = 2.0,
-                 replicas: int = 1,
-                 probe_interval_s: float = 1.0,
+    def __init__(self, backends, timeout: float = 300.0,
+                 replicas: int = 1, probe_interval_s: float = 1.0,
                  breaker_threshold: int = 3,
-                 retry_budget_s: float = 15.0):
-        super().__init__(host=host, port=port,
-                         slow_request_ms=slow_request_ms)
+                 retry_budget_s: float = 15.0, **http):
+        super().__init__(**http)
         urls = [str(u).rstrip("/") for u in backends]
         if not urls:
             raise ValueError("a router needs at least one --backend URL")
@@ -246,17 +222,6 @@ class DesignRouter(HttpServerBase):
         self.health = FleetHealth(urls,
                                   probe_interval_s=probe_interval_s,
                                   threshold=breaker_threshold)
-        #: always-on sampler of the router process itself
-        #: (``repro route --profile``)
-        self.profiler = (SamplingProfiler(hz=profile_hz)
-                         if profile_hz else None)
-        #: the *router's* own series (its registry holds the
-        #: fleet-facing route latencies).  Per-backend history stays on
-        #: the backends: merging misaligned sampling clocks would
-        #: fabricate rates.
-        self.history = (MetricsHistory(interval_s=history_interval_s,
-                                       refresh=refresh_trace_metrics)
-                        if history_interval_s else None)
         self._pools = [_ClientPool(u, timeout) for u in urls]
         # Forwarding happens on threads (http.client is blocking): size
         # the pool so a slow backend can't starve the others.
@@ -280,19 +245,11 @@ class DesignRouter(HttpServerBase):
 
     async def start(self) -> "DesignRouter":
         await super().start()
-        if self.history is not None:
-            self.history.start()
-        if self.profiler is not None:
-            self.profiler.start()
         self.health.start()
         return self
 
     async def stop(self) -> None:
         self.health.stop()
-        if self.history is not None:
-            self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         await super().stop()
         self._forward_executor.shutdown(wait=False, cancel_futures=True)
 
@@ -462,23 +419,20 @@ class DesignRouter(HttpServerBase):
 
     # -- routing -----------------------------------------------------------
 
-    async def _route_raw(self, method, path, query, body):
+    async def _route_raw(self, route: Route, body: bytes):
         """The /generate proxy path.  Warm repeats (the DSE loop's
         traffic) hit the raw-body routing LRU and forward byte-for-byte
         without any JSON work on the event loop; a first-seen body pays
         one parse + spec hash to learn its shard."""
-        if method != "POST" or path != "/generate" or not body:
+        if route.name != "generate" or not body:
             return None
         with self._route_lock:
             index = self._route_cache.get(body)
             if index is not None:
                 self._route_cache.move_to_end(body)
         if index is None:
-            try:
-                data = json.loads(body.decode())
-            except (ValueError, UnicodeDecodeError) as exc:
-                return 400, {"error": f"malformed JSON body: {exc}"}
-            index = self._shard_for_generate(data)  # may raise _BadRequest
+            # both may raise _BadRequest
+            index = self._shard_for_generate(_parse_body(body))
             with self._route_lock:
                 self._route_cache[body] = index
                 while len(self._route_cache) > self.route_cache_entries:
@@ -487,57 +441,26 @@ class DesignRouter(HttpServerBase):
                                                  "/generate", body)
         return status, raw
 
-    async def _route(self, method, path, query, data) -> tuple[int, dict]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET /healthz"}
-            return await self._merged_health()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics"}
-            return await self._merged_metrics(query)
-        if path == "/metrics/history":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics/history"}
-            return 200, self._metrics_history(query)
-        if path == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET /trace"}
-            return await self._merged_trace(query)
-        if path == "/debug/profile":
-            if method != "GET":
-                return 405, {"error": "use GET /debug/profile"}
-            return await self._merged_profile(query)
-        if path == "/backends":
-            if method != "GET":
-                return 405, {"error": "use GET /backends"}
-            status, raw = await self._forward(0, "GET", "/backends")
-            return status, self._decode(raw)
-        if path == "/generate":
-            if method != "POST":
-                return 405, {"error": "use POST /generate"}
-            # _route_raw answers every non-empty body; reaching here
-            # means there was none.
-            raise _BadRequest("body must be a JSON object")
-        if path == "/batch":
-            if method != "POST":
-                return 405, {"error": "use POST /batch"}
-            return await self._handle_batch(data)
-        if path == "/explore":
-            if method != "POST":
-                return 405, {"error": "use POST /explore"}
-            return await self._handle_explore(data)
-        if path == "/jobs":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs"}
-            return await self._merged_jobs()
-        if path.startswith("/jobs/"):
-            return await self._handle_job(method, path, query)
-        return 404, {"error": f"no such endpoint: {path}"}
+    def _handler(self, route: Route):
+        """The table's ``fleet`` column picks the answer: the two pure
+        forwarding policies share one forwarder each; ``local`` rows
+        inherit the base handler, and ``owner``/``merged`` rows have
+        their own ``_ep_<name>`` below."""
+        if route.fleet == "tagged":
+            return self._forward_tagged
+        if route.fleet == "any":
+            return self._forward_any
+        return super()._handler(route)
+
+    async def _ep_generate(self, req: Request):
+        # _route_raw answers every non-empty body; reaching here means
+        # there was none.
+        raise _BadRequest("body must be a JSON object")
 
     # -- fan-out endpoints -------------------------------------------------
 
-    async def _handle_batch(self, data) -> tuple[int, dict]:
+    async def _ep_batch(self, req: Request) -> tuple[int, dict]:
+        data = req.data
         if not isinstance(data, dict) or "requests" not in data:
             raise _BadRequest('body must be {"requests": [...]}')
         specs = data["requests"]
@@ -587,12 +510,16 @@ class DesignRouter(HttpServerBase):
                      "requests": len(specs),
                      "shards": [self.backends[i] for i, *_ in outcomes]}
 
-    async def _handle_explore(self, data) -> tuple[int, dict]:
-        # Round-robin: any backend can search; the shared work is its
-        # cache tier, which is already shard-routed per evaluation.
+    async def _forward_any(self, req: Request) -> tuple[int, dict]:
+        """``any`` rows (``/explore``, ``/backends``): any backend can
+        answer (an exploration's shared work is its cache tier, which
+        is already shard-routed per evaluation), so round-robin — via
+        the write path's failover, so a dead backend costs a retry,
+        not a 502."""
         index = next(self._rr) % len(self.backends)
-        status, raw, served = await self._proxy(index, "POST",
-                                                "/explore", data)
+        status, raw, served = await self._proxy(
+            index, req.method, req.route.pattern,
+            req.data if req.method == "POST" else None)
         payload = self._decode(raw)
         if status < 400 and isinstance(payload.get("job"), str):
             payload["job"] = self._tag(served, payload["job"])
@@ -601,41 +528,32 @@ class DesignRouter(HttpServerBase):
 
     # -- job forwarding ----------------------------------------------------
 
-    async def _handle_job(self, method, path, query) -> tuple[int, dict]:
-        parts = path.strip("/").split("/")
-        if len(parts) not in (2, 3):
-            return 404, {"error": f"no such endpoint: {path}"}
-        job_id = parts[1]
-        action = parts[2] if len(parts) == 3 else None
+    async def _forward_tagged(self, req: Request) -> tuple[int, dict]:
+        """``tagged`` rows: ``/jobs/<id>[/<action>]`` goes to the
+        backend the id's ``s<i>.`` tag names (``fan-`` ids are the
+        router's own composites)."""
+        job_id = req.job_id
         with self._fan_lock:
             fan = self._fans.get(job_id)
         if fan is not None:
-            if action is not None:
-                return 400, {"error": "fanned batch jobs support "
-                             "GET /jobs/<id> only"}
-            if method != "GET":
-                return 405, {"error": "use GET /jobs/<id>"}
+            if req.route.name != "job":
+                raise _BadRequest("fanned batch jobs support "
+                                  "GET /jobs/<id> only")
             return await self._fan_status(job_id, fan)
         match = _SHARD_ID.match(job_id)
         if match is None:
-            return 404, {"error": f"no such job: {job_id} (router job "
-                         "ids look like s<shard>.<job> or fan-<n>-<id>)"}
+            raise _NotFound(f"no such job: {job_id} (router job "
+                            "ids look like s<shard>.<job> or fan-<n>-<id>)")
         index = int(match.group(1))
         if index >= len(self.backends):
-            return 404, {"error": f"no such shard s{index}"}
+            raise _NotFound(f"no such shard s{index}")
         backend_job = match.group(2)
-        if action == "stream":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs/<id>/stream"}
-            return 200, _ProxyStream(self, index, backend_job,
-                                     checkpoint="checkpoint=0"
-                                     not in query)
-        backend_path = f"/jobs/{backend_job}"
-        if action is not None:
-            backend_path += f"/{action}"
-        if query:
-            backend_path += f"?{query}"
-        status, raw = await self._forward(index, method, backend_path)
+        if req.route.name == "stream":
+            return 200, _ProxyStream(
+                self, index, backend_job,
+                checkpoint=req.params.get("checkpoint") != "0")
+        status, raw = await self._forward(index, req.method, _with_query(
+            req.route.pattern.replace("<id>", backend_job), req.query))
         payload = self._decode(raw)
         for key in ("job", "id"):
             if isinstance(payload.get(key), str):
@@ -698,15 +616,21 @@ class DesignRouter(HttpServerBase):
 
     # -- merged read endpoints ---------------------------------------------
 
-    async def _merged_jobs(self) -> tuple[int, dict]:
+    async def _fan(self, target: str) -> list[tuple[int, int, dict]]:
+        """``GET target`` on every backend at once: one decoded
+        ``(backend index, status, payload)`` per backend, in order."""
         polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/jobs")
-              for i in range(len(self.backends))))
+            *(self._forward(index, "GET", target)
+              for index in range(len(self.backends))))
+        return [(index, status, self._decode(raw))
+                for index, (status, raw) in enumerate(polls)]
+
+    async def _ep_jobs(self, req: Request) -> tuple[int, dict]:
         jobs: list[dict] = []
-        for index, (status, raw) in enumerate(polls):
+        for index, status, payload in await self._fan("/jobs"):
             if status >= 400:
                 continue
-            for job in self._decode(raw).get("jobs", []):
+            for job in payload.get("jobs", []):
                 if isinstance(job, dict) and isinstance(job.get("id"),
                                                         str):
                     job = dict(job, id=self._tag(index, job["id"]),
@@ -720,15 +644,11 @@ class DesignRouter(HttpServerBase):
                     for fan_id, fan in self._fans.items()]
         return 200, {"jobs": jobs + fans}
 
-    async def _merged_health(self) -> tuple[int, dict]:
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/healthz")
-              for i in range(len(self.backends))))
+    async def _ep_health(self, req: Request) -> tuple[int, dict]:
         ok = True
         jobs: dict[str, int] = {}
         backends = []
-        for index, (status, raw) in enumerate(polls):
-            payload = self._decode(raw)
+        for index, status, payload in await self._fan("/healthz"):
             up = status == 200 and bool(payload.get("ok"))
             ok = ok and up
             for key, value in (payload.get("jobs") or {}).items():
@@ -757,100 +677,63 @@ class DesignRouter(HttpServerBase):
                      "trace": refresh_trace_metrics(),
                      "profiling": self.profiler is not None}
 
-    async def _merged_metrics(self, query: str) -> tuple[int,
-                                                         dict | str]:
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/metrics?format=json")
-              for i in range(len(self.backends))))
+    async def _ep_metrics(self, req: Request) -> tuple[int, dict | str]:
         merged = MetricsRegistry()
         # The router's own registry first: its http route counters tell
         # the fleet story (gauges merge last-writer-wins, so backend
         # job gauges below overwrite the router's empty ones).
         merged.merge(get_registry().snapshot())
-        for status, raw in polls:
+        for _index, status, payload in await self._fan(
+                "/metrics?format=json"):
             if status >= 400:
                 continue
             try:
-                merged.merge(self._decode(raw))
+                merged.merge(payload)
             except (KeyError, TypeError, ValueError):
                 continue
-        if "format=json" in query:
+        if req.params.get("format") == "json":
             return 200, merged.snapshot()
         return 200, merged.render()
 
-    async def _merged_trace(self, query: str) -> tuple[int, dict]:
+    async def _ep_trace(self, req: Request) -> tuple[int, dict]:
         """``GET /trace``: fan to every backend (query passes through,
         so ``drain``/``trace_id`` behave fleet-wide) and merge their
         Chrome-trace events with the router's own proxy spans into one
         tree — span ids stitch the hops together, and epoch-µs
         timestamps mean the hops align on one Perfetto timeline."""
-        params = urllib.parse.parse_qs(query)
-        sub = "/trace" + (f"?{query}" if query else "")
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", sub)
-              for i in range(len(self.backends))))
-        tracer = get_tracer()
-        drain = params.get("drain", ["0"])[0] in ("1", "true")
-        events = tracer.take() if drain else tracer.events()
-        wanted = params.get("trace_id", [None])[0]
-        if wanted:
-            events = [e for e in events
-                      if e.get("args", {}).get("trace_id") == wanted]
-        merged = list(events)
-        dropped = tracer.dropped
-        reached = 1
-        for status, raw in polls:
+        polls = await self._fan(_with_query("/trace", req.query))
+        _status, merged = await super()._ep_trace(req)
+        merged["merged_from"] = 1
+        for _index, status, payload in polls:
             if status >= 400:
                 continue
-            payload = self._decode(raw)
             tail = payload.get("traceEvents")
             if isinstance(tail, list):
-                merged.extend(e for e in tail if isinstance(e, dict))
-                reached += 1
+                merged["traceEvents"].extend(
+                    e for e in tail if isinstance(e, dict))
+                merged["merged_from"] += 1
             try:
-                dropped += int(payload.get("dropped") or 0)
+                merged["dropped"] += int(payload.get("dropped") or 0)
             except (TypeError, ValueError):
                 pass
-        return 200, {"traceEvents": merged, "displayTimeUnit": "ms",
-                     "pid": os.getpid(), "dropped": dropped,
-                     "merged_from": reached}
+        return 200, merged
 
-    async def _merged_profile(self, query: str) -> tuple[int, dict]:
+    async def _ep_profile(self, req: Request) -> tuple[int, dict]:
         """``GET /debug/profile``: fan the capture across backends and
         fold the profiles into one fleet flamegraph.  With ``seconds=N``
         the router samples itself concurrently with the backends (the
         captures overlap, so one wall-clock wait covers the fleet);
         without, it merges always-on profiler snapshots from whichever
         processes run one."""
-        params = urllib.parse.parse_qs(query)
-        seconds = params.get("seconds", [None])[0]
-        secs = None
-        hz = DEFAULT_HZ
-        if seconds is not None:
-            try:
-                secs = min(30.0, max(0.05, float(seconds)))
-                hz = float(params.get("hz", [DEFAULT_HZ])[0])
-            except ValueError:
-                raise _BadRequest('"seconds" and "hz" must be numbers') \
-                    from None
-        sub = "/debug/profile" + (f"?{query}" if query else "")
-        fan = asyncio.gather(*(self._forward(i, "GET", sub)
-                               for i in range(len(self.backends))))
-        if secs is not None:
-            loop = asyncio.get_running_loop()
-            own, polls = await asyncio.gather(
-                loop.run_in_executor(None, profile_for, secs, hz), fan)
-        else:
-            own = (self.profiler.snapshot()
-                   if self.profiler is not None else None)
-            polls = await fan
-        merged = own if own is not None else Profile(hz=hz)
+        (own, continuous), polls = await asyncio.gather(
+            self._capture_profile(req.params),
+            self._fan(_with_query("/debug/profile", req.query)))
+        merged = own if own is not None else Profile(hz=DEFAULT_HZ)
         reached = 1 if own is not None else 0
         backends = []
-        for index, (status, raw) in enumerate(polls):
+        for index, status, payload in polls:
             entry: dict = {"url": self.backends[index],
                            "ok": status < 400}
-            payload = self._decode(raw)
             if status < 400:
                 try:
                     part = Profile.from_dict(payload)
@@ -868,59 +751,33 @@ class DesignRouter(HttpServerBase):
             return 404, {"error": "no profile available: pass "
                          "?seconds=N for a one-shot capture, or run "
                          "the fleet with --profile", "backends": backends}
-        return 200, dict(merged.to_dict(), continuous=secs is None,
+        return 200, dict(merged.to_dict(), continuous=continuous,
                          merged_from=reached, backends=backends)
+
+
+def _with_query(path: str, query: str) -> str:
+    return f"{path}?{query}" if query else path
 
 
 # ---------------------------------------------------------------------------
 # Entry points: blocking route() for the CLI, RouterThread for embedding.
 # ---------------------------------------------------------------------------
 
-def route(backends, host: str = "127.0.0.1", port: int = 8730,
-          quiet: bool = False, log_level: str = "warning",
-          timeout: float = 300.0,
-          slow_request_ms: float = 1000.0,
-          profile_hz: float | None = None,
-          history_interval_s: float = 2.0,
-          replicas: int = 1,
-          probe_interval_s: float = 1.0,
-          breaker_threshold: int = 3,
-          retry_budget_s: float = 15.0) -> None:
-    """Run the fleet router until interrupted (``repro route``)."""
+def route(backends, port: int = 8730, quiet: bool = False,
+          log_level: str = "warning", **router) -> None:
+    """Run the fleet router until interrupted (``repro route``); keyword
+    arguments beyond these are :class:`DesignRouter`'s."""
     setup_logging(log_level)
-    _run_blocking(DesignRouter(backends, host=host, port=port,
-                               timeout=timeout,
-                               slow_request_ms=slow_request_ms,
-                               profile_hz=profile_hz,
-                               history_interval_s=history_interval_s,
-                               replicas=replicas,
-                               probe_interval_s=probe_interval_s,
-                               breaker_threshold=breaker_threshold,
-                               retry_budget_s=retry_budget_s),
-                  quiet=quiet)
+    _run_blocking(DesignRouter(backends, port=port, **router), quiet=quiet)
 
 
 class RouterThread(ServerOnThread):
-    """A :class:`DesignRouter` on a background thread.
+    """A :class:`DesignRouter` (same arguments) on a background thread.
 
     ``with RouterThread([backend_url, ...]) as url: ...``
     """
 
     thread_name = "repro-route"
 
-    def __init__(self, backends, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = 300.0,
-                 slow_request_ms: float = 1000.0,
-                 profile_hz: float | None = None,
-                 history_interval_s: float = 2.0,
-                 replicas: int = 1,
-                 probe_interval_s: float = 1.0,
-                 breaker_threshold: int = 3,
-                 retry_budget_s: float = 15.0):
-        super().__init__(DesignRouter(
-            backends, host=host, port=port, timeout=timeout,
-            slow_request_ms=slow_request_ms, profile_hz=profile_hz,
-            history_interval_s=history_interval_s, replicas=replicas,
-            probe_interval_s=probe_interval_s,
-            breaker_threshold=breaker_threshold,
-            retry_budget_s=retry_budget_s))
+    def __init__(self, backends, **router):
+        super().__init__(DesignRouter(backends, **router))

@@ -17,31 +17,10 @@ telemetry, JSON/text/chunked-stream responses) lives in
 (:mod:`repro.service.router`), which speaks the same protocol in front
 of N of these servers.
 
-Endpoints (see ``docs/serving.md`` for the full reference):
-
-=======  ====================  ===========================================
-method   path                  purpose
-=======  ====================  ===========================================
-GET      ``/healthz``          liveness + tiered cache stats + job counts
-GET      ``/metrics``          Prometheus text exposition of all telemetry
-                               (``?format=json`` → mergeable snapshot)
-GET      ``/metrics/history``  ring buffer of timestamped metric snapshots
-GET      ``/trace``            span buffer as Chrome-trace JSON
-                               (``?drain=1`` scrape, ``?trace_id=`` filter)
-GET      ``/debug/profile``    CPU profile: ``?seconds=N`` one-shot capture,
-                               bare = always-on profiler snapshot
-GET/POST ``/debug/faults``     chaos harness: list / arm / clear injected
-                               faults (see :mod:`repro.service.faults`)
-GET      ``/backends``         registered emitter families + option schemas
-POST     ``/generate``         one design, synchronously (cache-first)
-POST     ``/batch``            many designs -> job id
-POST     ``/explore``          DSE search -> job id (checkpointed steps)
-GET      ``/jobs``             job summaries
-GET      ``/jobs/<id>``        full job status, result, checkpoint
-GET      ``/jobs/<id>/stream`` chunked NDJSON event stream of the job
-POST     ``/jobs/<id>/pause``  pause an exploration after its step
-POST     ``/jobs/<id>/resume`` resume a paused exploration
-=======  ====================  ===========================================
+The HTTP surface is declared once, in the module-level :data:`ROUTES`
+table below — dispatch, the 404/405 answers, metric labels, chaos-fault
+sites and the router's forwarding policy all derive from it, and
+``docs/serving.md`` documents each row.
 
 When the engine has a cache, the job table is **journaled** under the
 cache root (``<root>/jobs/``, see
@@ -85,6 +64,7 @@ import time
 import traceback
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 from ..dse.checkpoint import run_checkpointed, space_from_dict
 from ..obs import (DEFAULT_HZ, MetricsHistory, SamplingProfiler,
@@ -98,8 +78,8 @@ from .jobs import JobRegistry, RegistryFull
 from .persist import JobJournal
 from .spec import DesignRequest, DesignResult
 
-__all__ = ["DesignServer", "HttpServerBase", "ServerOnThread",
-           "ServerThread", "StreamPayload", "serve"]
+__all__ = ["DesignServer", "HttpServerBase", "ROUTES", "Route",
+           "ServerOnThread", "ServerThread", "StreamPayload", "serve"]
 
 _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
@@ -121,24 +101,110 @@ _GENERATE_PATH = get_registry().counter(
 _JOBS_GAUGE = get_registry().gauge(
     "repro_jobs", "jobs in the registry by status", ("status",))
 
-#: routes with an embedded job id, normalized for metric labels so the
-#: label set stays bounded (no per-id time series)
-_JOB_ACTIONS = ("pause", "resume", "stream")
+
+class Route(NamedTuple):
+    """One endpoint of the HTTP surface — a row of :data:`ROUTES`."""
+
+    #: allowed methods; anything else is the derived 405
+    methods: tuple[str, ...]
+    #: the path, ``<id>`` standing for a job id
+    pattern: str
+    #: endpoint name: ``_ep_<name>`` handles it, and (``faults`` aside)
+    #: ``ServiceClient.<name>`` requests it
+    name: str
+    #: how ``repro route`` answers it — ``local``: the router process
+    #: itself; ``any``: any live backend (round-robin, with failover);
+    #: ``owner``: the backend(s) owning the spec-hash prefix;
+    #: ``tagged``: the backend named by the job id's ``s<i>.`` tag;
+    #: ``merged``: fanned to every backend and folded into one answer
+    fleet: str
+
+    @property
+    def label(self) -> str:
+        """The bounded ``route=`` metric label and chaos-fault site."""
+        return self.pattern.replace("<id>", "{id}")
+
+    @property
+    def faultable(self) -> bool:
+        """Chaos faults fire on every route but the chaos-control
+        endpoint itself, so a latency/error fault can always be
+        cleared remotely."""
+        return self.name != "faults"
 
 
-def _route_label(path: str) -> str:
-    """Collapse ``/jobs/<id>[/<action>]`` to a bounded label."""
-    parts = path.strip("/").split("/")
-    if len(parts) >= 2 and parts[0] == "jobs":
-        if len(parts) == 2:
-            return "/jobs/{id}"
-        if len(parts) == 3 and parts[2] in _JOB_ACTIONS:
-            return f"/jobs/{{id}}/{parts[2]}"
-    return path
+#: The HTTP surface, declared once (mirrored row for row by the
+#: "Endpoints" table of ``docs/serving.md``).
+ROUTES = (
+    Route(("GET",), "/healthz", "health", "merged"),
+    Route(("GET",), "/metrics", "metrics", "merged"),
+    Route(("GET",), "/metrics/history", "metrics_history", "local"),
+    Route(("GET",), "/trace", "trace", "merged"),
+    Route(("GET",), "/debug/profile", "profile", "merged"),
+    Route(("GET", "POST"), "/debug/faults", "faults", "local"),
+    Route(("GET",), "/backends", "backends", "any"),
+    Route(("POST",), "/generate", "generate", "owner"),
+    Route(("POST",), "/batch", "batch", "owner"),
+    Route(("POST",), "/explore", "explore", "any"),
+    Route(("GET",), "/jobs", "jobs", "merged"),
+    Route(("GET",), "/jobs/<id>", "job", "tagged"),
+    Route(("GET",), "/jobs/<id>/stream", "stream", "tagged"),
+    Route(("POST",), "/jobs/<id>/pause", "pause", "tagged"),
+    Route(("POST",), "/jobs/<id>/resume", "resume", "tagged"),
+)
+_STATIC_ROUTES = {r.pattern: r for r in ROUTES if "<id>" not in r.pattern}
+#: per-job routes by what follows the id ("" for ``/jobs/<id>`` itself)
+_JOB_ROUTES = {r.pattern.partition("<id>")[2].lstrip("/"): r
+               for r in ROUTES if "<id>" in r.pattern}
+#: the one metric label / fault site of every path the table lacks, so
+#: junk traffic cannot mint a time series per path
+UNMATCHED = "unmatched"
+
+
+def match_route(path: str) -> tuple[Route | None, str | None]:
+    """``path`` → ``(route, job id)``: a dict hit for the static paths,
+    one prefix test for ``/jobs/<id>[/<action>]``, else no route."""
+    route = _STATIC_ROUTES.get(path)
+    if route is None and path.startswith("/jobs/"):
+        job_id, _, action = path[6:].rstrip("/").partition("/")
+        if job_id:
+            return _JOB_ROUTES.get(action), job_id
+    return route, None
+
+
+class Request(NamedTuple):
+    """What a matched route's handler receives."""
+
+    route: Route
+    method: str
+    query: str          # raw (the router passes it through to backends)
+    params: dict        # the query, parsed once (first value per key)
+    data: object        # the decoded JSON body ({} when there is none)
+    job_id: str | None
 
 
 class _BadRequest(ValueError):
     """Client error: reported as a 400 with the message as payload."""
+
+    status = 400
+
+
+class _NotFound(_BadRequest):
+    status = 404
+
+
+def _parse_query(query: str) -> dict:
+    """The query string as ``{key: first value}`` — parsed here, once
+    per request; handlers compare values, never substrings."""
+    if not query:
+        return {}
+    return {k: v[0] for k, v in urllib.parse.parse_qs(query).items()}
+
+
+def _parse_body(body: bytes):
+    try:
+        return json.loads(body.decode()) if body else {}
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise _BadRequest(f"malformed JSON body: {exc}") from None
 
 
 def _check_number(data: dict, key: str, kind=(int, float),
@@ -213,7 +279,7 @@ def _search_result_to_json(result) -> dict:
 
 
 class StreamPayload:
-    """Marker payload: a ``_route`` that returns one of these switches
+    """Marker payload: a handler that returns one of these switches
     the response to chunked ``application/x-ndjson`` streaming — one
     JSON document per line, one chunk per event, connection closed when
     the stream ends.  Subclasses implement :meth:`events`."""
@@ -264,11 +330,14 @@ class HttpServerBase:
     """Shared asyncio HTTP/1.1 front end of the serving tier.
 
     Owns the socket lifecycle and the protocol plumbing — connection
-    handling with keep-alive, request parsing, dispatch with per-route
-    telemetry and slow-request logging, JSON/text responses plus
-    chunked NDJSON streams (:class:`StreamPayload`).  The design server
-    and the fleet router are both thin routing layers over this:
-    subclasses implement :meth:`_route` and may override
+    handling with keep-alive, request parsing, table-driven dispatch
+    (:data:`ROUTES`) with per-route telemetry and slow-request logging,
+    JSON/text responses plus chunked NDJSON streams
+    (:class:`StreamPayload`) — and the endpoints that only concern the
+    process itself: ``/metrics/history``, ``/debug/faults``, the local
+    halves of ``/trace`` and ``/debug/profile``.  The design server and
+    the fleet router are both thin layers over this: subclasses supply
+    the remaining ``_ep_<name>`` handlers and may override
     :meth:`_route_raw` to answer before the JSON body is even parsed
     (the router's warm proxy path).
     """
@@ -277,17 +346,29 @@ class HttpServerBase:
     #: prefix of this process's chaos-fault sites (the router overrides
     #: it): each request fires ``<scope>:<route label>``
     fault_scope = "server"
-    #: metrics time series behind ``GET /metrics/history`` (subclasses
-    #: build one unless the recorder is disabled)
-    history: MetricsHistory | None = None
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 slow_request_ms: float = 1000.0):
+                 slow_request_ms: float = 1000.0,
+                 profile_hz: float | None = None,
+                 history_interval_s: float = 2.0,
+                 history_samples: int = 600):
         self.host = host
         self.port = port
         #: requests slower than this are logged at WARNING with their
         #: route and trace id (0 disables the check)
         self.slow_request_ms = slow_request_ms
+        #: always-on sampling profiler of this process (``--profile``);
+        #: ``GET /debug/profile`` without ``seconds=`` snapshots it.
+        self.profiler = (SamplingProfiler(hz=profile_hz)
+                         if profile_hz else None)
+        #: this process's own metrics time series behind ``GET
+        #: /metrics/history`` (``history_interval_s=0`` disables it).
+        #: A router keeps only its own series too: merging backends'
+        #: misaligned sampling clocks would fabricate rates.
+        self.history = (MetricsHistory(interval_s=history_interval_s,
+                                       max_samples=history_samples,
+                                       refresh=self._refresh_gauges)
+                        if history_interval_s else None)
         self._log = get_logger(self.log_name)
         self._server: asyncio.AbstractServer | None = None
         self._closing = threading.Event()
@@ -301,10 +382,18 @@ class HttpServerBase:
             self._handle_connection, self.host, self.port,
             limit=_MAX_BODY)
         self.port = self._server.sockets[0].getsockname()[1]
+        if self.history is not None:
+            self.history.start()
+        if self.profiler is not None:
+            self.profiler.start()
         return self
 
     async def stop(self) -> None:
         self._closing.set()
+        if self.history is not None:
+            self.history.stop()
+        if self.profiler is not None:
+            self.profiler.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -333,14 +422,20 @@ class HttpServerBase:
         """The one-line startup announcement (must contain ``url``)."""
         raise NotImplementedError
 
-    async def _route(self, method, path, query, data) -> tuple[int, dict]:
-        raise NotImplementedError
+    def _handler(self, route: Route):
+        """The coroutine function answering *route* on this tier."""
+        return getattr(self, "_ep_" + route.name)
 
-    async def _route_raw(self, method, path, query, body):
+    async def _route_raw(self, route: Route, body: bytes):
         """Pre-parse fast path: return ``(status, payload)`` to answer
         without JSON-decoding *body*, or ``None`` to fall through to
-        :meth:`_route`."""
+        the route's handler."""
         return None
+
+    def _refresh_gauges(self) -> None:
+        """Bring gauges that describe current state up to date (before
+        every history sample and ``/metrics`` scrape)."""
+        refresh_trace_metrics()
 
     # -- HTTP plumbing -----------------------------------------------------
 
@@ -468,10 +563,8 @@ class HttpServerBase:
 
     # -- dispatch ----------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes,
+    async def _dispatch(self, method: str, target: str, body: bytes,
                         headers: dict | None = None) -> tuple[int, dict]:
-        path, _, query = path.partition("?")
-        route = _route_label(path)
         t0 = time.perf_counter()
         # An incoming X-Repro-Trace header joins this request to the
         # caller's trace tree: the id pair is bound for the whole
@@ -480,42 +573,38 @@ class HttpServerBase:
         trace_id, parent_id = parse_trace_header(
             (headers or {}).get("x-repro-trace"))
         if trace_id is None:
-            return await self._dispatch_traced(method, path, query, body,
-                                               route, t0)
+            return await self._dispatch_traced(method, target, body, t0)
         with trace_context(trace_id, parent_id):
-            return await self._dispatch_traced(method, path, query, body,
-                                               route, t0)
+            return await self._dispatch_traced(method, target, body, t0)
 
-    async def _dispatch_traced(self, method, path, query, body, route,
+    async def _dispatch_traced(self, method, target, body,
                                t0) -> tuple[int, dict]:
+        path, _, query = target.partition("?")
+        route, job_id = match_route(path)
+        label = route.label if route is not None else UNMATCHED
         try:
-            if path != "/debug/faults":
-                # the chaos-control endpoint itself is exempt, so a
-                # latency/error fault can always be cleared remotely
-                delay = get_faults().fire(
-                    f"{self.fault_scope}:{_route_label(path)}")
+            if route is None or route.faultable:
+                delay = get_faults().fire(f"{self.fault_scope}:{label}")
                 if delay:
                     await asyncio.sleep(delay)
-            answer = await self._route_raw(method, path, query, body)
-            if answer is not None:
-                status, payload = answer
+            if route is None:
+                status, payload = 404, {
+                    "error": f"no such endpoint: {path}"}
+            elif method not in route.methods:
+                status, payload = 405, {
+                    "error": f"use {' or '.join(route.methods)} "
+                             f"{route.pattern}"}
             else:
-                try:
-                    data = json.loads(body.decode()) if body else {}
-                except (ValueError, UnicodeDecodeError) as exc:
-                    status, payload = 400, {
-                        "error": f"malformed JSON body: {exc}"}
-                else:
-                    if path == "/debug/faults":
-                        status, payload = self._faults_endpoint(method,
-                                                                data)
-                    else:
-                        status, payload = await self._route(method, path,
-                                                            query, data)
+                answer = await self._route_raw(route, body)
+                if answer is None:
+                    answer = await self._handler(route)(Request(
+                        route, method, query, _parse_query(query),
+                        _parse_body(body), job_id))
+                status, payload = answer
         except FaultError as exc:
             status, payload = 500, {"error": str(exc), "injected": True}
         except _BadRequest as exc:
-            status, payload = 400, {"error": str(exc)}
+            status, payload = exc.status, {"error": str(exc)}
         except RegistryFull as exc:
             status, payload = 503, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 — must not die
@@ -524,8 +613,8 @@ class HttpServerBase:
                        "traceback": traceback.format_exc()}
             self._log.error("500 on %s %s: %s", method, path, exc)
         elapsed = time.perf_counter() - t0
-        _HTTP_SECONDS.labels(route=route).observe(elapsed)
-        _HTTP_REQUESTS.labels(route=route, method=method,
+        _HTTP_SECONDS.labels(route=label).observe(elapsed)
+        _HTTP_REQUESTS.labels(route=label, method=method,
                               status=str(status)).inc()
         if (self.slow_request_ms
                 and elapsed * 1000.0 >= self.slow_request_ms):
@@ -533,30 +622,30 @@ class HttpServerBase:
                         if isinstance(payload, dict) else "-")
             self._log.warning(
                 "slow request: %s %s took %.1f ms (>= %.0f ms) "
-                "trace_id=%s", method, route, elapsed * 1000.0,
+                "trace_id=%s", method, label, elapsed * 1000.0,
                 self.slow_request_ms, trace_id)
         else:
-            self._log.debug("%s %s -> %d in %.1f ms", method, route,
+            self._log.debug("%s %s -> %d in %.1f ms", method, label,
                             status, elapsed * 1000.0)
         return status, payload
 
-    def _metrics_history(self, query: str) -> dict:
+    # -- endpoints every tier answers about its own process ----------------
+
+    async def _ep_metrics_history(self, req: Request) -> tuple[int, dict]:
         """``GET /metrics/history``: this process's sample window (or
         an empty shell when disabled); ``?samples=N`` trims it."""
         if self.history is None:
-            return {"interval_s": None, "max_samples": 0, "count": 0,
-                    "samples": []}
-        params = urllib.parse.parse_qs(query)
-        limit = None
-        raw = params.get("samples", [None])[0]
-        if raw is not None:
+            return 200, {"interval_s": None, "max_samples": 0, "count": 0,
+                         "samples": []}
+        limit = req.params.get("samples")
+        if limit is not None:
             try:
-                limit = max(0, int(raw))
+                limit = max(0, int(limit))
             except ValueError:
                 raise _BadRequest('"samples" must be an integer') from None
-        return self.history.to_dict(limit)
+        return 200, self.history.to_dict(limit)
 
-    def _faults_endpoint(self, method: str, data) -> tuple[int, dict]:
+    async def _ep_faults(self, req: Request) -> tuple[int, dict]:
         """``/debug/faults``: the chaos-harness control surface.
 
         ``GET`` lists armed faults.  ``POST {"site", "kind", "rate"?,
@@ -565,10 +654,9 @@ class HttpServerBase:
         can be broken (and healed) remotely.
         """
         registry = get_faults()
-        if method == "GET":
+        data = req.data
+        if req.method == "GET":
             return 200, {"faults": registry.active()}
-        if method != "POST":
-            return 405, {"error": "use GET or POST /debug/faults"}
         if not isinstance(data, dict):
             raise _BadRequest("body must be a JSON object")
         if "clear" in data:
@@ -590,6 +678,47 @@ class HttpServerBase:
         return 200, {"armed": fault.to_dict(),
                      "faults": registry.active()}
 
+    async def _ep_trace(self, req: Request) -> tuple[int, dict]:
+        """``GET /trace``: this process's span buffer as Chrome-trace
+        JSON.  ``?drain=1`` drains it (the scrape-and-reset pattern);
+        ``?trace_id=<id>`` filters to one request's tree."""
+        tracer = get_tracer()
+        drain = req.params.get("drain", "0") in ("1", "true")
+        events = tracer.take() if drain else tracer.events()
+        wanted = req.params.get("trace_id")
+        if wanted:
+            events = [e for e in events
+                      if e.get("args", {}).get("trace_id") == wanted]
+        return 200, {"traceEvents": events, "displayTimeUnit": "ms",
+                     "pid": os.getpid(), "dropped": tracer.dropped}
+
+    async def _capture_profile(self, params: dict):
+        """This process's CPU profile for ``GET /debug/profile``, as
+        ``(profile, continuous)``: with ``seconds=N[&hz=H]`` a bounded
+        blocking capture on an executor thread; without, a snapshot of
+        the always-on profiler (``None`` when running unprofiled)."""
+        seconds = params.get("seconds")
+        if seconds is None:
+            return (self.profiler.snapshot()
+                    if self.profiler is not None else None), True
+        try:
+            secs = min(30.0, max(0.05, float(seconds)))
+            hz = float(params.get("hz", DEFAULT_HZ))
+        except ValueError:
+            raise _BadRequest('"seconds" and "hz" must be numbers') \
+                from None
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, profile_for, secs,
+                                          hz), False
+
+    async def _ep_profile(self, req: Request) -> tuple[int, dict]:
+        profile, continuous = await self._capture_profile(req.params)
+        if profile is None:
+            return 404, {"error": "no continuous profiler running "
+                         "(start with repro serve --profile) and no "
+                         "seconds= given for a one-shot capture"}
+        return 200, dict(profile.to_dict(), continuous=continuous)
+
 
 class DesignServer(HttpServerBase):
     """The serving front end around one shared :class:`BatchEngine`.
@@ -598,30 +727,18 @@ class DesignServer(HttpServerBase):
     job table is journaled under ``<cache root>/jobs/`` and
     reloaded on construction — see the module docstring's recovery
     matrix.  ``job_workers`` overrides the job-body executor width
-    (defaults to ``min(max_jobs, 32)``).
+    (defaults to ``min(max_jobs, 32)``).  Remaining keyword arguments
+    (``host``, ``port``, ``slow_request_ms``, ``profile_hz``,
+    ``history_interval_s``, ``history_samples``) are
+    :class:`HttpServerBase`'s.
     """
 
     def __init__(self, engine: BatchEngine | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
                  step_evals: float = 1.0, max_jobs: int = 1024,
-                 slow_request_ms: float = 1000.0,
                  persist_jobs: bool = True,
-                 job_workers: int | None = None,
-                 profile_hz: float | None = None,
-                 history_interval_s: float = 2.0,
-                 history_samples: int = 600):
-        super().__init__(host=host, port=port,
-                         slow_request_ms=slow_request_ms)
+                 job_workers: int | None = None, **http):
+        super().__init__(**http)
         self.engine = engine if engine is not None else BatchEngine()
-        #: always-on sampling profiler (``repro serve --profile``);
-        #: ``GET /debug/profile`` without ``seconds=`` snapshots it.
-        self.profiler = (SamplingProfiler(hz=profile_hz)
-                         if profile_hz else None)
-        # ``history_interval_s=0`` disables the recorder
-        self.history = (MetricsHistory(interval_s=history_interval_s,
-                                       max_samples=history_samples,
-                                       refresh=self._refresh_job_gauges)
-                        if history_interval_s else None)
         #: default checkpoint step of `/explore` jobs, in
         #: full-model-equivalents (smaller = finer pause granularity)
         self.step_evals = step_evals
@@ -649,20 +766,8 @@ class DesignServer(HttpServerBase):
                          else max(1, min(max_jobs, 32))),
             thread_name_prefix="repro-job")
 
-    async def start(self) -> "DesignServer":
-        await super().start()
-        if self.history is not None:
-            self.history.start()
-        if self.profiler is not None:
-            self.profiler.start()
-        return self
-
     async def stop(self) -> None:
         self._closing.set()
-        if self.history is not None:
-            self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         # Queued-but-unstarted job bodies are dropped; running ones see
         # _closing at their next checkpoint and park themselves.
         self._job_executor.shutdown(wait=False, cancel_futures=True)
@@ -681,135 +786,53 @@ class DesignServer(HttpServerBase):
         return (f"repro design service on {self.url} "
                 f"(cache: {where}, workers: {self.engine.workers})")
 
-    # -- routing -----------------------------------------------------------
+    # -- read endpoints ----------------------------------------------------
 
-    async def _route(self, method, path, query, data) -> tuple[int, dict]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET /healthz"}
-            return 200, self._health()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics"}
-            if "format=json" in query:
-                return 200, self._metrics_snapshot()
-            return 200, self._metrics()
-        if path == "/metrics/history":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics/history"}
-            return 200, self._metrics_history(query)
-        if path == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET /trace"}
-            return 200, self._trace_payload(query)
-        if path == "/debug/profile":
-            if method != "GET":
-                return 405, {"error": "use GET /debug/profile"}
-            return await self._handle_profile(query)
-        if path == "/backends":
-            if method != "GET":
-                return 405, {"error": "use GET /backends"}
-            from ..backends import backends_info
-
-            return 200, {"backends": backends_info()}
-        if path == "/generate":
-            if method != "POST":
-                return 405, {"error": "use POST /generate"}
-            return await self._handle_generate(data)
-        if path == "/batch":
-            if method != "POST":
-                return 405, {"error": "use POST /batch"}
-            return self._handle_batch(data)
-        if path == "/explore":
-            if method != "POST":
-                return 405, {"error": "use POST /explore"}
-            return self._handle_explore(data)
-        if path == "/jobs":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs"}
-            return 200, {"jobs": self.jobs.list()}
-        if path.startswith("/jobs/"):
-            return self._handle_job(method, path, query)
-        return 404, {"error": f"no such endpoint: {path}"}
-
-    def _health(self) -> dict:
+    async def _ep_health(self, req: Request) -> tuple[int, dict]:
         from ..backends import backend_names
 
         cache = self.engine.cache
-        return {"ok": True,
-                "jobs": self.jobs.counts(),
-                "workers": self.engine.workers,
-                "backends": list(backend_names()),
-                "persist": self.journal is not None,
-                "recovered": self.recovered,
-                "trace": refresh_trace_metrics(),
-                "profiling": self.profiler is not None,
-                "cache": (dict(cache.stats.as_dict(),
-                               root=str(cache.root),
-                               tiers=cache.stats.tiers())
-                          if cache is not None else None)}
+        return 200, {"ok": True,
+                     "jobs": self.jobs.counts(),
+                     "workers": self.engine.workers,
+                     "backends": list(backend_names()),
+                     "persist": self.journal is not None,
+                     "recovered": self.recovered,
+                     "trace": refresh_trace_metrics(),
+                     "profiling": self.profiler is not None,
+                     "cache": (dict(cache.stats.as_dict(),
+                                    root=str(cache.root),
+                                    tiers=cache.stats.tiers())
+                               if cache is not None else None)}
 
-    def _refresh_job_gauges(self) -> None:
+    def _refresh_gauges(self) -> None:
         for status, count in self.jobs.counts().items():
             _JOBS_GAUGE.labels(status=status).set(count)
-        refresh_trace_metrics()
+        super()._refresh_gauges()
 
-    def _metrics(self) -> str:
-        """The Prometheus text exposition of the process-wide registry
-        (gauges that describe current state are refreshed first)."""
-        self._refresh_job_gauges()
-        return get_registry().render()
+    async def _ep_metrics(self, req: Request) -> tuple[int, dict | str]:
+        """``GET /metrics``: the Prometheus text exposition of the
+        process-wide registry, or with ``?format=json`` its mergeable
+        snapshot — what the fleet router folds across backends with
+        :meth:`MetricsRegistry.merge`.  Gauges that describe current
+        state are refreshed first."""
+        self._refresh_gauges()
+        if req.params.get("format") == "json":
+            return 200, get_registry().snapshot()
+        return 200, get_registry().render()
 
-    def _metrics_snapshot(self) -> dict:
-        """The registry as a mergeable JSON snapshot
-        (``GET /metrics?format=json``) — what the fleet router folds
-        across backends with :meth:`MetricsRegistry.merge` to serve
-        one combined exposition."""
-        self._refresh_job_gauges()
-        return get_registry().snapshot()
+    async def _ep_backends(self, req: Request) -> tuple[int, dict]:
+        from ..backends import backends_info
 
-    def _trace_payload(self, query: str) -> dict:
-        """``GET /trace``: the span buffer as Chrome-trace JSON.
-        ``?drain=1`` drains it (the scrape-and-reset pattern);
-        ``?trace_id=<id>`` filters to one request's tree."""
-        params = urllib.parse.parse_qs(query)
-        tracer = get_tracer()
-        drain = params.get("drain", ["0"])[0] in ("1", "true")
-        events = tracer.take() if drain else tracer.events()
-        wanted = params.get("trace_id", [None])[0]
-        if wanted:
-            events = [e for e in events
-                      if e.get("args", {}).get("trace_id") == wanted]
-        return {"traceEvents": events, "displayTimeUnit": "ms",
-                "pid": os.getpid(), "dropped": tracer.dropped}
+        return 200, {"backends": backends_info()}
 
-    async def _handle_profile(self, query: str) -> tuple[int, dict]:
-        """``GET /debug/profile``: without ``seconds=``, snapshot the
-        always-on profiler (404s when the server runs unprofiled);
-        with ``seconds=N[&hz=H]``, run a bounded blocking capture on an
-        executor thread and return it."""
-        params = urllib.parse.parse_qs(query)
-        seconds = params.get("seconds", [None])[0]
-        if seconds is None:
-            if self.profiler is None:
-                return 404, {"error": "no continuous profiler running "
-                             "(start with repro serve --profile) and no "
-                             "seconds= given for a one-shot capture"}
-            return 200, dict(self.profiler.snapshot().to_dict(),
-                             continuous=True)
-        try:
-            secs = min(30.0, max(0.05, float(seconds)))
-            hz = float(params.get("hz", [DEFAULT_HZ])[0])
-        except ValueError:
-            raise _BadRequest('"seconds" and "hz" must be numbers') \
-                from None
-        loop = asyncio.get_running_loop()
-        profile = await loop.run_in_executor(None, profile_for, secs, hz)
-        return 200, dict(profile.to_dict(), continuous=False)
+    async def _ep_jobs(self, req: Request) -> tuple[int, dict]:
+        return 200, {"jobs": self.jobs.list()}
 
-    # -- endpoint handlers -------------------------------------------------
+    # -- write endpoints ---------------------------------------------------
 
-    async def _handle_generate(self, data) -> tuple[int, dict]:
+    async def _ep_generate(self, req: Request) -> tuple[int, dict]:
+        data = req.data
         if not isinstance(data, dict):
             raise _BadRequest("body must be a JSON object")
         include_rtl = bool(data.get("include_rtl", False))
@@ -850,7 +873,8 @@ class DesignServer(HttpServerBase):
         with trace_context(trace_id, parent_id):
             return self.engine.submit(request)
 
-    def _handle_batch(self, data) -> tuple[int, dict]:
+    async def _ep_batch(self, req: Request) -> tuple[int, dict]:
+        data = req.data
         if not isinstance(data, dict) or "requests" not in data:
             raise _BadRequest('body must be {"requests": [...]}')
         specs = data["requests"]
@@ -869,9 +893,10 @@ class DesignServer(HttpServerBase):
         return 202, {"job": job.id, "status": job.status,
                      "requests": len(requests), "trace_id": job.trace_id}
 
-    def _handle_explore(self, data) -> tuple[int, dict]:
+    async def _ep_explore(self, req: Request) -> tuple[int, dict]:
         from ..models import zoo
 
+        data = req.data
         if not isinstance(data, dict):
             raise _BadRequest("body must be a JSON object")
         checkpoint = data.get("checkpoint")
@@ -935,45 +960,44 @@ class DesignServer(HttpServerBase):
                      "resumed": checkpoint is not None,
                      "trace_id": job.trace_id}
 
-    def _handle_job(self, method, path, query) -> tuple[int, dict]:
-        parts = path.strip("/").split("/")
-        if len(parts) not in (2, 3):
-            return 404, {"error": f"no such endpoint: {path}"}
-        job = self.jobs.get(parts[1])
+    # -- per-job endpoints -------------------------------------------------
+
+    def _job(self, req: Request):
+        job = self.jobs.get(req.job_id)
         if job is None:
-            return 404, {"error": f"no such job: {parts[1]}"}
-        action = parts[2] if len(parts) == 3 else None
-        if action is None:
-            if method != "GET":
-                return 405, {"error": "use GET /jobs/<id>"}
-            include_ckpt = "checkpoint=0" not in query
-            return 200, job.to_dict(include_checkpoint=include_ckpt)
-        if action == "stream":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs/<id>/stream"}
-            include_ckpt = "checkpoint=0" not in query
-            return 200, _JobStream(job, include_checkpoint=include_ckpt)
-        if method != "POST":
-            return 405, {"error": f"use POST /jobs/<id>/{action}"}
-        if action == "pause":
-            if job.kind != "explore":
-                return 400, {"error": "only explore jobs can be paused"}
-            if job.params.get("step_evals") is None:
-                return 400, {"error": "this job runs without a "
-                             "step_evals budget and cannot pause; "
-                             "submit with a step_evals to make an "
-                             "exploration pausable"}
-            accepted = job.pause()
-            return (202 if accepted else 400,
-                    {"job": job.id, "status": job.status,
-                     "accepted": accepted})
-        if action == "resume":
-            if not job.resume():
-                return 400, {"error": f"job {job.id} is not paused "
-                             f"(status {job.status})"}
-            self._submit(self._run_explore_job, job)
-            return 202, {"job": job.id, "status": job.status}
-        return 404, {"error": f"unknown job action {action!r}"}
+            raise _NotFound(f"no such job: {req.job_id}")
+        return job
+
+    async def _ep_job(self, req: Request) -> tuple[int, dict]:
+        return 200, self._job(req).to_dict(
+            include_checkpoint=req.params.get("checkpoint") != "0")
+
+    async def _ep_stream(self, req: Request):
+        return 200, _JobStream(
+            self._job(req),
+            include_checkpoint=req.params.get("checkpoint") != "0")
+
+    async def _ep_pause(self, req: Request) -> tuple[int, dict]:
+        job = self._job(req)
+        if job.kind != "explore":
+            raise _BadRequest("only explore jobs can be paused")
+        if job.params.get("step_evals") is None:
+            raise _BadRequest(
+                "this job runs without a step_evals budget and cannot "
+                "pause; submit with a step_evals to make an exploration "
+                "pausable")
+        accepted = job.pause()
+        return (202 if accepted else 400,
+                {"job": job.id, "status": job.status,
+                 "accepted": accepted})
+
+    async def _ep_resume(self, req: Request) -> tuple[int, dict]:
+        job = self._job(req)
+        if not job.resume():
+            raise _BadRequest(f"job {job.id} is not paused "
+                              f"(status {job.status})")
+        self._submit(self._run_explore_job, job)
+        return 202, {"job": job.id, "status": job.status}
 
     # -- background work (executor threads) --------------------------------
 
@@ -1121,40 +1145,20 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         signal.signal(signal.SIGTERM, previous)
 
 
-def serve(engine: BatchEngine | None = None, host: str = "127.0.0.1",
-          port: int = 8731, step_evals: float = 1.0,
-          quiet: bool = False,
-          log_level: str = "warning",
-          slow_request_ms: float = 1000.0,
-          persist: bool = True,
-          profile_hz: float | None = None,
-          history_interval_s: float = 2.0) -> None:
+def serve(port: int = 8731, quiet: bool = False,
+          log_level: str = "warning", **server) -> None:
     """Run the server until interrupted (the ``repro serve`` command).
 
     One process, one event loop; to scale out, run N of these behind
     ``repro route`` (see ``docs/serving.md``).
 
     *log_level* configures the ``repro.*`` stdlib loggers (see
-    :func:`repro.obs.setup_logging`); requests slower than
-    *slow_request_ms* are logged at WARNING with their trace id.
-
-    *persist* (default on; ``repro serve --no-persist-jobs`` turns it
-    off) journals the job table under the cache root so a restart on
-    the same root recovers it.
-
-    *profile_hz* (``repro serve --profile``) keeps a continuous
-    sampling profiler running, snapshotted by ``GET /debug/profile``;
-    *history_interval_s* paces the metrics ring buffer behind
-    ``GET /metrics/history``.
+    :func:`repro.obs.setup_logging`); every other keyword argument is
+    :class:`DesignServer`'s (``engine``, ``host``, ``persist_jobs``,
+    ``profile_hz``, ...).
     """
     setup_logging(log_level)
-    _run_blocking(DesignServer(engine=engine, host=host, port=port,
-                               step_evals=step_evals,
-                               slow_request_ms=slow_request_ms,
-                               persist_jobs=persist,
-                               profile_hz=profile_hz,
-                               history_interval_s=history_interval_s),
-                  quiet=quiet)
+    _run_blocking(DesignServer(port=port, **server), quiet=quiet)
 
 
 class ServerOnThread:
@@ -1218,22 +1222,10 @@ class ServerOnThread:
 
 
 class ServerThread(ServerOnThread):
-    """A :class:`DesignServer` on a background thread.
+    """A :class:`DesignServer` (same arguments) on a background thread.
 
     ``with ServerThread(engine) as url: ...``
     """
 
-    def __init__(self, engine: BatchEngine | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 step_evals: float = 1.0, max_jobs: int = 1024,
-                 slow_request_ms: float = 1000.0,
-                 persist_jobs: bool = True,
-                 job_workers: int | None = None,
-                 profile_hz: float | None = None,
-                 history_interval_s: float = 2.0):
-        super().__init__(DesignServer(
-            engine=engine, host=host, port=port, step_evals=step_evals,
-            max_jobs=max_jobs, slow_request_ms=slow_request_ms,
-            persist_jobs=persist_jobs, job_workers=job_workers,
-            profile_hz=profile_hz,
-            history_interval_s=history_interval_s))
+    def __init__(self, engine: BatchEngine | None = None, **server):
+        super().__init__(DesignServer(engine, **server))

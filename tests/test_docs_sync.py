@@ -1,5 +1,6 @@
 """Docs cannot drift: the CLI reference must cover the live argparse
-tree, and the markdown files must not contain dangling local links."""
+tree, the endpoint reference must mirror the route table, and the
+markdown files must not contain dangling local links."""
 
 import argparse
 import pathlib
@@ -8,6 +9,7 @@ import re
 import pytest
 
 from repro.cli import build_parser
+from repro.service.server import ROUTES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLI_DOC = ROOT / "docs" / "cli.md"
@@ -63,6 +65,22 @@ class TestCliDocSync:
                                     CLI_DOC.read_text()))
         assert documented <= real, \
             f"docs/cli.md documents unknown flags: {documented - real}"
+
+
+class TestEndpointDocSync:
+    def test_endpoint_table_mirrors_route_table(self):
+        """The ``## Endpoints`` table of docs/serving.md lists exactly
+        the rows of ``ROUTES``: methods, pattern and router policy."""
+        text = (ROOT / "docs" / "serving.md").read_text()
+        section = text.split("## Endpoints", 1)[1].split("\n#", 1)[0]
+        documented = []
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if line.startswith("|") and cells[1].startswith("`/"):
+                documented.append((tuple(cells[0].split("/")),
+                                   cells[1].strip("`"), cells[2]))
+        assert documented == [(r.methods, r.pattern, r.fleet)
+                              for r in ROUTES]
 
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -300,6 +300,23 @@ class TestBackendFailure:
             router.stop()
             backend.stop()
 
+    def test_backends_listing_survives_dead_first_backend(self):
+        """``GET /backends`` used to be pinned to backend 0, so a fleet
+        with that one down answered 502 for a question any backend can
+        answer; it now rides the same failover as ``/explore``."""
+        backend = ServerThread(BatchEngine(cache=None)).start()
+        router = RouterThread(["http://127.0.0.1:9", backend.url],
+                              probe_interval_s=0,
+                              retry_budget_s=2.0).start()
+        try:
+            with ServiceClient.from_url(router.url) as c:
+                for _ in range(3):  # wherever the round-robin points
+                    assert [f["name"] for f in c.backends()] == [
+                        "hls_c", "verilog"]
+        finally:
+            router.stop()
+            backend.stop()
+
     def test_all_backends_dead_structured_502(self):
         dead_url = "http://127.0.0.1:9"
         router = RouterThread([dead_url], probe_interval_s=0,
