@@ -36,7 +36,7 @@ import numpy as np
 
 from ..core.adg import ADG
 from ..core.dataflow import Dataflow
-from .dag import DAG, Edge
+from .dag import DAG
 
 __all__ = ["AddrGenConfig", "DataflowConfig", "Design", "generate",
            "compute_liveness"]
@@ -504,9 +504,6 @@ def compute_liveness(design: Design) -> None:
     Must be re-run after any pass that mutates the DAG topology.
     """
     dag = design.dag
-    in_by_node: dict[int, list[Edge]] = {}
-    for e in dag.edges:
-        in_by_node.setdefault(e.dst, []).append(e)
     for name, cfg in design.configs.items():
         active: set[int] = set()
         active_edges: set[int] = set()
@@ -517,7 +514,7 @@ def compute_liveness(design: Design) -> None:
                 continue
             active.add(nid)
             node = dag.nodes[nid]
-            edges = in_by_node.get(nid, [])
+            edges = dag.in_edges(nid)
             if node.kind == "mux":
                 if nid in cfg.mux_policy:
                     pins = {0} | {p for p, _dt in cfg.mux_policy[nid]}

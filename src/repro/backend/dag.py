@@ -5,11 +5,26 @@ carry bit-width and the number of pipeline registers (``el``) inserted by
 delay matching.  FIFO primitives additionally carry per-dataflow
 programmable depths in their params; those registers are accounted
 separately from ``el``.
+
+:class:`DAG` is an *indexed* IR and the single owner of adjacency.  Edges
+live in one insertion-ordered map keyed by ``uid`` (``dag.edges`` is a
+read-only view of it, so emission and serialization order is the order
+edges were added), and every node has an in- and an out-map over the same
+:class:`Edge` objects, so :meth:`DAG.in_edges` / :meth:`DAG.out_edges`
+cost O(degree) and return edges in the same relative order as a scan of
+``dag.edges`` would.  The index is only correct if the graph is mutated
+through :meth:`DAG.add_node`, :meth:`DAG.add_edge`,
+:meth:`DAG.remove_edge`, :meth:`DAG.remove_node` and the two ``restore_*``
+methods deserialization uses; nothing outside this module appends to the
+edge container, deletes from ``dag.nodes`` or rewrites an edge's
+endpoints (``tests/test_dag_index.py`` has the structural guard, and
+:meth:`DAG.validate` cross-checks the index against the edge set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import ValuesView
+from dataclasses import dataclass
 
 from .primitives import Primitive
 
@@ -20,7 +35,10 @@ __all__ = ["Edge", "DAG"]
 class Edge:
     """A directed wire bundle from ``src``'s output to pin ``dst_pin`` of
     ``dst``.  ``el`` counts inserted pipeline registers (delay matching);
-    ``width`` is inherited from the source node by bit-width inference."""
+    ``width`` is inherited from the source node by bit-width inference.
+    ``src``/``dst``/``dst_pin``/``uid`` are fixed once the edge is in a
+    :class:`DAG` (they key its index); ``width`` and ``el`` are the
+    passes' to write."""
 
     src: int
     dst: int
@@ -30,15 +48,18 @@ class Edge:
     uid: int = -1
 
 
-@dataclass
 class DAG:
-    """A primitive-level architecture graph with cycle checking and the
-    register accounting the backend passes optimize."""
+    """A primitive-level architecture graph with per-node adjacency,
+    cycle checking and the register accounting the backend passes
+    optimize."""
 
-    nodes: dict[int, Primitive] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
-    _next_id: int = 0
-    _next_edge_uid: int = 0
+    def __init__(self) -> None:
+        self.nodes: dict[int, Primitive] = {}
+        self._edges: dict[int, Edge] = {}            # uid -> edge
+        self._in: dict[int, dict[int, Edge]] = {}    # node -> uid -> edge
+        self._out: dict[int, dict[int, Edge]] = {}
+        self._next_id = 0
+        self._next_edge_uid = 0
 
     # -- construction ------------------------------------------------------------
 
@@ -47,31 +68,65 @@ class DAG:
                  pins: tuple[str, ...] = ()) -> int:
         node = Primitive(self._next_id, kind, pins=pins, width=width,
                          latency=latency, params=params or {}, place=place)
-        self.nodes[node.node_id] = node
-        self._next_id += 1
+        self.restore_node(node)
         return node.node_id
+
+    def restore_node(self, node: Primitive) -> None:
+        """Insert an already-built node under its own id (deserialization)."""
+        if node.node_id in self.nodes:
+            raise ValueError(f"duplicate node id {node.node_id}")
+        self.nodes[node.node_id] = node
+        self._in[node.node_id] = {}
+        self._out[node.node_id] = {}
+        self._next_id = max(self._next_id, node.node_id + 1)
 
     def add_edge(self, src: int, dst: int, dst_pin: int = 0,
                  width: int | None = None) -> Edge:
+        if src not in self.nodes:
+            raise KeyError("edge endpoints must be existing nodes")
+        return self.restore_edge(
+            self._next_edge_uid, src, dst, dst_pin,
+            width if width is not None else self.nodes[src].width)
+
+    def restore_edge(self, uid: int, src: int, dst: int, dst_pin: int,
+                     width: int, el: int = 0) -> Edge:
+        """Append an edge under a caller-chosen ``uid`` (deserialization:
+        configs reference edges by uid, so reloading must keep them)."""
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError("edge endpoints must be existing nodes")
-        edge = Edge(src, dst, dst_pin,
-                    width if width is not None else self.nodes[src].width,
-                    uid=self._next_edge_uid)
-        self._next_edge_uid += 1
-        self.edges.append(edge)
+        if uid in self._edges:
+            raise ValueError(f"duplicate edge uid {uid}")
+        edge = Edge(src, dst, dst_pin, width, el, uid)
+        self._edges[uid] = self._in[dst][uid] = self._out[src][uid] = edge
+        self._next_edge_uid = max(self._next_edge_uid, uid + 1)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
-        self.edges.remove(edge)
+        if self._edges.get(edge.uid) is not edge:
+            raise ValueError(f"{edge} is not an edge of this DAG")
+        del self._edges[edge.uid]
+        del self._in[edge.dst][edge.uid]
+        del self._out[edge.src][edge.uid]
+
+    def remove_node(self, node_id: int) -> None:
+        """Delete a node and every edge touching it."""
+        # merged by uid, so a self-loop is removed once
+        for edge in {**self._in[node_id], **self._out[node_id]}.values():
+            self.remove_edge(edge)
+        del self.nodes[node_id], self._in[node_id], self._out[node_id]
 
     # -- queries -----------------------------------------------------------------
 
+    @property
+    def edges(self) -> ValuesView[Edge]:
+        """Every edge, in insertion order (read-only view)."""
+        return self._edges.values()
+
     def in_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
+        return list(self._in[node_id].values())
 
     def out_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
+        return list(self._out[node_id].values())
 
     def topo_order(self, sequential_break: bool = True,
                    edge_filter=None) -> list[int]:
@@ -83,15 +138,16 @@ class DAG:
         in opposite directions — only one is ever active).  Pass
         ``edge_filter`` to restrict to a per-dataflow active subgraph.
         """
-        indeg = {nid: 0 for nid in self.nodes}
-        succ: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            if edge_filter is not None and not edge_filter(e):
+        indeg = dict.fromkeys(self.nodes, 0)
+        succ: dict[int, list[int]] = {}
+        for nid, node in self.nodes.items():
+            succ[nid] = targets = []
+            if sequential_break and node.kind == "fifo":
                 continue
-            if sequential_break and self.nodes[e.src].kind == "fifo":
-                continue
-            indeg[e.dst] += 1
-            succ[e.src].append(e.dst)
+            for e in self._out[nid].values():
+                if edge_filter is None or edge_filter(e):
+                    indeg[e.dst] += 1
+                    targets.append(e.dst)
         ready = sorted(nid for nid, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
@@ -106,15 +162,31 @@ class DAG:
         return order
 
     def validate(self) -> None:
-        """Structural sanity: acyclic, pins exist, sinks have no fan-out."""
-        self.topo_order(sequential_break=True)
-        for e in self.edges:
+        """Structural sanity, O(V+E): every edge joins existing nodes, the
+        adjacency index agrees with the edge set, pins exist and have one
+        driver, sinks have no fan-out, and the graph is acyclic."""
+        if not (self._in.keys() == self._out.keys() == self.nodes.keys()):
+            raise ValueError("adjacency index and node set disagree")
+        if not (sum(map(len, self._in.values())) == len(self._edges)
+                == sum(map(len, self._out.values()))):
+            raise ValueError("adjacency index and edge set disagree")
+        driven: set[tuple[int, int]] = set()
+        for uid, e in self._edges.items():
+            if e.src not in self.nodes or e.dst not in self.nodes:
+                raise ValueError(f"{e} has an endpoint that is not a node")
+            if (e.uid != uid or self._in[e.dst].get(uid) is not e
+                    or self._out[e.src].get(uid) is not e):
+                raise ValueError(f"{e} is missing from the adjacency index")
             node = self.nodes[e.dst]
             if node.pins and e.dst_pin >= len(node.pins):
                 raise ValueError(f"edge targets pin {e.dst_pin} of {node}")
+            if (e.dst, e.dst_pin) in driven:
+                raise ValueError(f"pin {e.dst_pin} of {node} has two drivers")
+            driven.add((e.dst, e.dst_pin))
         for nid, node in self.nodes.items():
-            if node.is_sink and self.out_edges(nid):
+            if node.is_sink and self._out[nid]:
                 raise ValueError(f"sink {node} has outgoing edges")
+        self.topo_order(sequential_break=True)
 
     # -- register accounting (the optimization target of §V) ---------------------
 

@@ -116,7 +116,7 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
     bcast_edges: dict[int, list[int]] = {}
     if broadcast_virtual_cost:
         for src in broadcast_sources(design):
-            outs = [e for e in dag.edges if e.src == src]
+            outs = dag.out_edges(src)
             if len(outs) > 1:
                 bcast_edges[src] = [e.uid for e in outs]
                 for e in outs:

@@ -9,6 +9,7 @@ reuse runs after extraction; power gating is last (it only annotates).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,11 @@ from .reduction import extract_reduction_trees
 from .rewiring import run_rewiring
 
 __all__ = ["BackendOptions", "infer_bitwidths", "power_gate", "run_backend"]
+
+_log = logging.getLogger("repro.backend")
+
+#: fixpoint rounds one :func:`infer_bitwidths` call may spend
+MAX_BITWIDTH_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -48,18 +54,23 @@ class BackendOptions:
         return BackendOptions(False, False, False, False)
 
 
-def infer_bitwidths(design: Design) -> dict[str, int]:
+def infer_bitwidths(design: Design) -> dict[str, int | bool]:
     """Propagate value-range-derived widths through the DAG (§V-D).
 
     Widths grow monotonically and are capped, so iterating to fixpoint
-    terminates even with static cycles through FIFOs.
+    terminates even with static cycles through FIFOs — but a width
+    travels one FIFO per round, so a long FIFO ring can need more than
+    ``MAX_BITWIDTH_ROUNDS``.  The result says so: ``converged`` is False
+    when the last permitted round still changed a width, and the widths
+    are then a lower bound, not the fixpoint.
     """
     dag = design.dag
+    order = dag.topo_order(sequential_break=True)
     changed, rounds = True, 0
-    while changed and rounds < 8:
+    while changed and rounds < MAX_BITWIDTH_ROUNDS:
         changed = False
         rounds += 1
-        for nid in dag.topo_order(sequential_break=True):
+        for nid in order:
             node = dag.nodes[nid]
             ins = dag.in_edges(nid)
             in_w = [dag.nodes[e.src].width for e in ins]
@@ -90,7 +101,7 @@ def infer_bitwidths(design: Design) -> dict[str, int]:
             if e.width != src_w:
                 e.width = src_w
                 changed = True
-    return {"rounds": rounds}
+    return {"rounds": rounds, "converged": not changed}
 
 
 def power_gate(design: Design) -> dict[str, int]:
@@ -122,7 +133,14 @@ def run_backend(design: Design,
 
     if options.reduction_tree:
         report["reduction"] = extract_reduction_trees(design)
-        infer_bitwidths(design)
+        # continues from the widths above, so this is the run that counts
+        report["bitwidth"] = infer_bitwidths(design)
+    if not report["bitwidth"]["converged"]:
+        _log.warning(
+            "bit-width inference stopped at its %d-round cap before "
+            "converging (%d nodes): widths, and the register bits costed "
+            "from them, are under-estimated",
+            MAX_BITWIDTH_ROUNDS, len(design.dag.nodes))
 
     if options.rewiring:
         report["rewiring"] = run_rewiring(design)
@@ -138,5 +156,6 @@ def run_backend(design: Design,
     report["register_bits"] = (design.dag.pipeline_register_bits()
                                + design.dag.fifo_register_bits())
     report["dag_stats"] = design.dag.stats()
+    design.dag.validate()
     design.report = report
     return design

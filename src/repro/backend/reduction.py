@@ -228,10 +228,7 @@ def extract_reduction_trees(design: Design) -> dict[str, int]:
                 break
         if not ok:
             # Roll back the reducer and keep the chain as adders.
-            for e in list(dag.edges):
-                if e.dst == reducer or e.src == reducer:
-                    dag.remove_edge(e)
-            del dag.nodes[reducer]
+            dag.remove_node(reducer)
             continue
 
         for e, source_by_df in rewires:
@@ -266,10 +263,7 @@ def extract_reduction_trees(design: Design) -> dict[str, int]:
                     to_remove.add(nid)
                     changed = True
         for nid in to_remove:
-            for e in list(dag.edges):
-                if e.src == nid or e.dst == nid:
-                    dag.remove_edge(e)
-            del dag.nodes[nid]
+            dag.remove_node(nid)
             for cfg in design.configs.values():
                 cfg.fifo_depth.pop(nid, None)
                 cfg.mux_select.pop(nid, None)

@@ -33,13 +33,41 @@ def _adjacent(a, b) -> bool:
     return max(abs(x - y) for x, y in zip(a, b)) <= 1 and a != b
 
 
+def broadcast_tree(dests: list[tuple[Edge, tuple]]
+                   ) -> dict[int, tuple[Edge, int | None]]:
+    """Stage 2's MST for one broadcast source (edge costs as in the
+    module docstring), by Prim's algorithm.
+
+    *dests* pairs each out-edge with its destination's placement.
+    Returns ``index -> (edge, parent index, or None for the source)`` in
+    the order destinations joined the tree.  Each remaining destination
+    keeps its one best ``(cost, index, parent)`` candidate, relaxed only
+    against the destination that just joined; tuple order breaks ties
+    (the source, parent ``-1``, sorts before any relay parent).
+    """
+    best = {idx: (float(e.el), idx, -1) for idx, (e, _p) in enumerate(dests)}
+    in_tree: dict[int, tuple[Edge, int | None]] = {}
+    while best:
+        _cost, idx, parent = min(best.values())
+        del best[idx]
+        e_t, p_t = dests[idx]
+        in_tree[idx] = (e_t, None if parent == -1 else parent)
+        for other, incumbent in best.items():
+            e_o, p_o = dests[other]
+            if _adjacent(p_o, p_t):
+                cand = (abs(float(e_o.el - e_t.el)), other, idx)
+                if cand < incumbent:
+                    best[other] = cand
+    return in_tree
+
+
 def rewire_broadcasts(design: Design, min_fanout: int = 3) -> int:
     """Stage 2: convert broadcast trees into forwarding chains using a
     Prim-style MST per source.  Returns the number of rewired edges."""
     dag = design.dag
     rewired = 0
     for src in broadcast_sources(design):
-        outs = [e for e in dag.edges if e.src == src]
+        outs = dag.out_edges(src)
         if len(outs) < min_fanout:
             continue
         # Group out-edges by destination placement; only same-pin-type
@@ -47,30 +75,7 @@ def rewire_broadcasts(design: Design, min_fanout: int = 3) -> int:
         dests = [(e, dag.nodes[e.dst].place) for e in outs]
         if any(not isinstance(p, tuple) for _e, p in dests):
             continue
-        # Prim from the source over: src->dest (cost EL_e) and dest->dest
-        # (cost |EL_i - EL_j|, adjacency required).
-        in_tree: dict[int, tuple[Edge, int | None]] = {}  # idx -> (edge, parent idx)
-        remaining = set(range(len(dests)))
-        tree_order: list[int] = []
-        while remaining:
-            best = None
-            for idx in remaining:
-                e_i, p_i = dests[idx]
-                # direct from source (parent sentinel -1 sorts before ids)
-                cand = (float(e_i.el), idx, -1)
-                if best is None or cand < best:
-                    best = cand
-                for t_idx in tree_order:
-                    e_t, p_t = dests[t_idx]
-                    if _adjacent(p_i, p_t):
-                        cand = (abs(float(e_i.el - e_t.el)), idx, t_idx)
-                        if cand < best:
-                            best = cand
-            _cost, idx, parent = best
-            parent = None if parent == -1 else parent
-            in_tree[idx] = (dests[idx][0], parent)
-            tree_order.append(idx)
-            remaining.discard(idx)
+        in_tree = broadcast_tree(dests)
 
         # Materialize: destinations with a dest-parent get a relay chain.
         relays: dict[int, int] = {}

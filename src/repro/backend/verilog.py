@@ -86,8 +86,8 @@ def emit_verilog(design: Design, module_name: str = "lego_accelerator") -> str:
         edge_sig[e.uid] = f"{name}_{e.el - 1}"
 
     def pin(nid: int, pin_idx: int) -> str:
-        for e in dag.edges:
-            if e.dst == nid and e.dst_pin == pin_idx:
+        for e in dag.in_edges(nid):
+            if e.dst_pin == pin_idx:
                 return edge_sig[e.uid]
         return f"{max(dag.nodes[nid].width, 1)}'d0"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .backend.codegen import AddrGenConfig, DataflowConfig, Design
-from .backend.dag import DAG, Edge
+from .backend.dag import DAG
 from .backend.primitives import Primitive
 
 __all__ = ["dump_design", "load_design_graph", "design_to_dict",
@@ -144,13 +144,10 @@ def _dag_from_dict(data: dict) -> DAG:
                          latency=spec["latency"], params=spec["params"],
                          place=tuple(spec["place"])
                          if isinstance(spec["place"], list) else spec["place"])
-        dag.nodes[node.node_id] = node
-        dag._next_id = max(dag._next_id, node.node_id + 1)
+        dag.restore_node(node)
     for spec in data["dag"]["edges"]:
-        edge = Edge(spec["src"], spec["dst"], spec["pin"], spec["width"],
-                    spec["el"], uid=spec["uid"])
-        dag.edges.append(edge)
-        dag._next_edge_uid = max(dag._next_edge_uid, edge.uid + 1)
+        dag.restore_edge(spec["uid"], spec["src"], spec["dst"], spec["pin"],
+                         spec["width"], spec["el"])
     return dag
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import generate, run_backend
+from repro.backend import BackendOptions, generate, run_backend
 from repro.backend.codegen import Design, DataflowConfig
-from repro.backend.dag import DAG
+from repro.backend.dag import DAG, Edge
 from repro.backend.delay_matching import broadcast_sources, delay_match
-from repro.backend.rewiring import rewire_broadcasts
+from repro.backend.passes import MAX_BITWIDTH_ROUNDS, infer_bitwidths
+from repro.backend.rewiring import (_adjacent, broadcast_tree,
+                                    rewire_broadcasts)
 from repro.core import kernels
 from repro.core.dataflow import Dataflow
 from repro.core.frontend import build_adg
@@ -115,6 +117,91 @@ class TestRewiring:
         rewire_broadcasts(design)
         stats = delay_match(design)  # stage 3 must stay feasible
         assert stats["status"] == 0.0
+
+
+def _exhaustive_prim(dests):
+    """The pre-incremental tree search, kept as the oracle: for each
+    pick, every remaining destination against every tree member."""
+    in_tree, tree_order = {}, []
+    remaining = set(range(len(dests)))
+    while remaining:
+        best = None
+        for idx in remaining:
+            e_i, p_i = dests[idx]
+            cand = (float(e_i.el), idx, -1)
+            if best is None or cand < best:
+                best = cand
+            for t_idx in tree_order:
+                e_t, p_t = dests[t_idx]
+                if _adjacent(p_i, p_t):
+                    cand = (abs(float(e_i.el - e_t.el)), idx, t_idx)
+                    if cand < best:
+                        best = cand
+        _cost, idx, parent = best
+        in_tree[idx] = (dests[idx][0], None if parent == -1 else parent)
+        tree_order.append(idx)
+        remaining.discard(idx)
+    return in_tree
+
+
+class TestBroadcastTree:
+    # a 3x3 grid and ELs in 0..3: adjacency and cost ties everywhere
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 3)), max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_incremental_prim_builds_the_exhaustive_tree(self, spec):
+        dests = [(Edge(0, 1 + i, el=el, uid=i), (x, y))
+                 for i, (x, y, el) in enumerate(spec)]
+        tree, oracle = broadcast_tree(dests), _exhaustive_prim(dests)
+        assert tree == oracle
+        assert list(tree) == list(oracle), "join order names the relays"
+
+    def test_tie_prefers_the_direct_edge(self):
+        dests = [(Edge(0, 1, el=0, uid=0), (0, 0)),
+                 (Edge(0, 2, el=0, uid=1), (0, 1))]
+        assert [p for _e, p in broadcast_tree(dests).values()] == [None, None]
+
+
+class TestBitwidthConvergence:
+    def _accumulator_ring(self):
+        """const -> add -> fifo -> add: the sum grows a bit per round."""
+        dag = DAG()
+        one = dag.add_node("const", params={"value": 1})
+        acc = dag.add_node("add", pins=("a", "b"))
+        ring = dag.add_node("fifo")
+        dag.add_edge(one, acc, 0)
+        dag.add_edge(acc, ring, 0)
+        dag.add_edge(ring, acc, 1)
+        return Design(adg=None, dag=dag, configs={})
+
+    def test_cap_is_reported_not_silent(self):
+        design = self._accumulator_ring()
+        result = infer_bitwidths(design)
+        assert result == {"rounds": MAX_BITWIDTH_ROUNDS, "converged": False}
+
+    def test_fixpoint_is_reported(self):
+        dag = DAG()
+        a = dag.add_node("const", params={"value": 5})
+        b = dag.add_node("wire")
+        dag.add_edge(a, b)
+        result = infer_bitwidths(Design(adg=None, dag=dag, configs={}))
+        assert result["converged"] and result["rounds"] < MAX_BITWIDTH_ROUNDS
+        assert dag.nodes[b].width == 3
+
+    @pytest.mark.parametrize("options,converged", [
+        (BackendOptions.baseline(), False),   # the Fig. 10/13/14 baseline
+        (BackendOptions(), True),             # re-inferred after extraction
+    ])
+    def test_run_backend_reports_and_warns_once(self, options, converged,
+                                                caplog):
+        """An 8-long systolic accumulation chain outruns the cap."""
+        df = kernels.gemm_dataflow("IK", kernels.gemm(16, 16, 16), 8, 8)
+        design = generate(build_adg([df]))
+        with caplog.at_level("WARNING", logger="repro.backend"):
+            run_backend(design, options)
+        assert design.report["bitwidth"]["converged"] is converged
+        warned = [r for r in caplog.records if "bit-width" in r.message]
+        assert len(warned) == (0 if converged else 1)
 
 
 class TestScheduleCoverage:
