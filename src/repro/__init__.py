@@ -10,13 +10,21 @@ Quickstart::
     print(design.report["register_bits"])
 """
 
-from .backend import BackendOptions, generate, run_backend
-from .core import AffineMap, BodyOp, Dataflow, TensorAccess, Workload
-from .core import kernels
-from .core.frontend import FrontendConfig, build_adg
+from ._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = ["AffineMap", "Workload", "TensorAccess", "BodyOp", "Dataflow",
-           "kernels", "build_adg", "FrontendConfig", "generate",
-           "run_backend", "BackendOptions", "__version__"]
+# Public name -> the submodule it is imported from on first use, so that
+# ``import repro.cli`` / ``repro.service.client`` / ``repro.obs`` do not
+# load the generator (docs/architecture.md, "Import layers").
+_EXPORTS = {
+    "AffineMap": ".core", "Workload": ".core", "TensorAccess": ".core",
+    "BodyOp": ".core", "Dataflow": ".core", "kernels": ".core",
+    "build_adg": ".core.frontend", "FrontendConfig": ".core.frontend",
+    "generate": ".backend", "run_backend": ".backend",
+    "BackendOptions": ".backend",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

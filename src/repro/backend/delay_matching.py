@@ -28,8 +28,6 @@ solutions are integral; we round defensively.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .codegen import Design, compute_liveness
 
@@ -124,8 +122,11 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
                                   var(("EL", e.uid)): -1.0}, 0.0, np.inf))
 
     n_vars = len(var_index)
-    if n_vars == 0:
-        return {"status": 0.0, "register_bits": 0.0}
+    if n_vars == 0:  # nothing to match: same keys, no solve, no solver
+        return {"status": 0.0, "objective": 0.0, "register_bits": 0.0,
+                "n_vars": 0.0, "n_constraints": 0.0}
+
+    from ..solvers import csr_matrix, linprog
 
     # ---- objective --------------------------------------------------------------
     cost = np.zeros(n_vars)

@@ -21,7 +21,6 @@ ASIC, so shrinking the reducer wins area and power.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from .codegen import Design
 
@@ -39,6 +38,9 @@ def solve_pin_mapping(live: dict[str, set[int]], n_pins: int
     n_phys = max((len(p) for p in live.values()), default=0)
     if n_phys == 0:
         return {}, 0
+
+    from ..solvers import LinearConstraint, milp
+
     pins = sorted({i for p in live.values() for i in p})
 
     # Variable order: C[i, j, k] for live (i, k) pairs only.

@@ -212,3 +212,9 @@ from .hls_c import HlsCFamily  # noqa: E402
 
 register_backend(VerilogFamily())
 register_backend(HlsCFamily())
+
+from .._builtin_backends import BUILTIN_BACKENDS  # noqa: E402
+
+assert backend_names() == BUILTIN_BACKENDS, (
+    "repro/_builtin_backends.py (the CLI's --backend choices) must name "
+    f"exactly the families registered here: {backend_names()}")

@@ -38,6 +38,11 @@ import json
 import pathlib
 import sys
 
+# The built-in emitter families by name, for ``--backend`` ``choices=``:
+# asking ``repro.backends`` would load both emitters, the back end and
+# numpy in every invocation, ``--help`` included.
+from ._builtin_backends import BUILTIN_BACKENDS
+
 
 def _build_engine(args: argparse.Namespace):
     """Engine honouring the shared ``--cache-dir``/``--no-cache`` flags."""
@@ -790,8 +795,6 @@ def _add_fault_flag(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The full argparse tree (also introspected by the docs-sync test
     and the ``docs/cli.md`` reference)."""
-    from .backends import backend_names
-
     parser = argparse.ArgumentParser(
         prog="repro", description="LEGO spatial accelerator generator "
         "(HPCA'25 reproduction)")
@@ -810,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--topology", action="store_true",
                      help="print per-tensor interconnect diagrams")
     gen.add_argument("--backend", default="verilog",
-                     choices=backend_names(),
+                     choices=BUILTIN_BACKENDS,
                      help="emitter backend family (see `repro backends`)")
     gen.add_argument("--no-testbench", action="store_true",
                      help="skip companion self-checking testbench "
@@ -841,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--broadcast", action="store_true")
     bat.add_argument("--no-optimize", action="store_true")
     bat.add_argument("--backend", default="verilog",
-                     choices=backend_names(),
+                     choices=BUILTIN_BACKENDS,
                      help="emitter backend family for flag-built "
                      "requests (see `repro backends`)")
     bat.add_argument("--no-testbench", action="store_true",

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from .affine import box_iter, integer_nullspace, solve_integer
 from .dataflow import Dataflow
@@ -106,6 +105,8 @@ def _minimize_scalar_delay(mdt: np.ndarray, rhs: np.ndarray,
 
     if basis.shape[1] == 0:
         return (x0, int(w @ x0)) if admissible(x0) else None
+
+    from ..solvers import LinearConstraint, milp
 
     n_z = basis.shape[1]
     bmat = np.array([[int(v) for v in row] for row in basis], dtype=np.float64)

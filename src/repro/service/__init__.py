@@ -10,37 +10,35 @@ façade is the single entry point the CLI, the DSE explorer, and the
 benchmarks all route through.
 """
 
-from .api import (cache_stats, clear_cache, explore_cached, export_trace,
-                  generate_many, get_engine, list_backends, metrics_text,
-                  submit)
-from .cache import CacheStats, DesignCache
-from .client import ServiceClient, ServiceError
-from .engine import (BatchEngine, BatchPlan, PlanGroup, evaluate_archs,
-                     model_fingerprint, requests_from_space)
-from .faults import (FaultError, FaultRegistry, get_faults,
-                     parse_fault_spec, reset_faults)
-from .health import BackendHealth, CircuitBreaker, FleetHealth
-from .jobs import Job, JobRegistry
-from .persist import JobJournal
-from .router import DesignRouter, RouterThread, route
-from .server import (DesignServer, HttpServerBase, ServerOnThread,
-                     ServerThread, serve)
-from .spec import DesignRequest, DesignResult, execute_request
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DesignRequest", "DesignResult", "execute_request",
-    "DesignCache", "CacheStats",
-    "BatchEngine", "BatchPlan", "PlanGroup",
-    "evaluate_archs", "requests_from_space", "model_fingerprint",
-    "get_engine", "submit", "generate_many", "explore_cached",
-    "cache_stats", "clear_cache", "list_backends",
-    "metrics_text", "export_trace",
-    "DesignServer", "HttpServerBase", "ServerOnThread", "ServerThread",
-    "serve",
-    "DesignRouter", "RouterThread", "route",
-    "ServiceClient", "ServiceError",
-    "Job", "JobRegistry", "JobJournal",
-    "FaultError", "FaultRegistry", "get_faults", "parse_fault_spec",
-    "reset_faults",
-    "BackendHealth", "CircuitBreaker", "FleetHealth",
-]
+# Public name -> the submodule it is imported from on first use:
+# ``repro.service.client`` must not load the generator, and a router or
+# a DSE sweep must not load the server (docs/architecture.md, "Import
+# layers").
+_EXPORTS = {
+    "DesignRequest": ".spec", "DesignResult": ".spec",
+    "execute_request": ".spec",
+    "DesignCache": ".cache", "CacheStats": ".cache",
+    "BatchEngine": ".engine", "BatchPlan": ".engine",
+    "PlanGroup": ".engine", "evaluate_archs": ".engine",
+    "requests_from_space": ".engine", "model_fingerprint": ".engine",
+    "get_engine": ".api", "submit": ".api", "generate_many": ".api",
+    "explore_cached": ".api", "cache_stats": ".api", "clear_cache": ".api",
+    "list_backends": ".api", "metrics_text": ".api", "export_trace": ".api",
+    "DesignServer": ".server", "HttpServerBase": ".server",
+    "ServerOnThread": ".server", "ServerThread": ".server",
+    "serve": ".server",
+    "DesignRouter": ".router", "RouterThread": ".router", "route": ".router",
+    "ServiceClient": ".client", "ServiceError": ".client",
+    "Job": ".jobs", "JobRegistry": ".jobs", "JobJournal": ".persist",
+    "FaultError": ".faults", "FaultRegistry": ".faults",
+    "get_faults": ".faults", "parse_fault_spec": ".faults",
+    "reset_faults": ".faults",
+    "BackendHealth": ".health", "CircuitBreaker": ".health",
+    "FleetHealth": ".health",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

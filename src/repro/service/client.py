@@ -22,7 +22,7 @@ import random
 import time
 import urllib.parse
 
-from ..obs import TRACE_HEADER, format_trace_header
+from ..obs.tracing import TRACE_HEADER, format_trace_header
 
 __all__ = ["ServiceClient", "ServiceError"]
 

@@ -56,7 +56,11 @@ _DSE_DATAFLOW_MAP = {
 
 
 def _pool_context():
-    try:  # fork is cheap and keeps imports warm; spawn is the fallback
+    # fork is cheap and hands the workers every module the parent has
+    # loaded; the solver is not among them unless the parent has solved
+    # (repro.solvers loads at the first solve), so _execute imports it
+    # before it forks.  spawn is the fallback.
+    try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — platforms without fork
         return multiprocessing.get_context("spawn")
@@ -397,6 +401,12 @@ class BatchEngine:
                      "parent_id": parent_id}
                     for r in cold]
         ctx = _pool_context()
+        # Cold work solves.  Load the solver here, once, so that every
+        # forked worker inherits it instead of importing it for itself.
+        try:
+            from .. import solvers  # noqa: F401
+        except ImportError:
+            pass  # every request reports it (see repro.solvers)
         with ctx.Pool(processes=min(workers, len(cold)),
                       initializer=_init_request_worker,
                       initargs=(_cache_spec(self.cache),)) as pool:

@@ -2,6 +2,8 @@
 utilities — exercising the passes on hand-built DAGs where the optimal
 answer is known in closed form."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from repro.backend.dag import DAG, Edge
 from repro.backend.delay_matching import broadcast_sources, delay_match
 from repro.backend.passes import MAX_BITWIDTH_ROUNDS, infer_bitwidths
 from repro.backend.rewiring import (_adjacent, broadcast_tree,
-                                    rewire_broadcasts)
+                                    rewire_broadcasts, run_rewiring)
 from repro.core import kernels
 from repro.core.dataflow import Dataflow
 from repro.core.frontend import build_adg
@@ -94,6 +96,30 @@ class TestDelayMatchingClosedForm:
         delay_match(design)
         assert sum(e.el for e in dag.edges) == 0
         assert design.configs[df.name].fifo_phys[fifo] == 1
+
+    STAT_KEYS = {"status", "objective", "register_bits", "n_vars",
+                 "n_constraints"}
+
+    def test_stats_have_the_same_keys_solved_or_not(self, monkeypatch):
+        """A design with nothing to match takes the early exit: same
+        five keys (all zero) as a solved one, and no solver import."""
+        dag = DAG()
+        src = dag.add_node("ctrl", width=8)
+        sink = dag.add_node("mem_write", width=8, pins=("addr", "data"))
+        dag.add_edge(src, sink, 0)
+        dag.add_edge(src, sink, 1)
+        solved = delay_match(_toy_design(dag, [sink]))
+        assert set(solved) == self.STAT_KEYS and solved["n_vars"] > 0
+
+        monkeypatch.setitem(sys.modules, "repro.solvers", None)  # unimportable
+        empty = delay_match(Design(adg=None, dag=DAG(), configs={}))
+        assert empty == dict.fromkeys(self.STAT_KEYS, 0.0)
+
+    def test_run_rewiring_on_a_design_with_nothing_to_match(self):
+        """Used to raise KeyError('objective') out of the early exit."""
+        stats = run_rewiring(Design(adg=None, dag=DAG(), configs={}))
+        assert stats == {"stage1_objective": 0.0, "edges_rewired": 0.0,
+                         "register_bits": 0.0}
 
 
 class TestRewiring:

@@ -22,6 +22,7 @@ import pytest
 from repro.obs import get_registry
 from repro.service import (BatchEngine, DesignCache, ServerThread,
                            ServiceClient)
+from repro.service import spec as spec_module
 from repro.service.cache import SingleFlight
 from repro.service.spec import DesignRequest, execute_request
 
@@ -161,12 +162,31 @@ class TestSingleFlightUnit:
 
 
 class TestExecuteRequestDedup:
-    def test_n_threads_one_pipeline_run(self, tmp_path):
+    def test_n_threads_one_pipeline_run(self, tmp_path, monkeypatch):
         cache = DesignCache(root=tmp_path / "cache")
         request = DesignRequest(**TINY)
+        # Hold the leader inside its flight until every caller is on its
+        # way in.  The compile takes ~30 ms and run_threads starts its
+        # callers one by one, so on a stalled host a late caller used to
+        # find the flight over, lead a second one (answered from the
+        # phase tier) and come back with its own DesignResult: a fact
+        # about the scheduler, not about single-flight.
+        n, arrived, all_arrived = 8, [], threading.Event()
+        compute = spec_module._execute_request_once
+
+        def held(*args):
+            assert all_arrived.wait(30)
+            return compute(*args)
+
+        def caller(i):
+            arrived.append(i)
+            if len(arrived) == n:
+                all_arrived.set()
+            return execute_request(request, cache=cache)
+
+        monkeypatch.setattr(spec_module, "_execute_request_once", held)
         before = schedule_count()
-        results = run_threads(
-            8, lambda _i: execute_request(request, cache=cache))
+        results = run_threads(n, caller)
         assert schedule_count() - before == 1
         assert not any(isinstance(r, BaseException) for r in results)
         assert all(r.ok for r in results)
