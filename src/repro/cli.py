@@ -732,6 +732,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from .dse.explorer import DesignSpace, pareto_front
     from .dse.strategies import run_search
     from .models import zoo
+    from .sim.perf_model import memo_info
 
     if args.url:
         return _cmd_explore_remote(args)
@@ -749,6 +750,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
           f"(cost {result.evals_used:.2f} full-model evals)"
           + (f", skipped {result.degenerate_skipped} degenerate"
              if result.degenerate_skipped else ""))
+    memo = memo_info()
+    print(f"layer evaluations: {memo.misses} computed / "
+          f"{memo.hits + memo.misses} requested"
+          + (" (this process; pool workers keep their own count)"
+             if args.workers > 1 else ""))
     print(f"Pareto frontier ({len(front)} of {len(points)} points):")
     print(f"{'design':28s}{'GOP/s':>9s}{'GOPS/W':>9s}{'EDP':>12s}")
     for p in front:

@@ -2,17 +2,21 @@
 that identifies the best mapping (i.e., dataflow and tiling) for every
 neural network layer based on the simulated #cycles and energy").
 
-The search space is the cross product of the hardware's switchable
-spatial dataflows with the L1 tilings; the cost model is the front-end
-performance simulator.  Results are cached per (layer shape, arch).
+The search space is the hardware's switchable spatial dataflows; the L1
+tiling of each is the greedy walk inside the performance model
+(`sim.perf_model._tile_search`), which is also the cost model.  The
+selection loop and its memo are the perf model's (`best_dataflow`): this
+module only names the objective and packages the winner, so the mapper
+and `evaluate_model` cannot disagree and neither keys on a layer or
+architecture *name*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..models.layers import PPULayer
-from ..sim.perf_model import ArchPerf, LayerPerf, evaluate_layer
+from ..sim.perf_model import ArchPerf, LayerPerf, _resources, best_dataflow
 
 __all__ = ["Mapping", "choose_mapping", "map_model"]
 
@@ -27,9 +31,6 @@ class Mapping:
     utilization: float
 
 
-_cache: dict[tuple, tuple[Mapping, LayerPerf]] = {}
-
-
 def choose_mapping(layer, arch: ArchPerf,
                    objective: str = "latency") -> tuple[Mapping, LayerPerf]:
     """Best (dataflow, tiling) for *layer* on *arch*.
@@ -37,24 +38,12 @@ def choose_mapping(layer, arch: ArchPerf,
     ``objective`` is ``latency`` (cycles first, energy tie-break) or
     ``energy`` (the reverse) — Table V's two design goals.
     """
-    key = (layer, arch, objective)
-    if key in _cache:
-        return _cache[key]
-    best: tuple[tuple, Mapping, LayerPerf] | None = None
-    for dataflow in arch.dataflows:
-        perf = evaluate_layer(layer, arch, dataflow)
-        if perf is None:
-            continue
-        rank = ((perf.cycles, perf.energy_pj) if objective == "latency"
-                else (perf.energy_pj, perf.cycles))
-        if best is None or rank < best[0]:
-            mapping = Mapping(dataflow, perf.cycles, perf.energy_pj,
-                              perf.utilization)
-            best = (rank, mapping, perf)
-    if best is None:
+    perf = best_dataflow(replace(layer, name=""), _resources(arch),
+                         arch.dataflows, energy_first=objective != "latency")
+    if perf is None:
         raise ValueError(f"no feasible mapping for layer {layer!r}")
-    _cache[key] = (best[1], best[2])
-    return _cache[key]
+    return Mapping(perf.dataflow, perf.cycles, perf.energy_pj,
+                   perf.utilization), perf
 
 
 def map_model(model, arch: ArchPerf, objective: str = "latency"

@@ -1,8 +1,9 @@
-"""Tiling enumeration utilities used by the mapping search.
+"""Tiling enumeration utilities: exact factorizations (for small dims),
+padded power-of-two splits (for large dims) and working-set accounting.
 
-The mapper needs loop tilings whose factor products cover each dimension;
-these helpers enumerate exact factorizations (for small dims) and padded
-power-of-two splits (for large dims), plus working-set accounting.
+A public toolbox for callers that enumerate loop tilings themselves.
+The mapping search does not use it: the L1 tiling of a layer is the
+greedy halving walk in `sim.perf_model._tile_search`.
 """
 
 from __future__ import annotations

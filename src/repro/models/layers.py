@@ -10,7 +10,8 @@ activations) run on the post-processing units (§II).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 __all__ = ["ConvLayer", "LinearLayer", "AttentionLayer", "PPULayer", "Model"]
 
@@ -156,3 +157,15 @@ class Model:
 
     def ppu_layers(self):
         return [l for l in self.layers if isinstance(l, PPULayer)]
+
+    @cached_property
+    def shapes(self) -> tuple[tuple, tuple[int, ...]]:
+        """``(distinct, index)``: the model's distinct layer shapes (each
+        layer with ``name`` blanked, in order of first appearance) and,
+        per layer, its position in ``distinct``.  Performance depends
+        only on shapes, so the perf model asks about each one once per
+        architecture (BERT: 60 tensor layers, 5 shapes)."""
+        seen: dict = {}
+        index = tuple(seen.setdefault(replace(layer, name=""), len(seen))
+                      for layer in self.layers)
+        return tuple(seen), index

@@ -9,6 +9,15 @@ PPU cycles, and energy.  Latency is the max of compute and DRAM-bandwidth
 cycles (roofline) — which is exactly what makes GPT-2/LLaMA decode
 memory-bound in Fig. 11/Table II.
 
+An answer depends only on the layer's *shape* (every field but ``name``),
+the architecture's *resources* (every `ArchPerf` field but ``name`` and
+``dataflows``), the dataflow and the `TechModel`, and a DSE sweep asks
+the same question many times (repeated shapes in a model, dataflow sets
+that overlap, strategies that revisit points).  `_shape_perf` is the one
+bounded memo of layer results: each distinct question is computed once
+and the frozen `LayerPerf` is shared by every caller;
+`_shape_perf.__wrapped__` is the un-memoised body, the test oracle.
+
 Cross-validation against the cycle-accurate DAG simulator lives in the
 test suite (`tests/test_perf_model.py`).
 """
@@ -17,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from ..models.layers import AttentionLayer, ConvLayer, LinearLayer, PPULayer
 from .energy_model import TSMC28, TechModel, sram_model
 from .ppu import ppu_latency_cycles
 
 __all__ = ["ArchPerf", "LayerPerf", "ModelPerf", "spatial_options",
-           "evaluate_layer", "evaluate_model", "GEMMINI_LIKE"]
+           "evaluate_layer", "evaluate_model", "best_dataflow", "memo_info",
+           "GEMMINI_LIKE"]
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,12 @@ class ArchPerf:
                 / (self.freq_mhz * 1e6))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LayerPerf:
-    layer: object
+    """One layer shape under one dataflow.  The memo hands the same
+    instance to every caller that asks the same question, so it is
+    immutable and names no layer."""
+
     dataflow: str
     cycles: float
     compute_cycles: float
@@ -245,10 +259,40 @@ def _tile_search(dims: dict[str, int], tensors: dict[str, tuple[str, ...]],
     return tiles, traffic(tiles)
 
 
-def evaluate_layer(layer, arch: ArchPerf, dataflow: str,
-                   tech: TechModel = TSMC28) -> LayerPerf | None:
-    """Model one tensor layer under one spatial dataflow.  None if the
-    dataflow cannot execute the layer on this architecture."""
+#: `ArchPerf` fields the per-dataflow model never reads.  Every other
+#: field, including any added later, is part of the memo key.
+_NOT_RESOURCES = {"name": "", "dataflows": ()}
+
+
+def _resources(arch: ArchPerf, tech: TechModel = TSMC28) -> tuple:
+    """The hardware half of the memo key: what `_shape_perf` reads of an
+    (arch, tech) pair — *arch* with `_NOT_RESOURCES` blanked, *tech* —
+    followed by the constants that depend on those alone (usable L1
+    bytes, pJ per MAC, per SRAM read, per SRAM write), so they are
+    resolved once per `evaluate_model` rather than per layer."""
+    sram = sram_model(tech, arch.buffer_kb, 64, n_banks=16)
+    return (replace(arch, **_NOT_RESOURCES), tech,
+            arch.buffer_kb * 1024 * 0.9,
+            tech.mult_energy_per_bit2 * 64 + tech.adder_energy_per_bit * 32,
+            sram["read_pj"], sram["write_pj"])
+
+
+#: Bound of the layer-result memo.  One rep of the `dse_explore` benchmark
+#: (96 points x 3 models, plus 14 Fig. 11 evaluations) asks ~4.6k distinct
+#: questions; an entry costs ~0.5 KB (a slotted `LayerPerf`, its floats,
+#: the key tuple, the LRU link), so the bound caps the memo at ~8 MB.
+_MEMO_ENTRIES = 16384
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _shape_perf(layer, res: tuple, dataflow: str) -> LayerPerf | None:
+    """Model one layer shape (``name`` blanked) under one dataflow; None
+    if the dataflow cannot execute it.  Memoised (LRU, thread-safe); PPU
+    layers are keyed under the pseudo-dataflow ``"ppu"``."""
+    if dataflow == "ppu":
+        return (_ppu_layer_perf(layer, res)
+                if isinstance(layer, PPULayer) else None)
+    arch, tech, buffer_bytes, mac_pj, sram_read_pj, sram_write_pj = res
     dims, tensors, reduction, bpe = _layer_space(layer)
     spatial = spatial_options(layer, dataflow, arch.array)
     if spatial is None:
@@ -273,9 +317,6 @@ def evaluate_layer(layer, arch: ArchPerf, dataflow: str,
         for d, bound in dims.items():
             p = spatial.get(d, 1)
             temporal_steps *= math.ceil(bound / p)
-    spatial_used = 1
-    for d, p in spatial.items():
-        spatial_used *= p
     utilization = macs / (temporal_steps * arch.n_fus)
     compute_cycles = temporal_steps + sum(arch.array)  # + pipeline fill
 
@@ -285,7 +326,7 @@ def evaluate_layer(layer, arch: ArchPerf, dataflow: str,
 
     # -- memory -------------------------------------------------------------------
     tiles, dram_bytes = _tile_search(dims, tensors, bpe, reduction, spatial,
-                                     arch.buffer_kb * 1024 * 0.9)
+                                     buffer_bytes)
     n_tiles = 1
     for d in dims:
         n_tiles *= math.ceil(dims[d] / tiles[d])
@@ -317,34 +358,29 @@ def evaluate_layer(layer, arch: ArchPerf, dataflow: str,
         else:
             sram_reads += accesses
 
-    # -- PPU ------------------------------------------------------------------------
-    ppu_cycles = 0.0
-
     # Roofline with imperfect overlap plus per-tile dispatch cost.
     cycles = (max(compute_cycles, dram_cycles)
               + (1.0 - arch.dma_overlap) * min(compute_cycles, dram_cycles)
               + arch.dispatch_overhead_cycles * n_tiles)
 
     # -- energy ----------------------------------------------------------------------
-    e_mac = tech.mult_energy_per_bit2 * 64 + tech.adder_energy_per_bit * 32
-    sram = sram_model(tech, arch.buffer_kb, 64, n_banks=16)
-    energy = (macs * e_mac
-              + sram_reads * sram["read_pj"]
-              + sram_writes * sram["write_pj"]
+    energy = (macs * mac_pj
+              + sram_reads * sram_read_pj
+              + sram_writes * sram_write_pj
               + dram_bytes * tech.dram_energy_per_byte
               + cycles * arch.n_fus * tech.reg_energy_per_bit * 24)  # clocking
     energy *= 1 + tech.leakage_fraction
 
-    return LayerPerf(layer=layer, dataflow=dataflow, cycles=cycles,
+    return LayerPerf(dataflow=dataflow, cycles=cycles,
                      compute_cycles=compute_cycles, dram_cycles=dram_cycles,
-                     ppu_cycles=ppu_cycles, dram_bytes=dram_bytes,
+                     ppu_cycles=0.0, dram_bytes=dram_bytes,
                      sram_reads=sram_reads, sram_writes=sram_writes,
                      macs=macs, energy_pj=energy, utilization=utilization,
                      n_tiles=n_tiles)
 
 
-def _ppu_layer_perf(layer: PPULayer, arch: ArchPerf,
-                    tech: TechModel) -> LayerPerf:
+def _ppu_layer_perf(layer: PPULayer, res: tuple) -> LayerPerf:
+    arch, tech = res[:2]
     if arch.has_ppu:
         cycles = ppu_latency_cycles(layer.n_elements, arch.n_ppus,
                                     arch.ppu_throughput, layer.n_passes)
@@ -356,35 +392,60 @@ def _ppu_layer_perf(layer: PPULayer, arch: ArchPerf,
     dram_bytes = layer.n_elements * 2.0
     cycles = max(cycles, dram_bytes / arch.dram_bytes_per_cycle)
     energy += dram_bytes * tech.dram_energy_per_byte
-    return LayerPerf(layer=layer, dataflow="ppu", cycles=cycles,
+    return LayerPerf(dataflow="ppu", cycles=cycles,
                      compute_cycles=0.0, dram_cycles=0.0, ppu_cycles=cycles,
                      dram_bytes=dram_bytes, sram_reads=0.0, sram_writes=0.0,
                      macs=0, energy_pj=energy, utilization=0.0)
 
 
+#: ``(hits, misses, maxsize, currsize)`` of the layer-result memo
+memo_info = _shape_perf.cache_info
+
+
+def evaluate_layer(layer, arch: ArchPerf, dataflow: str,
+                   tech: TechModel = TSMC28) -> LayerPerf | None:
+    """Model one tensor layer under one spatial dataflow.  None if the
+    dataflow cannot execute the layer on this architecture."""
+    return _shape_perf(replace(layer, name=""), _resources(arch, tech),
+                       dataflow)
+
+
+def best_dataflow(shape, res: tuple, dataflows: tuple[str, ...],
+                  energy_first: bool = False) -> LayerPerf | None:
+    """The per-layer mapping search (the paper's "simple mapping search
+    tool"): the feasible dataflow with the least ``(cycles, energy)`` —
+    ``(energy, cycles)`` if *energy_first* — first listed wins ties;
+    None if no dataflow can execute *shape*."""
+    best = best_rank = None
+    for dataflow in dataflows:
+        cand = _shape_perf(shape, res, dataflow)
+        if cand is None:
+            continue
+        rank = ((cand.energy_pj, cand.cycles) if energy_first
+                else (cand.cycles, cand.energy_pj))
+        if best is None or rank < best_rank:
+            best, best_rank = cand, rank
+    return best
+
+
 def evaluate_model(model, arch: ArchPerf,
                    tech: TechModel = TSMC28) -> ModelPerf:
-    """Per-layer mapping search (best supported dataflow per layer, the
-    paper's "simple mapping search tool") + PPU layers."""
-    perf = ModelPerf(name=model.name, arch=arch)
-    for layer in model.layers:
-        if isinstance(layer, PPULayer):
-            perf.layers.append(_ppu_layer_perf(layer, arch, tech))
-            continue
-        best: LayerPerf | None = None
-        for dataflow in arch.dataflows:
-            cand = evaluate_layer(layer, arch, dataflow, tech)
-            if cand is None:
-                continue
-            if best is None or (cand.cycles, cand.energy_pj) < (
-                    best.cycles, best.energy_pj):
-                best = cand
-        if best is None:
-            raise ValueError(
-                f"no supported dataflow for layer {layer.name!r} on "
-                f"{arch.name}")
-        perf.layers.append(best)
-    return perf
+    """Best supported dataflow per layer + PPU layers.  Each distinct
+    shape is resolved once; ``layers`` is then laid out in model-layer
+    order, so the totals sum the same floats in the same order as a
+    layer-by-layer evaluation (never ``count x value``)."""
+    res = _resources(arch, tech)
+    shapes, index = model.shapes
+    best = [_shape_perf(shape, res, "ppu") if isinstance(shape, PPULayer)
+            else best_dataflow(shape, res, arch.dataflows)
+            for shape in shapes]
+    if None in best:  # shapes are in first-appearance order: first such layer
+        layer = model.layers[index.index(best.index(None))]
+        raise ValueError(
+            f"no supported dataflow for layer {layer.name!r} on "
+            f"{arch.name}")
+    return ModelPerf(name=model.name, layers=[best[i] for i in index],
+                     arch=arch)
 
 
 #: The Gemmini-class baseline of Fig. 11: same resources (256 MACs, 256 KB,
