@@ -14,11 +14,18 @@ pins to physical pins is a 0-1 ILP:
   inputs).
 
 Solved with ``scipy.optimize.milp`` (HiGHS); a greedy first-fit fallback
-is used if the solver fails.  A mux is cheaper than an adder port on
-ASIC, so shrinking the reducer wins area and power.
+is used if the solver fails, counted in the pass report and logged.  A mux
+is cheaper than an adder port on ASIC, so shrinking the reducer wins area
+and power.
+
+A spatial array is many copies of one PE, so most reducers of a design
+share one liveness table: :func:`reuse_pins` solves the ILP once per
+distinct table and hands every reducer its own copy of the result.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
@@ -26,18 +33,28 @@ from .codegen import Design
 
 __all__ = ["reuse_pins", "solve_pin_mapping"]
 
+_log = logging.getLogger("repro.backend")
 
-def solve_pin_mapping(live: dict[str, set[int]], n_pins: int
+
+def solve_pin_mapping(live: dict[str, set[int]]
                       ) -> tuple[dict[tuple[int, str], int], int]:
     """Solve the Fig. 9 ILP.
 
     ``live[k]`` is the set of original pins active in dataflow *k*.
     Returns ``(assignment, n_physical)`` where ``assignment[(i, k)] = j``.
     """
+    assignment, n_phys, _fell_back = _solve(live)
+    return assignment, n_phys
+
+
+def _solve(live: dict[str, set[int]]
+           ) -> tuple[dict[tuple[int, str], int], int, bool]:
+    """:func:`solve_pin_mapping` plus whether the MILP failed and the
+    assignment is the greedy first-fit one."""
     dataflows = sorted(live)
     n_phys = max((len(p) for p in live.values()), default=0)
     if n_phys == 0:
-        return {}, 0
+        return {}, 0, False
 
     from ..solvers import LinearConstraint, milp
 
@@ -102,7 +119,7 @@ def solve_pin_mapping(live: dict[str, set[int]], n_pins: int
         for (i, j, k), idx in var_index.items():
             if x[idx] > 0.5:
                 assignment[(i, k)] = j
-        return assignment, n_phys
+        return assignment, n_phys, False
 
     # Greedy fallback: first-fit preferring an already-used (i, j) pair.
     used_pairs: set[tuple[int, int]] = set()
@@ -116,7 +133,7 @@ def solve_pin_mapping(live: dict[str, set[int]], n_pins: int
             assignment[(i, k)] = j
             taken.add(j)
             used_pairs.add((i, j))
-    return assignment, n_phys
+    return assignment, n_phys, True
 
 
 def reuse_pins(design: Design) -> dict[str, int]:
@@ -130,6 +147,10 @@ def reuse_pins(design: Design) -> dict[str, int]:
     pins_saved = 0
     muxes_added = 0
     n_reducers = 0
+    milp_fallbacks = 0
+    # liveness signature -> _solve(live); lives for this call only, so a
+    # cold compile solves everything it uses
+    solved: dict[tuple, tuple[dict[tuple[int, str], int], int, bool]] = {}
     for nid, node in dag.nodes.items():
         if node.kind != "reducer":
             continue
@@ -143,9 +164,14 @@ def reuse_pins(design: Design) -> dict[str, int]:
         live = {k: v for k, v in live.items() if v}
         if not live:
             continue
-        assignment, n_phys = solve_pin_mapping(live, node.params["n_inputs"])
+        signature = tuple(sorted((k, tuple(sorted(v)))
+                                 for k, v in live.items()))
+        if signature not in solved:
+            solved[signature] = _solve(live)
+            milp_fallbacks += solved[signature][2]
+        assignment, n_phys, _fell_back = solved[signature]
         node.params["n_phys_pins"] = n_phys
-        node.params["pin_assignment"] = assignment
+        node.params["pin_assignment"] = dict(assignment)  # the node's own
         # Count muxes: a physical pin fed by >1 distinct original pins.
         feeders: dict[int, set[int]] = {}
         for (i, _k), j in assignment.items():
@@ -154,5 +180,11 @@ def reuse_pins(design: Design) -> dict[str, int]:
         node.params["remap_muxes"] = n_mux
         muxes_added += n_mux
         pins_saved += max(0, node.params["n_inputs"] - n_phys)
+    if milp_fallbacks:
+        _log.warning(
+            "pin-reuse MILP failed on %d of %d distinct liveness tables "
+            "(%d reducers): their pin assignments are the greedy first-fit "
+            "ones, which may use more muxes than the optimum",
+            milp_fallbacks, len(solved), n_reducers)
     return {"reducers": n_reducers, "pins_saved": pins_saved,
-            "muxes_added": muxes_added}
+            "muxes_added": muxes_added, "milp_fallbacks": milp_fallbacks}

@@ -14,15 +14,13 @@ them per dataflow (Fig. 6(c)).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adg import MemoryLayout
 from .dataflow import Dataflow
 
-__all__ = ["analyze_banks", "fuse_layouts", "distribution_switch_size"]
+__all__ = ["analyze_banks", "verify_conflict_free", "fuse_layouts",
+           "distribution_switch_size"]
 
 Coord = tuple[int, ...]
 
@@ -40,29 +38,17 @@ def analyze_banks(dataflow: Dataflow, tensor: str,
     if not data_nodes:
         return MemoryLayout(tensor, (1,) * rank, (1,) * rank, 0)
 
-    indexes = [mds @ np.array(fu, dtype=np.int64) + bias for fu in data_nodes]
-    deltas_per_dim: list[set[int]] = [set() for _ in range(rank)]
-    for a in range(len(indexes)):
-        for b in range(len(indexes)):
-            if a == b:
-                continue
-            delta = indexes[a] - indexes[b]
-            for dim in range(rank):
-                if delta[dim]:
-                    deltas_per_dim[dim].add(abs(int(delta[dim])))
-
-    bank_shape, bank_stride = [], []
-    for dim in range(rank):
-        deltas = deltas_per_dim[dim]
-        if not deltas:
-            bank_shape.append(1)
-            bank_stride.append(1)
-            continue
-        g = math.gcd(*deltas) if len(deltas) > 1 else next(iter(deltas))
-        bank_shape.append(max(deltas) // g + 1)
-        bank_stride.append(g)
-    return MemoryLayout(tensor, tuple(bank_shape), tuple(bank_stride),
-                        len(data_nodes))
+    # All data-node indexes at once, one row per node.
+    coords = np.array(data_nodes, dtype=np.int64).reshape(len(data_nodes), -1)
+    indexes = coords @ mds.T + bias
+    # Per dimension the set {|d_a - d_b|} has max = max - min, and the same
+    # gcd as the deltas against any one node (every pairwise delta is a
+    # difference of two of those); a dimension no delta touches reads 0.
+    spread = indexes.max(axis=0) - indexes.min(axis=0)
+    stride = np.gcd.reduce(indexes - indexes[0], axis=0)
+    stride[stride == 0] = 1
+    return MemoryLayout(tensor, tuple((spread // stride + 1).tolist()),
+                        tuple(stride.tolist()), len(data_nodes))
 
 
 def verify_conflict_free(layout: MemoryLayout, dataflow: Dataflow,

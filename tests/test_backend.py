@@ -234,7 +234,7 @@ class TestPinReuse:
         """Fig. 9: pins {A,B}, {A,C}, {B,C} over three dataflows fit in
         two physical pins."""
         live = {"df1": {0, 1}, "df2": {0, 2}, "df3": {1, 2}}
-        assignment, n_phys = solve_pin_mapping(live, 3)
+        assignment, n_phys = solve_pin_mapping(live)
         assert n_phys == 2
         for k, pins in live.items():
             used = {assignment[(i, k)] for i in pins}
@@ -242,11 +242,11 @@ class TestPinReuse:
 
     def test_single_dataflow_identity(self):
         live = {"only": {0, 1, 2}}
-        assignment, n_phys = solve_pin_mapping(live, 3)
+        assignment, n_phys = solve_pin_mapping(live)
         assert n_phys == 3
 
     def test_empty(self):
-        assignment, n_phys = solve_pin_mapping({}, 4)
+        assignment, n_phys = solve_pin_mapping({})
         assert n_phys == 0 and assignment == {}
 
 

@@ -257,3 +257,118 @@ class TestScheduleCoverage:
         counts = df.iteration_multiplicity()
         assert set(counts.values()) == {1}
         assert len(counts) == 512
+
+
+class TestPinReuseSolvesPerSignature:
+    """A spatial array is N copies of one PE: ``reuse_pins`` runs the
+    Fig. 9 MILP once per distinct liveness table, not once per reducer."""
+
+    @staticmethod
+    def _count_milp(monkeypatch):
+        from repro import solvers
+        calls = []
+        real = solvers.milp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # the solve binds ``milp`` from repro.solvers at each call
+        monkeypatch.setattr(solvers, "milp", spy)
+        return calls
+
+    @staticmethod
+    def _live(design, node):
+        live = {name: set() for name in design.configs}
+        for pin, dfs in node.params["pin_dataflows"].items():
+            for name in dfs:
+                live[name].add(pin)
+        return {k: v for k, v in live.items() if v}
+
+    @pytest.mark.parametrize("kernel", ["mttkrp", "gemm"])
+    def test_one_solve_for_the_array_and_no_shared_dicts(self, kernel,
+                                                         monkeypatch):
+        from repro.backend.pin_reuse import reuse_pins, solve_pin_mapping
+        from repro.service.spec import DesignRequest
+
+        request = DesignRequest(kernel=kernel, dataflows=("IJ", "KJ"),
+                                array=(8, 8), systolic=False)
+        design = generate(build_adg(request.build_dataflows(),
+                                    request.frontend))
+        run_backend(design, BackendOptions(pin_reuse=False))
+        reducers = [n for n in design.dag.nodes.values()
+                    if n.kind == "reducer"]
+        assert len(reducers) == 8
+        tables = [self._live(design, n) for n in reducers]
+        signatures = {tuple(sorted((k, tuple(sorted(v)))
+                                   for k, v in t.items())) for t in tables}
+        assert len(signatures) == 1
+
+        calls = self._count_milp(monkeypatch)
+        stats = reuse_pins(design)
+        assert len(calls) == len(signatures)
+        assert stats["reducers"] == 8 and stats["milp_fallbacks"] == 0
+        for node, live in zip(reducers, tables):
+            assignment, n_phys = solve_pin_mapping(live)
+            assert node.params["pin_assignment"] == assignment
+            assert node.params["n_phys_pins"] == n_phys
+        # every reducer owns its assignment: editing one leaves the rest
+        owned = [n.params["pin_assignment"] for n in reducers]
+        assert len({id(a) for a in owned}) == len(owned)
+        before = dict(owned[1])
+        owned[0].clear()
+        assert owned[1] == before and owned[1]
+
+    @staticmethod
+    def _two_signature_design():
+        wl = kernels.gemm(8, 8, 8)
+        dfs = [kernels.gemm_dataflow(k, wl, 2, 2) for k in ("IJ", "KJ")]
+        a, b = (df.name for df in dfs)
+        dag = DAG()
+        shared = {0: {a, b}, 1: {a}, 2: {b}}      # 3 pins fit in 2
+        private = {0: {a}, 1: {a}, 2: {b}}        # a different table
+        for table in (shared, private, shared, private, shared):
+            dag.add_node("reducer", pins=("p0", "p1", "p2"),
+                         params={"n_inputs": 3, "pin_dataflows": table})
+        configs = {df.name: DataflowConfig(dataflow=df) for df in dfs}
+        return Design(adg=build_adg(dfs), dag=dag, configs=configs)
+
+    def test_two_signatures_two_solves(self, monkeypatch):
+        from repro.backend.pin_reuse import reuse_pins, solve_pin_mapping
+
+        design = self._two_signature_design()
+        calls = self._count_milp(monkeypatch)
+        stats = reuse_pins(design)
+        assert len(calls) == 2
+        assert (stats["reducers"], stats["pins_saved"],
+                stats["milp_fallbacks"]) == (5, 5, 0)
+        for node in design.dag.nodes.values():
+            assignment, n_phys = solve_pin_mapping(self._live(design, node))
+            assert n_phys == 2
+            assert node.params["pin_assignment"] == assignment
+
+    def test_milp_failure_is_counted_and_warned_once(self, monkeypatch,
+                                                     caplog):
+        """The greedy first-fit fallback is never silent: the report
+        counts the tables it served and the design gets one WARNING."""
+        import types
+
+        from repro import solvers
+        from repro.backend.pin_reuse import reuse_pins
+
+        design = self._two_signature_design()
+        monkeypatch.setattr(
+            solvers, "milp",
+            lambda *a, **k: types.SimpleNamespace(success=False, x=None))
+        with caplog.at_level("WARNING", logger="repro.backend"):
+            stats = reuse_pins(design)
+        assert stats["milp_fallbacks"] == 2 and stats["pins_saved"] == 5
+        warned = [r for r in caplog.records if "pin-reuse MILP" in r.message]
+        assert len(warned) == 1
+        for node in design.dag.nodes.values():
+            live = self._live(design, node)
+            assignment = node.params["pin_assignment"]
+            assert set(assignment) == {(i, k) for k, v in live.items()
+                                       for i in v}
+            for k, pins in live.items():    # no physical pin double-booked
+                assert len({assignment[(i, k)] for i in pins}) == len(pins)

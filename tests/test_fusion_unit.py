@@ -1,6 +1,8 @@
 """Unit tests for the fusion heuristics (§IV-C) and additional front-end
 properties checked with hypothesis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from repro.core.fusion import (Chain, FusionPlan, condensed_delay_tree,
                                plan_direct_interconnects)
 from repro.core.interconnect import ReuseKind, find_reuse_solutions
 from repro.core.memory_analysis import analyze_banks, verify_conflict_free
+from repro.service.spec import DesignRequest
+from test_golden_identity import KERNELS as GOLDEN_KERNELS
 
 
 class TestPartitionChains:
@@ -178,3 +182,82 @@ class TestFrontendProperties:
             else:
                 g = np.gcd.reduce(sorted(deltas))
                 assert layout.bank_shape[dim] == max(deltas) // g + 1
+
+
+def _pairwise_banks(mds, bias, data_nodes):
+    """Eq. 8-9 by the definition — every ordered pair of data nodes, one
+    Python set of ``|delta|`` per tensor dimension — kept here as the
+    reference the array form of ``analyze_banks`` is held to."""
+    rank = len(mds)
+    indexes = [[sum(m * s for m, s in zip(row, fu)) + b
+                for row, b in zip(mds, bias)] for fu in data_nodes]
+    shape, stride = [], []
+    for dim in range(rank):
+        deltas = {abs(a[dim] - b[dim]) for a in indexes for b in indexes}
+        deltas.discard(0)
+        g = math.gcd(*deltas) if deltas else 1
+        shape.append(max(deltas) // g + 1 if deltas else 1)
+        stride.append(g)
+    return tuple(shape), tuple(stride)
+
+
+class _TsMap:
+    """What ``analyze_banks`` reads of a dataflow: ``(M_D M_S, b)``."""
+
+    def __init__(self, mds, bias):
+        self.mds = np.array(mds, dtype=np.int64).reshape(len(bias), -1)
+        self.bias = np.array(bias, dtype=np.int64)
+
+    def tensor_ts_map(self, tensor):
+        return None, self.mds, self.bias
+
+
+@st.composite
+def _bank_cases(draw):
+    rank = draw(st.integers(1, 4))
+    fu_rank = draw(st.integers(1, 3))
+    small = st.integers(-6, 6)
+    mds = draw(st.lists(st.lists(small, min_size=fu_rank, max_size=fu_rank),
+                        min_size=rank, max_size=rank))
+    bias = draw(st.lists(small, min_size=rank, max_size=rank))
+    # few distinct coordinates, so duplicates and zero deltas are common
+    coord = st.tuples(*[st.integers(-2, 3)] * fu_rank)
+    nodes = draw(st.lists(coord, min_size=0, max_size=9))
+    return mds, bias, nodes
+
+
+class TestArrayBankAnalysis:
+    @given(_bank_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pairwise_reference(self, case):
+        mds, bias, nodes = case
+        layout = analyze_banks(_TsMap(mds, bias), "T", nodes)
+        shape, stride = _pairwise_banks(mds, bias, nodes)
+        assert (layout.bank_shape, layout.bank_stride) == (shape, stride)
+        assert layout.n_data_nodes == len(nodes)
+        assert all(type(v) is int
+                   for v in layout.bank_shape + layout.bank_stride)
+        # Eq. 8: distinct data indexes never share a bank
+        ts = _TsMap(mds, bias)
+        indexes = {tuple((ts.mds @ np.array(fu) + ts.bias).tolist())
+                   for fu in nodes}
+        assert len({layout.bank_of(d) for d in indexes}) == len(indexes)
+
+    @pytest.mark.parametrize("kernel", list(GOLDEN_KERNELS))
+    def test_suite_kernels_match_and_are_conflict_free(self, kernel):
+        request = DesignRequest(array=(4, 4), **GOLDEN_KERNELS[kernel])
+        dataflows = request.build_dataflows()
+        adg = build_adg(dataflows, request.frontend)
+        checked = 0
+        for df in dataflows:
+            for tensor in adg.memory:
+                nodes = [n.fu for n in adg.data_nodes_for(tensor, df.name)]
+                if not nodes:
+                    continue
+                _mdt, mds, bias = df.tensor_ts_map(tensor)
+                layout = analyze_banks(df, tensor, nodes)
+                assert (layout.bank_shape, layout.bank_stride) == \
+                    _pairwise_banks(mds.tolist(), bias.tolist(), nodes)
+                assert verify_conflict_free(layout, df, tensor, nodes)
+                checked += 1
+        assert checked
