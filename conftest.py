@@ -1,10 +1,10 @@
 """Repo-wide pytest hooks.
 
-``--trace-out FILE`` exports every span the run recorded (benchmarks
-and tests instrument through :mod:`repro.obs`) as one Chrome-trace-event
-JSON — load it at https://ui.perfetto.dev.  The option lives here
-because only root-level conftests may register options; the spans come
-from whatever the selected tests exercised.
+``--trace-out FILE`` exports every span the run recorded (the tests
+instrument through :mod:`repro.obs`) as one Chrome-trace-event JSON —
+load it at https://ui.perfetto.dev.  The option lives here because only
+root-level conftests may register options; the spans come from whatever
+the selected tests exercised.
 """
 
 import pytest

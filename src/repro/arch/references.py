@@ -2,8 +2,9 @@
 
 Everything in this module is a **constant quoted from the cited papers**
 (clearly separated from measured LEGO-side numbers): Eyeriss and NVDLA for
-Table III, TensorLib/DSAGen/AutoSA/SODA for Tables VI-VIII.  Benchmarks
-print these side by side with the values our generator produces.
+Table III, TensorLib/DSAGen/AutoSA/SODA for Tables VI-VIII.  The
+fidelity ledger (``tests/test_fidelity.py``, ``FIDELITY.json``) holds the
+values our generator produces against them.
 """
 
 from __future__ import annotations

@@ -260,7 +260,6 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
     dag = DAG()
     configs = {df.name: DataflowConfig(df) for df in adg.dataflows}
     coords = adg.dataflows[0].fu_coords()
-    all_dfs = set(configs)
 
     zero = dag.add_node("const", width=32, params={"value": 0}, place="control")
 
@@ -414,8 +413,10 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
             for name in conn.dataflows:
                 srcs_by_df.setdefault(name, []).append(
                     (fifo, conn.dt_for(name)))
+        # in dataflow order, not set order: the groups' order numbers the
+        # combine adders, so it must not follow the string hash seed
         groups: dict[tuple[int, ...], set[str]] = {}
-        for name in all_dfs:
+        for name in configs:
             key = tuple(sorted(f for f, _dt in srcs_by_df.get(name, [])))
             groups.setdefault(key, set()).add(name)
         for key, names in groups.items():

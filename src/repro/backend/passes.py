@@ -9,7 +9,6 @@ reuse runs after extraction; power gating is last (it only annotates).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -21,11 +20,6 @@ from .reduction import extract_reduction_trees
 from .rewiring import run_rewiring
 
 __all__ = ["BackendOptions", "infer_bitwidths", "power_gate", "run_backend"]
-
-_log = logging.getLogger("repro.backend")
-
-#: fixpoint rounds one :func:`infer_bitwidths` call may spend
-MAX_BITWIDTH_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -54,20 +48,29 @@ class BackendOptions:
         return BackendOptions(False, False, False, False)
 
 
-def infer_bitwidths(design: Design) -> dict[str, int | bool]:
-    """Propagate value-range-derived widths through the DAG (§V-D).
+def infer_bitwidths(design: Design) -> dict[str, int]:
+    """Propagate value-range-derived widths through the DAG to their
+    fixpoint (§V-D).
 
-    Widths grow monotonically and are capped, so iterating to fixpoint
-    terminates even with static cycles through FIFOs — but a width
-    travels one FIFO per round, so a long FIFO ring can need more than
-    ``MAX_BITWIDTH_ROUNDS``.  The result says so: ``converged`` is False
-    when the last permitted round still changed a width, and the widths
-    are then a lower bound, not the fixpoint.
+    A round visits the nodes in topological order with FIFO outputs
+    broken, so a width crosses one FIFO per round: a systolic
+    accumulation chain of ``n`` adders needs ``n + 1`` rounds, the last
+    one confirming that nothing changed.
+
+    Termination: a round is a function of the node widths the previous
+    round left, and every width a round assigns is an integer between 1
+    (or the narrowest starting width) and ``MAX_WIDTH``, so there are
+    finitely many width vectors and the sequence repeats.  A repeat is
+    either a round that changes nothing — the fixpoint, returned — or a
+    cycle of rounds that never settles (a ring of FIFOs seeded with
+    unequal widths rotates them forever), which raises instead of
+    looping.
     """
     dag = design.dag
     order = dag.topo_order(sequential_break=True)
+    seen: set[tuple[int, ...]] = set()
     changed, rounds = True, 0
-    while changed and rounds < MAX_BITWIDTH_ROUNDS:
+    while changed:
         changed = False
         rounds += 1
         for nid in order:
@@ -101,7 +104,13 @@ def infer_bitwidths(design: Design) -> dict[str, int | bool]:
             if e.width != src_w:
                 e.width = src_w
                 changed = True
-    return {"rounds": rounds, "converged": not changed}
+        widths = tuple(node.width for node in dag.nodes.values())
+        if changed and widths in seen:
+            raise RuntimeError(
+                f"bit-width inference cycles without a fixpoint after "
+                f"{rounds} rounds ({len(dag.nodes)} nodes)")
+        seen.add(widths)
+    return {"rounds": rounds}
 
 
 def power_gate(design: Design) -> dict[str, int]:
@@ -135,12 +144,6 @@ def run_backend(design: Design,
         report["reduction"] = extract_reduction_trees(design)
         # continues from the widths above, so this is the run that counts
         report["bitwidth"] = infer_bitwidths(design)
-    if not report["bitwidth"]["converged"]:
-        _log.warning(
-            "bit-width inference stopped at its %d-round cap before "
-            "converging (%d nodes): widths, and the register bits costed "
-            "from them, are under-estimated",
-            MAX_BITWIDTH_ROUNDS, len(design.dag.nodes))
 
     if options.rewiring:
         report["rewiring"] = run_rewiring(design)

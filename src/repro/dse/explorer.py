@@ -9,8 +9,9 @@ performance/energy models the rest of the reproduction uses, with a
 Pareto frontier and a one-call handoff to the generator.
 
 The paper's closing §VI-B(f) data point — generating the Timeloop-searched
-Eyeriss-resource design cuts power 9% at equal latency — is reproduced in
-``benchmarks/bench_dse_timeloop.py`` using this module.
+Eyeriss-resource design cuts power 9% at equal latency — is reproduced by
+``tests/test_fidelity.py`` (rows ``sec6b_f/*`` of ``FIDELITY.json``)
+using this module.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ CACTI.  Offline we use analytic per-primitive cost tables calibrated to
 published 28 nm figures (MAC ≈ 0.2 pJ/8-bit op, register ≈ 4 µm²/bit,
 SRAM read ≈ 5 pJ + sqrt-capacity term, etc.).  All evaluation figures in
 the paper are *ratios* (savings, speedup, efficiency), which a consistent
-linear model preserves; EXPERIMENTS.md records where absolute values
+linear model preserves; ``FIDELITY.json`` records where absolute values
 diverge from the paper's.
 
 Two technology modes are provided: ``tsmc28`` (default, matches the main

@@ -138,6 +138,17 @@ class TestHashIsolation:
         assert set(crossed.artifacts) == {"lego_top.c", "lego_top_tb.c"}
         assert set(again.artifacts) == {"lego_top.v"}
 
+    @pytest.mark.parametrize("family", backend_names())
+    def test_every_family_round_trips_through_the_cache(self, family,
+                                                        tmp_path):
+        engine = BatchEngine(cache=DesignCache(root=tmp_path / "cache"))
+        request = DesignRequest(backend=family, **TINY)
+        cold = engine.submit(request)
+        assert cold.ok and not cold.from_cache
+        warm = engine.submit(request)
+        assert warm.from_cache
+        assert warm.artifacts == cold.artifacts
+
 
 class TestVerilogFamily:
     def test_emit_matches_legacy_path(self, tiny_design):

@@ -120,6 +120,26 @@ class TestSuccessiveHalving:
         assert proxy.name.startswith("LeNet#proxy")
 
 
+class TestGuidedVsExhaustive:
+    SPACE = DesignSpace(arrays=((8, 8), (16, 16), (8, 32), (32, 8),
+                                (16, 32)),
+                        buffer_kb=(128.0, 256.0, 512.0))
+
+    @pytest.mark.parametrize("strategy", ["anneal", "halving"])
+    def test_near_best_at_two_fifths_of_the_evals(self, strategy):
+        """Within 5 % of the exhaustive-best EDP for at most 40 % of its
+        evaluations, on a 60-point space and two models."""
+        models = [zoo.resnet50(), zoo.bert_base()]
+        exhaustive = run_search(models, self.SPACE, seed=0)
+        assert exhaustive.points_evaluated == self.SPACE.size() == 60
+        budget = (int(0.4 * exhaustive.evals_used) - 2
+                  if strategy == "anneal" else None)
+        guided = run_search(models, self.SPACE, strategy=strategy,
+                            max_evals=budget, seed=0)
+        assert guided.best.edp <= 1.05 * exhaustive.best.edp
+        assert guided.evals_used <= 0.4 * exhaustive.evals_used
+
+
 class TestDegeneratePoints:
     def test_empty_model_yields_no_points(self):
         result = run_search([Model("empty", ())], SMALL)

@@ -16,7 +16,10 @@ Re-record (only when an output change is intended and explained)::
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,9 +49,12 @@ def _sha(text: str) -> str:
 
 
 def fingerprint(kernel: str, options: str, family: str) -> dict[str, str]:
-    request = DesignRequest(array=(4, 4), options=OPTIONS[options],
-                            backend=family, module="golden_top",
-                            **KERNELS[kernel])
+    return digests(DesignRequest(array=(4, 4), options=OPTIONS[options],
+                                 backend=family, module="golden_top",
+                                 **KERNELS[kernel]))
+
+
+def digests(request: DesignRequest) -> dict[str, str]:
     result = execute_request(request, cache=None)
     assert result.ok, result.traceback
     return {
@@ -63,6 +69,28 @@ def test_output_matches_pinned_hashes(kernel, options, family):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert fingerprint(kernel, options, family) == \
         golden[f"{kernel}/{options}/{family}"]
+
+
+# no pinned design has three dataflows
+THREE_DATAFLOWS = dict(kernel="gemm", dataflows=("IJ", "IK", "KJ"),
+                       array=(6, 5), systolic=False)
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    """With three dataflows the output path used to group them in set
+    order, so the design a process emitted followed PYTHONHASHSEED."""
+    here = pathlib.Path(__file__).parent
+    script = ("import json, test_golden_identity as g\n"
+              "print(json.dumps(g.digests("
+              "g.DesignRequest(**g.THREE_DATAFLOWS))))")
+    path = str(here.parent / "src") + os.pathsep + os.environ.get(
+        "PYTHONPATH", "")
+    outputs = [json.loads(subprocess.run(
+        [sys.executable, "-c", script], cwd=here, capture_output=True,
+        text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout)
+        for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":
