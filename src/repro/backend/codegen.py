@@ -500,7 +500,8 @@ def _control_prev(fu: Coord, cv: tuple[int, ...]) -> tuple[Coord, int] | None:
 
 def compute_liveness(design: Design) -> None:
     """Mark, per dataflow, the nodes and edges on an active path (used by
-    delay matching, pin-reuse liveness and power gating).
+    delay matching, the cycle simulator, the energy model and power
+    gating).
 
     Must be re-run after any pass that mutates the DAG topology.
     """

@@ -3,8 +3,12 @@ bit-width inference and power gating, plus the canonical pass pipeline.
 
 The pipeline order matters: widths must be known before delay matching
 (register cost is bits, Eq. 11); reduction extraction must precede
-rewiring (it removes adder chains the LP would otherwise pipeline); pin
-reuse runs after extraction; power gating is last (it only annotates).
+rewiring (it removes adder chains the LP would otherwise pipeline); power
+gating is last (it only annotates).
+
+§V-C pin reuse (Fig. 9) has no pass here: reduction extraction makes
+every pin of a reducer live in the same dataflows, so no reducer ever has
+pins that two dataflows could share.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 from .codegen import Design, compute_liveness
 from .delay_matching import delay_match
-from .pin_reuse import reuse_pins
 from .primitives import MAX_WIDTH
 from .reduction import extract_reduction_trees
 from .rewiring import run_rewiring
@@ -22,30 +25,30 @@ from .rewiring import run_rewiring
 __all__ = ["BackendOptions", "infer_bitwidths", "power_gate", "run_backend"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BackendOptions:
     """Which optional §V optimizations to run.  Delay matching itself is
     mandatory (the design does not meet timing without it, Fig. 10).
+    Keyword-only, so a field added or removed never shifts the meaning
+    of another.
 
     ``emit_testbench`` is an *emission-phase* knob, not a scheduling
     one: families with companion self-checking testbench artifacts
     (``hls_c`` today) skip them when it is False, so bulk sweeps only
     pay for the kernel.  It does not affect the scheduled design and is
-    excluded from the design-phase cache key; the default (True) is
-    omitted from a request's canonical form so pre-existing cache
-    hashes survive the upgrade.
+    excluded from the design-phase cache key.
     """
 
     reduction_tree: bool = True
     rewiring: bool = True
-    pin_reuse: bool = True
     power_gating: bool = True
     emit_testbench: bool = True
 
     @staticmethod
     def baseline() -> "BackendOptions":
         """Delay matching only — the Fig. 10/13/14 comparison baseline."""
-        return BackendOptions(False, False, False, False)
+        return BackendOptions(reduction_tree=False, rewiring=False,
+                              power_gating=False)
 
 
 def infer_bitwidths(design: Design) -> dict[str, int]:
@@ -149,9 +152,6 @@ def run_backend(design: Design,
         report["rewiring"] = run_rewiring(design)
     else:
         report["delay_matching"] = delay_match(design)
-
-    if options.pin_reuse:
-        report["pin_reuse"] = reuse_pins(design)
 
     if options.power_gating:
         report["power_gating"] = power_gate(design)

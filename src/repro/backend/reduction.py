@@ -12,8 +12,11 @@ plus a zero partial, committing per FU).  Extraction handles that by
 bypassing: consumers of a chain adder under a standalone dataflow are
 rewired straight to the adder's product input (a config mux arbitrates
 when the same consumer also takes the reduced sum under another
-dataflow).  The reducer records per-dataflow live pins, which §V-C's pin
-reusing then compacts.
+dataflow).  The reducer records which dataflows drive each pin
+(``pin_dataflows``, read by the simulators and ``hls_c``).  Every pin
+gets the same set — the dataflows that reduce along the whole chain —
+so §V-C's second half, pin reusing, never finds two dataflows driving
+different pins and is not implemented.
 """
 
 from __future__ import annotations

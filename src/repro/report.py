@@ -89,7 +89,7 @@ def design_summary(design: Design) -> str:
     out.write(dag_summary(design))
     if design.report:
         out.write("\npass report:\n")
-        for key in ("reduction", "rewiring", "pin_reuse", "power_gating",
+        for key in ("reduction", "rewiring", "power_gating",
                     "register_bits"):
             if key in design.report:
                 out.write(f"  {key}: {design.report[key]}\n")

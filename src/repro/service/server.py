@@ -1124,25 +1124,23 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         await server.start()
         if not quiet:
             print(server.banner(), flush=True)
+        # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
+        # queued jobs swept and journaled, the profiler and prober
+        # stopped.  Both cancel this task on the loop (asyncio.run does
+        # it for SIGINT), which ends serve_forever and runs stop() below.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         try:
             await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover — ctrl-C path
+        except asyncio.CancelledError:
             pass
         finally:
             await server.stop()
 
-    # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
-    # queued jobs swept and journaled, the profiler and prober stopped.
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         asyncio.run(main())
-    except KeyboardInterrupt:
+    except KeyboardInterrupt:  # pragma: no cover — ctrl-C path
         pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 def serve(port: int = 8731, quiet: bool = False,

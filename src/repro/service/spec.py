@@ -8,11 +8,9 @@ hash is the identity under which the cache stores the finished design,
 so two processes that build the same request always agree on the
 address.
 
-The ``backend`` field participates in the canonical hash, so the same
-design emitted by two families lives at two distinct cache addresses.
-The default family (``verilog``) is *omitted* from the canonical form:
-a verilog request hashes exactly as requests did before backends were
-pluggable, and pre-existing backend-less cache records load as verilog.
+Every field, the ``backend`` family included, participates in the
+canonical hash, so the same design emitted by two families lives at two
+distinct cache addresses.
 
 Besides the full spec hash, a request exposes **phase keys** for the
 staged cold path (:func:`execute_request` with a cache):
@@ -137,26 +135,12 @@ class DesignRequest:
             options=BackendOptions(**data.get("options", {})),
             frontend=FrontendConfig(**data.get("frontend", {})),
             module=data.get("module", "lego_top"),
-            # Pre-multi-backend records carry no backend key: verilog.
             backend=data.get("backend", DEFAULT_BACKEND),
         )
 
     def canonical_json(self) -> str:
-        """Deterministic serialization — the hashed identity.
-
-        The default backend is omitted so verilog requests hash exactly
-        as they did before backends were pluggable (warm caches survive
-        the upgrade); any other family is hashed in, so cache entries
-        never collide across families.  Default-valued emission-only
-        options added since (``emit_testbench``) are likewise omitted,
-        keeping every pre-existing hash stable.
-        """
-        data = self.to_dict()
-        if data["backend"] == DEFAULT_BACKEND:
-            del data["backend"]
-        if data["options"].get("emit_testbench", True):
-            del data["options"]["emit_testbench"]
-        return canonical_dumps(data)
+        """Deterministic serialization — the hashed identity."""
+        return canonical_dumps(self.to_dict())
 
     def spec_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -168,7 +152,7 @@ class DesignRequest:
         del data["backend"]   # emission decisions only
         del data["module"]
         if with_options:
-            data["options"].pop("emit_testbench", None)
+            del data["options"]["emit_testbench"]
         else:
             del data["options"]  # backend passes happen after the ADG
         data["phase"] = phase
@@ -304,17 +288,11 @@ class DesignResult:
     @classmethod
     def from_record(cls, spec_hash: str, record: dict,
                     from_cache: bool = True) -> "DesignResult":
-        request = DesignRequest.from_dict(record["request"])
-        artifacts = record.get("artifacts")
-        if artifacts is None:
-            # Pre-multi-backend record: the single Verilog artifact.
-            artifacts = ({f"{request.module}.v": record["rtl"]}
-                         if record.get("rtl") else {})
         return cls(spec_hash=spec_hash,
-                   request=request,
+                   request=DesignRequest.from_dict(record["request"]),
                    design=record["design"],
                    rtl=record["rtl"],
-                   artifacts=artifacts,
+                   artifacts=record["artifacts"],
                    summary=record["summary"],
                    elapsed_s=record.get("elapsed_s", 0.0),
                    phases=record.get("phases", {}),

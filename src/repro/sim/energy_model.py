@@ -147,13 +147,9 @@ def _node_costs(design: Design, nid, tech: TechModel,
         energy = tech.adder_energy_per_bit * w
         return "fu_array", area, energy * ops_per_s * 1e-9
     if kind == "reducer":
-        n_pins = node.params.get("n_phys_pins",
-                                 node.params.get("n_inputs", 2))
-        n_mux = node.params.get("remap_muxes", 0)
-        area = (tech.adder_area_per_bit * w * max(n_pins - 1, 1)
-                + tech.mux_area_per_bit * w * n_mux)
-        energy = (tech.adder_energy_per_bit * w * max(n_pins - 1, 1)
-                  + tech.mux_energy_per_bit * w * n_mux)
+        adders = max(node.params.get("n_inputs", 2) - 1, 1)
+        area = tech.adder_area_per_bit * w * adders
+        energy = tech.adder_energy_per_bit * w * adders
         return "fu_array", area, energy * ops_per_s * 1e-9
     if kind == "mux":
         n_in = max(node.params.get("n_inputs", len(ins)), 1)

@@ -1,14 +1,12 @@
 """The solver dependency: the one module under ``repro`` that imports scipy.
 
 HiGHS (through ``scipy.optimize``; the paper uses HiGHS too) solves the
-three optimisation problems of the flow:
+two optimisation problems of the flow:
 
 * ``repro.core.interconnect._minimize_scalar_delay`` — the nullspace ILP
   of the delay-interconnection analysis (§IV-A, Eq. 7);
 * ``repro.backend.delay_matching.delay_match`` — the delay-matching LP
-  (§V-A, Eq. 10/11);
-* ``repro.backend.pin_reuse.solve_pin_mapping`` — the reducer pin-reuse
-  0-1 ILP (§V-C, Fig. 9).
+  (§V-A, Eq. 10/11).
 
 ``scipy.optimize`` costs ~0.7 s and ~45 MB to import, several times the
 rest of the package together, and most processes that import ``repro``
@@ -32,9 +30,8 @@ except ImportError as exc:
         "repro cannot solve without scipy, a declared requirement "
         "(pyproject.toml: dependencies = [\"numpy\", \"scipy\"]), and "
         f"importing it failed: {exc}.  It is needed by "
-        "repro.core.interconnect._minimize_scalar_delay (reuse ILP), "
-        "repro.backend.delay_matching.delay_match (delay-matching LP) "
-        "and repro.backend.pin_reuse.solve_pin_mapping (pin-reuse ILP); "
+        "repro.core.interconnect._minimize_scalar_delay (reuse ILP) and "
+        "repro.backend.delay_matching.delay_match (delay-matching LP); "
         "cache hits, the client subcommands, model evaluation and DSE "
         "run without it."
     ) from exc

@@ -1,5 +1,6 @@
 """Tests for the backend: DAG structure, codegen, and every §V pass."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,10 +10,10 @@ from repro.backend.codegen import AddrGenConfig, compute_liveness
 from repro.backend.dag import DAG
 from repro.backend.delay_matching import broadcast_sources, delay_match
 from repro.backend.passes import infer_bitwidths, power_gate
-from repro.backend.pin_reuse import solve_pin_mapping
 from repro.backend.reduction import extract_reduction_trees, find_chains
 from repro.core import kernels
 from repro.core.frontend import build_adg
+from repro.service.spec import DesignRequest
 
 
 def _design(workload=None, kind="KJ", p=4, systolic=True, optimize=False):
@@ -229,25 +230,39 @@ class TestReduction:
         assert stats["chains_extracted"] == 0
 
 
-class TestPinReuse:
-    def test_fig9_example(self):
-        """Fig. 9: pins {A,B}, {A,C}, {B,C} over three dataflows fit in
-        two physical pins."""
-        live = {"df1": {0, 1}, "df2": {0, 2}, "df3": {1, 2}}
-        assignment, n_phys = solve_pin_mapping(live)
-        assert n_phys == 2
-        for k, pins in live.items():
-            used = {assignment[(i, k)] for i in pins}
-            assert len(used) == len(pins)  # no physical pin double-booked
+REDUCER_SWEEP = [
+    ("gemm", ("KJ",)), ("gemm", ("IJ",)), ("gemm", ("IK",)),
+    ("gemm", ("IJ", "KJ")), ("gemm", ("IJ", "IK", "KJ")),
+    ("conv2d", ("OHOW",)), ("conv2d", ("ICOC",)), ("conv2d", ("OHOW", "ICOC")),
+    ("mttkrp", ("IJ",)), ("mttkrp", ("KJ",)), ("mttkrp", ("IJ", "KJ")),
+    ("attention", ()),
+]
 
-    def test_single_dataflow_identity(self):
-        live = {"only": {0, 1, 2}}
-        assignment, n_phys = solve_pin_mapping(live)
-        assert n_phys == 3
 
-    def test_empty(self):
-        assignment, n_phys = solve_pin_mapping({})
-        assert n_phys == 0 and assignment == {}
+class TestReducerPinLiveness:
+    """§V-C pin reuse (Fig. 9) shares a reducer's physical pins between
+    dataflows that drive *different* pins.  Reduction extraction gives
+    every pin of a reducer the same dataflow set, so there is nothing to
+    share and the generator has no pin-reuse pass.  If this fails, some
+    reducer now has per-pin liveness and §V-C would save pins on it."""
+
+    def test_every_pin_is_live_in_the_same_dataflows(self):
+        reducers = 0
+        for kernel, dataflows in REDUCER_SWEEP:
+            for systolic in (True, False):
+                request = DesignRequest(kernel=kernel, dataflows=dataflows,
+                                        array=(3, 2), systolic=systolic)
+                design = generate(build_adg(request.build_dataflows()))
+                extract_reduction_trees(design)
+                for node in design.dag.nodes.values():
+                    if node.kind != "reducer":
+                        continue
+                    reducers += 1
+                    pins = node.params["pin_dataflows"]
+                    assert len(pins) == node.params["n_inputs"], request
+                    assert len({frozenset(d) for d in pins.values()}) == 1, \
+                        (request, pins)
+        assert reducers > 0, "the sweep no longer extracts any reducer"
 
 
 class TestPasses:
@@ -272,11 +287,17 @@ class TestPasses:
         design, _df = _design(systolic=False)
         run_backend(design)
         assert "register_bits" in design.report
-        assert "reduction" in design.report
-        assert "pin_reuse" in design.report
+        assert {"reduction", "rewiring", "power_gating"} <= set(design.report)
         assert design.report["register_bits"] >= 0
 
     def test_baseline_options(self):
-        opts = BackendOptions.baseline()
-        assert not (opts.reduction_tree or opts.rewiring or opts.pin_reuse
-                    or opts.power_gating)
+        """The baseline turns off exactly the three ablation passes."""
+        assert BackendOptions.baseline() == dataclasses.replace(
+            BackendOptions(), reduction_tree=False, rewiring=False,
+            power_gating=False)
+
+    def test_options_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            BackendOptions(True, True, True, True)
+        assert [f.name for f in dataclasses.fields(BackendOptions)] == [
+            "reduction_tree", "rewiring", "power_gating", "emit_testbench"]

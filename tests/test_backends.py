@@ -16,17 +16,16 @@ from repro.backends import (BackendFamily, backend_names, backends_info,
                             get_backend, register_backend)
 from repro.backends.hls_c import emit_hls_c, emit_hls_testbench
 from repro.service import BatchEngine, DesignCache
-from repro.service.spec import DesignRequest, DesignResult, execute_request
+from repro.service.spec import DesignRequest, execute_request
 
 TINY = dict(kernel="gemm", dataflows=("KJ",), array=(2, 2))
 #: Golden content hashes of the TINY request per family.  These pin the
-#: canonical form: the verilog hash must equal the pre-multi-backend
-#: hash (warm caches survive the upgrade), and the hls_c hash must
-#: differ (cache entries never collide across families).
-GOLDEN_VERILOG = ("dab32cbdb4efb6fa0bc714e96a71de9b"
-                  "b0e33143f4df5ccbbd4e16dfb64decaa")
-GOLDEN_HLS_C = ("3fe83fd6e9cb26ac42e43f888dacab0d"
-                "dcbf38777a153b5e6e18e8aa2cb67e17")
+#: canonical form (a change to it moves every cache address), and the
+#: two differ (cache entries never collide across families).
+GOLDEN_VERILOG = ("76f9403b318153ae9c28f7d580646622"
+                  "787319f6209d8be2477628d85a00ac23")
+GOLDEN_HLS_C = ("cb122fe82e93418e1fa24a9d5c448de0"
+                "9ce96a430ec590d8dca760e3b029c5f9")
 
 
 def _compiler():
@@ -98,13 +97,14 @@ class TestHashIsolation:
         assert DesignRequest(backend="hls_c",
                              **TINY).spec_hash() == GOLDEN_HLS_C
 
-    def test_default_backend_hashes_like_legacy(self):
-        """A verilog request's canonical form carries no backend key, so
-        its address equals the pre-multi-backend one."""
+    def test_canonical_form_is_the_whole_request(self):
+        """Defaults are hashed in like any other value: the canonical
+        form is ``to_dict()``, default family and options included."""
         request = DesignRequest(**TINY)
         canonical = json.loads(request.canonical_json())
-        assert "backend" not in canonical
-        assert "backend" in request.to_dict()
+        assert canonical == request.to_dict()
+        assert canonical["backend"] == "verilog"
+        assert canonical["options"]["emit_testbench"] is True
 
     def test_canonical_json_round_trips(self):
         request = DesignRequest(backend="hls_c", **TINY)
@@ -112,18 +112,6 @@ class TestHashIsolation:
             request.canonical_json()))
         assert clone == request
         assert clone.spec_hash() == request.spec_hash()
-
-    def test_legacy_record_loads_as_verilog(self):
-        """Pre-existing cache records (no backend, no artifacts) must
-        load as the verilog family with the RTL as sole artifact."""
-        legacy_request = DesignRequest(**TINY).to_dict()
-        del legacy_request["backend"]
-        record = {"request": legacy_request, "design": {}, "rtl": "module x;",
-                  "summary": "s", "elapsed_s": 0.1}
-        result = DesignResult.from_record("somehash", record)
-        assert result.request.backend == "verilog"
-        assert result.artifacts == {"lego_top.v": "module x;"}
-        assert result.request.spec_hash() == GOLDEN_VERILOG
 
     def test_warm_hit_never_crosses_families(self, tmp_path):
         engine = BatchEngine(cache=DesignCache(root=tmp_path / "cache"))

@@ -61,9 +61,9 @@ class TestBackendVariantsAgree:
 
     @pytest.mark.parametrize("options", [
         BackendOptions.baseline(),
-        BackendOptions(True, False, False, False),
-        BackendOptions(False, True, False, False),
-        BackendOptions(True, True, True, True),
+        BackendOptions(rewiring=False, power_gating=False),
+        BackendOptions(reduction_tree=False, power_gating=False),
+        BackendOptions(),
     ])
     def test_nonsystolic_gemm(self, options):
         wl = kernels.gemm(8, 8, 8)

@@ -66,10 +66,9 @@ def _geomean(values) -> float:
 
 SUITE_VARIANTS = {
     "baseline": BackendOptions.baseline(),
-    "+reduction": BackendOptions(True, False, False, False),
-    "+rewiring": BackendOptions(True, True, False, False),
-    "+pin_reuse": BackendOptions(True, True, True, False),
-    "full": BackendOptions(True, True, True, True),
+    "+reduction": BackendOptions(rewiring=False, power_gating=False),
+    "+rewiring": BackendOptions(power_gating=False),
+    "full": BackendOptions(),
 }
 
 
@@ -137,14 +136,16 @@ PAPER_FIG10_ENERGY = {
     "Attention": 2.8, "Conv2d-ICOC": 1.3, "Conv2d-MNICOC": 1.7,
     "Conv2d-OHOW": 1.1, "GEMM-IJ": 1.0, "GEMM-IK": 1.2, "GEMM-KJ": 1.2,
     "GEMM-MJ": 2.0, "MTTKRP-IJ": 1.0, "MTTKRP-KJ": 1.3, "MTTKRP-MJ": 1.4}
+NO_PIN_REUSE = ("§V-C pin reuse is not reproduced: reduction extraction "
+                "makes every pin of a reducer live in the same dataflows, "
+                "so no suite design has a pin to share")
 CAUSE_FIG10 = ("reduction extraction and rewiring save less than in the "
-               "paper, pin reuse saves no pin on any suite design, and "
-               "gating is not counted (every dataflow active)")
+               "paper, " + NO_PIN_REUSE + ", and gating is not counted "
+               "(every dataflow active)")
 CAUSE_FIG13 = ("reduction extraction and rewiring each remove less than the "
-               "paper's ~15 %, and pin reuse saves no pin on any suite "
-               "design")
+               "paper's ~15 %, and " + NO_PIN_REUSE)
 CAUSE_FIG14 = ("broadcast rewiring removes much less than the paper's ~12 %"
-               ", and pin reuse saves no pin on any suite design")
+               ", and " + NO_PIN_REUSE)
 CAUSE_BROADCAST_IJ = ("the suite builds IJ with broadcast operands "
                       "(systolic=False), which rewiring pipelines; the "
                       "paper reports no saving")
@@ -177,20 +178,20 @@ def _ablation(name: str, power: bool) -> dict[str, float]:
     each pass removes, in percent."""
     designs = suite_designs()
     pick = 1 if power else 0
-    base, red, rew, pin = (_fu_scope(designs[(name, v)])[pick] for v in (
-        "baseline", "+reduction", "+rewiring", "+pin_reuse"))
+    base, red, rew = (_fu_scope(designs[(name, v)])[pick] for v in (
+        "baseline", "+reduction", "+rewiring"))
     shares = {"reduction": (base - red) / base,
               "rewiring": (red - rew) / base,
-              "pin_reuse": (rew - pin) / base,
-              "total": (base - pin) / base}
+              "pin_reuse": 0.0,     # nothing to share: see NO_PIN_REUSE
+              "total": (base - rew) / base}
     if power:
         # Power gating: the full design with one dataflow active; ungated
         # idle paths would still toggle.
         full = designs[(name, "full")]
         gated = _fu_scope(full, active_dataflow=next(iter(full.configs)))[1]
-        shares["gating"] = (max(0.0, (pin - gated) / base)
+        shares["gating"] = (max(0.0, (rew - gated) / base)
                             if len(full.configs) > 1 else 0.0)
-        shares["total"] = (base - min(pin, gated)) / base
+        shares["total"] = (base - min(rew, gated)) / base
     return {k: 100 * v for k, v in shares.items()}
 
 
@@ -201,7 +202,8 @@ def _ablation_rows(figure: str, power: bool, paper_avg: float, cause: str):
         kept.append(1 - shares["total"] / 100)
         for part, pct in shares.items():
             rows.append(_row(f"{figure}/{name}/{part}_pct", pct, None,
-                             UNPRINTED))
+                             NO_PIN_REUSE if part == "pin_reuse"
+                             else UNPRINTED))
     saving = 100 * (1 - _geomean(max(1e-9, k) for k in kept))
     rows.append(_row(f"{figure}/geomean/saving_pct", saving, paper_avg,
                      cause))
@@ -529,8 +531,7 @@ def _logic_bits(design) -> int:
             bits += (ins[0] * ins[1]) if len(ins) >= 2 else node.width ** 2
         elif node.kind == "reducer":
             bits += node.width * max(
-                node.params.get("n_phys_pins",
-                                node.params.get("n_inputs", 2)) - 1, 1)
+                node.params.get("n_inputs", 2) - 1, 1)
         elif node.kind == "mux":
             bits += node.width * max(node.params.get("n_inputs", 1) - 1, 0)
         elif node.kind in ("addrgen", "ctrl"):
@@ -621,8 +622,7 @@ def _fpga_resources(design) -> tuple[int, int]:
             lut += (ins[0] * ins[1] / 2) if len(ins) >= 2 else node.width
         elif node.kind == "reducer":
             lut += node.width * max(
-                node.params.get("n_phys_pins",
-                                node.params.get("n_inputs", 2)) - 1, 1)
+                node.params.get("n_inputs", 2) - 1, 1)
         elif node.kind == "mux":
             lut += node.width * max(node.params.get("n_inputs", 1) - 1, 0) / 2
         elif node.kind in ("addrgen", "ctrl"):

@@ -215,7 +215,7 @@ class TestForkPoolInheritsTheSolver:
 
 class TestMissingScipy:
     SITES = ("scipy", "pyproject.toml", "_minimize_scalar_delay",
-             "delay_match", "solve_pin_mapping")
+             "delay_match")
 
     def test_fails_the_request_not_the_process(self):
         """Without scipy, ``import repro`` and everything that does not

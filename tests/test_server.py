@@ -83,6 +83,14 @@ class TestGenerate:
         assert err.value.status == 400
         assert "kernal" in str(err.value)
 
+    def test_removed_option_400(self, client):
+        """A body written for an older option set is a client error
+        that names the field, not a failed job or a 500."""
+        with pytest.raises(ServiceError) as err:
+            client.generate(dict(TINY, options={"pin_reuse": False}))
+        assert err.value.status == 400
+        assert "pin_reuse" in str(err.value)
+
     def test_health(self, client):
         health = client.health()
         assert health["ok"] and health["cache"]["root"]

@@ -63,15 +63,6 @@ class TestPhaseKeys:
         assert base.spec_hash() != lean.spec_hash()
         assert base.design_key() == lean.design_key()
 
-    def test_spec_hash_backward_compatible(self):
-        """Adding emit_testbench must not move any pre-existing cache
-        address: the default value is omitted from the canonical form."""
-        request = DesignRequest(**TINY)
-        assert "emit_testbench" not in request.canonical_json()
-        lean = DesignRequest(
-            options=BackendOptions(emit_testbench=False), **TINY)
-        assert "emit_testbench" in lean.canonical_json()
-
     def test_sim_key_tracks_dataflow(self):
         request = DesignRequest(**TINY)
         assert request.sim_key("GEMM-KJ") != request.sim_key("GEMM-IJ")

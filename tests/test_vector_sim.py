@@ -113,8 +113,8 @@ class TestFusedAndVariants:
 
     @pytest.mark.parametrize("options", [
         BackendOptions.baseline(),
-        BackendOptions(True, False, False, False),
-        BackendOptions(True, True, True, True),
+        BackendOptions(rewiring=False, power_gating=False),
+        BackendOptions(),
     ])
     def test_backend_option_variants(self, options):
         wl = kernels.gemm(8, 8, 8)
