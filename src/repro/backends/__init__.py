@@ -13,9 +13,10 @@ A family implements the :class:`BackendFamily` protocol:
     registry key; also the value of ``DesignRequest.backend`` and part
     of the request's content hash (so cache entries never collide
     across families).
-``emit(design, module_name=...)``
+``emit(design, module_name=..., context=None)``
     finished design -> ``{artifact filename: text}``.  The first entry
-    is the *primary* artifact (what ``repro generate -o`` writes).
+    is the *primary* artifact (what ``repro generate -o`` writes);
+    *context* is the staged pipeline's :class:`EmitContext`.
 ``validate(options)``
     reject a :class:`~repro.backend.passes.BackendOptions` the family
     cannot honour; called at request-construction time so bad requests
@@ -34,7 +35,6 @@ package is imported.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, fields
 from typing import Protocol, runtime_checkable
 
@@ -42,9 +42,8 @@ __all__ = ["BackendFamily", "EmitContext", "register_backend",
            "get_backend", "backend_names", "backends_info",
            "options_schema", "emit_artifacts", "DEFAULT_BACKEND"]
 
-#: The family a request names when it does not say otherwise.  Requests
-#: for this family hash identically to pre-multi-backend requests, so a
-#: warm cache survives the upgrade (see ``DesignRequest.canonical_json``).
+#: The family a request names when it does not say otherwise (hashed
+#: into the request like any other family).
 DEFAULT_BACKEND = "verilog"
 
 
@@ -60,17 +59,16 @@ class BackendFamily(Protocol):
     def validate(self, options) -> None:
         """Raise ``ValueError`` if *options* cannot be honoured."""
 
-    def emit(self, design, module_name: str = "lego_top") -> dict[str, str]:
+    def emit(self, design, module_name: str = "lego_top",
+             context: EmitContext | None = None) -> dict[str, str]:
         """Lower *design* to ``{filename: text}``; first key is primary."""
 
 
 @dataclass
 class EmitContext:
-    """What the staged pipeline offers a family at emission time.
-
-    Families that declare a ``context`` keyword on ``emit`` receive one
-    (see :func:`emit_artifacts`); families that don't are called exactly
-    as before, so third-party families keep working unchanged.
+    """What the staged pipeline offers a family at emission time: every
+    family's ``emit`` receives one as its ``context`` keyword (``None``
+    outside the staged pipeline).
 
     ``request`` carries the emission-phase knobs
     (``options.emit_testbench``); ``cache`` and the phase keys let a
@@ -131,16 +129,8 @@ class EmitContext:
 def emit_artifacts(family: BackendFamily, design,
                    module_name: str = "lego_top",
                    context: EmitContext | None = None) -> dict[str, str]:
-    """Emit through *family*, passing the staged-pipeline *context* to
-    families that accept it (those declaring a ``context`` keyword)."""
-    try:
-        accepts = "context" in inspect.signature(family.emit).parameters
-    except (TypeError, ValueError):  # pragma: no cover — C callables
-        accepts = False
-    if accepts:
-        return family.emit(design, module_name=module_name,
-                           context=context)
-    return family.emit(design, module_name=module_name)
+    """Emit through *family* with the staged-pipeline *context*."""
+    return family.emit(design, module_name=module_name, context=context)
 
 
 _REGISTRY: dict[str, BackendFamily] = {}

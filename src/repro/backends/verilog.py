@@ -28,7 +28,8 @@ class VerilogFamily:
             raise ValueError(f"verilog backend expects BackendOptions, "
                              f"got {type(options).__name__}")
 
-    def emit(self, design, module_name: str = "lego_top") -> dict[str, str]:
+    def emit(self, design, module_name: str = "lego_top",
+             context=None) -> dict[str, str]:
         from ..backend.verilog import emit_verilog
 
         return {f"{module_name}.v": emit_verilog(design,

@@ -29,6 +29,12 @@ Commands
 ``top``        live auto-refreshing terminal dashboard of a running
                server or fleet (rates, latency quantiles, cache tiers,
                jobs, backend health).
+
+``generate``, ``batch`` and ``explore`` print the same report whether
+they run in-process or against a service with ``--url``: both paths
+produce the same result records (``DesignResult.to_json``,
+``SearchResult.to_json``) and one renderer prints them.  A flag that
+only means something in this process exits 2 under ``--url``.
 """
 
 from __future__ import annotations
@@ -114,14 +120,19 @@ def _write_artifacts(output: str, request, rtl: str,
         print(f"wrote companion artifact {side}")
 
 
-def _export_trace_arg(args: argparse.Namespace, trace_id: str) -> None:
-    """Honour a ``--trace-out`` flag: write everything the tracer
-    buffered (pool-worker spans included) as Perfetto-loadable JSON."""
-    if not getattr(args, "trace_out", None):
+def _export_trace_arg(args: argparse.Namespace, trace_id: str,
+                      client=None) -> None:
+    """Honour a ``--trace-out`` flag: write the run's spans as
+    Perfetto-loadable JSON — everything this process's tracer buffered
+    (pool-worker spans included), or with *client* the service's spans
+    of *trace_id*."""
+    if not args.trace_out:
         return
     from .obs import export_chrome_trace
 
-    count = export_chrome_trace(args.trace_out)
+    events = (client.trace(trace_id=trace_id)["traceEvents"]
+              if client is not None else None)
+    count = export_chrome_trace(args.trace_out, events)
     print(f"wrote {count} trace events (trace_id {trace_id}) to "
           f"{args.trace_out}")
 
@@ -143,61 +154,64 @@ def _remote_failed(what: str, url: str, exc: BaseException) -> int:
     return 1
 
 
-def _cmd_generate_remote(args: argparse.Namespace) -> int:
-    from .service.client import ServiceError
-
-    if args.topology:
-        print("--topology needs the in-process frontend; drop --url",
-              file=sys.stderr)
-        return 2
-    request = _request_from_args(args)
-    try:
-        with _service_client(args) as client:
-            result = client.generate(request.to_dict(),
-                                     include_rtl=bool(args.output))
-    except (ServiceError, OSError) as exc:
-        return _remote_failed("generate", args.url, exc)
-    if not result.get("ok"):
-        print(f"generation failed: {result.get('error')}",
-              file=sys.stderr)
-        return 1
-    print(result.get("summary", result.get("spec_hash", "")))
-    if result.get("from_cache"):
-        print(f"(cache hit {result['spec_hash'][:12]})")
-    if args.output:
-        _write_artifacts(args.output, request, result.get("rtl") or "",
-                         result.get("artifacts") or {})
+def _refuse_local_flags(args: argparse.Namespace, *flags) -> int:
+    """Under ``--url``, a flag that only means something in this
+    process exits 2 naming itself; *flags* are ``(flag, given, why)``
+    rows added to the shared cache flags."""
+    own = "sets this process's design cache (the service uses its own)"
+    for flag, given, why in (("--cache-dir", args.cache_dir, own),
+                             ("--no-cache", args.no_cache, own), *flags):
+        if args.url and given:
+            print(f"{flag} {why}; drop --url or {flag}", file=sys.stderr)
+            return 2
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .obs import new_trace_id, trace_context
-    from .report import render_topology
 
-    if args.url:
-        return _cmd_generate_remote(args)
+    if refused := _refuse_local_flags(
+            args, ("--topology", args.topology,
+                   "needs the in-process frontend")):
+        return refused
     request = _request_from_args(args)
+    include_rtl = bool(args.output)
+    # one trace id for the run, in-process or adopted by the service
     trace_id = new_trace_id()
-    with trace_context(trace_id):
-        result = _build_engine(args).submit(request)
-    _export_trace_arg(args, trace_id)
-    if not result.ok:
-        print(f"generation failed: {result.error}", file=sys.stderr)
+    if args.url:
+        from .service.client import ServiceError
+
+        try:
+            with _service_client(args) as client, trace_context(trace_id):
+                record = client.generate(request.to_dict(),
+                                         include_rtl=include_rtl)
+                _export_trace_arg(args, trace_id, client)
+        except (ServiceError, OSError) as exc:
+            return _remote_failed("generate", args.url, exc)
+    else:
+        with trace_context(trace_id):
+            record = _build_engine(args).submit(request).to_json(
+                include_rtl)
+        _export_trace_arg(args, trace_id)
+    if not record["ok"]:
+        print(f"generation failed: {record['error']}", file=sys.stderr)
         return 1
-    print(result.summary)
-    if result.from_cache:
-        print(f"(cache hit {result.spec_hash[:12]})")
+    print(record["summary"])
+    if record["from_cache"]:
+        print(f"(cache hit {record['spec_hash'][:12]})")
     if args.topology:
         # Topology rendering needs the live ADG; the frontend alone is
         # cheap, so rebuild it rather than fatten every cache record.
         from .core.frontend import build_adg
+        from .report import render_topology
+
         dfs = request.build_dataflows()
         adg = build_adg(dfs, request.frontend)
         for tensor in adg.tensor_names():
             print(render_topology(adg, tensor, dfs[0].name))
     if args.output:
-        _write_artifacts(args.output, request, result.rtl,
-                         result.artifacts)
+        _write_artifacts(args.output, request, record["rtl"],
+                         record["artifacts"])
     return 0
 
 
@@ -214,53 +228,59 @@ def _parse_array(text: str) -> tuple[int, int]:
     return shape
 
 
-def _cmd_batch_remote(args: argparse.Namespace,
-                      requests: list) -> int:
+def _print_plan(plan: dict | None) -> None:
+    from .service.engine import summarize_plan
+
+    # a fleet router that split the batch across shards merges no plan
+    print("plan: " + (summarize_plan(plan) if plan
+                      else "not reported (batch split across shards)"))
+
+
+def _print_progress(done: int, total: int, record: dict) -> None:
+    status = ("hit" if record["from_cache"]
+              else "ok" if record["ok"] else "FAIL")
+    print(f"  [{done}/{total}] {status:4s} "
+          f"{record['kernel']}-{'+'.join(record['dataflows'])}"
+          f" @{record['array'][0]}x{record['array'][1]}"
+          f"  {record['elapsed_s']:6.2f}s  {record['spec_hash'][:12]}")
+
+
+def _batch_remote(args: argparse.Namespace, client, requests) -> dict:
+    """Run the batch as a service job, printing what an in-process run
+    prints as its result events stream in; returns the final job."""
     from .service.client import ServiceError
 
-    if args.output_dir:
-        print("--output-dir needs the in-process engine (the service "
-              "returns result summaries, not artifact files); drop "
-              "--url or --output-dir", file=sys.stderr)
-        return 2
-    specs = [request.to_dict() for request in requests]
+    job = client.batch([r.to_dict() for r in requests],
+                       workers=args.workers)
+    shown = 0
     try:
-        with _service_client(args) as client:
-            job = client.batch(specs, workers=args.workers)
-            print(f"submitted job {job} ({len(specs)} requests) "
-                  f"to {args.url}")
-            final = None
-            try:
-                for event in client.stream(job):
-                    if event.get("event") == "result":
-                        record = event.get("result") or {}
-                        status = ("hit" if record.get("from_cache")
-                                  else "ok" if record.get("ok")
-                                  else "FAIL")
-                        print(f"  [{event.get('done', '?')}/{len(specs)}]"
-                              f" {status:4s} "
-                              f"{(record.get('spec_hash') or '')[:12]}")
-                    elif event.get("event") == "end":
-                        final = event.get("job")
-            except ServiceError:
-                # fleet fan-out jobs don't stream; poll them instead
-                final = None
-            if final is None:
-                final = client.wait(job, timeout=max(args.timeout, 600))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        return _remote_failed("batch", args.url, exc)
-    result = final.get("result") or {}
-    ok = result.get("ok", 0)
-    print(f"{ok}/{len(specs)} designs ok — job {job} "
-          f"{final.get('status')}")
-    return 0 if final.get("status") == "done" and ok == len(specs) else 1
+        for event in client.stream(job, checkpoint=False):
+            if event["event"] == "result":
+                if args.plan_summary and not shown:  # planned by now
+                    _print_plan(client.job(job, checkpoint=False)["plan"])
+                _print_progress(event["done"], event["total"],
+                                event["result"])
+                shown += 1
+    except ServiceError:
+        pass  # a router's fan-out jobs do not stream
+    final = client.wait(job, timeout=max(args.timeout, 600))
+    records = (final.get("result") or {}).get("results") or []
+    if args.plan_summary and not shown:
+        _print_plan(final.get("plan"))
+    for done, record in enumerate(records[shown:], shown + 1):
+        _print_progress(done, len(records), record)
+    return final
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import pathlib
+    import time
 
     from .service.spec import DesignRequest
 
+    if refused := _refuse_local_flags(
+            args, ("--output-dir", args.output_dir,
+                   "writes design files the service does not return")):
+        return refused
     try:
         if args.spec_file:
             with open(args.spec_file) as fh:
@@ -285,68 +305,71 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"invalid design request: {exc}", file=sys.stderr)
         return 2
 
-    if args.url:
-        return _cmd_batch_remote(args, requests)
-
-    engine = _build_engine(args)
-
-    def progress(done: int, total: int, result) -> None:
-        status = ("hit" if result.from_cache
-                  else "ok" if result.ok else "FAIL")
-        print(f"  [{done}/{total}] {status:4s} "
-              f"{result.request.kernel}-{'+'.join(result.request.dataflows)}"
-              f" @{result.request.array[0]}x{result.request.array[1]}"
-              f"  {result.elapsed_s:6.2f}s  {result.spec_hash[:12]}")
-
-    import time
-
     from .obs import new_trace_id, trace_context
 
-    if args.plan_summary:
-        print(f"plan: {engine.plan(requests).summary()}")
-
     trace_id = new_trace_id()
-    start = time.perf_counter()
-    with trace_context(trace_id):
-        results = engine.generate_many(requests, workers=args.workers,
-                                       progress=progress)
-    elapsed = max(time.perf_counter() - start, 1e-9)
-    _export_trace_arg(args, trace_id)
+    if args.url:
+        from .service.client import ServiceError
 
-    if args.output_dir:
-        out = pathlib.Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            if not result.ok:
-                continue
-            stem = result.spec_hash[:16]
-            for name, text in result.artifacts.items():
-                suffix = _artifact_suffix(name, result.request.module)
-                (out / f"{stem}{suffix}").write_text(text)
-            (out / f"{stem}.json").write_text(
-                json.dumps(result.design, indent=1))
-        print(f"wrote {sum(r.ok for r in results)} designs to {out}")
+        start = time.perf_counter()
+        try:
+            with _service_client(args) as client, trace_context(trace_id):
+                final = _batch_remote(args, client, requests)
+                elapsed = time.perf_counter() - start
+                _export_trace_arg(args, trace_id, client)
+        except (ServiceError, OSError, TimeoutError) as exc:
+            return _remote_failed("batch", args.url, exc)
+        if final["status"] != "done":
+            print(f"batch job {final['id']} ended {final['status']}: "
+                  f"{final.get('error')}", file=sys.stderr)
+            return 1
+        records, cache = final["result"]["results"], None
+    else:
+        engine = _build_engine(args)
+        if args.plan_summary:
+            _print_plan(engine.plan(requests).to_dict())
+        start = time.perf_counter()
+        with trace_context(trace_id):
+            results = engine.generate_many(
+                requests, workers=args.workers,
+                progress=lambda done, total, result: _print_progress(
+                    done, total, result.to_json()))
+        elapsed = time.perf_counter() - start
+        _export_trace_arg(args, trace_id)
+        records, cache = [r.to_json() for r in results], engine.cache
+        if args.output_dir:
+            out = pathlib.Path(args.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for result in (r for r in results if r.ok):
+                stem = result.spec_hash[:16]
+                for name, text in result.artifacts.items():
+                    suffix = _artifact_suffix(name, result.request.module)
+                    (out / f"{stem}{suffix}").write_text(text)
+                (out / f"{stem}.json").write_text(
+                    json.dumps(result.design, indent=1))
+            print(f"wrote {sum(r.ok for r in results)} designs to {out}")
 
-    ok = sum(r.ok for r in results)
-    hits = sum(r.from_cache for r in results)
-    print(f"{ok}/{len(results)} designs ok ({hits} from cache) in "
-          f"{elapsed:.2f}s — {len(results) / elapsed:.1f} designs/sec, "
+    elapsed = max(elapsed, 1e-9)
+    ok = sum(r["ok"] for r in records)
+    hits = sum(r["from_cache"] for r in records)
+    print(f"{ok}/{len(records)} designs ok ({hits} from cache) in "
+          f"{elapsed:.2f}s — {len(records) / elapsed:.1f} designs/sec, "
           f"workers={args.workers}")
-    if engine.cache is not None:
-        print(f"cache: {engine.cache.stats.as_dict()}")
-    for result in results:
-        if not result.ok:
-            print(f"  failed {result.spec_hash[:12]}: {result.error}",
-                  file=sys.stderr)
-            if args.show_traceback and result.traceback:
-                print(result.traceback, file=sys.stderr)
-    return 0 if ok == len(results) else 1
+    if cache is not None:
+        print(f"cache: {cache.stats.as_dict()}")
+    for record in records:
+        if not record["ok"]:
+            print(f"  failed {record['spec_hash'][:12]}: "
+                  f"{record['error']}", file=sys.stderr)
+            if args.show_traceback and record["traceback"]:
+                print(record["traceback"], file=sys.stderr)
+    return 0 if ok == len(records) else 1
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from .service.api import list_backends
+    from .backends import backends_info
 
-    families = list_backends()
+    families = backends_info()
     if args.names:
         for family in families:
             print(family["name"])
@@ -421,9 +444,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         with ServiceClient.from_url(args.url) as client:
             sys.stdout.write(client.metrics())
     else:
-        from .service.api import metrics_text
+        from .obs import get_registry
 
-        sys.stdout.write(metrics_text())
+        sys.stdout.write(get_registry().render())
     return 0
 
 
@@ -639,14 +662,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"entries    : {len(keys)}" +
               (f" ({breakdown})" if breakdown else ""))
         print(f"size       : {total_bytes / 1024:.1f} KiB")
-        # Per-tier hit/miss counters of *this process's* cache object —
-        # a long-lived process (server, notebook) sees its real traffic
-        # here; a fresh CLI invocation reports zeros.  `GET /healthz`
-        # serves the same breakdown for a running server.
-        for tier, counters in cache.stats.tiers().items():
-            line = "  ".join(f"{name}={value}"
-                             for name, value in counters.items())
-            print(f"tier {tier:7s}: {line}")
         return 0
     # list — peek() keeps the listing read-only (no LRU promotion, no
     # mtime refresh that would scramble the eviction order)
@@ -692,79 +707,66 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explore_remote(args: argparse.Namespace) -> int:
-    from .service.client import ServiceError
-
-    params: dict = {"strategy": args.strategy,
-                    "objective": args.objective, "seed": args.seed}
-    if args.max_evals is not None:
-        params["max_evals"] = args.max_evals
-    if args.area_budget is not None:
-        params["area_budget_mm2"] = args.area_budget
-    try:
-        with _service_client(args) as client:
-            job = client.explore(models=args.models, **params)
-            print(f"submitted job {job} to {args.url}")
-            final = client.wait(job, timeout=max(args.timeout, 600))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        return _remote_failed("explore", args.url, exc)
-    if final.get("status") != "done":
-        print(f"job {job} ended {final.get('status')}: "
-              f"{final.get('error')}", file=sys.stderr)
-        return 1
-    result = final.get("result") or {}
-    print(f"strategy {result.get('strategy')}: evaluated "
-          f"{result.get('points_evaluated')}/{result.get('space_size')} "
-          f"design points (cost {result.get('evals_used', 0):.2f} "
-          "full-model evals)")
-    best = result.get("best")
-    if not best:
-        print("no design point fits the area budget", file=sys.stderr)
-        return 1
-    arch = best.get("arch") or {}
-    print(f"best by {args.objective}: {arch.get('name')} "
-          f"({best.get('gops', 0):.1f} GOP/s, "
-          f"{best.get('gops_per_watt', 0):.0f} GOPS/W)")
-    return 0
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .dse.explorer import DesignSpace, pareto_front
-    from .dse.strategies import run_search
-    from .models import zoo
-    from .sim.perf_model import memo_info
-
+    if refused := _refuse_local_flags(
+            args, ("--workers", args.workers != 1,
+                   "sizes this process's pool (the service explores "
+                   "with its own workers)")):
+        return refused
     if args.url:
-        return _cmd_explore_remote(args)
-    engine = _build_engine(args)
-    models = [zoo.MODEL_BUILDERS[name]() for name in args.models]
-    result = run_search(models, DesignSpace(), strategy=args.strategy,
-                        objective=args.objective,
-                        area_budget_mm2=args.area_budget,
-                        workers=args.workers, cache=engine.cache,
-                        max_evals=args.max_evals, seed=args.seed)
-    points = result.points
-    front = pareto_front(points)
-    print(f"strategy {result.strategy}: evaluated "
-          f"{result.points_evaluated}/{result.space_size} design points "
-          f"(cost {result.evals_used:.2f} full-model evals)"
-          + (f", skipped {result.degenerate_skipped} degenerate"
-             if result.degenerate_skipped else ""))
-    memo = memo_info()
-    print(f"layer evaluations: {memo.misses} computed / "
-          f"{memo.hits + memo.misses} requested"
-          + (" (this process; pool workers keep their own count)"
-             if args.workers > 1 else ""))
-    print(f"Pareto frontier ({len(front)} of {len(points)} points):")
+        from .service.client import ServiceError
+
+        try:
+            with _service_client(args) as client:
+                job = client.explore(
+                    models=args.models, strategy=args.strategy,
+                    objective=args.objective, seed=args.seed,
+                    max_evals=args.max_evals,
+                    area_budget_mm2=args.area_budget)
+                final = client.wait(job, timeout=max(args.timeout, 600))
+        except (ServiceError, OSError, TimeoutError) as exc:
+            return _remote_failed("explore", args.url, exc)
+        if final["status"] != "done":
+            print(f"explore job {job} ended {final['status']}: "
+                  f"{final.get('error')}", file=sys.stderr)
+            return 1
+        record = final["result"]
+    else:
+        from .dse.explorer import DesignSpace
+        from .dse.strategies import run_search
+        from .models import zoo
+
+        engine = _build_engine(args)
+        models = [zoo.MODEL_BUILDERS[name]() for name in args.models]
+        record = run_search(
+            models, DesignSpace(), strategy=args.strategy,
+            objective=args.objective, area_budget_mm2=args.area_budget,
+            workers=args.workers, cache=engine.cache,
+            max_evals=args.max_evals, seed=args.seed).to_json()
+    print(f"strategy {record['strategy']}: evaluated "
+          f"{record['points_evaluated']}/{record['space_size']} design "
+          f"points (cost {record['evals_used']:.2f} full-model evals)"
+          + (f", skipped {record['degenerate_skipped']} degenerate"
+             if record["degenerate_skipped"] else ""))
+    if not args.url:
+        from .sim.perf_model import memo_info
+
+        memo = memo_info()
+        print(f"layer evaluations: {memo.misses} computed / "
+              f"{memo.hits + memo.misses} requested"
+              + (" (this process; pool workers keep their own count)"
+                 if args.workers > 1 else ""))
+    points = record["points"]
+    print(f"Pareto frontier ({len(record['pareto'])} of {len(points)} "
+          f"points):")
     print(f"{'design':28s}{'GOP/s':>9s}{'GOPS/W':>9s}{'EDP':>12s}")
-    for p in front:
-        print(f"{p.arch.name:28s}{p.gops:9.1f}{p.gops_per_watt:9.0f}"
-              f"{p.edp:12.3e}")
+    for p in record["pareto"]:
+        print(f"{p['arch']['name']:28s}{p['gops']:9.1f}"
+              f"{p['gops_per_watt']:9.0f}{p['edp']:12.3e}")
     if not points:
         print("no design point fits the area budget", file=sys.stderr)
         return 1
-    best = points[0]
-    print(f"\nbest by {args.objective}: {best.arch.name}")
+    print(f"\nbest by {args.objective}: {record['best']['arch']['name']}")
     return 0
 
 

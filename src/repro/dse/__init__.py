@@ -2,14 +2,13 @@
 
 from .checkpoint import (CHECKPOINT_FORMAT, SearchCheckpoint,
                          run_checkpointed, space_from_dict, space_to_dict)
-from .explorer import (DesignPoint, DesignSpace, explore, generate_winner,
-                       pareto_front)
+from .explorer import DesignPoint, DesignSpace, generate_winner, pareto_front
 from .strategies import (OBJECTIVES, STRATEGIES, Exhaustive, PointEvaluator,
                          SearchPaused, SearchResult, SearchStrategy,
                          SimulatedAnnealing, SuccessiveHalving, get_strategy,
                          run_search)
 
-__all__ = ["DesignPoint", "DesignSpace", "explore", "pareto_front",
+__all__ = ["DesignPoint", "DesignSpace", "pareto_front",
            "generate_winner",
            "OBJECTIVES", "STRATEGIES", "SearchStrategy", "SearchResult",
            "PointEvaluator", "Exhaustive", "SimulatedAnnealing",

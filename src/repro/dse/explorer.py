@@ -3,10 +3,11 @@
 LEGO is explicitly positioned to run *in series* with DSE frameworks
 (Timeloop, MAESTRO, NAAS, MAGNET): the DSE tool searches the architecture
 space using fast models, and LEGO generates the RTL of the winner.  This
-module provides that loop locally: an exhaustive/random explorer over
-array shapes, buffer sizes, and dataflow sets, scored with the same
-performance/energy models the rest of the reproduction uses, with a
-Pareto frontier and a one-call handoff to the generator.
+module holds that loop's space and results: the axes (array shapes,
+buffer sizes, dataflow sets) the strategies of :mod:`repro.dse.strategies`
+search, scored with the same performance/energy models the rest of the
+reproduction uses, the Pareto frontier, and a one-call handoff to the
+generator.
 
 The paper's closing §VI-B(f) data point — generating the Timeloop-searched
 Eyeriss-resource design cuts power 9% at equal latency — is reproduced by
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 from ..sim.perf_model import ArchPerf
 
-__all__ = ["DesignPoint", "DesignSpace", "explore", "pareto_front"]
+__all__ = ["DesignPoint", "DesignSpace", "pareto_front",
+           "generate_winner"]
 
 
 @dataclass(frozen=True)
@@ -83,40 +85,6 @@ class DesignSpace:
     def size(self) -> int:
         return (len(self.arrays) * len(self.buffer_kb)
                 * len(self.dram_gbps) * len(self.dataflow_sets))
-
-
-def explore(models, space: DesignSpace | None = None,
-            objective: str = "edp",
-            area_budget_mm2: float | None = None,
-            tech=None, workers: int = 1,
-            cache=None, strategy="exhaustive",
-            max_evals: int | None = None,
-            seed: int = 0) -> list[DesignPoint]:
-    """Search *space* on *models* (a list of zoo models); returns the
-    evaluated points sorted best-first by *objective*
-    (``edp`` | ``latency`` | ``energy`` | ``throughput``).
-
-    *strategy* picks the search policy — ``"exhaustive"`` (default,
-    every feasible point), ``"anneal"`` or ``"halving"``, or any
-    :class:`~repro.dse.strategies.SearchStrategy` instance — and
-    *max_evals* bounds the full-fidelity evaluation budget of the guided
-    strategies.  Degenerate points (zero cycles or energy) are skipped
-    rather than reported as bogus 1-watt designs.
-
-    Point evaluations route through the service engine: ``workers > 1``
-    fans them across a process pool, and passing a
-    :class:`~repro.service.cache.DesignCache` memoizes them so repeated
-    explorations (the LEGO-in-series-with-DSE loop) skip re-evaluation.
-    Use :func:`repro.dse.strategies.run_search` for the evals-used /
-    space-coverage accounting alongside the points.
-    """
-    from .strategies import run_search
-
-    return run_search(models, space, strategy=strategy,
-                      objective=objective,
-                      area_budget_mm2=area_budget_mm2, tech=tech,
-                      workers=workers, cache=cache, max_evals=max_evals,
-                      seed=seed).points
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:

@@ -31,7 +31,7 @@ evaluations are charged fairly:
 >>> get_strategy("anneal").name
 'anneal'
 
-Typical use goes through :func:`run_search` (or ``explore(strategy=)``):
+Typical use goes through :func:`run_search`:
 
 >>> from repro.dse.explorer import DesignSpace
 >>> from repro.models import zoo
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 from ..models.layers import Model
 from ..obs import get_registry, trace_span
-from .explorer import DesignPoint, DesignSpace
+from .explorer import DesignPoint, DesignSpace, pareto_front
 
 __all__ = [
     "OBJECTIVES", "PointEvaluator", "SearchPaused", "SearchResult",
@@ -286,6 +286,32 @@ class SearchResult:
     def best(self) -> DesignPoint | None:
         return self.points[0] if self.points else None
 
+    def to_json(self) -> dict:
+        """The result record: an ``/explore`` job's result, and what
+        ``repro explore`` prints from, in-process or over ``--url``
+        (``pareto`` is the latency/energy frontier of ``points``)."""
+        return {"strategy": self.strategy, "objective": self.objective,
+                "evals_used": self.evals_used,
+                "points_evaluated": self.points_evaluated,
+                "space_size": self.space_size,
+                "degenerate_skipped": self.degenerate_skipped,
+                "best": _point_to_json(self.best) if self.best else None,
+                "points": [_point_to_json(p) for p in self.points],
+                "pareto": [_point_to_json(p)
+                           for p in pareto_front(self.points)]}
+
+
+def _point_to_json(point: DesignPoint) -> dict:
+    arch = point.arch
+    return {"arch": {"name": arch.name, "array": list(arch.array),
+                     "buffer_kb": arch.buffer_kb,
+                     "dram_gbps": arch.dram_gbps,
+                     "freq_mhz": arch.freq_mhz,
+                     "dataflows": list(arch.dataflows)},
+            "gops": point.gops, "gops_per_watt": point.gops_per_watt,
+            "cycles": point.cycles, "energy_pj": point.energy_pj,
+            "edp": point.edp}
+
 
 class SearchStrategy:
     """Protocol for pluggable searches: implement :meth:`run`.
@@ -501,10 +527,18 @@ def run_search(models, space: DesignSpace | None = None,
                seed: int = 0,
                evaluator: PointEvaluator | None = None,
                rng: random.Random | None = None) -> SearchResult:
-    """Run one strategy over *space* and return the full
-    :class:`SearchResult` (points plus metered cost).  This is the rich
-    sibling of :func:`repro.dse.explorer.explore`, which returns only
-    the sorted point list.
+    """Search *space* on *models* (a list of zoo models) with one
+    strategy and return the :class:`SearchResult`: the evaluated points
+    sorted best-first by *objective* (``edp`` | ``latency`` | ``energy``
+    | ``throughput``) plus the metered cost.
+
+    *strategy* is ``"exhaustive"`` (every feasible point), ``"anneal"``,
+    ``"halving"`` or any :class:`SearchStrategy` instance; *max_evals*
+    bounds the guided strategies' full-fidelity budget.  ``workers > 1``
+    fans point evaluations across a process pool, and a
+    :class:`~repro.service.cache.DesignCache` *cache* memoizes them, so
+    repeated explorations (the LEGO-in-series-with-DSE loop) skip
+    re-evaluation.
 
     *evaluator*/*rng* inject a pre-built :class:`PointEvaluator` and RNG
     (the :mod:`repro.dse.checkpoint` resume hooks); when given, they

@@ -10,7 +10,7 @@ https://ui.perfetto.dev (or ``chrome://tracing``) and spans nest by
 timing per thread track.
 
 Request-scoped **trace IDs** ride a :mod:`contextvars` variable: the
-server (or ``api``) mints one per request (:func:`new_trace_id`), binds
+server (or the CLI) mints one per request (:func:`new_trace_id`), binds
 it with :func:`trace_context`, and every span recorded inside — on the
 event loop, on an executor thread that re-binds it, or in a pool worker
 that received it inside a pickled payload — carries it in ``args``, so

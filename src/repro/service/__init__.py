@@ -5,9 +5,9 @@ The generator is positioned to run *in series* with DSE frameworks
 over.  This subsystem memoizes the frontend→backend flow behind a
 canonical, hashable :class:`DesignRequest`, stores finished designs in a
 content-addressed :class:`DesignCache`, and fans batches of requests
-across a :class:`BatchEngine` worker pool.  The :mod:`repro.service.api`
-façade is the single entry point the CLI, the DSE explorer, and the
-benchmarks all route through.
+across a :class:`BatchEngine` worker pool.  Library users build their
+own engine — ``BatchEngine(cache=DesignCache())`` — exactly as the CLI
+does; ``repro serve`` puts one behind HTTP.
 """
 
 from .._lazy import lazy_exports
@@ -23,9 +23,6 @@ _EXPORTS = {
     "BatchEngine": ".engine", "BatchPlan": ".engine",
     "PlanGroup": ".engine", "evaluate_archs": ".engine",
     "requests_from_space": ".engine", "model_fingerprint": ".engine",
-    "get_engine": ".api", "submit": ".api", "generate_many": ".api",
-    "explore_cached": ".api", "cache_stats": ".api", "clear_cache": ".api",
-    "list_backends": ".api", "metrics_text": ".api", "export_trace": ".api",
     "DesignServer": ".server", "HttpServerBase": ".server",
     "ServerOnThread": ".server", "ServerThread": ".server",
     "serve": ".server",

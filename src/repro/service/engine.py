@@ -205,13 +205,15 @@ class BatchPlan:
                 "n_schedules": self.n_schedules,
                 "n_variants": self.n_variants}
 
-    def summary(self) -> str:
-        return (f"{self.n_requests} requests -> {self.n_unique} unique "
-                f"specs ({self.n_duplicates} in-batch duplicates), "
-                f"{self.n_cached} cached; {self.n_cold} cold in "
-                f"{self.n_schedules} design groups: "
-                f"{self.n_schedules} schedules + "
-                f"{self.n_variants} shared-design emits")
+
+def summarize_plan(plan: dict) -> str:
+    """One line of a :meth:`BatchPlan.to_dict` — in-process, or the
+    ``plan`` a ``/batch`` job reports (``repro batch --plan-summary``)."""
+    return ("{n_requests} requests -> {n_unique} unique specs "
+            "({n_duplicates} in-batch duplicates), {n_cached} cached; "
+            "{n_cold} cold in {n_schedules} design groups: "
+            "{n_schedules} schedules + {n_variants} shared-design emits"
+            .format(**plan))
 
 
 class BatchEngine:

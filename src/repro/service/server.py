@@ -237,47 +237,6 @@ def _request_from_body(data: dict) -> DesignRequest:
         raise _BadRequest(f"invalid design request: {exc}") from None
 
 
-def _result_to_json(result: DesignResult,
-                    include_rtl: bool = False) -> dict:
-    out = {"spec_hash": result.spec_hash,
-           "ok": result.ok,
-           "from_cache": result.from_cache,
-           "elapsed_s": result.elapsed_s,
-           "kernel": result.request.kernel,
-           "dataflows": list(result.request.dataflows),
-           "array": list(result.request.array),
-           "backend": result.request.backend,
-           "summary": result.summary,
-           "error": result.error,
-           "traceback": result.traceback}
-    if include_rtl:
-        out["rtl"] = result.rtl
-        out["artifacts"] = result.artifacts
-    return out
-
-
-def _point_to_json(point) -> dict:
-    arch = point.arch
-    return {"arch": {"name": arch.name, "array": list(arch.array),
-                     "buffer_kb": arch.buffer_kb,
-                     "dram_gbps": arch.dram_gbps,
-                     "freq_mhz": arch.freq_mhz,
-                     "dataflows": list(arch.dataflows)},
-            "gops": point.gops, "gops_per_watt": point.gops_per_watt,
-            "cycles": point.cycles, "energy_pj": point.energy_pj,
-            "edp": point.edp}
-
-
-def _search_result_to_json(result) -> dict:
-    return {"strategy": result.strategy, "objective": result.objective,
-            "evals_used": result.evals_used,
-            "points_evaluated": result.points_evaluated,
-            "space_size": result.space_size,
-            "degenerate_skipped": result.degenerate_skipped,
-            "best": _point_to_json(result.best) if result.best else None,
-            "points": [_point_to_json(p) for p in result.points]}
-
-
 class StreamPayload:
     """Marker payload: a handler that returns one of these switches
     the response to chunked ``application/x-ndjson`` streaming — one
@@ -856,17 +815,15 @@ class DesignServer(HttpServerBase):
             if record is not None:
                 _GENERATE_PATH.labels(path="event_loop").inc()
                 result = DesignResult.from_record(key, record)
-                return 200, dict(
-                    _result_to_json(result, include_rtl=include_rtl),
-                    trace_id=trace_id)
+                return 200, dict(result.to_json(include_rtl),
+                                 trace_id=trace_id)
         _GENERATE_PATH.labels(path="executor").inc()
         loop = asyncio.get_running_loop()
         # contextvars do not follow work into executor threads, so the
         # trace id rides along explicitly and is re-bound over there.
         result = await loop.run_in_executor(
             None, self._submit_traced, request, trace_id, parent_id)
-        return 200, dict(_result_to_json(result, include_rtl=include_rtl),
-                         trace_id=trace_id)
+        return 200, dict(result.to_json(include_rtl), trace_id=trace_id)
 
     def _submit_traced(self, request: DesignRequest, trace_id: str,
                        parent_id: str | None = None) -> DesignResult:
@@ -1018,8 +975,7 @@ class DesignServer(HttpServerBase):
                 # /jobs/<id>/stream readers see results as they land
                 # instead of waiting for the terminal summary.
                 job.emit({"event": "result", "done": done, "total": total,
-                          "result": _result_to_json(
-                              result, include_rtl=include_rtl)})
+                          "result": result.to_json(include_rtl)})
 
             # Job bodies run on executor threads, which never inherit
             # the submitting request's context — re-bind the job's
@@ -1036,8 +992,7 @@ class DesignServer(HttpServerBase):
                     requests, workers=job.params.get("workers"),
                     progress=progress)
             job.finish({
-                "results": [_result_to_json(r, include_rtl=include_rtl)
-                            for r in results],
+                "results": [r.to_json(include_rtl) for r in results],
                 "ok": sum(r.ok for r in results),
                 "from_cache": sum(r.from_cache for r in results),
                 "plan": job.plan,
@@ -1093,7 +1048,7 @@ class DesignServer(HttpServerBase):
                           "progress": snapshot.progress(),
                           "checkpoint": ckpt})
                 if result is not None:
-                    job.finish(_search_result_to_json(result))
+                    job.finish(result.to_json())
                     return
                 if job.pause_requested or self._closing.is_set():
                     job.mark_paused()

@@ -285,6 +285,26 @@ class DesignResult:
             "traceback": self.traceback,
         }
 
+    def to_json(self, include_rtl: bool = False) -> dict:
+        """The result record: the body of ``POST /generate``, each
+        result of a ``/batch`` job, and what ``repro generate``/``repro
+        batch`` print from, in-process or over ``--url``."""
+        out = {"spec_hash": self.spec_hash,
+               "ok": self.ok,
+               "from_cache": self.from_cache,
+               "elapsed_s": self.elapsed_s,
+               "kernel": self.request.kernel,
+               "dataflows": list(self.request.dataflows),
+               "array": list(self.request.array),
+               "backend": self.request.backend,
+               "summary": self.summary,
+               "error": self.error,
+               "traceback": self.traceback}
+        if include_rtl:
+            out["rtl"] = self.rtl
+            out["artifacts"] = self.artifacts
+        return out
+
     @classmethod
     def from_record(cls, spec_hash: str, record: dict,
                     from_cache: bool = True) -> "DesignResult":

@@ -21,6 +21,7 @@ from repro.obs import get_registry
 from repro.serialize import canonical_dumps
 from repro.service import (BatchEngine, BatchPlan, DesignCache,
                            ServerThread, ServiceClient)
+from repro.service.engine import summarize_plan
 from repro.service.spec import DesignRequest
 
 # Small scheduling-distinct designs (design_key varies with the array)
@@ -171,7 +172,7 @@ class TestDryRunPlan:
         assert d == {"n_requests": 4, "n_unique": 2, "n_duplicates": 2,
                      "n_cached": 0, "n_cold": 2, "n_schedules": 1,
                      "n_variants": 1}
-        text = plan.summary()
+        text = summarize_plan(d)
         assert "4 requests" in text and "1 design groups" in text
 
 

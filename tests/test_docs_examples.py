@@ -80,13 +80,9 @@ def test_readme_has_python_examples():
 
 
 @pytest.mark.parametrize("code", _python_fences())
-def test_python_fences_execute(code, tmp_path, capsys):
+def test_python_fences_execute(code, tmp_path, monkeypatch, capsys):
     """Every ```python fence in README/docs runs against the library
-    exactly as written (output redirected to a throwaway cache)."""
-    from repro.service import api
-
-    api.get_engine(cache_dir=tmp_path / "cache", reset=True)
-    try:
-        exec(compile(code, "<doc-fence>", "exec"), {"__name__": "__docs__"})
-    finally:
-        api.get_engine(reset=True)
+    exactly as written (a default ``DesignCache()`` lands in a
+    throwaway directory)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    exec(compile(code, "<doc-fence>", "exec"), {"__name__": "__docs__"})

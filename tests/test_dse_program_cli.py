@@ -10,8 +10,8 @@ from repro.backend.program import (compile_config, config_bytes,
 from repro.cli import main as cli_main
 from repro.core import kernels
 from repro.core.frontend import build_adg
-from repro.dse.explorer import (DesignSpace, explore, generate_winner,
-                                pareto_front)
+from repro.dse.explorer import DesignSpace, generate_winner, pareto_front
+from repro.dse.strategies import run_search
 from repro.models import zoo
 from repro.report import dag_summary, design_summary, render_topology
 
@@ -37,7 +37,7 @@ class TestDSE:
         space = DesignSpace(arrays=((8, 8), (16, 16)),
                             buffer_kb=(128.0, 256.0),
                             dataflow_sets=(("ICOC",), ("MN", "ICOC")))
-        return explore([zoo.lenet()], space)
+        return run_search([zoo.lenet()], space).points
 
     def test_explores_full_space(self, points):
         assert len(points) == 2 * 2 * 2
@@ -50,16 +50,16 @@ class TestDSE:
         space = DesignSpace(arrays=((8, 8),), buffer_kb=(128.0,),
                             dataflow_sets=(("ICOC",),))
         for objective in ("edp", "latency", "energy", "throughput"):
-            pts = explore([zoo.lenet()], space, objective=objective)
+            pts = run_search([zoo.lenet()], space, objective=objective).points
             assert len(pts) == 1
         with pytest.raises(ValueError, match="objective"):
-            explore([zoo.lenet()], space, objective="vibes")
+            run_search([zoo.lenet()], space, objective="vibes")
 
     def test_area_budget_screens(self):
         space = DesignSpace(arrays=((8, 8), (32, 32)), buffer_kb=(256.0,),
                             dataflow_sets=(("ICOC",),))
-        all_pts = explore([zoo.lenet()], space)
-        tight = explore([zoo.lenet()], space, area_budget_mm2=0.5)
+        all_pts = run_search([zoo.lenet()], space).points
+        tight = run_search([zoo.lenet()], space, area_budget_mm2=0.5).points
         assert len(tight) < len(all_pts)
 
     def test_pareto_front_dominance(self, points):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.dse import (STRATEGIES, DesignSpace, Exhaustive, PointEvaluator,
-                       SimulatedAnnealing, SuccessiveHalving, explore,
-                       get_strategy, run_search)
+                       SimulatedAnnealing, SuccessiveHalving, get_strategy,
+                       pareto_front, run_search)
 from repro.models import zoo
 from repro.models.layers import Model
 from repro.service.cache import DesignCache
@@ -55,10 +55,17 @@ class TestExhaustive:
         assert result.best is result.points[0]
 
     def test_explore_wrapper_unchanged(self):
-        points = explore([zoo.lenet()], SMALL)
-        assert len(points) == 8
-        assert [p.arch for p in points] == \
-            [p.arch for p in run_search([zoo.lenet()], SMALL).points]
+        """The record `repro explore` and `/explore` jobs wrap a search
+        in carries its points unchanged: same order, best first, plus
+        their Pareto frontier."""
+        result = run_search([zoo.lenet()], SMALL)
+        record = result.to_json()
+        assert [p["arch"]["name"] for p in record["points"]] == \
+            [p.arch.name for p in result.points]
+        assert record["best"] == record["points"][0]
+        assert [p["edp"] for p in record["pareto"]] == \
+            [p.edp for p in pareto_front(result.points)]
+        assert record["evals_used"] == result.evals_used == 8.0
 
 
 class TestSimulatedAnnealing:
@@ -150,7 +157,7 @@ class TestDegeneratePoints:
     def test_no_one_watt_fallback(self):
         # The old explorer reported degenerate points as 1 W / 0 GOPS
         # "designs" that won every EDP sort; they must be skipped now.
-        points = explore([Model("empty", ())], SMALL)
+        points = run_search([Model("empty", ())], SMALL).points
         assert points == []
 
 

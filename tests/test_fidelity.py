@@ -33,7 +33,8 @@ from repro.backend import BackendOptions, generate, run_backend
 from repro.core import kernels
 from repro.core.dataflow import Dataflow
 from repro.core.frontend import FrontendConfig, build_adg
-from repro.dse.explorer import DesignSpace, explore, generate_winner
+from repro.dse.explorer import DesignSpace, generate_winner
+from repro.dse.strategies import run_search
 from repro.models import zoo
 from repro.sim.energy_model import (FREEPDK45, TSMC28, evaluate_design,
                                     sram_model)
@@ -658,8 +659,8 @@ def sec6b_f():
     space = DesignSpace(arrays=((8, 8), (16, 16), (8, 16), (16, 8)),
                         buffer_kb=(108.0, 128.0, 192.0),
                         dataflow_sets=(("ICOC",), ("MN",), ("MN", "ICOC")))
-    points = explore([zoo.resnet50()], space, objective="latency",
-                     area_budget_mm2=10.0)
+    points = run_search([zoo.resnet50()], space, objective="latency",
+                        area_budget_mm2=10.0).points
     # The Eyeriss-style hand pick: output-spatial dataflow, 108 KB, 16x16.
     default = next(p for p in points
                    if p.arch.dataflows == ("MN",) and p.arch.array == (16, 16)

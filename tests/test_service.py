@@ -1,5 +1,5 @@
 """Tests for the design service: canonical specs, the content-addressed
-cache, the parallel batch engine, and the façade/CLI integration."""
+cache, the parallel batch engine, and the CLI integration."""
 
 import json
 import os
@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
-from repro.dse.explorer import DesignSpace, explore
+from repro.dse.explorer import DesignSpace
+from repro.dse.strategies import run_search
 from repro.models import zoo
 from repro.service import (BatchEngine, DesignCache, DesignRequest,
                            execute_request, requests_from_space)
@@ -293,16 +294,16 @@ class TestExplorerIntegration:
                         dataflow_sets=(("ICOC",), ("MN", "ICOC")))
 
     def test_parallel_explore_matches_serial(self):
-        serial = explore([zoo.lenet()], self.SPACE)
-        parallel = explore([zoo.lenet()], self.SPACE, workers=2)
+        serial = run_search([zoo.lenet()], self.SPACE).points
+        parallel = run_search([zoo.lenet()], self.SPACE, workers=2).points
         assert [(p.arch.name, p.cycles, p.energy_pj) for p in serial] == \
                [(p.arch.name, p.cycles, p.energy_pj) for p in parallel]
 
     def test_cached_explore_matches_and_hits(self, tmp_path):
         cache = DesignCache(root=tmp_path)
-        baseline = explore([zoo.lenet()], self.SPACE)
-        first = explore([zoo.lenet()], self.SPACE, cache=cache)
-        again = explore([zoo.lenet()], self.SPACE, cache=cache)
+        baseline = run_search([zoo.lenet()], self.SPACE).points
+        first = run_search([zoo.lenet()], self.SPACE, cache=cache).points
+        again = run_search([zoo.lenet()], self.SPACE, cache=cache).points
         n = self.SPACE.size()
         assert cache.stats.puts == n and cache.stats.hits == n
         for a, b, c in zip(baseline, first, again):
@@ -311,8 +312,8 @@ class TestExplorerIntegration:
 
     def test_eval_key_distinguishes_models(self, tmp_path):
         cache = DesignCache(root=tmp_path)
-        explore([zoo.lenet()], self.SPACE, cache=cache)
-        explore([zoo.alexnet()], self.SPACE, cache=cache)
+        run_search([zoo.lenet()], self.SPACE, cache=cache)
+        run_search([zoo.alexnet()], self.SPACE, cache=cache)
         assert cache.stats.puts == 2 * self.SPACE.size()
 
 
@@ -393,35 +394,8 @@ class TestServiceCLI:
 
 
 class TestFacade:
-    def test_submit_and_stats(self, tmp_path):
-        from repro.service import api
-        engine = api.get_engine(cache_dir=tmp_path / "cache")
-        result = api.submit(DesignRequest(array=(2, 2)))
-        assert result.ok
-        stats = api.cache_stats()
-        # finished record + scheduled-design phase intermediate
-        assert stats["disk_entries"] == 2 and stats["puts"] == 2
-        assert api.clear_cache() == 2
-        # Re-passing the same cache_dir keeps the warm engine ...
-        assert api.get_engine(cache_dir=tmp_path / "cache") is engine
-        api.get_engine(reset=True)  # detach from tmp_path
-        # ... a different one rebuilds it.
-        assert engine is not api.get_engine(cache_dir=tmp_path / "c2")
-
-    def test_explore_cached_facade(self, tmp_path):
-        from repro.service import api
-        api.get_engine(cache_dir=tmp_path / "cache")
-        space = DesignSpace(arrays=((8, 8),), buffer_kb=(128.0,),
-                            dataflow_sets=(("ICOC",),))
-        result = api.explore_cached([zoo.lenet()], space, workers=1)
-        assert len(result.points) == 1
-        assert result.strategy == "exhaustive"
-        assert result.evals_used == 1.0
-        # A warm re-run under a guided strategy is answered by the cache.
-        warm = api.explore_cached([zoo.lenet()], space, strategy="anneal",
-                                  max_evals=1)
-        assert warm.best.arch == result.best.arch
-        api.get_engine(reset=True)
+    """The library entry point below the engine: one request, no
+    engine, no cache."""
 
     def test_execute_request_direct(self):
         result = execute_request(DesignRequest(array=(2, 2)))
