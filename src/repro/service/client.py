@@ -127,18 +127,6 @@ class ServiceClient:
             raise ServiceError(status, {"error": text})
         return text
 
-    def roundtrip(self, method: str, path: str,
-                  body: dict | bytes | None = None,
-                  trace: str | None = None) -> tuple[int, bytes]:
-        """One raw round-trip: ``(status, response bytes)``, no error
-        raising, no JSON decoding.  *body* may be pre-encoded bytes —
-        the fleet router forwards request bodies verbatim through this
-        without paying a decode/encode cycle per hop; *trace* is an
-        explicit ``X-Repro-Trace`` value (the router computes it on the
-        event loop, then forwards from an executor thread where the
-        contextvars are no longer bound)."""
-        return self._roundtrip(method, path, body, trace=trace)
-
     def _new_connection(self) -> http.client.HTTPConnection:
         """Dial under *connect_timeout*, then rebind the socket to the
         read *timeout* — so a refused/blackholed backend fails fast
@@ -173,16 +161,10 @@ class ServiceClient:
         time.sleep(min(1.0, 0.02 * 2 ** attempt) * (0.5 + random.random()))
 
     def _roundtrip(self, method: str, path: str,
-                   body: dict | bytes | None,
-                   trace: str | None = None) -> tuple[int, bytes]:
-        if isinstance(body, bytes):
-            payload = body
-        else:
-            payload = (json.dumps(body).encode()
-                       if body is not None else None)
+                   body: dict | None) -> tuple[int, bytes]:
+        payload = json.dumps(body).encode() if body is not None else None
         headers = {"Content-Type": "application/json"}
-        if trace is None:
-            trace = format_trace_header()  # bound trace id, if any
+        trace = format_trace_header()  # bound trace id, if any
         if trace is not None:
             headers[TRACE_HEADER] = trace
         # Non-GETs keep the historical two attempts (the second only

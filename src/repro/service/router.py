@@ -13,12 +13,12 @@ the backend owning the spec-hash prefix, ``any`` rows round-robin over
 the live backends, ``tagged`` rows follow a job id's ``s<shard>.`` tag,
 ``merged`` rows fan a ``GET`` to every backend and fold the answers
 with the router's own, ``local`` rows concern the router process
-itself.  Two things the table does not say: the router memoizes raw
-``/generate`` body → shard in a bounded LRU, so a warm repeat costs a
-dict lookup plus a byte-for-byte proxied round-trip on an executor
-thread, with no JSON work on the event loop; and every write-path
-forward runs under a ``proxy:<path>`` span whose id rides to the
-backend in ``X-Repro-Trace``, so the merged ``/trace`` links the hops.
+itself.  Forwards run on the event loop over pooled keep-alive
+connections (only ``/jobs/<id>/stream`` pumps on a thread); a warm
+``/generate`` costs a raw-body → shard LRU hit plus a byte-for-byte
+forward, with no JSON work; and every write-path forward runs under a
+``proxy:<path>`` span whose id rides to the backend in
+``X-Repro-Trace``, so the merged ``/trace`` links the hops.
 
 Fault tolerance (``--replicas N``): each hash-prefix range gets a
 **replica group** of N consecutive backends (a static map; the cache
@@ -48,11 +48,9 @@ router restarts only forget fan ids — the underlying per-shard jobs
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import http.client
 import itertools
 import json
-import queue as queue_module
 import re
 import secrets
 import threading
@@ -60,10 +58,10 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs import (DEFAULT_HZ, MetricsRegistry, Profile, current_span_id,
-                   current_trace_id, format_trace_header, get_registry,
-                   new_trace_id, refresh_trace_metrics, setup_logging,
-                   trace_context, trace_span)
+from ..obs import (DEFAULT_HZ, TRACE_HEADER, MetricsRegistry, Profile,
+                   current_span_id, current_trace_id, format_trace_header,
+                   get_registry, new_trace_id, refresh_trace_metrics,
+                   setup_logging, trace_context, trace_span)
 from .client import ServiceClient, ServiceError
 from .faults import get_faults
 from .health import FleetHealth, backoff_delays, classify_error
@@ -84,45 +82,42 @@ _ROUTER_RETRIES = get_registry().counter(
     "previous attempt", ("reason",))
 
 
-class _ClientPool:
-    """A small free-list of persistent :class:`ServiceClient`
-    connections to one backend (clients are not thread-safe, so each
-    forwarding thread borrows one at a time)."""
-
-    def __init__(self, url: str, timeout: float):
-        self.url = url
-        self.timeout = timeout
-        self._lock = threading.Lock()
-        self._idle: list[ServiceClient] = []
-
-    @contextlib.contextmanager
-    def client(self):
-        with self._lock:
-            client = self._idle.pop() if self._idle else None
-        if client is None:
-            # retries=0: the router's failover loop owns retry policy —
-            # a pooled client must report a transport failure after one
-            # attempt (plus the stale-keep-alive resend), not sit in its
-            # own backoff.  The bounded connect budget makes a
-            # blackholed backend fail fast instead of eating the whole
-            # read timeout.
-            client = ServiceClient.from_url(
-                self.url, timeout=self.timeout,
-                connect_timeout=min(5.0, self.timeout), retries=0)
-        try:
-            yield client
-        except BaseException:
-            client.close()
-            raise
-        else:
-            with self._lock:
-                self._idle.append(client)
+async def _read_response(reader) -> tuple[int, bytes, bool]:
+    """``(status, body, keep-alive)`` of one backend response (read to
+    EOF without ``Content-Length``), failing as :mod:`http.client`
+    would, so :func:`classify_error` names each failure alike."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response") from None
+        head = exc.partial
+    except asyncio.LimitOverrunError:
+        raise http.client.LineTooLong("response head") from None
+    lines = head.split(b"\r\n")
+    parts = lines[0].split(None, 2)
+    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+            or len(parts[1]) != 3 or not parts[1].isdigit()):
+        raise http.client.BadStatusLine(repr(lines[0]))
+    fields = dict(line.lower().partition(b":")[::2] for line in lines[1:])
+    length = fields.get(b"content-length", b"").strip()
+    if not head.endswith(b"\r\n\r\n") or length and not length.isdigit():
+        raise http.client.IncompleteRead(head)
+    if not length:
+        return int(parts[1]), await reader.read(), False
+    try:
+        body = await reader.readexactly(int(length))
+    except asyncio.IncompleteReadError as exc:
+        raise http.client.IncompleteRead(exc.partial) from None
+    return (int(parts[1]), body,
+            fields.get(b"connection", b"").strip() != b"close")
 
 
 class _ProxyStream(StreamPayload):
-    """Proxy one backend job stream through the router: a pump thread
-    consumes :meth:`ServiceClient.stream` and hands events to the
-    router's event loop through a bounded queue."""
+    """Proxy one backend job stream through the router: each event of
+    :meth:`ServiceClient.stream` (whose replay-then-follow resume
+    survives backend drops) is pulled on a stream-executor thread."""
 
     def __init__(self, router: "DesignRouter", index: int, job_id: str,
                  checkpoint: bool = True):
@@ -132,49 +127,23 @@ class _ProxyStream(StreamPayload):
         self.checkpoint = checkpoint
 
     async def events(self, closing: threading.Event):
-        events: queue_module.Queue = queue_module.Queue(maxsize=256)
-        stop = threading.Event()
-        done = object()
-
-        def put(item) -> bool:
-            while not stop.is_set():
-                try:
-                    events.put(item, timeout=0.25)
-                    return True
-                except queue_module.Full:
-                    continue
-            return False
-
-        def pump():
-            client = ServiceClient.from_url(
-                self.router.backends[self.index],
-                timeout=self.router.timeout)
-            try:
-                for event in client.stream(self.job_id,
-                                           checkpoint=self.checkpoint):
-                    if not put(event):
-                        return
-            except ServiceError as exc:
-                put({"event": "error", "error": str(exc)})
-            except OSError as exc:
-                put({"event": "error",
-                     "error": f"backend stream failed: {exc}"})
-            finally:
-                client.close()
-                put(done)
-
+        stream = ServiceClient.from_url(
+            self.router.backends[self.index],
+            timeout=self.router.timeout).stream(
+                self.job_id, checkpoint=self.checkpoint)
         loop = asyncio.get_running_loop()
-        pumping = loop.run_in_executor(self.router._forward_executor,
-                                       pump)
+        done, pull = object(), None
         try:
-            while True:
+            while not closing.is_set():
+                pull = loop.run_in_executor(self.router._stream_executor,
+                                            next, stream, done)
                 try:
-                    event = events.get_nowait()
-                except queue_module.Empty:
-                    if closing.is_set():
-                        break
-                    await asyncio.sleep(0.02)
-                    continue
+                    event = await pull
+                except ServiceError as exc:
+                    event = {"event": "error", "error": str(exc)}
+                except OSError as exc:
+                    event = {"event": "error",
+                             "error": f"backend stream failed: {exc}"}
                 if event is done:
                     break
                 if (event.get("event") == "end"
@@ -186,10 +155,11 @@ class _ProxyStream(StreamPayload):
                     event = dict(event, job=job)
                 yield event
         finally:
-            # Unblock (and retire) the pump thread if the downstream
-            # client abandoned the stream early.
-            stop.set()
-            pumping.cancel()
+            # the downstream client left (or the router is closing):
+            # close the backend stream unless a thread may still be in
+            # it (a cancelled pull); then it closes when collected
+            if pull is None or pull.done() and not pull.cancelled():
+                stream.close()
 
 
 class DesignRouter(HttpServerBase):
@@ -222,12 +192,14 @@ class DesignRouter(HttpServerBase):
         self.health = FleetHealth(urls,
                                   probe_interval_s=probe_interval_s,
                                   threshold=breaker_threshold)
-        self._pools = [_ClientPool(u, timeout) for u in urls]
-        # Forwarding happens on threads (http.client is blocking): size
-        # the pool so a slow backend can't starve the others.
-        self._forward_executor = ThreadPoolExecutor(
+        self._addrs = [(c.host, c.port)
+                       for c in map(ServiceClient.from_url, urls)]
+        #: idle keep-alive ``(reader, writer)`` pairs per backend
+        self._idle: list[list] = [[] for _ in urls]
+        #: the one executor: proxied job streams (forwards run on the loop)
+        self._stream_executor = ThreadPoolExecutor(
             max_workers=max(16, 8 * len(urls)),
-            thread_name_prefix="repro-route")
+            thread_name_prefix="repro-route-stream")
         #: raw /generate body -> shard index (bounded LRU)
         self._route_cache: OrderedDict[bytes, int] = OrderedDict()
         self.route_cache_entries = 4096
@@ -250,46 +222,98 @@ class DesignRouter(HttpServerBase):
 
     async def stop(self) -> None:
         self.health.stop()
+        # super().stop() sets _closing before it first yields, so a
+        # forward still in flight closes its connection, not pools it
+        for _reader, writer in itertools.chain(*self._idle):
+            writer.close()
         await super().stop()
-        self._forward_executor.shutdown(wait=False, cancel_futures=True)
+        self._stream_executor.shutdown(wait=False, cancel_futures=True)
 
     # -- forwarding --------------------------------------------------------
 
-    async def _forward(self, index: int, method: str, path: str,
-                       body=None, trace: str | None = None
-                       ) -> tuple[int, bytes]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._forward_executor, self._forward_sync, index, method,
-            path, body, trace)
+    async def _connect(self, index: int):
+        """``(reader, writer)`` to backend *index*: a pooled one the
+        backend has not closed, else a dial under ``min(5 s, timeout)``
+        (a blackholed backend fails fast)."""
+        idle = self._idle[index]
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()
+        host, port = self._addrs[index]
+        budget = min(5.0, self.timeout)
+        try:
+            return await asyncio.wait_for(
+                asyncio.open_connection(host, port), budget)
+        except asyncio.TimeoutError:
+            raise TimeoutError(f"connect to {host}:{port} exceeded the "
+                               f"connect budget ({budget:g}s)") from None
 
-    def _forward_sync(self, index: int, method: str, path: str,
-                      body=None, trace: str | None = None
-                      ) -> tuple[int, bytes]:
+    async def _forward(self, index: int, method: str, path: str,
+                       body: bytes | None = None, trace: str | None = None
+                       ) -> tuple[int, bytes]:
+        """One attempt at backend *index* (the ``router:forward`` fault
+        site): its answer, or a structured 502 for a transport failure —
+        the only kind the breaker counts.  As in
+        :class:`ServiceClient`, a failed send is resent once on a fresh
+        connection and a failed read only for a GET (a lost POST may
+        have created a job).  A *timeout* deadline aborts the transport;
+        the read it ends is a ``timeout``."""
         delay = get_faults().fire("router:forward")
         if delay:
-            time.sleep(delay)  # executor thread: blocking is the point
-        try:
-            with self._pools[index].client() as client:
-                status, raw = client.roundtrip(method, path, body,
-                                               trace=trace)
-        except (OSError, http.client.HTTPException) as exc:
-            # HTTPException covers a backend speaking a non-HTTP byte
-            # stream (BadStatusLine) or truncating a response — as dead
-            # to the router as a refused connect.
-            reason = classify_error(exc)
-            self.health.record(
-                index, False, f"{type(exc).__name__}: {exc}")
-            return 502, json.dumps(
-                {"error": f"backend {self.backends[index]} unreachable: "
-                          f"{type(exc).__name__}: {exc}",
-                 "backend": self.backends[index],
-                 "backend_index": index,
-                 "reason": reason}).encode()
-        # Any HTTP response — even a 5xx — means the transport is fine;
-        # only transport failures feed the breaker.
-        self.health.record(index, True)
-        return status, raw
+            await asyncio.sleep(delay)
+        host, port = self._addrs[index]
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+        if trace is not None:
+            head += f"{TRACE_HEADER}: {trace}\r\n"
+        if body is not None:
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        data = (head + "\r\n").encode("latin-1") + (body or b"")
+        loop = asyncio.get_running_loop()
+        for attempt in (0, 1):
+            writer = deadline = None
+            sent = False
+            try:
+                reader, writer = await self._connect(index)
+                deadline = loop.call_later(self.timeout,
+                                           writer.transport.abort)
+                writer.write(data)
+                await writer.drain()
+                sent = True
+                status, raw, keep = await _read_response(reader)
+            except BaseException as exc:
+                if writer is not None:
+                    writer.close()
+                # a backend speaking non-HTTP or truncating its answer
+                # is as dead to the router as a refused connect
+                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise
+                if deadline is not None and deadline.when() <= loop.time():
+                    exc = TimeoutError(
+                        f"read from {host}:{port} exceeded the total "
+                        f"budget (timeout={self.timeout:g}s)")
+                elif not (attempt or isinstance(exc, TimeoutError)
+                          or (sent and method != "GET")):
+                    continue
+                self.health.record(
+                    index, False, f"{type(exc).__name__}: {exc}")
+                return 502, json.dumps(
+                    {"error": f"backend {self.backends[index]} "
+                              f"unreachable: {type(exc).__name__}: {exc}",
+                     "backend": self.backends[index],
+                     "backend_index": index,
+                     "reason": classify_error(exc)}).encode()
+            finally:
+                if deadline is not None:
+                    deadline.cancel()
+            if keep and not self._closing.is_set():
+                self._idle[index].append((reader, writer))
+            else:
+                writer.close()
+            self.health.record(index, True)
+            return status, raw
 
     # -- failover ----------------------------------------------------------
 
@@ -326,69 +350,61 @@ class DesignRouter(HttpServerBase):
                 return reason
         return f"http_{status}"
 
-    def _forward_failover_sync(self, shard: int, method: str, path: str,
-                               body=None, trace: str | None = None
-                               ) -> tuple[int, bytes, int]:
-        """Forward with failover: try the shard's replica group (then
-        degraded rerouting) and retry transport failures with jittered
-        exponential backoff inside the retry budget.  Safe to repeat
-        because ``/generate``/``/batch`` are content-addressed and
-        idempotent.  Returns ``(status, body, serving backend index)``
-        so callers can tag job ids with the backend that actually
-        answered."""
-        deadline = time.monotonic() + self.retry_budget_s
-        owners = self.owners_of(shard)
-        delays = backoff_delays()
-        last: tuple[int, bytes, int] | None = None
-        last_reason: str | None = None
-        while True:
-            for index in self._candidates(owners):
-                if last_reason is not None:
-                    _ROUTER_RETRIES.labels(reason=last_reason).inc()
-                status, raw = self._forward_sync(index, method, path,
-                                                 body, trace)
-                if status < 500:
-                    return status, raw, index
-                last = (status, raw, index)
-                last_reason = self._failure_reason(status, raw)
-            if last is not None and last_reason is not None \
-                    and last_reason.startswith("http_"):
-                # every candidate answered with an application-level
-                # 5xx: the fleet is reachable and deterministic —
-                # waiting won't change the answer
-                return last
-            delay = next(delays)
-            if time.monotonic() + delay >= deadline:
-                if last is not None:
-                    return last
-                return 502, json.dumps(
-                    {"error": "no backend reachable within the retry "
-                              f"budget ({self.retry_budget_s:g}s)",
-                     "reason": "budget_exhausted"}).encode(), owners[0]
-            time.sleep(delay)
-
     async def _proxy(self, shard: int, method: str, path: str,
                      body=None) -> tuple[int, bytes, int]:
-        """Forward one write-path request under a router **proxy span**,
-        with replica failover (:meth:`_forward_failover_sync`).
+        """Forward one write-path request with failover, under a router
+        **proxy span**: the shard's live replica group in order (then
+        degraded rerouting), transport failures retried with jittered
+        exponential backoff inside the retry budget — safe because
+        ``/generate``/``/batch`` are content-addressed and idempotent.
+        *body* is a JSON-able value or already-encoded bytes (the warm
+        ``/generate`` path forwards the client's bytes verbatim).
 
         The span joins the incoming trace (or mints a fresh id for
         untraced clients) and its span id rides to the backend in
         ``X-Repro-Trace`` — so in the merged fleet trace the backend's
         spans hang under ``proxy:<path>``, which hangs under whatever
         the client had open.  Returns ``(status, body, serving backend
-        index)``."""
+        index)`` so callers can tag job ids with the backend that
+        actually answered."""
+        if body is not None and not isinstance(body, bytes):
+            body = json.dumps(body).encode()
         trace_id = current_trace_id() or new_trace_id()
-        loop = asyncio.get_running_loop()
-        with trace_context(trace_id, current_span_id()):
-            with trace_span(f"proxy:{path}", shard=shard,
-                            backend=self.backends[shard]) as span:
-                status, raw, served = await loop.run_in_executor(
-                    self._forward_executor, self._forward_failover_sync,
-                    shard, method, path, body,
-                    format_trace_header(trace_id, span.span_id))
-                span.set(status=status, served_by=self.backends[served])
-        return status, raw, served
+        deadline = time.monotonic() + self.retry_budget_s
+        owners = self.owners_of(shard)
+        delays = backoff_delays()
+        last: tuple[int, bytes, int] | None = None
+        reason: str | None = None
+        with trace_context(trace_id, current_span_id()), trace_span(
+                f"proxy:{path}", shard=shard,
+                backend=self.backends[shard]) as span:
+            trace = format_trace_header(trace_id, span.span_id)
+            while True:
+                for index in self._candidates(owners):
+                    if reason is not None:
+                        _ROUTER_RETRIES.labels(reason=reason).inc()
+                    status, raw = await self._forward(index, method, path,
+                                                      body, trace)
+                    last = (status, raw, index)
+                    if status < 500:
+                        break
+                    reason = self._failure_reason(status, raw)
+                # done on success, or when every candidate answered an
+                # application-level 5xx: the fleet is reachable and
+                # deterministic — waiting won't change the answer
+                if last is not None and (last[0] < 500
+                                         or reason.startswith("http_")):
+                    break
+                delay = next(delays)
+                if time.monotonic() + delay >= deadline:
+                    last = last or (502, json.dumps(
+                        {"error": "no backend reachable within the retry "
+                                  f"budget ({self.retry_budget_s:g}s)",
+                         "reason": "budget_exhausted"}).encode(), owners[0])
+                    break
+                await asyncio.sleep(delay)
+            span.set(status=last[0], served_by=self.backends[last[2]])
+        return last
 
     @staticmethod
     def _decode(raw: bytes) -> dict:
@@ -656,7 +672,7 @@ class DesignRouter(HttpServerBase):
                     jobs[key] = jobs.get(key, 0) + value
             entry: dict = {"url": self.backends[index], "ok": up}
             # tracker verdict (breaker + prober); the live poll above
-            # already fed it through _forward_sync's recording
+            # already fed it through _forward's recording
             entry.update(self.health.describe(index))
             if not up:
                 entry["error"] = payload.get("error")

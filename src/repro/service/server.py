@@ -1083,13 +1083,15 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         # queued jobs swept and journaled, the profiler and prober
         # stopped.  Both cancel this task on the loop (asyncio.run does
         # it for SIGINT), which ends serve_forever and runs stop() below.
-        asyncio.get_running_loop().add_signal_handler(
-            signal.SIGTERM, asyncio.current_task().cancel)
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
+            # a second SIGTERM must not cancel stop() half way
+            loop.add_signal_handler(signal.SIGTERM, lambda: None)
             await server.stop()
 
     try:

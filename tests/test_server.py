@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -461,13 +462,13 @@ class TestBlockingEntryPoints:
     runner (banner once bound, SIGTERM -> clean stop) that the
     in-thread fixtures above never reach."""
 
-    def _spawn(self, *args):
+    def _spawn(self, *args, **popen):
         env = dict(os.environ)
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.Popen(
             [sys.executable, "-m", "repro", *args],
-            stdout=subprocess.PIPE, text=True, env=env)
+            stdout=subprocess.PIPE, text=True, env=env, **popen)
 
     def _banner_url(self, proc, expect):
         ready, _, _ = select.select([proc.stdout], [], [], 30)
@@ -499,3 +500,28 @@ class TestBlockingEntryPoints:
                     proc.kill()
                     proc.wait(timeout=10)
                 proc.stdout.close()
+
+    def test_second_sigterm_while_stopping_exits_clean(self):
+        # A backend that accepts (the kernel backlog does) but never
+        # answers holds the router's prober in a 2 s probe, so stop()
+        # is still joining it when the second SIGTERM lands.
+        silent = socket.socket()
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(8)
+        proc = self._spawn(
+            "route", "--port", "0", "--probe-interval", "2",
+            "--backend", f"http://127.0.0.1:{silent.getsockname()[1]}",
+            stderr=subprocess.PIPE)
+        try:
+            self._banner_url(proc, "repro fleet router")
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=20)
+            assert proc.returncode == 0, err
+            assert "Traceback" not in err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+            silent.close()
