@@ -203,7 +203,7 @@ def emit_testbench(design: Design, dataflow: str,
 
     dag = design.dag
     tensors = tensors or canonical_stimulus(design, dataflow)
-    result = Simulator(design, dataflow).run(tensors)
+    result = Simulator(design, dataflow).run(tensors, activity=False)
     n_cycles = result.cycles
 
     lines: list[str] = []

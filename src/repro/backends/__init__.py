@@ -109,9 +109,9 @@ class EmitContext:
                 return (decode(record["tensors"]),
                         decode(record["outputs"]),
                         int(record["cycles"]))
-        with trace_span(PHASE_SIM, dataflow=dataflow):
-            tensors, outputs, cycles = dag_sim.golden_vectors(design,
-                                                              dataflow)
+        with trace_span(PHASE_SIM, dataflow=dataflow) as span:
+            tensors, outputs, cycles = dag_sim.golden_vectors(
+                design, dataflow, span=span)
         if key is not None:
             encode = lambda block: {  # noqa: E731 — local shorthand
                 name: {"shape": list(np.asarray(arr).shape),

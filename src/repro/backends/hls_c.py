@@ -518,7 +518,8 @@ def emit_hls_testbench(design: Design, dataflow: str,
         from ..sim.dag_sim import Simulator, canonical_stimulus
 
         tensors = tensors or canonical_stimulus(design, dataflow)
-        outputs = Simulator(design, dataflow).run(tensors).outputs
+        outputs = Simulator(design, dataflow).run(
+            tensors, activity=False).outputs
     ordinal = sorted(design.configs).index(dataflow)
     direction = _tensor_directions(design)
 

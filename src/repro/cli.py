@@ -514,6 +514,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if len(ranked) > args.top:
         print(f"... {len(ranked) - args.top} more span names "
               f"(raise --top)")
+    # which simulator engine produced the golden vectors, and why not
+    # the vector engine when it did not
+    engines: dict[tuple, int] = {}
+    for e in spans:
+        attrs = e.get("args")
+        if e.get("name") == "sim" and isinstance(attrs, dict) \
+                and "engine" in attrs:
+            key = (str(attrs["engine"]), attrs.get("fallback"))
+            engines[key] = engines.get(key, 0) + 1
+    for (engine, reason), count in sorted(engines.items(),
+                                          key=lambda kv: -kv[1]):
+        print(f"sim engine : {engine} x{count}"
+              + (f" (fallback: {reason})" if reason else ""))
     return 0
 
 

@@ -12,21 +12,28 @@ memory banking, codegen, and every backend pass.
 Two execution engines share one graph preparation:
 
 * the **vectorized step program** (:mod:`.step_program`, the default):
-  the schedule is compiled once at construction into batched numpy
-  column operations over value/valid matrices — an order of magnitude
-  faster on cold simulations;
+  compiled once at construction — pass-through primitives become
+  aliases, address generators and dynamic muxes read *static streams*
+  (the counter's timestamp series unranked once per program), and the
+  remaining primitives run as levelized steps of whole-series numpy
+  operations over value/valid matrices;
 * the **reference interpreter** (``Simulator(..., reference=True)``):
   the original per-cycle Python loop, kept as the oracle the vectorized
   engine is property-tested bit-exact against (outputs, cycle count,
   toggle counts, memory access counters).
 
-Designs the vectorized engine cannot reproduce exactly (a tensor both
-read and written under one configuration, non-accumulating commits)
-fall back to the interpreter automatically.
+A design the vectorized engine cannot reproduce exactly runs on the
+interpreter, never silently: the reason (memory feedback on a tensor, a
+non-accumulating commit, a timestamp or address not driven by a counter
+or address generator, or inputs that could overflow int64) is logged as
+one ``repro.sim`` WARNING and
+kept in :attr:`Simulator.fallback`, and :attr:`Simulator.engine` names
+the engine that ran.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,8 @@ from ..backend.codegen import Design, DataflowConfig
 
 __all__ = ["Simulator", "simulate_workload", "make_input",
            "canonical_stimulus", "golden_vectors", "CANONICAL_STIMULUS"]
+
+_LOG = logging.getLogger("repro.sim")
 
 #: tag of the canonical testbench stimulus produced by
 #: :func:`canonical_stimulus`; hashed into ``DesignRequest.sim_key`` so
@@ -60,8 +69,13 @@ class Simulator:
     ``reference=True`` forces the per-cycle Python interpreter (the
     oracle); the default compiles the schedule into a vectorized
     :class:`~repro.sim.step_program.StepProgram` at construction and
-    falls back to the interpreter only for designs the vectorization
-    cannot honour bit-exactly.
+    falls back to the interpreter only for designs (or inputs) the
+    vectorization cannot honour bit-exactly.
+
+    ``engine`` is ``"vector"`` or ``"reference"``: the engine the last
+    :meth:`run` used, or before any run the one it will try.
+    ``fallback`` is the reason a fallback happened (None when the
+    vector engine runs or the interpreter was asked for).
     """
 
     def __init__(self, design: Design, dataflow: str,
@@ -97,12 +111,23 @@ class Simulator:
         # Precompile the vectorized step program (input/latency/FIFO
         # index tables are all static per configuration).
         self._program = None
+        self.engine = "reference"
+        self.fallback: str | None = None
         if not reference:
             from .step_program import StepProgram
 
             program = StepProgram(self)
             if program.supported:
                 self._program = program
+                self.engine = "vector"
+            else:
+                self._fall_back(program.fallback)
+
+    def _fall_back(self, reason: str) -> None:
+        self.engine = "reference"
+        self.fallback = reason
+        _LOG.warning("dataflow %s runs on the reference interpreter: %s",
+                     self.dataflow, reason)
 
     def _unrank(self, t_scalar: int) -> tuple[int, ...] | None:
         total = 1
@@ -166,22 +191,28 @@ class Simulator:
                 outputs[tensor] = storage[tensor].reshape(shapes[tensor])
         return outputs
 
-    def run(self, tensors: dict[str, np.ndarray]) -> SimResult:
+    def run(self, tensors: dict[str, np.ndarray], *,
+            activity: bool = True) -> SimResult:
         """Simulate the full temporal range of the configured dataflow.
 
         ``tensors`` maps input tensor names to arrays shaped like the
         address generators expect (see :func:`make_input`).  Returns the
-        output buffers plus activity counts.
+        output buffers plus activity counts; ``activity=False`` is for
+        callers that keep only the outputs (the golden vectors), and
+        lets the vector engine leave the counters empty.
         """
         storage, shapes = self._prepare_storage(tensors)
-        if (self._program is not None
-                and self._program.magnitude_safe(storage)):
-            _v, _k, toggles, mem_reads, mem_writes = \
-                self._program.run(storage)
-            return SimResult(
-                outputs=self._collect_outputs(storage, shapes),
-                cycles=self._program.n_cycles, toggles=toggles,
-                mem_reads=mem_reads, mem_writes=mem_writes)
+        if self._program is not None:
+            bounds, unsafe = self._program.value_bounds(storage)
+            if unsafe is None:
+                self.engine, self.fallback = "vector", None
+                toggles, mem_reads, mem_writes = self._program.run(
+                    storage, bounds, activity)
+                return SimResult(
+                    outputs=self._collect_outputs(storage, shapes),
+                    cycles=self._program.n_cycles, toggles=toggles,
+                    mem_reads=mem_reads, mem_writes=mem_writes)
+            self._fall_back(unsafe)
         return self._run_reference(storage, shapes)
 
     def _run_reference(self, storage, shapes) -> SimResult:
@@ -351,9 +382,14 @@ def canonical_stimulus(design: Design,
     return {t: make_input(design, dataflow, t, rng, 0, 8) for t in names}
 
 
-def golden_vectors(design: Design, dataflow: str):
+def golden_vectors(design: Design, dataflow: str, span=None):
     """``(tensors, outputs, cycles)`` of one run of *dataflow* under the
-    canonical stimulus — the payload of a sim-phase cache record."""
+    canonical stimulus — the payload of a sim-phase cache record
+    (``docs/backends.md``, "Golden vectors").  An open trace *span* is
+    labelled with the engine that ran and the fallback reason."""
     tensors = canonical_stimulus(design, dataflow)
-    result = Simulator(design, dataflow).run(tensors)
+    sim = Simulator(design, dataflow)
+    result = sim.run(tensors, activity=False)
+    if span is not None:
+        span.set(engine=sim.engine, fallback=sim.fallback)
     return tensors, result.outputs, int(result.cycles)

@@ -1,31 +1,55 @@
 """Vectorized execution of a design's cycle schedule — the fast cold path.
 
 The per-cycle interpreter in :mod:`.dag_sim` walks every active primitive
-every cycle in Python: ``O(nodes x cycles)`` dict lookups, param reads,
-and branch dispatch.  This module compiles the same schedule *once* into
-a **step program**: the active topological order is partitioned into
-steps of same-kind primitives (splitting whenever a node feeds another
-node of its own step, so every step's inputs are fully computed series),
-and every static table the interpreter consults per cycle — input
-sources, edge + latency lookbacks, physical FIFO depths, mux selects and
-timestamp policies, affine address matrices, LUT contents — is
-precomputed into numpy arrays at construction.  Execution is then one
-batched numpy column operation per node (and one fancy-indexed 2-D
-assignment per pass-through partition) over the value/valid matrices
-``V``/``K`` of shape ``(active primitives, cycles)``.
+every cycle in Python.  This module compiles the same schedule *once*
+into a **step program** and executes it as whole-series numpy operations
+over value/valid matrices ``V``/``K`` of shape ``(rows, cycles)``.  Three
+compile-time facts keep that cheap:
 
-Outputs, cycle counts, per-node toggle counts, and memory access
-counters are **bit-identical** to the interpreter, which stays available
-as the ``Simulator(..., reference=True)`` oracle — the property tests in
-``tests/test_vector_sim.py`` assert the equivalence across every kernel
-family.  Designs the vectorization cannot honour exactly (a tensor both
-read and written by one configuration, or non-accumulating commits) are
-detected at compile time and fall back to the interpreter.
+* **Pass-throughs are aliases.**  A ``ctrl_tap``, ``wire``, ``output``,
+  ``fifo`` or statically selected ``mux`` only delays its one input, so
+  every row resolves to ``(root row, total lookback)`` and is never
+  materialized; consumers read the root through the lookback.
+* **Timestamps and addresses are static streams.**  Every address
+  generator and every dynamic-mux timestamp pin is fed by a ``ctrl``
+  counter seen through such lookbacks, i.e. ``t = n - shift`` from cycle
+  ``start`` on, and every memory port's address pin by an address
+  generator.  The temporal range is unranked once per program,
+  ``M_DT @ digits`` is computed once per distinct matrix and the mux
+  coverage tests once per distinct policy; an address series is then an
+  offset, a bounds mask and a shifted slice, and a mux is a precomputed
+  gather.  None of them depends on data, so memory ports read and commit
+  through precomputed indices.  A timestamp fed by anything but a
+  counter, or an address by anything but an address generator, is
+  refused at compile time.
+* **Steps are levelized.**  The remaining rows are grouped by
+  (dependency level, kind), so every step's inputs are finished series
+  and each step runs as a few fancy-indexed 2-D operations: operands are
+  gathered through a sliding-window view of ``V``, which is left-padded
+  by the deepest lookback, so a delayed read is one index.
+
+Outputs, cycle counts, per-node toggle counts and memory access counters
+are **bit-identical** to the interpreter, which stays available as the
+``Simulator(..., reference=True)`` oracle (``tests/test_vector_sim.py``
+and ``tests/test_sim_differential.py``).  A caller that keeps only the
+outputs (``activity=False``, the golden vectors) skips toggles, memory
+counters and every row that feeds no memory commit.  ``V`` uses the
+narrowest integer type the run's value bounds allow.
+
+Designs the program cannot reproduce exactly are refused with a reason
+the simulator logs and reports: memory feedback on a tensor, a
+non-accumulating commit, or a timestamp/address fed by something other
+than a counter/address generator (at compile time), or values that could
+exceed int64 for the given inputs (:meth:`StepProgram.value_bounds`, at
+run time).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace as _Group  # one step's index arrays
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["StepProgram"]
 
@@ -38,9 +62,23 @@ _ALU_KINDS = ("mul", "add", "sub", "shl", "shr", "max")
 #: Python ints never wrap) instead of silently wrapping
 _SAFE_LIMIT = 1 << 62
 
+#: value types for ``V``, narrowest first, with the exclusive magnitude
+#: bound each one holds
+_VALUE_TYPES = ((np.int16, 1 << 15), (np.int32, 1 << 31),
+                (np.int64, _SAFE_LIMIT))
+
 
 class _Unsupported(Exception):
-    """Design feature the vectorized path cannot reproduce bit-exactly."""
+    """Design feature the vectorized path cannot reproduce bit-exactly;
+    the message is the reason the simulator reports."""
+
+
+def value_dtype(peak: int):
+    """Narrowest integer type holding every magnitude up to *peak*."""
+    for dtype, limit in _VALUE_TYPES:
+        if peak < limit:
+            return dtype
+    raise ValueError(f"magnitude {peak} does not fit int64")
 
 
 class StepProgram:
@@ -48,8 +86,11 @@ class StepProgram:
 
     Built from a :class:`~repro.sim.dag_sim.Simulator` (which owns the
     graph preparation: active order, per-pin input map, pipeline bound).
-    ``supported`` is False when the design needs the reference
-    interpreter; ``run`` then must not be called.
+    ``fallback`` is the reason the design needs the reference
+    interpreter (``supported`` is then False and ``run`` must not be
+    called).  ``steps`` lists the groups in execution order as ``(kind,
+    specs)``; every spec has its ``row`` and the rows it reads at run
+    time (``_srcs``).
     """
 
     def __init__(self, sim):
@@ -58,63 +99,88 @@ class StepProgram:
         self.order = list(sim.order)
         self.row = {nid: i for i, nid in enumerate(self.order)}
         self.steps: list[tuple[str, list[dict]]] = []
-        self.supported = True
+        self.fallback: str | None = None
+        self._plans: dict[bool, _Plan] = {}
+        self._streams: _Streams | None = None
         try:
             self._compile()
-        except _Unsupported:
-            self.supported = False
+        except _Unsupported as exc:
+            self.fallback = str(exc)
+
+    @property
+    def supported(self) -> bool:
+        return self.fallback is None
 
     # -- compilation -------------------------------------------------------
 
     def _input(self, nid: int, pin: int, extra: int):
-        """(source row, total lookback) of one input pin, or None when
-        the pin is unconnected in this dataflow."""
+        """(root row, total lookback) one input pin reads, or None when
+        the pin is unconnected or its source never carries a value."""
         entry = self.sim.inputs.get(nid, {}).get(pin)
         if entry is None:
             return None
         src, el = entry
-        return self.row[src], el + extra
+        root, lb = self._alias[self.row[src]]
+        if root == self._zero:
+            return None
+        return root, min(lb + max(el + extra, 0), self.n_cycles)
+
+    def _stream(self, nid: int, entry):
+        """``(shift, start)`` of a timestamp input: it carries ``n -
+        shift`` from cycle ``start`` on (None: never valid)."""
+        if entry is None:
+            return None
+        root, lb = entry
+        if root not in self._counter:
+            raise _Unsupported(f"timestamp input of node {nid} is not a "
+                               f"counter")
+        return lb + self._counter[root], lb
+
+    def _check_address(self, nid: int, entry) -> None:
+        """A memory port's address must be an address generator's
+        series (at some lookback)."""
+        if entry[0] not in self._addrgen:
+            raise _Unsupported(f"address input of node {nid} is not an "
+                               f"address generator")
 
     def _compile(self) -> None:
         sim = self.sim
         dag = sim.dag
         cfg = sim.cfg
-        rt = tuple(int(r) for r in sim.rt)
-        total = 1
-        for r in rt:
-            total *= r
-        # t // stride[i] % rt[i] == unrank digit i (t always >= 0 here).
-        strides = np.ones(len(rt), dtype=np.int64)
-        for i in range(len(rt) - 2, -1, -1):
-            strides[i] = strides[i + 1] * rt[i + 1]
-        self._rt = np.array(rt, dtype=np.int64)
-        self._strides = strides
-        self._total = total
-
         read_tensors = {dag.nodes[n].params["tensor"]
                         for n in cfg.read_enable if n in self.row}
         written = {dag.nodes[n].params["tensor"]
                    for n in cfg.write_enable if n in self.row}
-        if read_tensors & written:
-            # Memory feedback the DAG does not express: the interpreter
-            # interleaves the accesses cycle by cycle, we cannot.
-            raise _Unsupported
+        for tensor in sorted(read_tensors & written):
+            # The interpreter interleaves the accesses cycle by cycle;
+            # whole-series execution cannot.
+            raise _Unsupported(f"memory feedback on tensor {tensor!r}")
 
-        specs = [self._compile_node(nid) for nid in self.order]
-        # Group consecutive same-executor nodes, splitting when a node
-        # consumes a series produced inside the open step (batched 2-D
-        # assignment needs every source series finished).
-        steps: list[tuple[str, list[dict]]] = []
-        open_rows: set[int] = set()
-        for nid, (kind, spec) in zip(self.order, specs):
-            sources = spec.get("_srcs", ())
-            if (not steps or steps[-1][0] != kind
-                    or any(s in open_rows for s in sources)):
-                steps.append((kind, []))
-                open_rows = set()
-            steps[-1][1].append(spec)
-            open_rows.add(self.row[nid])
-        self.steps = steps
+        self._zero = len(self.order)  # the never-valid row
+        #: row -> (root row, lookback); materialized rows are their own
+        #: root, rows that never carry a value alias the zero row
+        self._alias: list[tuple[int, int]] = []
+        self._counter: dict[int, int] = {}   # ctrl row -> counter offset
+        self._addrgen: dict[int, dict] = {}  # addrgen row -> its spec
+        self._index_range: dict = {}         # M_DT -> per-row (min, max)
+        level: dict[int, int] = {}
+        groups: dict[tuple[int, str], list[dict]] = {}
+        for nid in self.order:
+            kind, spec = self._compile_node(nid)
+            row = spec["row"]
+            if kind == "pass":
+                self._alias.append(spec["input"] or (self._zero, 0))
+                continue
+            materialized = kind not in ("idle", "mem_write")
+            self._alias.append((row, 0) if materialized else (self._zero, 0))
+            if kind == "idle":
+                continue
+            depth = 1 + max((level[s] for s in spec["_srcs"]), default=-1)
+            level[row] = depth
+            groups.setdefault((depth, kind), []).append(spec)
+        # sorted() is stable: kinds within a level keep first-seen order
+        self.steps = [(kind, specs) for (_depth, kind), specs
+                      in sorted(groups.items(), key=lambda kv: kv[0][0])]
 
     def _compile_node(self, nid: int) -> tuple[str, dict]:
         sim = self.sim
@@ -122,60 +188,56 @@ class StepProgram:
         cfg = sim.cfg
         kind = node.kind
         row = self.row[nid]
-        spec: dict = {"row": row}
+        spec: dict = {"row": row, "_srcs": ()}
 
         def srcs(*entries):
-            spec["_srcs"] = tuple(e[0] for e in entries if e is not None)
+            spec["_srcs"] = tuple(e[0] for e in entries
+                                  if e is not None and e[0] != self._zero)
 
         if kind == "const":
             spec["value"] = int(node.params.get("value", 0))
             return "const", spec
         if kind == "ctrl":
             spec["offset"] = int(cfg.ctrl_offset.get(nid, 0))
+            self._counter[row] = spec["offset"]
             return "ctrl", spec
         if kind in _PASS_KINDS:
             extra = sim._node_delay(nid) if kind == "fifo" else 0
             spec["input"] = self._input(nid, 0, extra)
-            srcs(spec["input"])
             return "pass", spec
         if kind == "mux":
             policy = cfg.mux_policy.get(nid)
             if policy is None:
-                sel = cfg.mux_select.get(nid, 0)
-                spec["input"] = self._input(nid, sel, 0)
-                srcs(spec["input"])
+                spec["input"] = self._input(nid, cfg.mux_select.get(nid, 0),
+                                            0)
                 return "pass", spec
-            spec["ts"] = self._input(nid, 0, 0)
+            spec["stream"] = self._stream(nid, self._input(nid, 0, 0))
+            if spec["stream"] is None:
+                return "idle", spec
+            # an unconnected pin still claims its cycles (as invalid)
             spec["policy"] = [
-                (self._input(nid, pin, 0),
-                 None if dt is None else np.array([int(d) for d in dt],
-                                                 dtype=np.int64))
+                (self._input(nid, pin, 0) or (self._zero, 0),
+                 None if dt is None else tuple(int(d) for d in dt))
                 for pin, dt in policy]
-            srcs(spec["ts"], *(entry for entry, _dt in spec["policy"]))
+            srcs(*(entry for entry, _dt in spec["policy"]))
             return "mux_dyn", spec
         if kind == "addrgen":
             agc = cfg.addrgen.get(nid)
-            spec["input"] = self._input(nid, 0, node.latency)
-            if agc is None or spec["input"] is None:
+            stream = self._stream(nid, self._input(nid, 0, node.latency))
+            if agc is None or stream is None:
                 return "idle", spec
-            nt = len(agc.rt)
             assert tuple(int(r) for r in agc.rt) == tuple(
                 int(r) for r in sim.rt), \
                 "address generators share the dataflow's temporal basis"
-            spec["mdt"] = np.array(agc.mdt, dtype=np.int64).reshape(
-                len(agc.offset), nt)
-            spec["offset"] = np.array(agc.offset, dtype=np.int64)
-            spec["dims"] = np.array(agc.dims, dtype=np.int64)
-            spec["gate"] = (None if agc.gate_dt is None
-                            else np.array(agc.gate_dt, dtype=np.int64))
-            srcs(spec["input"])
+            self._compile_addrgen(spec, agc, stream)
+            self._addrgen[row] = spec
             return "addrgen", spec
         if kind == "mem_read":
-            spec["input"] = self._input(nid, 0, node.latency)
+            spec["addr"] = self._input(nid, 0, node.latency)
             spec["tensor"] = node.params["tensor"]
-            if nid not in cfg.read_enable or spec["input"] is None:
+            if nid not in cfg.read_enable or spec["addr"] is None:
                 return "idle", spec
-            srcs(spec["input"])
+            self._check_address(nid, spec["addr"])
             return "mem_read", spec
         if kind == "mem_write":
             if nid not in cfg.write_enable:
@@ -188,8 +250,9 @@ class StepProgram:
             if not node.params.get("accumulate", True):
                 # Overwriting commits are order-sensitive across write
                 # ports; only the interpreter serializes them exactly.
-                raise _Unsupported
-            srcs(spec["addr"], spec["data"])
+                raise _Unsupported(f"non-accumulating commit on node {nid}")
+            self._check_address(nid, spec["addr"])
+            srcs(spec["data"])
             return "mem_write", spec
         if kind in _ALU_KINDS:
             spec["op"] = kind
@@ -205,8 +268,12 @@ class StepProgram:
             for pin in sim.inputs.get(nid, {}):
                 if pin_dfs and sim.dataflow not in pin_dfs.get(pin, ()):
                     continue
-                pins.append(self._input(nid, pin, node.latency))
+                entry = self._input(nid, pin, node.latency)
+                if entry is not None:
+                    pins.append(entry)
             spec["pins"] = pins
+            if not pins:
+                return "idle", spec
             srcs(*pins)
             return "reducer", spec
         if kind == "lut":
@@ -221,21 +288,52 @@ class StepProgram:
         # Unknown kinds produce None every cycle in the interpreter.
         return "idle", spec
 
+    def _compile_addrgen(self, spec: dict, agc, stream) -> None:
+        """The static part of one address generator: its matrix, the
+        flat-address contribution of its offset (``carry``) and the
+        tensor dimensions its index can leave (``checks``: dim and the
+        allowed ``[low, high)`` of ``M_DT @ digits`` there)."""
+        mdt = tuple(tuple(int(x) for x in r) for r in agc.mdt)
+        ranges = self._index_range.get(mdt)
+        if ranges is None:
+            # every digit sweeps its full range, so each index row spans
+            # the sums of its negative and of its positive terms
+            rt = [int(r) for r in self.sim.rt]
+            ranges = self._index_range[mdt] = [
+                (sum(min(0, c * (r - 1)) for c, r in zip(coeffs, rt)),
+                 sum(max(0, c * (r - 1)) for c, r in zip(coeffs, rt)))
+                for coeffs in mdt]
+        dims = tuple(int(x) for x in agc.dims)
+        carry, stride, checks = 0, 1, []
+        for dim in range(len(dims) - 1, -1, -1):
+            offset = int(agc.offset[dim])
+            carry += offset * stride
+            stride *= dims[dim]
+            low, high = ranges[dim]
+            if low + offset < 0 or high + offset >= dims[dim]:
+                checks.append((dim, -offset, dims[dim] - offset))
+        spec.update(stream=stream, mdt=mdt, dims=dims, carry=carry,
+                    checks=checks,
+                    gate=(None if agc.gate_dt is None
+                          else tuple(int(d) for d in agc.gate_dt)))
+
     # -- magnitude safety --------------------------------------------------
 
-    def magnitude_safe(self, storage: dict[str, np.ndarray]) -> bool:
-        """Conservative interval check that every value this run can
-        produce — and every accumulated memory commit — provably fits
-        int64.
+    def value_bounds(self, storage: dict[str, np.ndarray]
+                     ) -> tuple[dict[int, int], str | None]:
+        """``(bound per materialized row, reason)``: a conservative
+        interval check that every value this run can produce — and every
+        accumulated memory commit — provably fits int64.
 
         The reference interpreter computes on Python ints (unbounded)
         and only overflows loudly when committing to the int64 tensor
         memories; the vectorized engine would *wrap silently* instead.
         So before running we propagate worst-case magnitude bounds (in
         exact Python ints) through the step program from the actual
-        input data; any possible excursion past ``_SAFE_LIMIT`` makes
-        the caller fall back to the interpreter.  Typical generator
-        stimuli (small integers) pass by many orders of magnitude.
+        input data.  Any possible excursion past ``_SAFE_LIMIT`` returns
+        the reason the caller falls back to the interpreter with;
+        otherwise the bounds pick ``V``'s value type.  A bound covers
+        every lane of a row, valid or not.
         """
         bound: dict[int, int] = {}
         commit: dict[str, int] = {}
@@ -252,10 +350,8 @@ class StepProgram:
                     b = abs(s["value"])
                 elif kind == "ctrl":
                     b = self.n_cycles + abs(s["offset"])
-                elif kind == "pass":
-                    b = inb(s["input"])
                 elif kind == "mux_dyn":
-                    b = max([inb(e) for e, _dt in s["policy"]] + [0])
+                    b = max(inb(e) for e, _dt in s["policy"])
                 elif kind == "addrgen":
                     b = int(np.prod(s["dims"])) + 1
                 elif kind == "mem_read":
@@ -264,7 +360,9 @@ class StepProgram:
                     # every cycle may add the worst-case datum
                     commit[s["tensor"]] += inb(s["data"]) * self.n_cycles
                     if commit[s["tensor"]] >= _SAFE_LIMIT:
-                        return False
+                        return bound, (f"int64 magnitude: commits to "
+                                       f"tensor {s['tensor']!r}")
+                    continue
                 elif kind == "alu":
                     ba, bb = inb(s["a"]), inb(s["b"])
                     op = s["op"]
@@ -278,7 +376,8 @@ class StepProgram:
                         if bb > 63:
                             # Python << has no 63-bit ceiling; the
                             # engine's clamp would diverge.
-                            return False
+                            return bound, (f"int64 magnitude: shift count "
+                                           f"of node {self.order[s['row']]}")
                         b = ba << bb
                     else:  # shr never grows magnitude
                         b = ba
@@ -288,204 +387,411 @@ class StepProgram:
                     table = s["table"]
                     b = int(np.abs(table).max()) if table.size else 0
                 if b >= _SAFE_LIMIT:
-                    return False
+                    return bound, (f"int64 magnitude: node "
+                                   f"{self.order[s['row']]} ({kind})")
                 bound[s["row"]] = b
-        return True
+        return bound, None
+
+    def magnitude_safe(self, storage: dict[str, np.ndarray]) -> bool:
+        """True when no value of this run can leave int64 (see
+        :meth:`value_bounds`)."""
+        return self.value_bounds(storage)[1] is None
 
     # -- execution ---------------------------------------------------------
 
-    def _shift(self, V, K, entry):
-        """The (value, valid) series one input sees: its source's series
-        delayed by the lookback (invalid before the first arrival)."""
+    def run(self, storage: dict[str, np.ndarray], bounds: dict[int, int],
+            activity: bool = True):
+        """Execute the program on *storage* (committing into it) with the
+        row *bounds* of :meth:`value_bounds`; returns ``(toggles,
+        mem_reads, mem_writes)`` — all three empty unless *activity*."""
+        plan = self._plans.get(activity)
+        if plan is None:
+            plan = self._plans[activity] = _Plan(self, activity)
+        dtype = value_dtype(max((bounds[r] for r in plan.rows), default=0))
+        shape = (len(self.order) + 1, plan.width)
+        r = _Run(self.n_cycles, plan, np.zeros(shape, dtype=dtype),
+                 np.zeros(shape, dtype=bool), storage, activity)
+        for kind, group in plan.groups:
+            getattr(self, f"_exec_{kind}")(group, r)
+        if not activity:
+            return {}, {}, {}
+        return self._toggles(plan, r.V, r.K), r.mem_reads, r.mem_writes
+
+    def streams(self) -> _Streams:
+        if self._streams is None:
+            self._streams = _Streams(self)
+        return self._streams
+
+    def _toggles(self, plan, V, K) -> dict[int, int]:
+        """Per-node value changes, exactly the interpreter's ``prev !=
+        out`` test (None==None never toggles, None vs value always does).
+
+        Changes are counted on materialized rows only; a row that delays
+        its root by ``lb`` sees the root's changes up to cycle ``n-1-lb``
+        plus the step from invalid to the root's first lane at cycle
+        ``lb``.
+        """
         n = self.n_cycles
-        if entry is None:
-            return (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
-        src, lb = entry
-        if lb <= 0:
-            return V[src], K[src]
-        v = np.zeros(n, dtype=np.int64)
-        k = np.zeros(n, dtype=bool)
-        if lb < n:
-            v[lb:] = V[src, :n - lb]
-            k[lb:] = K[src, :n - lb]
-        return v, k
+        if n < 2 or not plan.rows:
+            return dict.fromkeys(self.order, 0)
+        rows = np.array(sorted(plan.rows))
+        vm = V[rows, plan.lookback:]
+        km = K[rows, plan.lookback:]
+        changed = (km[:, 1:] != km[:, :-1]) | (
+            km[:, 1:] & km[:, :-1] & (vm[:, 1:] != vm[:, :-1]))
+        total = changed.sum(axis=1)
+        position = np.full(len(self.order) + 1, -1)
+        position[rows] = np.arange(len(rows))
+        root = position[np.array([a for a, _lb in self._alias])]
+        lb = np.array([lb for _a, lb in self._alias])
+        counts = np.zeros(len(self.order), dtype=np.int64)
+        live = (root >= 0) & (lb < n)
+        counts[live] = total[root[live]]
+        late = live & (lb >= 1)
+        if late.any():
+            depth = int(lb[late].max())
+            # tail[:, j]: changes within the last j + 1 cycle steps
+            tail = np.cumsum(changed[:, n - 1 - depth:][:, ::-1], axis=1)
+            counts[late] -= tail[root[late], lb[late] - 1]
+            counts[late] += km[root[late], 0]
+        return {nid: int(c) for nid, c in zip(self.order, counts)}
 
-    def run(self, storage: dict[str, np.ndarray]):
-        """Execute the program; returns ``(V, K, toggles, mem_reads,
-        mem_writes)`` — the caller (the simulator) assembles the
-        :class:`~repro.sim.dag_sim.SimResult`."""
-        n = self.n_cycles
-        V = np.zeros((len(self.order), n), dtype=np.int64)
-        K = np.zeros((len(self.order), n), dtype=bool)
-        mem_reads: dict[str, int] = {}
-        mem_writes: dict[str, int] = {}
-        for kind, specs in self.steps:
-            getattr(self, f"_exec_{kind}")(specs, V, K, storage,
-                                           mem_reads, mem_writes)
+    # Each executor runs one group (same kind, same dependency level) as
+    # whole-series operations; ``r.gather`` reads operands through their
+    # lookbacks and ``r.put`` writes the group's rows.
 
-        # Toggle counts: a change of validity, or of value while valid
-        # on both sides — exactly the interpreter's `prev != out` test
-        # (None==None never toggles, None vs value always does).
-        both = K[:, 1:] & K[:, :-1]
-        changed = (K[:, 1:] != K[:, :-1]) | (both & (V[:, 1:] != V[:, :-1]))
-        counts = changed.sum(axis=1)
-        toggles = {nid: int(counts[self.row[nid]]) for nid in self.order}
-        return V, K, toggles, mem_reads, mem_writes
+    def _exec_const(self, g, r):
+        r.put(g.rows, g.values[:, None], True)
 
-    # Each executor handles one step (a batch of same-kind specs) as
-    # column operations over the full cycle range.
-
-    def _exec_idle(self, specs, V, K, storage, mem_reads, mem_writes):
-        pass  # series stays all-invalid, like the interpreter's None
-
-    def _exec_const(self, specs, V, K, storage, mem_reads, mem_writes):
-        rows = np.array([s["row"] for s in specs])
-        values = np.array([s["value"] for s in specs], dtype=np.int64)
-        V[rows] = values[:, None]
-        K[rows] = True
-
-    def _exec_ctrl(self, specs, V, K, storage, mem_reads, mem_writes):
+    def _exec_ctrl(self, g, r):
         cycle = np.arange(self.n_cycles, dtype=np.int64)
-        rows = np.array([s["row"] for s in specs])
-        offsets = np.array([s["offset"] for s in specs], dtype=np.int64)
-        V[rows] = cycle[None, :] - offsets[:, None]
-        K[rows] = True
+        r.put(g.rows, cycle[None, :] - g.offsets[:, None], True)
 
-    def _exec_pass(self, specs, V, K, storage, mem_reads, mem_writes):
-        # Partition by lookback: each partition is one 2-D shifted copy.
-        n = self.n_cycles
-        by_lb: dict[int, list[tuple[int, int]]] = {}
-        for s in specs:
-            if s["input"] is None:
-                continue
-            src, lb = s["input"]
-            by_lb.setdefault(min(lb, n), []).append((s["row"], src))
-        for lb, pairs in by_lb.items():
-            dst = np.array([d for d, _ in pairs])
-            src = np.array([s for _, s in pairs])
-            if lb <= 0:
-                V[dst] = V[src]
-                K[dst] = K[src]
-            else:
-                V[dst, lb:] = V[src, :n - lb]
-                K[dst, lb:] = K[src, :n - lb]
+    def _exec_addrgen(self, g, r):
+        r.put(g.rows, g.addr, g.valid)
 
-    def _exec_alu(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            av, ak = self._shift(V, K, s["a"])
-            bv, bk = self._shift(V, K, s["b"])
-            op = s["op"]
+    def _exec_alu(self, g, r):
+        av, ak = r.gather(g.a)
+        bv, bk = r.gather(g.b)
+        bits = av.dtype.itemsize * 8 - 1
+        out = np.empty_like(av)
+        for op, idx in g.ops:
+            a, b = (av, bv) if idx is None else (av[idx], bv[idx])
             if op == "mul":
-                out = av * bv
+                res = a * b
             elif op == "add":
-                out = av + bv
+                res = a + b
             elif op == "sub":
-                out = av - bv
+                res = a - b
             elif op == "max":
-                out = np.maximum(av, bv)
+                res = np.maximum(a, b)
             elif op == "shl":
                 # Invalid lanes may carry garbage shift counts; clamping
                 # them never touches valid data (Python << would have
                 # raised on a negative count).
-                out = np.left_shift(av, np.clip(bv, 0, 63))
+                res = np.left_shift(a, np.clip(b, 0, bits))
             else:  # shr
-                out = np.right_shift(av, np.clip(bv, 0, 63))
-            V[s["row"]] = out
-            K[s["row"]] = ak & bk
+                res = np.right_shift(a, np.clip(b, 0, bits))
+            if idx is None:
+                out = res
+            else:
+                out[idx] = res
+        r.put(g.rows, out, ak & bk)
 
-    def _unrank_digits(self, t):
-        """(digits, in_range) of the scalar timestamps in *t* (garbage
-        digits where out of range — callers mask)."""
-        ok = (t >= 0) & (t < self._total)
-        safe = np.where(ok, t, 0)
-        digits = (safe[None, :] // self._strides[:, None]) \
-            % self._rt[:, None]
-        return digits, ok
+    def _exec_mux_dyn(self, g, r):
+        r.put(g.rows, np.take(r.V, g.flat), np.take(r.K, g.flat) & g.live)
 
-    def _exec_mux_dyn(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            row = s["row"]
-            tv, tk = self._shift(V, K, s["ts"])
-            digits, in_range = self._unrank_digits(tv)
-            live = tk & in_range
-            assigned = ~live  # no timestamp -> stays invalid
-            out_v = np.zeros(self.n_cycles, dtype=np.int64)
-            out_k = np.zeros(self.n_cycles, dtype=bool)
-            for entry, dt in s["policy"]:
-                if dt is None:
-                    cond = ~assigned
-                else:
-                    shifted = digits - dt[:, None]
-                    cond = ~assigned & np.all(
-                        (shifted >= 0) & (shifted < self._rt[:, None]),
-                        axis=0)
-                if not cond.any():
-                    continue
-                v, k = self._shift(V, K, entry)
-                out_v[cond] = v[cond]
-                out_k[cond] = k[cond]
-                assigned |= cond
-            V[row] = out_v
-            K[row] = out_k
+    def _exec_mem_read(self, g, r):
+        out = np.empty(g.index.shape, dtype=np.int64)
+        for tensor, idx in g.tensors:
+            if idx is None:
+                out = np.take(r.storage[tensor], g.index)
+            else:
+                out[idx] = np.take(r.storage[tensor], g.index[idx])
+        np.multiply(out, g.fetch, out=out)  # padding reads zero
+        r.put(g.rows, out, g.valid)
+        if r.mem_reads is not None:
+            for tensor, count in g.reads.items():
+                r.mem_reads[tensor] = r.mem_reads.get(tensor, 0) + count
 
-    def _exec_addrgen(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            tv, tk = self._shift(V, K, s["input"])
-            digits, in_range = self._unrank_digits(tv)
-            ok = tk & in_range
-            if s["gate"] is not None:
-                shifted = digits + s["gate"][:, None]
-                covered = np.all((shifted >= 0)
-                                 & (shifted < self._rt[:, None]), axis=0)
-                ok &= ~covered
-            idx = s["mdt"] @ digits + s["offset"][:, None]
-            dims = s["dims"][:, None]
-            in_bounds = np.all((idx >= 0) & (idx < dims), axis=0)
-            addr = np.zeros(self.n_cycles, dtype=np.int64)
-            for r in range(len(s["dims"])):
-                addr = addr * s["dims"][r] + idx[r]
-            V[s["row"]] = np.where(in_bounds, addr, -1)
-            K[s["row"]] = ok
+    def _exec_mem_write(self, g, r):
+        dv, dk = r.gather(g.data)
+        commit = g.ok & dk
+        for tensor, idx in g.tensors:
+            if idx is None:
+                index, data, hit = g.index, dv, commit
+            else:
+                index, data, hit = g.index[idx], dv[idx], commit[idx]
+            # an int64 datum keeps ufunc.at on its fast path
+            np.add.at(r.storage[tensor], index[hit],
+                      data[hit].astype(np.int64))
+            if r.mem_writes is not None:
+                count = int(np.count_nonzero(hit))
+                if count:
+                    r.mem_writes[tensor] = \
+                        r.mem_writes.get(tensor, 0) + count
 
-    def _exec_mem_read(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            av, ak = self._shift(V, K, s["input"])
-            arr = storage[s["tensor"]]
-            fetch = ak & (av >= 0)
-            out = np.zeros(self.n_cycles, dtype=np.int64)
-            out[fetch] = arr[av[fetch]]
-            V[s["row"]] = out
-            K[s["row"]] = ak
-            count = int(np.count_nonzero(fetch))
-            if count:
-                mem_reads[s["tensor"]] = \
-                    mem_reads.get(s["tensor"], 0) + count
+    def _exec_reducer(self, g, r):
+        v, k = r.gather(g.pins)
+        acc = np.add.reduceat(np.where(k, v, 0), g.starts, axis=0)
+        r.put(g.rows, acc, np.logical_or.reduceat(k, g.starts, axis=0))
 
-    def _exec_mem_write(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            av, ak = self._shift(V, K, s["addr"])
-            dv, dk = self._shift(V, K, s["data"])
-            commit = ak & dk & (av >= 0)
-            np.add.at(storage[s["tensor"]], av[commit], dv[commit])
-            count = int(np.count_nonzero(commit))
-            if count:
-                mem_writes[s["tensor"]] = \
-                    mem_writes.get(s["tensor"], 0) + count
+    def _exec_lut(self, g, r):
+        v, k = r.gather(g.input)
+        out = np.empty_like(v)
+        for i, table in enumerate(g.tables):
+            out[i] = table[v[i] % len(table)]
+        r.put(g.rows, out, k)
 
-    def _exec_reducer(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            acc = np.zeros(self.n_cycles, dtype=np.int64)
-            seen = np.zeros(self.n_cycles, dtype=bool)
-            for entry in s["pins"]:
-                v, k = self._shift(V, K, entry)
-                acc += np.where(k, v, 0)
-                seen |= k
-            V[s["row"]] = acc
-            K[s["row"]] = seen
 
-    def _exec_lut(self, specs, V, K, storage, mem_reads, mem_writes):
-        for s in specs:
-            v, k = self._shift(V, K, s["input"])
-            table = s["table"]
-            V[s["row"]] = table[v % len(table)]
-            K[s["row"]] = k
+class _Streams:
+    """The temporal range unranked once, with everything derived from it
+    per distinct address matrix, coverage offset and mux policy."""
+
+    def __init__(self, program: StepProgram):
+        self.n_cycles = program.n_cycles
+        self._addrgen = program._addrgen
+        self.rt = np.array([int(r) for r in program.sim.rt], dtype=np.int64)
+        self.total = int(np.prod(self.rt))
+        strides = np.ones(len(self.rt), dtype=np.int64)
+        for i in range(len(self.rt) - 2, -1, -1):
+            strides[i] = strides[i + 1] * self.rt[i + 1]
+        # digits[i, t] == unrank(t)[i]
+        self.digits = (np.arange(self.total, dtype=np.int64)[None, :]
+                       // strides[:, None]) % self.rt[:, None]
+        self._address: dict = {}
+        self._covered: dict = {}
+        self._first: dict = {}
+
+    def window(self, shift: int, start: int) -> tuple[int, int, int]:
+        """Cycles ``[lo, hi)`` on which the stream ``n - shift`` (valid
+        from cycle *start*) lies inside the temporal range, and the
+        timestamp at ``lo``."""
+        lo = max(start, shift, 0)
+        hi = max(lo, min(shift + self.total, self.n_cycles))
+        return lo, hi, lo - shift
+
+    def address(self, mdt, dims):
+        """``(flat, index)``: the tensor index ``M_DT @ digits`` of every
+        timestamp and its row-major flat address (per-generator offsets
+        and bounds are applied by :meth:`addresses`)."""
+        hit = self._address.get((mdt, dims))
+        if hit is None:
+            index = np.array(mdt, dtype=np.int64) @ self.digits
+            strides = np.ones(len(dims), dtype=np.int64)
+            for i in range(len(dims) - 2, -1, -1):
+                strides[i] = strides[i + 1] * dims[i + 1]
+            hit = self._address[(mdt, dims)] = (strides @ index, index)
+        return hit
+
+    def covered(self, dt, sign: int):
+        """Timestamps ``t`` with ``unrank(t) + sign * dt`` still inside
+        the temporal range."""
+        hit = self._covered.get((dt, sign))
+        if hit is None:
+            moved = self.digits + sign * np.array(dt, dtype=np.int64)[:, None]
+            hit = self._covered[(dt, sign)] = np.all(
+                (moved >= 0) & (moved < self.rt[:, None]), axis=0)
+        return hit
+
+    def first(self, dts):
+        """``(position, matched)`` per timestamp: the first policy entry
+        whose coverage test passes (None always passes), and whether any
+        does (position is 0 where none does)."""
+        hit = self._first.get(dts)
+        if hit is None:
+            position = np.zeros(self.total, dtype=np.intp)
+            open_ = np.ones(self.total, dtype=bool)
+            for p, dt in enumerate(dts):
+                cond = open_ if dt is None else open_ & self.covered(dt, -1)
+                position[cond] = p
+                open_ &= ~cond
+            hit = self._first[dts] = (position, ~open_)
+        return hit
+
+    def addresses(self, entries):
+        """``(addr, valid)`` matrices, one row per ``(address generator
+        row, lookback)`` entry: the flat address each cycle reads (-1 in
+        the padding region) and whether the generator drives one."""
+        addr = np.zeros((len(entries), self.n_cycles), dtype=np.int64)
+        valid = np.zeros((len(entries), self.n_cycles), dtype=bool)
+        for i, (row, lb) in enumerate(entries):
+            ag = self._addrgen[row]
+            shift, start = ag["stream"]
+            lo, hi, first = self.window(shift + lb, start + lb)
+            if lo == hi:
+                continue
+            last = first + hi - lo
+            flat, index = self.address(ag["mdt"], ag["dims"])
+            series = flat[first:last] + ag["carry"]
+            if ag["checks"]:
+                inside = np.ones(hi - lo, dtype=bool)
+                for dim, low, high in ag["checks"]:
+                    d = index[dim, first:last]
+                    inside &= (d >= low) & (d < high)
+                series = np.where(inside, series, -1)
+            addr[i, lo:hi] = series
+            valid[i, lo:hi] = (True if ag["gate"] is None
+                               else ~self.covered(ag["gate"], 1)[first:last])
+        return addr, valid
+
+
+class _Operand:
+    """One input of every spec in a group: root rows and the window
+    index ``lookback - lb`` that reads each root delayed by its ``lb``."""
+
+    __slots__ = ("roots", "index")
+
+    def __init__(self, entries, zero: int, lookback: int):
+        entries = [e or (zero, 0) for e in entries]
+        self.roots = np.array([root for root, _lb in entries], dtype=np.intp)
+        self.index = lookback - np.array([lb for _root, lb in entries],
+                                         dtype=np.intp)
+
+
+def _by_key(specs, key):
+    """``[(value, index array or None when it is the whole group)]``."""
+    parts: dict = {}
+    for i, s in enumerate(specs):
+        parts.setdefault(s[key], []).append(i)
+    if len(parts) == 1:
+        return [(next(iter(parts)), None)]
+    return [(value, np.array(idx)) for value, idx in parts.items()]
+
+
+def _gathered(kind: str, spec: dict) -> list:
+    """The input entries a spec reads from ``V`` at run time."""
+    if kind == "alu":
+        return [spec["a"], spec["b"]]
+    if kind == "mem_write":
+        return [spec["data"]]
+    if kind == "reducer":
+        return spec["pins"]
+    if kind == "lut":
+        return [spec["input"]]
+    if kind == "mux_dyn":
+        return [entry for entry, _dt in spec["policy"]]
+    return []
+
+
+class _Plan:
+    """The steps one kind of run executes, as prepared groups.
+
+    With ``activity=False`` only the rows that feed a memory commit are
+    kept: counters and toggles are not computed, so nothing else is
+    observable.
+    """
+
+    def __init__(self, program: StepProgram, activity: bool):
+        steps = program.steps
+        if not activity:
+            needed: set[int] = set()
+            for kind, specs in reversed(steps):
+                for s in specs:
+                    if kind == "mem_write" or s["row"] in needed:
+                        needed.update(s["_srcs"])
+            steps = [(kind, kept) for kind, specs in steps
+                     if (kept := [s for s in specs if kind == "mem_write"
+                                  or s["row"] in needed])]
+        self.program = program
+        self.rows = {s["row"] for kind, specs in steps for s in specs
+                     if kind != "mem_write"}
+        self.lookback = max((lb for kind, specs in steps for s in specs
+                             for _root, lb in _gathered(kind, s)),
+                            default=0)
+        self.width = self.lookback + program.n_cycles
+        self.groups = [(kind, self._prepare(kind, specs))
+                       for kind, specs in steps]
+
+    def _operand(self, entries) -> _Operand:
+        return _Operand(entries, self.program._zero, self.lookback)
+
+    def _prepare(self, kind, specs) -> _Group:
+        rows = np.array([s["row"] for s in specs], dtype=np.intp)
+        if kind == "const":
+            return _Group(rows=rows, values=np.array(
+                [s["value"] for s in specs], dtype=np.int64))
+        if kind == "ctrl":
+            return _Group(rows=rows, offsets=np.array(
+                [s["offset"] for s in specs], dtype=np.int64))
+        streams = self.program.streams()
+        if kind == "addrgen":
+            addr, valid = streams.addresses([(s["row"], 0) for s in specs])
+            return _Group(rows=rows, addr=addr, valid=valid)
+        if kind == "mem_read":
+            addr, valid = streams.addresses([s["addr"] for s in specs])
+            fetch = valid & (addr >= 0)
+            tensors = _by_key(specs, "tensor")
+            reads = {tensor: int(np.count_nonzero(
+                fetch if idx is None else fetch[idx]))
+                for tensor, idx in tensors}
+            return _Group(rows=rows, index=np.where(fetch, addr, 0),
+                          fetch=fetch, valid=valid, tensors=tensors,
+                          reads={t: c for t, c in reads.items() if c})
+        if kind == "mem_write":
+            addr, valid = streams.addresses([s["addr"] for s in specs])
+            return _Group(index=addr, ok=valid & (addr >= 0),
+                          data=self._operand([s["data"] for s in specs]),
+                          tensors=_by_key(specs, "tensor"))
+        if kind == "alu":
+            return _Group(rows=rows,
+                          a=self._operand([s["a"] for s in specs]),
+                          b=self._operand([s["b"] for s in specs]),
+                          ops=_by_key(specs, "op"))
+        if kind == "reducer":
+            return _Group(rows=rows, pins=self._operand(
+                [e for s in specs for e in s["pins"]]),
+                starts=np.cumsum([0] + [len(s["pins"]) for s in specs[:-1]]))
+        if kind == "lut":
+            return _Group(rows=rows,
+                          input=self._operand([s["input"] for s in specs]),
+                          tables=[s["table"] for s in specs])
+        if kind == "mux_dyn":
+            return self._prepare_mux(rows, specs, streams)
+        raise AssertionError(f"no executor for step kind {kind!r}")
+
+    def _prepare_mux(self, rows, specs, streams) -> _Group:
+        """A group of dynamic muxes as one precomputed gather: ``flat[i,
+        n]`` indexes ``V`` (and ``K``) at the source mux *i* forwards at
+        cycle *n*, delayed by that source's lookback."""
+        n = self.program.n_cycles
+        width = max(len(s["policy"]) for s in specs)
+        # start[i, p]: flat index of source p of mux i at cycle 0
+        start = np.full((len(specs), width), self.program._zero * self.width,
+                        dtype=np.intp)
+        pick = np.zeros((len(specs), n), dtype=np.intp)
+        live = np.zeros((len(specs), n), dtype=bool)
+        for i, s in enumerate(specs):
+            for p, ((root, lb), _dt) in enumerate(s["policy"]):
+                start[i, p] = root * self.width + self.lookback - lb
+            lo, hi, first = streams.window(*s["stream"])
+            position, matched = streams.first(
+                tuple(dt for _entry, dt in s["policy"]))
+            pick[i, lo:hi] = position[first:first + hi - lo]
+            live[i, lo:hi] = matched[first:first + hi - lo]
+        pick += (np.arange(len(specs)) * width)[:, None]
+        flat = np.take(start, pick)
+        flat += np.arange(n)
+        return _Group(rows=rows, flat=flat, live=live)
+
+
+class _Run:
+    """The matrices of one execution and the operand access into them."""
+
+    def __init__(self, n_cycles, plan, V, K, storage, activity):
+        self.V = V
+        self.K = K
+        self.storage = storage
+        # window[row, lookback - lb] is the row's series delayed by lb
+        self._wv = sliding_window_view(V, n_cycles, axis=1)
+        self._wk = sliding_window_view(K, n_cycles, axis=1)
+        self._columns = slice(plan.lookback, plan.lookback + n_cycles)
+        self.mem_reads: dict[str, int] | None = {} if activity else None
+        self.mem_writes: dict[str, int] | None = {} if activity else None
+
+    def gather(self, op: _Operand):
+        return self._wv[op.roots, op.index], self._wk[op.roots, op.index]
+
+    def put(self, rows, values, valid) -> None:
+        self.V[rows, self._columns] = values
+        self.K[rows, self._columns] = valid
