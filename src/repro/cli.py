@@ -18,8 +18,8 @@ Commands
                survive restarts);
 ``route``      run a fleet router fanning requests across several
                ``serve`` backends by spec-hash shard;
-``metrics``    print telemetry as Prometheus text (this process's
-               registry, or a running server's ``GET /metrics``);
+``metrics``    print a running server's or fleet's ``GET /metrics``
+               (Prometheus text);
 ``trace``      summarize an exported Chrome/Perfetto trace file, or pull
                the live (router-merged) span buffer off a running
                server/fleet with ``--url``;
@@ -409,9 +409,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(engine=_build_engine(args), host=args.host, port=args.port,
           step_evals=args.step_evals, log_level=args.log_level,
           slow_request_ms=args.slow_request_ms,
-          persist_jobs=not args.no_persist_jobs,
-          profile_hz=args.profile_hz if args.profile else None,
-          history_interval_s=args.history_interval)
+          persist_jobs=not args.no_persist_jobs)
     return 0
 
 
@@ -425,8 +423,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         route(backends=args.backend, host=args.host, port=args.port,
               log_level=args.log_level, timeout=args.timeout,
               slow_request_ms=args.slow_request_ms,
-              profile_hz=args.profile_hz if args.profile else None,
-              history_interval_s=args.history_interval,
               replicas=args.replicas,
               probe_interval_s=args.probe_interval,
               breaker_threshold=args.breaker_threshold,
@@ -438,15 +434,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    if args.url:
-        from .service.client import ServiceClient
+    from .service.client import ServiceClient, ServiceError
 
+    try:
         with ServiceClient.from_url(args.url) as client:
             sys.stdout.write(client.metrics())
-    else:
-        from .obs import get_registry
-
-        sys.stdout.write(get_registry().render())
+    except (OSError, ServiceError) as exc:
+        print(f"cannot reach {args.url}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -565,9 +560,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         try:
             with ServiceClient.from_url(args.url,
                                         timeout=timeout) as client:
-                payload = client.profile(
-                    seconds=None if args.snapshot else args.seconds,
-                    hz=args.hz)
+                payload = client.profile(seconds=args.seconds, hz=args.hz)
         except (OSError, ServiceError) as exc:
             print(f"cannot profile {args.url}: {exc}", file=sys.stderr)
             return 2
@@ -916,20 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="don't journal jobs under <cache>/jobs/; "
                      "jobs then die with the process instead of being "
                      "recovered (paused/failed) on reboot")
-    srv.add_argument("--profile", action="store_true",
-                     help="run a continuous sampling profiler in the "
-                     "server process; GET /debug/profile (and `repro "
-                     "profile --url`) snapshots it without a capture "
-                     "window")
-    srv.add_argument("--profile-hz", type=float, default=67.0,
-                     metavar="HZ",
-                     help="sampling rate of the continuous profiler "
-                     "(with --profile; default 67 Hz)")
-    srv.add_argument("--history-interval", type=float, default=2.0,
-                     metavar="S",
-                     help="seconds between metrics-history samples "
-                     "(GET /metrics/history window; 0 disables the "
-                     "recorder)")
+    # accepted and ignored: the metrics-history recorder it tuned is
+    # gone, but bench/workloads/serve.py still passes it
+    srv.add_argument("--history-interval", help=argparse.SUPPRESS)
     _add_cache_flags(srv)
     _add_fault_flag(srv)
     srv.set_defaults(func=_cmd_serve)
@@ -954,17 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="MS",
                     help="log a WARNING for routed requests slower "
                     "than this; 0 disables")
-    rt.add_argument("--profile", action="store_true",
-                    help="run a continuous sampling profiler in the "
-                    "router process (merged into GET /debug/profile)")
-    rt.add_argument("--profile-hz", type=float, default=67.0,
-                    metavar="HZ",
-                    help="sampling rate of the continuous profiler "
-                    "(with --profile; default 67 Hz)")
-    rt.add_argument("--history-interval", type=float, default=2.0,
-                    metavar="S",
-                    help="seconds between router metrics-history "
-                    "samples (GET /metrics/history; 0 disables)")
+    rt.add_argument("--history-interval", help=argparse.SUPPRESS)  # ignored
     rt.add_argument("--replicas", type=int, default=1, metavar="N",
                     help="owners per hash-prefix range: each range is "
                     "served by N consecutive backends, so a down "
@@ -1034,10 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     mt = sub.add_parser("metrics",
                         help="print telemetry as Prometheus text")
-    mt.add_argument("--url", metavar="URL",
-                    help="scrape a running server's GET /metrics (e.g. "
-                    "http://127.0.0.1:8731) instead of printing this "
-                    "process's registry")
+    mt.add_argument("--url", default="http://127.0.0.1:8731",
+                    metavar="URL",
+                    help="server or router to scrape via GET /metrics "
+                    "(default http://127.0.0.1:8731; a `repro route` URL "
+                    "serves the fleet-merged registry)")
     mt.set_defaults(func=_cmd_metrics)
 
     tr = sub.add_parser("trace",
@@ -1078,10 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "30s)")
     pf.add_argument("--hz", type=float, default=67.0,
                     help="sampling rate (default 67 Hz)")
-    pf.add_argument("--snapshot", action="store_true",
-                    help="with --url: read the server's always-on "
-                    "profiler (`repro serve --profile`) instead of "
-                    "running a timed capture")
     pf.add_argument("--top", type=int, default=15, metavar="N",
                     help="show the N hottest frames")
     pf.add_argument("--include-idle", action="store_true",

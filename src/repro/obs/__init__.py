@@ -1,4 +1,5 @@
-"""Telemetry subsystem: metrics, tracing, phase vocabulary, logging.
+"""Telemetry subsystem: metrics, tracing, profiling, phase vocabulary,
+logging.
 
 Dependency-free observability for the whole stack — the substrate the
 serving front end, the batch engine, the cache tiers, the DSE
@@ -14,6 +15,13 @@ strategies, and (eventually) a per-pass pipeline all instrument into:
     buffered process-wide and exportable as Chrome-trace-event JSON
     (loadable at https://ui.perfetto.dev) — ``repro trace <file>``
     summarizes one.
+:mod:`repro.obs.profiler`
+    :func:`profile_for`, a timed stack-sampling capture behind ``GET
+    /debug/profile`` and ``repro profile``.
+:mod:`repro.obs.dashboard`
+    the ``repro top`` frame renderer and the snapshot readers it
+    shares with tests (:func:`snapshot_value`,
+    :func:`histogram_quantile`, …).
 :mod:`repro.obs.phases`
     the staged pipeline's phase-name constants (``adg``, ``schedule``,
     ``emit``, …) shared by ``DesignResult.phases``, the cache's phase
@@ -32,9 +40,8 @@ from __future__ import annotations
 import contextlib
 import time
 
-from .dashboard import render_dashboard
-from .history import (MetricsHistory, histogram_quantile, histogram_totals,
-                      snapshot_children, snapshot_value)
+from .dashboard import (histogram_quantile, histogram_totals,
+                        render_dashboard, snapshot_children, snapshot_value)
 from .logs import LOG_LEVELS, get_logger, setup_logging
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry, reset_registry)
@@ -59,7 +66,7 @@ __all__ = [
     "TRACE_HEADER", "format_trace_header", "parse_trace_header",
     "active_spans", "refresh_trace_metrics",
     "Profile", "SamplingProfiler", "profile_for", "DEFAULT_HZ",
-    "MetricsHistory", "snapshot_value", "snapshot_children",
+    "snapshot_value", "snapshot_children",
     "histogram_totals", "histogram_quantile", "render_dashboard",
     "PHASE_ADG", "PHASE_SCHEDULE", "PHASE_EMIT", "PHASE_DESIGN_LOAD",
     "PHASE_FLIGHT_WAIT", "PHASE_REQUEST", "PHASE_DESIGN", "PHASE_SIM",

@@ -13,11 +13,21 @@ Keeping the renderer import-light and side-effect-free makes it
 testable without sockets: build two registry snapshots, render, assert
 on the text.
 
+The module also carries the snapshot *readers* the renderer and tests
+share: :func:`snapshot_value` pulls one scalar out of a snapshot,
+:func:`snapshot_children` iterates a family's labeled children, and
+:func:`histogram_quantile` interpolates p50/p99 from bucket-count
+deltas between two snapshots (the standard Prometheus
+``histogram_quantile`` estimate).
+
 >>> from repro.obs import MetricsRegistry
 >>> reg = MetricsRegistry()
 >>> reg.counter("repro_http_requests_total", "", ("route", "method",
 ...     "status")).labels(route="/generate", method="POST",
 ...     status="200").inc(4)
+>>> snapshot_value(reg.snapshot(), "repro_http_requests_total",
+...                route="/generate", method="POST", status="200")
+4.0
 >>> frame = render_dashboard("http://x", {"ok": True}, None,
 ...                          reg.snapshot(), 2.0)
 >>> "/generate" in frame
@@ -28,12 +38,79 @@ from __future__ import annotations
 
 import time
 
-from .history import (histogram_quantile, histogram_totals,
-                      snapshot_children, snapshot_value)
-
-__all__ = ["render_dashboard"]
+__all__ = ["render_dashboard", "snapshot_value", "snapshot_children",
+           "histogram_totals", "histogram_quantile"]
 
 _CACHE_TIERS = ("memory", "disk", "phase", "live")
+
+
+def _family(snapshot: dict, name: str) -> dict | None:
+    for entry in (snapshot or {}).get("metrics", []):
+        if entry.get("name") == name:
+            return entry
+    return None
+
+
+def snapshot_children(snapshot: dict, name: str):
+    """Yield ``(labels_dict, data)`` for every child of family *name*
+    in a ``MetricsRegistry.snapshot()``; ``data`` is a float for
+    counters/gauges and the bucket dict for histograms."""
+    family = _family(snapshot, name)
+    if not family:
+        return
+    labelnames = family.get("labelnames", [])
+    for child in family.get("children", []):
+        labels = dict(zip(labelnames, child.get("labels", [])))
+        yield labels, child.get("value")
+
+
+def snapshot_value(snapshot: dict, name: str, **labels) -> float | None:
+    """One scalar out of a snapshot: counter/gauge value, or a
+    histogram child's observation count.  None when absent."""
+    for child_labels, data in snapshot_children(snapshot, name):
+        if child_labels == labels:
+            if isinstance(data, dict):
+                return float(data.get("count", 0))
+            return float(data)
+    return None
+
+
+def histogram_totals(snapshot: dict, name: str,
+                     **labels) -> tuple[list, list, float, float] | None:
+    """A histogram child as ``(bounds, bucket_counts, sum, count)``
+    (non-cumulative per-bucket counts; bounds exclude +Inf)."""
+    family = _family(snapshot, name)
+    if not family:
+        return None
+    for child_labels, data in snapshot_children(snapshot, name):
+        if child_labels == labels and isinstance(data, dict):
+            return (list(family.get("buckets", [])),
+                    list(data.get("bucket_counts", [])),
+                    float(data.get("sum", 0.0)),
+                    float(data.get("count", 0)))
+    return None
+
+
+def histogram_quantile(bounds: list, bucket_counts: list,
+                       q: float) -> float | None:
+    """Prometheus-style quantile estimate from per-bucket counts:
+    linear interpolation inside the bucket holding the q-th
+    observation; the overflow bucket clamps to the top bound."""
+    total = sum(bucket_counts)
+    if total <= 0:
+        return None
+    rank = q * total
+    seen = 0.0
+    for i, count in enumerate(bucket_counts):
+        if count <= 0:
+            continue
+        if seen + count >= rank:
+            hi = bounds[i] if i < len(bounds) else bounds[-1]
+            lo = bounds[i - 1] if 0 < i <= len(bounds) else 0.0
+            frac = (rank - seen) / count
+            return lo + (hi - lo) * min(1.0, max(0.0, frac))
+        seen += count
+    return bounds[-1] if bounds else None
 
 
 def _rate(curr: float | None, prev: float | None, dt: float) -> float:

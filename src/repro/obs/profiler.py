@@ -1,24 +1,22 @@
 """Stdlib sampling profiler: wall-clock stack sampling, flamegraph-ready.
 
-A daemon thread wakes at a configurable rate (default ~67 Hz — an odd
-frequency so samples do not phase-lock with common 10 ms/100 ms timer
-loops), snapshots every thread's Python stack via
-``sys._current_frames()``, and accumulates collapsed call stacks
-(Brendan Gregg's flamegraph input format: ``frame;frame;frame count``).
-Nothing is installed per-call, so the overhead on the profiled code is
-just the GIL time the sampler thread steals — well under 5% at the
-default rate — which is what makes it safe to leave running on a
-serving fleet (``repro serve --profile``).
+For the length of one timed capture (:func:`profile_for`), a daemon
+thread wakes at a configurable rate (default ~67 Hz — an odd frequency
+so samples do not phase-lock with common 10 ms/100 ms timer loops),
+snapshots every thread's Python stack via ``sys._current_frames()``,
+and accumulates collapsed call stacks (Brendan Gregg's flamegraph input
+format: ``frame;frame;frame count``).  Nothing is installed per-call,
+so the only cost to the profiled code is the GIL time the sampler
+thread steals while the capture runs.
 
 Samples are attributed to the innermost open trace span on the sampled
 thread (see :func:`repro.obs.tracing.active_spans`), so the per-phase
 CPU split (``by_phase``) answers "*why* is ``schedule`` slow" rather
 than just "schedule is slow".
 
-Three surfaces share this module: ``GET /debug/profile?seconds=N`` on
-a server (the router fans the capture across backends and merges),
-``repro profile [--url]`` on the CLI, and the always-on profiler behind
-``repro serve --profile``.
+Two surfaces share this module: ``GET /debug/profile[?seconds=N]`` on
+a server (the router fans the capture across backends and merges) and
+``repro profile [--url]`` on the CLI.
 
 >>> p = Profile.from_dict({"hz": 50, "wall_s": 1.0, "samples": 2,
 ...     "idle_samples": 0, "stacks": {"a;b": 2}, "by_phase": {"emit": 2}})
@@ -35,7 +33,6 @@ import sys
 import threading
 import time
 
-from .metrics import get_registry
 from .tracing import active_spans
 
 __all__ = ["Profile", "SamplingProfiler", "profile_for", "DEFAULT_HZ"]
@@ -53,10 +50,6 @@ _IDLE_LEAVES = frozenset({
     "acquire", "get", "recv", "recv_into", "read", "readinto",
     "readline", "sleep", "settimeout", "park", "_recv_bytes",
 })
-
-_SAMPLES = get_registry().counter(
-    "repro_profile_samples_total",
-    "thread stack samples taken by the sampling profiler")
 
 
 def _frame_label(frame) -> str:
@@ -146,54 +139,37 @@ class Profile:
 
 
 class SamplingProfiler:
-    """The daemon sampler.  ``start()`` it once; ``snapshot()`` reads
-    the accumulated profile, ``take()`` drains it (the continuous-mode
-    scrape pattern, mirroring ``Tracer.take``).  Bounded: at most
-    ``max_stacks`` distinct stacks are kept, further novel stacks
-    aggregate under ``(truncated)``."""
+    """The daemon sampler of one capture: ``start()``, ``stop()``, then
+    ``snapshot()``.  Bounded: at most ``max_stacks`` distinct stacks are
+    kept, further novel stacks aggregate under ``(truncated)``."""
 
-    def __init__(self, hz: float = DEFAULT_HZ, max_stacks: int = _MAX_STACKS,
-                 exclude_idents=()):
+    max_stacks = _MAX_STACKS
+
+    def __init__(self, hz: float = DEFAULT_HZ, exclude_idents=()):
         self.hz = max(1.0, min(1000.0, float(hz)))
-        self.max_stacks = max_stacks
         #: thread idents never sampled (e.g. the thread blocked in
         #: ``profile_for``'s sleep — a builtin, so its Python leaf frame
         #: would otherwise masquerade as hot).
         self.exclude_idents = set(exclude_idents)
-        self._lock = threading.Lock()
         self._stacks: dict[str, int] = {}
         self._by_phase: dict[str, int] = {}
         self._samples = 0
         self._idle = 0
-        self._started_at: float | None = None
+        self._started_at = 0.0
         self._wall_s = 0.0
         self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "SamplingProfiler":
-        if self.running:
-            return self
-        self._stop.clear()
-        self._started_at = time.perf_counter()
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="repro-profiler")
+
+    def start(self) -> "SamplingProfiler":
+        self._started_at = time.perf_counter()
         self._thread.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=2.0)
-        with self._lock:
-            if self._started_at is not None:
-                self._wall_s += time.perf_counter() - self._started_at
-                self._started_at = None
-        self._thread = None
+        self._thread.join()
+        self._wall_s = time.perf_counter() - self._started_at
 
     def _loop(self) -> None:
         interval = 1.0 / self.hz
@@ -204,63 +180,37 @@ class SamplingProfiler:
         own = threading.get_ident()
         frames = sys._current_frames()
         phases = active_spans()
-        taken = 0
-        with self._lock:
-            for ident, frame in frames.items():
-                if ident == own or ident in self.exclude_idents:
-                    continue
-                stack = []
-                depth = 0
-                while frame is not None and depth < _MAX_DEPTH:
-                    stack.append(_frame_label(frame))
-                    frame = frame.f_back
-                    depth += 1
-                stack.reverse()
-                key = ";".join(stack)
-                if key not in self._stacks and \
-                        len(self._stacks) >= self.max_stacks:
-                    key = _TRUNCATED
-                self._stacks[key] = self._stacks.get(key, 0) + 1
-                phase = phases.get(ident, "(no span)")
-                self._by_phase[phase] = self._by_phase.get(phase, 0) + 1
-                self._samples += 1
-                if Profile._is_idle(key):
-                    self._idle += 1
-                taken += 1
-        if taken:
-            _SAMPLES.inc(taken)
-
-    def _wall(self) -> float:
-        if self._started_at is None:
-            return self._wall_s
-        return self._wall_s + (time.perf_counter() - self._started_at)
+        for ident, frame in frames.items():
+            if ident == own or ident in self.exclude_idents:
+                continue
+            stack = []
+            depth = 0
+            while frame is not None and depth < _MAX_DEPTH:
+                stack.append(_frame_label(frame))
+                frame = frame.f_back
+                depth += 1
+            stack.reverse()
+            key = ";".join(stack)
+            if key not in self._stacks and \
+                    len(self._stacks) >= self.max_stacks:
+                key = _TRUNCATED
+            self._stacks[key] = self._stacks.get(key, 0) + 1
+            phase = phases.get(ident, "(no span)")
+            self._by_phase[phase] = self._by_phase.get(phase, 0) + 1
+            self._samples += 1
+            if Profile._is_idle(key):
+                self._idle += 1
 
     def snapshot(self) -> Profile:
-        """The profile accumulated so far (buffer kept)."""
-        with self._lock:
-            return Profile(self.hz, dict(self._stacks),
-                           dict(self._by_phase), self._samples,
-                           self._idle, self._wall())
-
-    def take(self) -> Profile:
-        """Drain: the profile so far, then reset the accumulators."""
-        with self._lock:
-            out = Profile(self.hz, self._stacks, self._by_phase,
-                          self._samples, self._idle, self._wall())
-            self._stacks = {}
-            self._by_phase = {}
-            self._samples = 0
-            self._idle = 0
-            self._wall_s = 0.0
-            if self._started_at is not None:
-                self._started_at = time.perf_counter()
-            return out
+        """The profile of the capture (read it after ``stop()``)."""
+        return Profile(self.hz, dict(self._stacks), dict(self._by_phase),
+                       self._samples, self._idle, self._wall_s)
 
 
 def profile_for(seconds: float, hz: float = DEFAULT_HZ) -> Profile:
     """Blocking capture: sample every thread for *seconds*, return the
-    :class:`Profile` — what ``GET /debug/profile?seconds=N`` runs on an
-    executor thread."""
+    :class:`Profile` — what ``GET /debug/profile`` runs on an executor
+    thread."""
     profiler = SamplingProfiler(
         hz=hz, exclude_idents=(threading.get_ident(),))
     profiler.start()

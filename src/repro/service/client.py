@@ -218,14 +218,6 @@ class ServiceClient:
         polls."""
         return self.request("GET", "/metrics?format=json")
 
-    def metrics_history(self, samples: int | None = None) -> dict:
-        """The server's metrics time series — ``GET /metrics/history``
-        (``samples`` trims to the most recent N)."""
-        path = "/metrics/history"
-        if samples is not None:
-            path += f"?samples={int(samples)}"
-        return self.request("GET", path)
-
     def trace(self, drain: bool = False,
               trace_id: str | None = None) -> dict:
         """The span buffer as Chrome-trace JSON — ``GET /trace``.
@@ -244,9 +236,8 @@ class ServiceClient:
 
     def profile(self, seconds: float | None = None,
                 hz: float | None = None) -> dict:
-        """A CPU profile — ``GET /debug/profile``.  With *seconds*, a
-        one-shot capture of that length; without, a snapshot of the
-        server's always-on profiler (``repro serve --profile``)."""
+        """A CPU profile — ``GET /debug/profile``: a capture of
+        *seconds* (the server's 2 s default when None)."""
         params = {}
         if seconds is not None:
             params["seconds"] = f"{seconds:g}"

@@ -58,7 +58,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs import (DEFAULT_HZ, TRACE_HEADER, MetricsRegistry, Profile,
+from ..obs import (TRACE_HEADER, MetricsRegistry, Profile,
                    current_span_id, current_trace_id, format_trace_header,
                    get_registry, new_trace_id, refresh_trace_metrics,
                    setup_logging, trace_context, trace_span)
@@ -690,8 +690,7 @@ class DesignRouter(HttpServerBase):
                      "shards": len(self.backends),
                      "replicas": self.replicas,
                      "jobs": jobs, "backends": backends,
-                     "trace": refresh_trace_metrics(),
-                     "profiling": self.profiler is not None}
+                     "trace": refresh_trace_metrics()}
 
     async def _ep_metrics(self, req: Request) -> tuple[int, dict | str]:
         merged = MetricsRegistry()
@@ -736,16 +735,14 @@ class DesignRouter(HttpServerBase):
 
     async def _ep_profile(self, req: Request) -> tuple[int, dict]:
         """``GET /debug/profile``: fan the capture across backends and
-        fold the profiles into one fleet flamegraph.  With ``seconds=N``
-        the router samples itself concurrently with the backends (the
-        captures overlap, so one wall-clock wait covers the fleet);
-        without, it merges always-on profiler snapshots from whichever
-        processes run one."""
-        (own, continuous), polls = await asyncio.gather(
+        fold the profiles into one fleet flamegraph.  The query passes
+        through, and the router samples itself concurrently with the
+        backends (the captures overlap, so one wall-clock wait covers
+        the fleet)."""
+        merged, polls = await asyncio.gather(
             self._capture_profile(req.params),
             self._fan(_with_query("/debug/profile", req.query)))
-        merged = own if own is not None else Profile(hz=DEFAULT_HZ)
-        reached = 1 if own is not None else 0
+        reached = 1
         backends = []
         for index, status, payload in polls:
             entry: dict = {"url": self.backends[index],
@@ -763,12 +760,8 @@ class DesignRouter(HttpServerBase):
             else:
                 entry["error"] = payload.get("error")
             backends.append(entry)
-        if reached == 0:
-            return 404, {"error": "no profile available: pass "
-                         "?seconds=N for a one-shot capture, or run "
-                         "the fleet with --profile", "backends": backends}
-        return 200, dict(merged.to_dict(), continuous=continuous,
-                         merged_from=reached, backends=backends)
+        return 200, dict(merged.to_dict(), merged_from=reached,
+                         backends=backends)
 
 
 def _with_query(path: str, query: str) -> str:

@@ -67,9 +67,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from ..dse.checkpoint import run_checkpointed, space_from_dict
-from ..obs import (DEFAULT_HZ, MetricsHistory, SamplingProfiler,
-                   current_span_id, current_trace_id, get_logger,
-                   get_registry, get_tracer, new_trace_id,
+from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
+                   get_logger, get_registry, get_tracer, new_trace_id,
                    parse_trace_header, profile_for, refresh_trace_metrics,
                    setup_logging, trace_context, trace_span)
 from .engine import BatchEngine
@@ -86,6 +85,9 @@ _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 500: "Internal Server Error", 502: "Bad Gateway",
                 503: "Service Unavailable"}
 _MAX_BODY = 64 * 1024 * 1024
+#: ``GET /debug/profile`` capture window without ``seconds=`` — the
+#: ``repro profile --seconds`` default
+_PROFILE_SECONDS = 2.0
 
 _HTTP_REQUESTS = get_registry().counter(
     "repro_http_requests_total",
@@ -137,7 +139,6 @@ class Route(NamedTuple):
 ROUTES = (
     Route(("GET",), "/healthz", "health", "merged"),
     Route(("GET",), "/metrics", "metrics", "merged"),
-    Route(("GET",), "/metrics/history", "metrics_history", "local"),
     Route(("GET",), "/trace", "trace", "merged"),
     Route(("GET",), "/debug/profile", "profile", "merged"),
     Route(("GET", "POST"), "/debug/faults", "faults", "local"),
@@ -293,8 +294,8 @@ class HttpServerBase:
     (:data:`ROUTES`) with per-route telemetry and slow-request logging,
     JSON/text responses plus chunked NDJSON streams
     (:class:`StreamPayload`) — and the endpoints that only concern the
-    process itself: ``/metrics/history``, ``/debug/faults``, the local
-    halves of ``/trace`` and ``/debug/profile``.  The design server and
+    process itself: ``/debug/faults`` and the local halves of
+    ``/trace`` and ``/debug/profile``.  The design server and
     the fleet router are both thin layers over this: subclasses supply
     the remaining ``_ep_<name>`` handlers and may override
     :meth:`_route_raw` to answer before the JSON body is even parsed
@@ -307,27 +308,12 @@ class HttpServerBase:
     fault_scope = "server"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 slow_request_ms: float = 1000.0,
-                 profile_hz: float | None = None,
-                 history_interval_s: float = 2.0,
-                 history_samples: int = 600):
+                 slow_request_ms: float = 1000.0):
         self.host = host
         self.port = port
         #: requests slower than this are logged at WARNING with their
         #: route and trace id (0 disables the check)
         self.slow_request_ms = slow_request_ms
-        #: always-on sampling profiler of this process (``--profile``);
-        #: ``GET /debug/profile`` without ``seconds=`` snapshots it.
-        self.profiler = (SamplingProfiler(hz=profile_hz)
-                         if profile_hz else None)
-        #: this process's own metrics time series behind ``GET
-        #: /metrics/history`` (``history_interval_s=0`` disables it).
-        #: A router keeps only its own series too: merging backends'
-        #: misaligned sampling clocks would fabricate rates.
-        self.history = (MetricsHistory(interval_s=history_interval_s,
-                                       max_samples=history_samples,
-                                       refresh=self._refresh_gauges)
-                        if history_interval_s else None)
         self._log = get_logger(self.log_name)
         self._server: asyncio.AbstractServer | None = None
         self._closing = threading.Event()
@@ -341,18 +327,10 @@ class HttpServerBase:
             self._handle_connection, self.host, self.port,
             limit=_MAX_BODY)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.history is not None:
-            self.history.start()
-        if self.profiler is not None:
-            self.profiler.start()
         return self
 
     async def stop(self) -> None:
         self._closing.set()
-        if self.history is not None:
-            self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -393,7 +371,7 @@ class HttpServerBase:
 
     def _refresh_gauges(self) -> None:
         """Bring gauges that describe current state up to date (before
-        every history sample and ``/metrics`` scrape)."""
+        every ``/metrics`` scrape)."""
         refresh_trace_metrics()
 
     # -- HTTP plumbing -----------------------------------------------------
@@ -590,20 +568,6 @@ class HttpServerBase:
 
     # -- endpoints every tier answers about its own process ----------------
 
-    async def _ep_metrics_history(self, req: Request) -> tuple[int, dict]:
-        """``GET /metrics/history``: this process's sample window (or
-        an empty shell when disabled); ``?samples=N`` trims it."""
-        if self.history is None:
-            return 200, {"interval_s": None, "max_samples": 0, "count": 0,
-                         "samples": []}
-        limit = req.params.get("samples")
-        if limit is not None:
-            try:
-                limit = max(0, int(limit))
-            except ValueError:
-                raise _BadRequest('"samples" must be an integer') from None
-        return 200, self.history.to_dict(limit)
-
     async def _ep_faults(self, req: Request) -> tuple[int, dict]:
         """``/debug/faults``: the chaos-harness control surface.
 
@@ -652,31 +616,22 @@ class HttpServerBase:
                      "pid": os.getpid(), "dropped": tracer.dropped}
 
     async def _capture_profile(self, params: dict):
-        """This process's CPU profile for ``GET /debug/profile``, as
-        ``(profile, continuous)``: with ``seconds=N[&hz=H]`` a bounded
-        blocking capture on an executor thread; without, a snapshot of
-        the always-on profiler (``None`` when running unprofiled)."""
-        seconds = params.get("seconds")
-        if seconds is None:
-            return (self.profiler.snapshot()
-                    if self.profiler is not None else None), True
+        """This process's CPU profile for ``GET /debug/profile``: a
+        blocking capture of ``seconds=N`` (default 2, clamped to 30) at
+        ``hz=H`` on an executor thread."""
         try:
-            secs = min(30.0, max(0.05, float(seconds)))
+            secs = min(30.0, max(0.05, float(
+                params.get("seconds", _PROFILE_SECONDS))))
             hz = float(params.get("hz", DEFAULT_HZ))
         except ValueError:
             raise _BadRequest('"seconds" and "hz" must be numbers') \
                 from None
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, profile_for, secs,
-                                          hz), False
+        return await loop.run_in_executor(None, profile_for, secs, hz)
 
     async def _ep_profile(self, req: Request) -> tuple[int, dict]:
-        profile, continuous = await self._capture_profile(req.params)
-        if profile is None:
-            return 404, {"error": "no continuous profiler running "
-                         "(start with repro serve --profile) and no "
-                         "seconds= given for a one-shot capture"}
-        return 200, dict(profile.to_dict(), continuous=continuous)
+        profile = await self._capture_profile(req.params)
+        return 200, profile.to_dict()
 
 
 class DesignServer(HttpServerBase):
@@ -687,8 +642,7 @@ class DesignServer(HttpServerBase):
     reloaded on construction — see the module docstring's recovery
     matrix.  ``job_workers`` overrides the job-body executor width
     (defaults to ``min(max_jobs, 32)``).  Remaining keyword arguments
-    (``host``, ``port``, ``slow_request_ms``, ``profile_hz``,
-    ``history_interval_s``, ``history_samples``) are
+    (``host``, ``port``, ``slow_request_ms``) are
     :class:`HttpServerBase`'s.
     """
 
@@ -758,7 +712,6 @@ class DesignServer(HttpServerBase):
                      "persist": self.journal is not None,
                      "recovered": self.recovered,
                      "trace": refresh_trace_metrics(),
-                     "profiling": self.profiler is not None,
                      "cache": (dict(cache.stats.as_dict(),
                                     root=str(cache.root),
                                     tiers=cache.stats.tiers())
@@ -1080,8 +1033,7 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         if not quiet:
             print(server.banner(), flush=True)
         # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
-        # queued jobs swept and journaled, the profiler and prober
-        # stopped.  Both cancel this task on the loop (asyncio.run does
+        # queued jobs swept and journaled, the prober stopped.  Both cancel this task on the loop (asyncio.run does
         # it for SIGINT), which ends serve_forever and runs stop() below.
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
@@ -1110,7 +1062,7 @@ def serve(port: int = 8731, quiet: bool = False,
     *log_level* configures the ``repro.*`` stdlib loggers (see
     :func:`repro.obs.setup_logging`); every other keyword argument is
     :class:`DesignServer`'s (``engine``, ``host``, ``persist_jobs``,
-    ``profile_hz``, ...).
+    ...).
     """
     setup_logging(log_level)
     _run_blocking(DesignServer(port=port, **server), quiet=quiet)

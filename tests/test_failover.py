@@ -12,8 +12,7 @@ import time
 
 import pytest
 
-from repro.obs import get_registry
-from repro.obs.history import snapshot_children
+from repro.obs import get_registry, snapshot_children
 from repro.service import (BatchEngine, DesignCache, RouterThread,
                            ServerThread, ServiceClient, ServiceError,
                            reset_faults)

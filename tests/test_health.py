@@ -99,7 +99,7 @@ class TestCircuitBreaker:
                                  cooldown_s=60)
         breaker.record_failure()
         snapshot = get_registry().snapshot()
-        from repro.obs.history import snapshot_value
+        from repro.obs import snapshot_value
         assert snapshot_value(snapshot, "repro_breaker_transitions_total",
                               backend="metric-test", to="open") == 1.0
 

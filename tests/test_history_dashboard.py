@@ -1,18 +1,15 @@
-"""Metrics-history recorder, snapshot readers, quantile estimation, the
-``repro top`` dashboard renderer, and the CLI surfaces that glue them to
-a running server (``repro top --iterations``, ``repro profile``,
-``repro trace --url``)."""
+"""Snapshot readers, quantile estimation, the ``repro top`` dashboard
+renderer, and the CLI surfaces that glue them to a running server
+(``repro top --iterations``, ``repro profile``, ``repro trace --url``)."""
 
 import re
 
 import pytest
 
 from repro.cli import main
-from repro.obs import (MetricsHistory, MetricsRegistry, histogram_quantile,
-                       histogram_totals, render_dashboard,
-                       snapshot_children, snapshot_value)
+from repro.obs import (MetricsRegistry, histogram_quantile, histogram_totals,
+                       render_dashboard, snapshot_children, snapshot_value)
 from repro.service import BatchEngine, ServerThread, ServiceClient
-from repro.service.router import RouterThread
 
 TINY = {"kernel": "gemm", "dataflows": ["KJ"], "array": [2, 2]}
 
@@ -37,61 +34,6 @@ def _two_snapshots():
         lat.labels(route="/generate").observe(0.5)
     curr = reg.snapshot()
     return prev, curr
-
-
-class TestHistory:
-    def test_ring_is_bounded_and_ordered(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("ticks_total")
-        history = MetricsHistory(registry=reg, interval_s=60,
-                                 max_samples=3)
-        for i in range(5):
-            counter.inc()
-            history.sample_now()
-        samples = history.samples()
-        assert len(samples) == 3  # ring dropped the oldest two
-        values = [snapshot_value(s["metrics"], "ticks_total")
-                  for s in samples]
-        assert values == [3.0, 4.0, 5.0]
-        assert [s["ts"] for s in samples] == sorted(s["ts"]
-                                                    for s in samples)
-
-    def test_refresh_hook_runs_and_exceptions_are_swallowed(self):
-        calls = []
-
-        def refresh():
-            calls.append(1)
-            raise RuntimeError("broken gauge hook")
-
-        history = MetricsHistory(registry=MetricsRegistry(),
-                                 interval_s=60, refresh=refresh)
-        history.sample_now()
-        assert calls == [1]
-
-    def test_series_and_to_dict_limit(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("n_total")
-        history = MetricsHistory(registry=reg, interval_s=60)
-        for i in range(4):
-            counter.inc(2)
-            history.sample_now()
-        series = history.series("n_total", limit=2)
-        assert [v for _ts, v in series] == [6.0, 8.0]
-        payload = history.to_dict(limit=1)
-        assert payload["count"] == 1 and len(payload["samples"]) == 1
-        assert payload["max_samples"] == 600
-
-    def test_thread_samples_on_interval(self):
-        import time
-
-        history = MetricsHistory(registry=MetricsRegistry(),
-                                 interval_s=0.05)
-        history.start()
-        try:
-            time.sleep(0.3)
-        finally:
-            history.stop()
-        assert len(history.samples()) >= 3  # immediate + periodic
 
 
 class TestSnapshotReaders:
@@ -211,52 +153,6 @@ class TestDashboard:
         frame = render_dashboard("http://x", {"ok": True}, None, curr,
                                  dt=2.0)
         assert "failover:" not in frame
-
-
-class TestHistoryEndpoint:
-    def test_server_history_window(self):
-        server = ServerThread(BatchEngine(cache=None),
-                              history_interval_s=0.1).start()
-        try:
-            import time
-
-            time.sleep(0.35)
-            with ServiceClient.from_url(server.url) as client:
-                client.generate(TINY)
-                payload = client.metrics_history()
-                assert payload["count"] >= 2
-                assert payload["interval_s"] == pytest.approx(0.1)
-                last = payload["samples"][-1]["metrics"]
-                assert snapshot_value(
-                    last, "repro_jobs", status="running") is not None
-                trimmed = client.metrics_history(samples=1)
-                assert trimmed["count"] == 1
-        finally:
-            server.stop()
-
-    def test_bad_samples_param_is_400(self):
-        from repro.service import ServiceError
-
-        server = ServerThread(BatchEngine(cache=None)).start()
-        try:
-            with ServiceClient.from_url(server.url) as client:
-                with pytest.raises(ServiceError) as err:
-                    client.request("GET", "/metrics/history?samples=x")
-            assert err.value.status == 400
-        finally:
-            server.stop()
-
-    def test_router_serves_own_history(self):
-        backend = ServerThread(BatchEngine(cache=None)).start()
-        router = RouterThread([backend.url],
-                              history_interval_s=0.1).start()
-        try:
-            with ServiceClient.from_url(router.url) as client:
-                payload = client.metrics_history()
-            assert payload["count"] >= 1
-        finally:
-            router.stop()
-            backend.stop()
 
 
 class TestCliSurfaces:

@@ -498,13 +498,21 @@ class TestMetricsEndpoint:
 
 class TestCli:
     def test_repro_metrics_local(self, capsys):
+        """``repro metrics`` scrapes a server on this host; it has no
+        mode that prints the (idle) CLI process's own registry."""
         from repro.cli import main
 
         get_registry().counter("repro_cli_smoke_total").inc()
-        assert main(["metrics"]) == 0
+        server = ServerThread(BatchEngine(cache=None)).start()
+        try:
+            assert main(["metrics", "--url", server.url]) == 0
+        finally:
+            server.stop()
         out = capsys.readouterr().out
         assert_valid_exposition(out)
         assert "repro_cli_smoke_total 1" in out
+        assert main(["metrics", "--url", "http://127.0.0.1:9"]) == 1
+        assert "cannot reach" in capsys.readouterr().err
 
     def test_repro_trace_summarizes(self, tmp_path, capsys):
         from repro.cli import main

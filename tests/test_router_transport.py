@@ -1,5 +1,6 @@
 """The router's backend transport: forwards run on the event loop over
-pooled keep-alive connections.  No forward thread is left behind; a
+pooled keep-alive connections.  No forward thread is left behind and
+no telemetry thread samples in the background; a
 backend that hangs up, truncates or omits ``Content-Length`` is named
 and counted exactly once; ``ServiceClient``'s resend rule holds (a GET
 is resent once after any transport error, a POST only when the send
@@ -157,6 +158,19 @@ class TestOnTheLoop:
             router.stop()
             for backend in backends:
                 backend.stop()
+
+    def test_no_background_telemetry_threads(self):
+        """A default server and router sample nothing in the
+        background: no metrics-history recorder, no always-on
+        profiler."""
+        backend = ServerThread(BatchEngine(cache=None)).start()
+        router = RouterThread([backend.url]).start()
+        try:
+            names = {t.name for t in threading.enumerate()}
+            assert not names & {"repro-metrics-history", "repro-profiler"}
+        finally:
+            router.stop()
+            backend.stop()
 
     def test_stop_closes_pooled_connections(self):
         backend = ServerThread(BatchEngine(cache=None)).start()

@@ -501,6 +501,23 @@ class TestBlockingEntryPoints:
                     proc.wait(timeout=10)
                 proc.stdout.close()
 
+    def test_parser_accepts_the_benchmark_argv(self):
+        """``bench/workloads/serve.py`` boots its servers and router with
+        ``--history-interval 0``: accepted, and read by nothing."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        serve = parser.parse_args(["serve", "--port", "0",
+                                   "--history-interval", "0",
+                                   "--cache-dir", "serve-cache"])
+        assert serve.func.__name__ == "_cmd_serve"
+        route = parser.parse_args(["route", "--port", "0", "--replicas",
+                                   "1", "--history-interval", "0",
+                                   "--backend", "http://127.0.0.1:1",
+                                   "--backend", "http://127.0.0.1:2"])
+        assert route.func.__name__ == "_cmd_route"
+        assert len(route.backend) == 2
+
     def test_second_sigterm_while_stopping_exits_clean(self):
         # A backend that accepts (the kernel backlog does) but never
         # answers holds the router's prober in a 2 s probe, so stop()
