@@ -16,6 +16,7 @@ is no overflow and no floating point anywhere in the front end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +27,8 @@ __all__ = [
     "hermite_normal_form",
     "integer_nullspace",
     "solve_integer",
+    "particular_solution",
+    "nullspace_of_hnf",
     "IntegerSolution",
 ]
 
@@ -215,14 +218,18 @@ def integer_nullspace(a: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     Returns an ``(n, k)`` object array (Python ints) whose columns span
     ``{x : A x = 0}`` over the integers.  ``k`` may be zero.
     """
-    a = _as_int_matrix(a)
-    m, n = a.shape
-    h, u = hermite_normal_form(a)
+    return nullspace_of_hnf(*hermite_normal_form(a))
+
+
+def nullspace_of_hnf(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`integer_nullspace` of ``A`` from its ``(H, U)``: the columns
+    of ``U`` whose ``H`` column is zero."""
+    m, n = len(h), len(u)
     null_cols = [c for c in range(n) if all(h[r][c] == 0 for r in range(m))]
     if not null_cols:
         return np.zeros((n, 0), dtype=object)
-    basis = np.array([[u[r][c] for c in null_cols] for r in range(n)], dtype=object)
-    return basis
+    return np.array([[u[r][c] for c in null_cols] for r in range(n)],
+                    dtype=object)
 
 
 @dataclass(frozen=True)
@@ -262,12 +269,25 @@ def solve_integer(a: Sequence[Sequence[int]] | np.ndarray,
     """
     a = _as_int_matrix(a)
     bvec = _as_int_vector(b, a.shape[0])
-    m, n = a.shape
     h, u = hermite_normal_form(a)
+    x0 = particular_solution(h, u, bvec)
+    if x0 is None:
+        return None
+    null = nullspace_of_hnf(h, u)
+    null_tuple = tuple(tuple(int(v) for v in row) for row in null) if null.size else tuple(
+        tuple() for _ in range(a.shape[1]))
+    return IntegerSolution(tuple(x0), null_tuple)
 
+
+def particular_solution(h: np.ndarray, u: np.ndarray,
+                        b: Sequence[int] | np.ndarray) -> list[int] | None:
+    """One integer ``x`` with ``A x = b`` from the Hermite form ``(H, U)``
+    of ``A``, or ``None`` when there is none; reusing ``(H, U)`` solves many
+    right-hand sides for one HNF."""
+    m, n = len(h), len(u)
     # Forward-solve H y = b where H is in column echelon form.
     y = [0] * n
-    residual = [int(x) for x in bvec]
+    residual = [int(x) for x in b]
     col = 0
     for row in range(m):
         if col < n and h[row][col] != 0:
@@ -283,20 +303,11 @@ def solve_integer(a: Sequence[Sequence[int]] | np.ndarray,
             return None
     if any(residual):
         return None
-
-    x0 = [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
-    null = integer_nullspace(a)
-    null_tuple = tuple(tuple(int(v) for v in row) for row in null) if null.size else tuple(
-        tuple() for _ in range(n))
-    return IntegerSolution(tuple(int(v) for v in x0), null_tuple)
+    return [int(sum(u[i][j] * y[j] for j in range(n))) for i in range(n)]
 
 
 def box_iter(bounds: Sequence[tuple[int, int]]) -> Iterable[np.ndarray]:
-    """Iterate integer vectors in the axis-aligned box ``[lo, hi]`` per dim."""
-    if not bounds:
-        yield np.zeros(0, dtype=np.int64)
-        return
-    lo, hi = bounds[0]
-    for v in range(lo, hi + 1):
-        for rest in box_iter(bounds[1:]):
-            yield np.concatenate([[v], rest]).astype(np.int64)
+    """Iterate integer vectors in the axis-aligned box ``[lo, hi]`` per dim
+    (the first dimension outermost)."""
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        yield np.array(point, dtype=np.int64)

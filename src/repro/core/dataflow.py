@@ -165,8 +165,7 @@ class Dataflow:
 
     def delta_t_bias(self, ds: Sequence[int]) -> int:
         """Timestamp-bias difference between FUs separated by ``ds`` (Eq. 5)."""
-        return int(np.dot(np.asarray(ds, dtype=np.int64),
-                          np.asarray(self.control, dtype=np.int64)))
+        return sum(int(d) * c for d, c in zip(ds, self.control))
 
     def scalar_delay(self, dt: Sequence[int]) -> int:
         """Scalar cycle count of a timestamp delta (mixed-radix weights)."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adg import ADG, ADGConnection, ADGDataNode, MemoryLayout
 from .dataflow import Dataflow
 from .fusion import (condensed_delay_tree, partition_chains,
@@ -69,7 +71,7 @@ def build_adg(dataflows: list[Dataflow],
 
     # ---- per-dataflow analysis + MST ------------------------------------------
     per_df_solutions: dict[tuple[str, str], list[ReuseSolution]] = {}
-    per_df_tree: dict[tuple[str, str], list[tuple[Coord, Coord, ReuseEdge]]] = {}
+    per_df_tree: dict[tuple[str, str], list[ReuseEdge]] = {}
     per_df_roots: dict[tuple[str, str], list[Coord]] = {}
     stationary: dict[tuple[str, str], ReuseSolution] = {}
 
@@ -83,27 +85,21 @@ def build_adg(dataflows: list[Dataflow],
                     key = (df.name, tensor)
                     if key not in stationary or sol.depth < stationary[key].depth:
                         stationary[key] = sol
-            edges = build_reuse_edges(df, sols)
-            coords = df.fu_coords()
-
-            def weight(e):
-                # Partially-covering delay connections still need a memory
-                # fallback for boundary timestamps; charge that fraction.
-                uncovered = 1.0 - e.solution.coverage(df.rt)
-                return float(e.cost) + uncovered * config.memory_fetch_cost
-
-            if acc.is_output:
-                # Partial results flow src -> dst; solve the arborescence on
-                # the reversed graph so every FU drains to a committing FU.
-                arcs = [(e.dst, e.src, weight(e), e) for e in edges]
-            else:
-                arcs = [(e.src, e.dst, weight(e), e) for e in edges]
+            table = build_reuse_edges(df, sols)
+            # Partially-covering delay connections still need a memory
+            # fallback for boundary timestamps; charge that fraction.
+            weight = np.array([
+                sol.cost + (1.0 - sol.coverage(df.rt)) * config.memory_fetch_cost
+                for sol in table.solutions], dtype=np.float64)
+            # Partial results flow src -> dst; output tensors are solved on
+            # the reversed graph so every FU drains to a committing FU.
+            ends = (table.dst, table.src) if acc.is_output else \
+                (table.src, table.dst)
             tree, roots = spanning_forest_with_memory_root(
-                coords, arcs, memory_cost=float(config.memory_fetch_cost))
-            if acc.is_output:
-                tree = [(dst, src, payload) for (src, dst, payload) in tree]
-            per_df_tree[(df.name, tensor)] = tree
-            per_df_roots[(df.name, tensor)] = roots
+                len(table.coords), *ends, weight[table.sol],
+                memory_cost=float(config.memory_fetch_cost))
+            per_df_tree[(df.name, tensor)] = [table.edge(k) for k in tree]
+            per_df_roots[(df.name, tensor)] = [table.coords[i] for i in roots]
 
     # ---- fusion of direct interconnections (§IV-C) ----------------------------
     connections: dict[tuple, ADGConnection] = {}
@@ -184,7 +180,7 @@ def build_adg(dataflows: list[Dataflow],
 
 
 def _adopt_tree(tensor: str, is_output: bool, df: Dataflow,
-                tree: list[tuple[Coord, Coord, ReuseEdge]],
+                tree: list[ReuseEdge],
                 roots: list[Coord],
                 connections: dict[tuple, ADGConnection],
                 data_nodes: dict[tuple[str, Coord], ADGDataNode],
@@ -196,7 +192,8 @@ def _adopt_tree(tensor: str, is_output: bool, df: Dataflow,
     identical endpoints (the naive glue-two-designs-with-muxes baseline
     the paper's §IV-C improves on).
     """
-    for src, dst, edge in tree:
+    for edge in tree:
+        src, dst = edge.src, edge.dst
         key = (tensor, src, dst) if share_links else (tensor, src, dst, df.name)
         conn = connections.get(key)
         depth = edge.solution.depth
@@ -228,8 +225,8 @@ def _fuse_tensor(tensor: str, is_output: bool, dataflows: list[Dataflow],
     all_chains = []
     for df in dataflows:
         sols = per_df_solutions[(df.name, tensor)]
-        delay_sinks = {dst if not is_output else src
-                       for (src, dst, e) in per_df_tree[(df.name, tensor)]
+        delay_sinks = {e.dst if not is_output else e.src
+                       for e in per_df_tree[(df.name, tensor)]
                        if e.solution.kind == ReuseKind.DELAY}
         all_chains.extend(partition_chains(df, tensor, sols, delay_sinks))
     plan = plan_direct_interconnects(all_chains, existing_nodes,

@@ -27,13 +27,13 @@ non-negative by construction); for an output tensor, partial results drain
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .dataflow import Dataflow
-from .interconnect import ReuseKind, ReuseSolution
+from .interconnect import ReuseKind, ReuseSolution, offset_arcs
 from .mst import Arc, min_arborescence
 
 __all__ = ["Chain", "partition_chains", "plan_direct_interconnects",
@@ -62,26 +62,41 @@ class Chain:
         return len(self.members)
 
 
-def _shift(coord: Coord, ds: tuple[int, ...]) -> Coord:
-    return tuple(c + d for c, d in zip(coord, ds))
-
-
-def _span_from(root: Coord, members: set[Coord],
-               deltas: tuple[tuple[int, ...], ...], forward: bool) -> bool:
-    """Can the whole chain be reached from *root* along admissible flow
-    steps?  ``forward=True`` walks with the deltas (inputs: root pushes
-    out); ``forward=False`` walks against them (outputs: root pulls in)."""
-    steps = [ds if forward else tuple(-x for x in ds) for ds in deltas]
-    reached = {root}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for ds in steps:
-            nbr = _shift(cur, ds)
-            if nbr in members and nbr not in reached:
+def _flood(start: int, steps: list[list[int]], reached: set[int]) -> None:
+    """Add everything reachable from member *start* along *steps* to
+    *reached* (members already in it are not walked again)."""
+    reached.add(start)
+    stack = [start]
+    while stack:
+        for nbr in steps[stack.pop()]:
+            if nbr not in reached:
                 reached.add(nbr)
-                queue.append(nbr)
-    return reached == members
+                stack.append(nbr)
+
+
+def _spanning_roots(steps: list[list[int]]) -> set[int]:
+    """The members from which the whole chain is reachable along
+    admissible flow steps (``steps[i]`` lists the members one step from
+    member ``i``).  Flooding from each not-yet-reached member in turn, the
+    last flood's start reaches every member if any member does; the
+    members that span are then exactly those that reach it."""
+    seen: set[int] = set()
+    last = 0
+    for i in range(len(steps)):
+        if i not in seen:
+            last = i
+            _flood(i, steps, seen)
+    reached: set[int] = set()
+    _flood(last, steps, reached)
+    if len(reached) < len(steps):
+        return set()
+    back: list[list[int]] = [[] for _ in steps]
+    for i, nbrs in enumerate(steps):
+        for j in nbrs:
+            back[j].append(i)
+    spanning: set[int] = set()
+    _flood(last, back, spanning)
+    return spanning
 
 
 def partition_chains(dataflow: Dataflow, tensor: str,
@@ -93,35 +108,27 @@ def partition_chains(dataflow: Dataflow, tensor: str,
     deltas = tuple(sol.ds for sol in solutions
                    if sol.kind == ReuseKind.DIRECT and any(sol.ds))
     coords = dataflow.fu_coords()
-    rs = dataflow.rs
-    adjacency: dict[Coord, list[Coord]] = {c: [] for c in coords}
-    for coord in coords:
-        for ds in deltas:
-            nbr = _shift(coord, ds)
-            if all(0 <= x < r for x, r in zip(nbr, rs)):
-                adjacency[coord].append(nbr)
-                adjacency[nbr].append(coord)
-
+    _which, src, dst = offset_arcs(dataflow.rs, deltas)
+    # Every FU ends up labelled with the least FU index of its component:
+    # min-propagation over the direct links, with pointer jumping.
+    label = np.arange(len(coords))
+    while True:
+        prev = label.copy()
+        np.minimum.at(label, src, prev[dst])
+        np.minimum.at(label, dst, prev[src])
+        label = label[label]
+        if np.array_equal(label, prev):
+            break
+    # Components in order of their least FU, members row-major (= sorted).
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
     chains: list[Chain] = []
-    seen: set[Coord] = set()
-    for coord in coords:
-        if coord in seen:
-            continue
-        queue, members = deque([coord]), []
-        seen.add(coord)
-        while queue:
-            cur = queue.popleft()
-            members.append(cur)
-            for nbr in adjacency[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        members.sort()
+    for group in np.split(order, cuts):
+        members = tuple(coords[i] for i in group)
         candidates = tuple(m for m in members if m in delay_sinks)
-        if not candidates:
-            candidates = tuple(members)  # step 3 fallback
-        chains.append(Chain(dataflow.name, tensor, tuple(members),
-                            candidates, deltas))
+        chains.append(Chain(dataflow.name, tensor, members,
+                            candidates or members,  # step 3 fallback
+                            deltas))
     return chains
 
 
@@ -164,57 +171,60 @@ def plan_direct_interconnects(chains: list[Chain], data_nodes: set[Coord],
     plan = FusionPlan(tensor=chains[0].tensor)
     order = sorted(chains, key=lambda ch: (-len(ch), ch.dataflow, ch.members))
     link_owner_len: dict[tuple[Coord, Coord], int] = {}
+    in_degree: dict[Coord, int] = {}  # physical links into each FU so far
+    sign = -1 if is_output else 1
 
     for chain in order:
-        members = set(chain.members)
+        members = chain.members
+        pos = {fu: i for i, fu in enumerate(members)}
+        # steps[i]: members one causal flow step from member i (inputs
+        # push along the deltas, outputs drain against them)
+        steps = [[pos[nbr] for ds in chain.deltas
+                  if (nbr := tuple(c + sign * d for c, d in zip(fu, ds)))
+                  in pos]
+                 for fu in members]
         # Root must be able to span its chain along causal flow steps.
-        spanning = [fu for fu in chain.root_candidates
-                    if _span_from(fu, members, chain.deltas, forward=not is_output)]
+        spans = _spanning_roots(steps)
+        spanning = [fu for fu in chain.root_candidates if pos.get(fu) in spans]
         if not spanning:
-            spanning = [fu for fu in chain.members
-                        if _span_from(fu, members, chain.deltas,
-                                      forward=not is_output)]
-        if not spanning:
-            spanning = list(chain.members)
-
-        def input_degree(fu: Coord) -> int:
-            return sum(1 for (_s, d) in plan.links if d == fu)
-
-        root = min(spanning,
-                   key=lambda fu: (input_degree(fu), fu not in data_nodes, fu))
+            spanning = [members[i] for i in spans] or list(members)
+        root = min(spanning, key=lambda fu: (in_degree.get(fu, 0),
+                                             fu not in data_nodes, fu))
         plan.roots.setdefault(chain.dataflow, []).append(root)
-        plan.chain_root[(chain.dataflow, chain.members)] = root
+        plan.chain_root[(chain.dataflow, members)] = root
         data_nodes.add(root)
         if len(chain) == 1:
             continue
 
         # BFS outward (inputs) or inward (outputs) from the root, preferring
-        # physical links already built by earlier (longer) chains.
-        reached = {root}
-        while reached != members:
-            candidates: list[tuple[tuple[int, int, tuple], Coord, Coord]] = []
-            for cur in reached:
-                for ds in chain.deltas:
-                    if is_output:
-                        nbr = _shift(cur, tuple(-x for x in ds))
-                        link = (nbr, cur)  # partials drain nbr -> cur
-                    else:
-                        nbr = _shift(cur, ds)
-                        link = (cur, nbr)  # data pushes cur -> nbr
-                    if nbr in members and nbr not in reached:
-                        exists = link in plan.links
-                        owner_len = link_owner_len.get(link, 0)
-                        candidates.append(
-                            ((0 if exists else 1, -owner_len, link), link[0],
-                             link[1]))
-            if not candidates:
-                break  # defensive; spanning check should prevent this
-            candidates.sort(key=lambda item: item[0])
-            _key, src, dst = candidates[0]
-            plan.links.setdefault((src, dst), set()).add(chain.dataflow)
-            link_owner_len[(src, dst)] = max(link_owner_len.get((src, dst), 0),
-                                             len(chain))
-            reached.add(dst if not is_output else src)
+        # physical links already built by earlier (longer) chains.  The
+        # frontier is a heap keyed (exists, -owner_len, link); building a
+        # link changes only that link's key, and it leaves the frontier as
+        # its far end is reached, so popping the least live entry picks
+        # what a full re-sort of the frontier would.
+        reached: set[int] = set()
+        frontier: list = []
+
+        def reach(i: int) -> None:
+            reached.add(i)
+            for j in steps[i]:
+                if j not in reached:
+                    link = ((members[j], members[i]) if is_output
+                            else (members[i], members[j]))
+                    heappush(frontier, (link not in plan.links,
+                                        -link_owner_len.get(link, 0), link, j))
+
+        reach(pos[root])
+        while len(reached) < len(members) and frontier:
+            *_key, link, j = heappop(frontier)
+            if j in reached:
+                continue
+            if link not in plan.links:
+                in_degree[link[1]] = in_degree.get(link[1], 0) + 1
+            plan.links.setdefault(link, set()).add(chain.dataflow)
+            link_owner_len[link] = max(link_owner_len.get(link, 0),
+                                       len(chain))
+            reach(j)
     return plan
 
 
@@ -246,26 +256,23 @@ def condensed_delay_tree(dataflow: Dataflow, tensor: str, is_output: bool,
             chain_idx[fu] = idx
     roots = [plan.chain_root[(chain.dataflow, chain.members)] for chain in mine]
 
-    rs = dataflow.rs
     delay_sols = [s for s in solutions if s.kind == ReuseKind.DELAY]
     # Best concrete arc per chain pair.
     best: dict[tuple[int, int], tuple[float, Coord, Coord, ReuseSolution]] = {}
     for sol in delay_sols:
         ds = sol.ds
+        cost = (float(sol.depth)
+                + (1.0 - sol.coverage(dataflow.rt)) * memory_cost)
         for src_idx, chain in enumerate(mine):
             candidates = chain.members if not is_output else (roots[src_idx],)
             for u in candidates:
-                v = _shift(u, ds)
-                if not all(0 <= x < r for x, r in zip(v, rs)):
-                    continue
-                dst_idx = chain_idx[v]
-                if dst_idx == src_idx:
-                    continue
+                v = tuple(x + d for x, d in zip(u, ds))
+                dst_idx = chain_idx.get(v)
+                if dst_idx is None or dst_idx == src_idx:
+                    continue  # off the array, or inside the chain
                 if not is_output and v != roots[dst_idx]:
                     continue
                 key = (src_idx, dst_idx)
-                cost = (float(sol.depth)
-                        + (1.0 - sol.coverage(dataflow.rt)) * memory_cost)
                 if key not in best or cost < best[key][0]:
                     best[key] = (cost, u, v, sol)
 

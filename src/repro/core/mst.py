@@ -8,26 +8,95 @@ the delay-FIFO depth, so the register cost of delay connections is what is
 minimized.  Roots of the resulting trees are labelled *data nodes*
 (they fetch from / commit to memory).
 
-Implemented from scratch (recursive cycle-contraction formulation); the
-test suite cross-checks it against ``networkx``.
+:func:`arborescence` solves it on arc arrays (source, destination,
+weight), one round per contraction level (Tarjan, "Finding optimum
+branchings", Networks 1977): every node picks its cheapest incoming arc
+with a stable sort, so equal weights keep the first-listed arc; the
+cycles among the picks are found by pointer doubling and numbered in the
+order a walk from node 0, 1, ... meets them; each cycle is contracted to
+one node, and an arc entering it is discounted by the pick it would
+displace (``w - w_sel``).  Expansion replays the rounds backwards, so the
+arcs come out in the order of the textbook recursion: the innermost
+round's picks by node, then every outer round's picks that no inner arc
+displaced.  The test suite checks that order against a frozen copy of the
+recursion and the cost against ``networkx``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
-__all__ = ["Arc", "min_arborescence", "spanning_forest_with_memory_root"]
+import numpy as np
+
+__all__ = ["Arc", "arborescence", "min_arborescence",
+           "spanning_forest_with_memory_root"]
 
 
 @dataclass(frozen=True)
 class Arc:
-    """A weighted directed edge with an opaque payload (e.g. a ReuseEdge)."""
+    """A weighted directed edge with an opaque payload."""
 
     src: int
     dst: int
     weight: float
     payload: object = None
+
+
+def arborescence(n_nodes: int, src, dst, weight,
+                 root: int) -> np.ndarray | None:
+    """Indices of the arcs of a minimum-cost arborescence rooted at
+    *root* (one incoming arc per non-root node, in the order described in
+    the module docstring), or ``None`` when some node is unreachable."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    arcs = np.flatnonzero((src != dst) & (dst != root))
+    s, d, w = src[arcs], dst[arcs], np.asarray(weight, dtype=np.float64)[arcs]
+    n, r = n_nodes, root
+    rounds = []
+    while True:
+        order = np.lexsort((w, d))          # stable: ties keep arc order
+        heads = d[order]
+        picks = order[np.diff(heads, prepend=-1) != 0]
+        if len(picks) != n - 1:
+            return None
+        pick = np.full(n, -1, dtype=np.int64)
+        pick[d[picks]] = picks
+        parent = np.arange(n)
+        parent[d[picks]] = s[picks]
+        # after 2^k >= n jumps every node sits on its cycle (or the root);
+        # `low` is the least node seen on the way
+        jump, low = parent, np.arange(n)
+        for _ in range(n.bit_length()):
+            low = np.minimum(low, low[jump])
+            jump = jump[jump]
+        on_cycle = np.zeros(n, dtype=bool)
+        on_cycle[jump] = True
+        on_cycle[r] = False
+        if not on_cycle.any():
+            break
+        rep = low[jump]
+        reps, first = np.unique(rep, return_index=True)
+        first, reps = first[reps != r], reps[reps != r]
+        cycle_id = np.empty(n, dtype=np.int64)
+        cycle_id[reps[np.argsort(first)]] = np.arange(len(reps))
+        comp = np.empty(n, dtype=np.int64)
+        comp[on_cycle] = cycle_id[rep[on_cycle]]
+        n_rest = n - int(on_cycle.sum())
+        comp[~on_cycle] = len(reps) + np.arange(n_rest)
+        w = np.where(on_cycle[d], w - w[pick[d]], w)
+        kept = np.flatnonzero(comp[s] != comp[d])
+        rounds.append((r, pick, d, kept))
+        s, d, w = comp[s[kept]], comp[d[kept]], w[kept]
+        n, r = len(reps) + n_rest, int(comp[r])
+    chosen = np.delete(pick, r)
+    for r, pick, d, kept in reversed(rounds):
+        chosen = kept[chosen]
+        entered = np.zeros(len(pick), dtype=bool)
+        entered[d[chosen]] = True
+        entered[r] = True
+        chosen = np.concatenate([chosen, pick[~entered]])
+    return arcs[chosen]
 
 
 def min_arborescence(n_nodes: int, arcs: Sequence[Arc],
@@ -42,118 +111,36 @@ def min_arborescence(n_nodes: int, arcs: Sequence[Arc],
     for arc in arcs:
         if not (0 <= arc.src < n_nodes and 0 <= arc.dst < n_nodes):
             raise ValueError(f"arc endpoints out of range: {arc}")
-    return _solve([a for a in arcs if a.src != a.dst], n_nodes, root)
+    chosen = arborescence(n_nodes, [a.src for a in arcs],
+                          [a.dst for a in arcs], [a.weight for a in arcs],
+                          root)
+    return None if chosen is None else [arcs[i] for i in chosen]
 
 
-def _solve(arcs: list[Arc], n: int, root: int) -> list[Arc] | None:
-    # Pick the cheapest incoming arc per non-root node.
-    best: list[Arc | None] = [None] * n
-    for arc in arcs:
-        if arc.dst == root:
-            continue
-        cur = best[arc.dst]
-        if cur is None or arc.weight < cur.weight:
-            best[arc.dst] = arc
-    for v in range(n):
-        if v != root and best[v] is None:
-            return None
+def spanning_forest_with_memory_root(n_nodes: int, src, dst, weight,
+                                     memory_cost: float
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the §IV-B problem: span nodes ``0..n_nodes-1`` with the reuse
+    arcs ``src[k] -> dst[k]``, falling back to memory fetches.
 
-    # Find cycles among the selected arcs.
-    comp = [-1] * n      # strongly-contracted component id
-    visited = [-1] * n   # walk marker
-    n_comp = 0
-    has_cycle = False
-    for start in range(n):
-        if visited[start] != -1:
-            continue
-        path = []
-        v = start
-        while v != -1 and visited[v] == -1:
-            visited[v] = start
-            path.append(v)
-            v = best[v].src if (v != root and best[v] is not None) else -1
-        if v != -1 and visited[v] == start and comp[v] == -1:
-            # Found a new cycle: everything from v onwards in `path`.
-            cycle_start = path.index(v)
-            for u in path[cycle_start:]:
-                comp[u] = n_comp
-            n_comp += 1
-            has_cycle = True
-        # Nodes on the path but not in a cycle get singleton ids later.
-    if not has_cycle:
-        return [best[v] for v in range(n) if v != root]  # type: ignore[misc]
+    A virtual memory root with arcs of ``memory_cost`` to every node (listed
+    before the reuse arcs) is added; the arborescence then decides which
+    FUs become *data nodes* (fetch from memory) and which receive data via
+    FU interconnections.
 
-    for v in range(n):
-        if comp[v] == -1:
-            comp[v] = n_comp
-            n_comp += 1
-
-    # Contract: rebuild arcs between components; arcs entering a cycle
-    # component are discounted by the cycle arc they would displace.
-    new_arcs: list[Arc] = []
-    for arc in arcs:
-        cu, cv = comp[arc.src], comp[arc.dst]
-        if cu == cv:
-            continue
-        weight = arc.weight
-        sel = best[arc.dst] if arc.dst != root else None
-        in_cycle = sel is not None and comp[sel.src] == comp[arc.dst]
-        if in_cycle:
-            weight -= sel.weight
-        new_arcs.append(Arc(cu, cv, weight, payload=arc))
-
-    sub = _solve(new_arcs, n_comp, comp[root])
-    if sub is None:
-        return None
-
-    # Expand: each chosen contracted arc maps back to an original arc and
-    # "enters" its destination node, displacing that node's selected cycle
-    # arc.  Every other non-root node keeps its selected best arc (for
-    # cycle nodes these are the remaining cycle arcs; non-cycle components
-    # are singletons and are always entered exactly once).
-    chosen: list[Arc] = []
-    entered: set[int] = set()
-    for meta in sub:
-        orig: Arc = meta.payload  # type: ignore[assignment]
-        chosen.append(orig)
-        entered.add(orig.dst)
-    for v in range(n):
-        if v == root or v in entered:
-            continue
-        arc = best[v]
-        assert arc is not None
-        chosen.append(arc)
-    if len(chosen) != n - 1:
-        return None
-    return chosen
-
-
-def spanning_forest_with_memory_root(
-        nodes: Sequence[Hashable], arcs: Sequence[tuple[Hashable, Hashable, float, object]],
-        memory_cost: float) -> tuple[list[tuple[Hashable, Hashable, object]], list[Hashable]]:
-    """Solve the §IV-B problem: span every FU with reuse edges, falling back
-    to memory fetches.
-
-    A virtual memory root with arcs of ``memory_cost`` to every node is
-    added; the arborescence then decides which FUs become *data nodes*
-    (fetch from memory) and which receive data via FU interconnections.
-
-    Returns ``(tree_edges, data_nodes)`` where ``tree_edges`` are
-    ``(src, dst, payload)`` FU-to-FU connections.
+    Returns ``(tree, data_nodes)``: the indices of the chosen reuse arcs
+    and the nodes the root feeds, each in the arborescence's order.
     """
-    index = {node: i + 1 for i, node in enumerate(nodes)}
-    all_arcs = [Arc(0, i + 1, memory_cost, payload=None) for i in range(len(nodes))]
-    for src, dst, weight, payload in arcs:
-        all_arcs.append(Arc(index[src], index[dst], weight, payload=payload))
-    chosen = min_arborescence(len(nodes) + 1, all_arcs, root=0)
+    chosen = arborescence(
+        n_nodes + 1,
+        np.concatenate([np.zeros(n_nodes, dtype=np.int64),
+                        np.asarray(src, dtype=np.int64) + 1]),
+        np.concatenate([np.arange(1, n_nodes + 1),
+                        np.asarray(dst, dtype=np.int64) + 1]),
+        np.concatenate([np.full(n_nodes, float(memory_cost)),
+                        np.asarray(weight, dtype=np.float64)]),
+        root=0)
     if chosen is None:
         raise RuntimeError("arborescence infeasible despite memory root")
-    rev = {i: node for node, i in index.items()}
-    tree_edges: list[tuple[Hashable, Hashable, object]] = []
-    data_nodes: list[Hashable] = []
-    for arc in chosen:
-        if arc.src == 0:
-            data_nodes.append(rev[arc.dst])
-        else:
-            tree_edges.append((rev[arc.src], rev[arc.dst], arc.payload))
-    return tree_edges, data_nodes
+    memory = chosen < n_nodes
+    return chosen[~memory] - n_nodes, chosen[memory]

@@ -9,6 +9,11 @@ emitted byte, one edge's position in the serialized order or one
 liveness set fails here in tier-1 and not only in the benchmark's three
 sums.  ``design["report"]`` is excluded: it is free to gain keys.
 
+The ``adg/...`` pins hold the front end alone at benchmark scale: a sha256
+of the canonical ``design["adg"]`` of each ``cold_compile`` config at
+8x8/12x12 (plus gemm-IJ/IK at 8x8), where the reuse arborescences
+contract cycles that 4x4 arrays barely have.  Only ``build_adg`` runs.
+
 Re-record (only when an output change is intended and explained)::
 
     PYTHONPATH=src python tests/test_golden_identity.py > tests/golden_identity.json
@@ -24,6 +29,7 @@ import sys
 import pytest
 
 from repro.backend import BackendOptions
+from repro.core.frontend import build_adg
 from repro.serialize import canonical_dumps
 from repro.service.spec import DesignRequest, execute_request
 
@@ -44,6 +50,18 @@ FAMILIES = ("verilog", "hls_c")
 CASES = [(k, o, f) for k in KERNELS for o in OPTIONS for f in FAMILIES]
 
 
+ADG_CASES = {
+    "gemm-KJ@8x8": dict(KERNELS["gemm-KJ"], array=(8, 8)),
+    "gemm-IJ@8x8": dict(KERNELS["gemm-IJ"], array=(8, 8)),
+    "gemm-IK@8x8": dict(KERNELS["gemm-IK"], array=(8, 8)),
+    "gemm-IJ+KJ@8x8": dict(KERNELS["gemm-IJ+KJ"], array=(8, 8)),
+    "conv2d-OHOW@8x8": dict(KERNELS["conv2d-OHOW"], array=(8, 8)),
+    "mttkrp-IJ+KJ@8x8": dict(KERNELS["mttkrp-IJ+KJ"], array=(8, 8)),
+    "attention@8x8": dict(KERNELS["attention"], array=(8, 8)),
+    "gemm-KJ@12x12": dict(KERNELS["gemm-KJ"], array=(12, 12)),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -62,6 +80,46 @@ def digests(request: DesignRequest) -> dict[str, str]:
         "ir": _sha(canonical_dumps({"dag": result.design["dag"],
                                     "configs": result.design["configs"]})),
     }
+
+
+def adg_section(adg) -> dict:
+    """``design["adg"]`` as ``serialize.design_to_dict`` writes it."""
+    return {
+        "connections": [{
+            "tensor": c.tensor, "src": list(c.src), "dst": list(c.dst),
+            "depth": c.depth, "kind": c.kind,
+            "dataflows": sorted(c.dataflows),
+        } for c in adg.connections],
+        "data_nodes": [{
+            "tensor": n.tensor, "fu": list(n.fu), "is_output": n.is_output,
+            "dataflows": sorted(n.dataflows),
+            "fallback_of": sorted(n.fallback_of),
+        } for n in adg.data_nodes],
+        "memory": {t: {"bank_shape": list(m.bank_shape),
+                       "bank_stride": list(m.bank_stride),
+                       "n_data_nodes": m.n_data_nodes}
+                   for t, m in adg.memory.items()},
+    }
+
+
+def adg_digest(label: str) -> str:
+    request = DesignRequest(**ADG_CASES[label])
+    adg = build_adg(request.build_dataflows(), request.frontend)
+    return _sha(canonical_dumps(adg_section(adg)))
+
+
+@pytest.mark.parametrize("label", list(ADG_CASES))
+def test_adg_matches_pinned_hash(label):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert adg_digest(label) == golden[f"adg/{label}"]
+
+
+def test_adg_section_is_what_the_design_records():
+    request = DesignRequest(array=(4, 4), **KERNELS["gemm-IJ+KJ"])
+    result = execute_request(request, cache=None)
+    adg = build_adg(request.build_dataflows(), request.frontend)
+    assert canonical_dumps(adg_section(adg)) == \
+        canonical_dumps(result.design["adg"])
 
 
 @pytest.mark.parametrize("kernel,options,family", CASES)
@@ -94,5 +152,6 @@ def test_output_does_not_depend_on_the_hash_seed():
 
 
 if __name__ == "__main__":
-    print(json.dumps({f"{k}/{o}/{f}": fingerprint(k, o, f)
-                      for k, o, f in CASES}, indent=1, sort_keys=True))
+    pins = {f"{k}/{o}/{f}": fingerprint(k, o, f) for k, o, f in CASES}
+    pins.update({f"adg/{label}": adg_digest(label) for label in ADG_CASES})
+    print(json.dumps(pins, indent=1, sort_keys=True))

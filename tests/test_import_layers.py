@@ -6,9 +6,10 @@
 * the **generator tier** — ``repro.service.spec``/``server``/``router``,
   the perf model and the DSE — adds numpy but not the solver;
 * the **solver** (``repro/solvers.py``, the one module that imports
-  scipy) loads at the first solve, or in ``BatchEngine`` right before it
-  forks a worker pool — and a missing scipy fails that request with a
-  message, not the process.
+  scipy) loads at the first delay-matching solve, or in ``BatchEngine``
+  right before it forks a worker pool — and a missing scipy fails that
+  request with a message, not the process.  The front end never loads
+  it.
 
 Everything here asserts on ``sys.modules`` in a fresh interpreter (counts,
 not timings), plus an AST guard over ``src/repro`` that keeps scipy behind
@@ -37,6 +38,7 @@ from repro.service.server import ServerThread
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 OWNER = SRC / "solvers.py"
+TESTS = ROOT / "tests"
 
 GENERATOR = ("repro.core", "repro.backend", "repro.backends", "repro.sim")
 THIRD_PARTY = ("numpy", "scipy")
@@ -62,7 +64,8 @@ BLOCKER = textwrap.dedent("""
 def run_child(code: str, *argv: str) -> dict:
     """Run *code* in a fresh interpreter over ``src/``; it must print one
     JSON object as its last stdout line."""
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(SRC.parent), str(TESTS)]))
     proc = subprocess.run(
         [sys.executable, "-c", BLOCKER + textwrap.dedent(code), *argv],
         env=env, capture_output=True, text=True, timeout=180)
@@ -95,6 +98,16 @@ result = execute_request(DesignRequest(kernel="gemm", dataflows=("KJ",),
 assert result.ok, result.error
 """
 
+EVERY_FRONT_END = """
+import test_golden_identity as g
+from repro.core.frontend import build_adg
+from repro.service.spec import DesignRequest
+requests = [DesignRequest(array=(4, 4), **kw) for kw in g.KERNELS.values()]
+requests += [DesignRequest(**kw) for kw in g.ADG_CASES.values()]
+for request in requests:
+    build_adg(request.build_dataflows(), request.frontend)
+"""
+
 
 class TestLayers:
     @pytest.mark.parametrize("entry", [
@@ -118,6 +131,13 @@ class TestLayers:
     def test_generator_tier_does_not_load_the_solver(self, entry):
         modules = run_child(entry + REPORT)
         assert "numpy" in modules
+        assert not loaded(modules, *SOLVER)
+
+    def test_front_end_does_not_load_the_solver(self):
+        """``build_adg`` on every golden kernel, at 4x4 and at benchmark
+        scale, solves its reuse delays without scipy."""
+        modules = run_child(EVERY_FRONT_END + REPORT)
+        assert "repro.core.frontend" in modules
         assert not loaded(modules, *SOLVER)
 
     def test_first_solve_loads_the_solver(self):
@@ -214,8 +234,7 @@ class TestForkPoolInheritsTheSolver:
 
 
 class TestMissingScipy:
-    SITES = ("scipy", "pyproject.toml", "_minimize_scalar_delay",
-             "delay_match")
+    SITES = ("scipy", "pyproject.toml", "delay_match")
 
     def test_fails_the_request_not_the_process(self):
         """Without scipy, ``import repro`` and everything that does not

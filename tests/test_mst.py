@@ -1,12 +1,93 @@
-"""Tests for the Chu-Liu/Edmonds arborescence solver, cross-checked
-against networkx."""
+"""Tests for the Chu-Liu/Edmonds arborescence solver: its cost is
+cross-checked against networkx, and its arcs *and their order* against
+:func:`recursive_solve`, a frozen copy of the recursive formulation the
+array solver replaced (the order decides which FUs become data nodes and
+how the ADG's connections are numbered)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mst import Arc, min_arborescence, spanning_forest_with_memory_root
+from repro.core.mst import (Arc, arborescence, min_arborescence,
+                            spanning_forest_with_memory_root)
+
+
+def recursive_solve(arcs, n, root):
+    """The recursive cycle-contraction Chu-Liu/Edmonds, kept verbatim as
+    the oracle (self-loops must be filtered by the caller)."""
+    best = [None] * n
+    for arc in arcs:
+        if arc.dst == root:
+            continue
+        cur = best[arc.dst]
+        if cur is None or arc.weight < cur.weight:
+            best[arc.dst] = arc
+    for v in range(n):
+        if v != root and best[v] is None:
+            return None
+    comp = [-1] * n
+    visited = [-1] * n
+    n_comp = 0
+    has_cycle = False
+    for start in range(n):
+        if visited[start] != -1:
+            continue
+        path = []
+        v = start
+        while v != -1 and visited[v] == -1:
+            visited[v] = start
+            path.append(v)
+            v = best[v].src if (v != root and best[v] is not None) else -1
+        if v != -1 and visited[v] == start and comp[v] == -1:
+            cycle_start = path.index(v)
+            for u in path[cycle_start:]:
+                comp[u] = n_comp
+            n_comp += 1
+            has_cycle = True
+    if not has_cycle:
+        return [best[v] for v in range(n) if v != root]
+    for v in range(n):
+        if comp[v] == -1:
+            comp[v] = n_comp
+            n_comp += 1
+    new_arcs = []
+    for arc in arcs:
+        cu, cv = comp[arc.src], comp[arc.dst]
+        if cu == cv:
+            continue
+        weight = arc.weight
+        sel = best[arc.dst] if arc.dst != root else None
+        if sel is not None and comp[sel.src] == comp[arc.dst]:
+            weight -= sel.weight
+        new_arcs.append(Arc(cu, cv, weight, payload=arc))
+    sub = recursive_solve(new_arcs, n_comp, comp[root])
+    if sub is None:
+        return None
+    chosen, entered = [], set()
+    for meta in sub:
+        chosen.append(meta.payload)
+        entered.add(meta.payload.dst)
+    for v in range(n):
+        if v != root and v not in entered:
+            chosen.append(best[v])
+    return chosen if len(chosen) == n - 1 else None
+
+
+def _same_as_recursion(n, arcs, root=0):
+    """Tag every arc with its position so equal (src, dst, weight) arcs
+    stay distinguishable, then require identical arcs in identical order."""
+    tagged = [Arc(a.src, a.dst, a.weight, payload=i)
+              for i, a in enumerate(arcs)]
+    ours = min_arborescence(n, tagged, root)
+    theirs = recursive_solve([a for a in tagged if a.src != a.dst], n, root)
+    if theirs is None:
+        assert ours is None
+    else:
+        assert ours is not None
+        assert [a.payload for a in ours] == [a.payload for a in theirs]
+    return ours
 
 
 def _nx_cost(n, arcs, root):
@@ -122,21 +203,103 @@ class TestMinArborescence:
 
 class TestSpanningForest:
     def test_memory_root_fallback(self):
-        nodes = ["a", "b"]
-        tree, data_nodes = spanning_forest_with_memory_root(nodes, [], 10.0)
-        assert tree == []
-        assert sorted(data_nodes) == ["a", "b"]
+        tree, data_nodes = spanning_forest_with_memory_root(2, [], [], [], 10.0)
+        assert tree.tolist() == []
+        assert sorted(data_nodes.tolist()) == [0, 1]
 
     def test_reuse_preferred_over_memory(self):
-        nodes = ["a", "b"]
-        arcs = [("a", "b", 1.0, "edge")]
-        tree, data_nodes = spanning_forest_with_memory_root(nodes, arcs, 10.0)
-        assert tree == [("a", "b", "edge")]
-        assert data_nodes == ["a"]
+        tree, data_nodes = spanning_forest_with_memory_root(
+            2, [0], [1], [1.0], 10.0)
+        assert tree.tolist() == [0]
+        assert data_nodes.tolist() == [0]
 
     def test_expensive_reuse_loses_to_memory(self):
-        nodes = ["a", "b"]
-        arcs = [("a", "b", 100.0, "edge")]
-        tree, data_nodes = spanning_forest_with_memory_root(nodes, arcs, 10.0)
-        assert tree == []
-        assert sorted(data_nodes) == ["a", "b"]
+        tree, data_nodes = spanning_forest_with_memory_root(
+            2, [0], [1], [100.0], 10.0)
+        assert tree.tolist() == []
+        assert sorted(data_nodes.tolist()) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the array solver against the recursion: same arcs, same order
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _tied_graphs(draw):
+    """Small graphs whose weights come from a tiny set, so ties, zero
+    weights, zero-weight 2-cycles and cycles inside contracted cycles are
+    common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    weights = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 2.0, 3.5])
+    arcs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4 * n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        arcs.append(Arc(u, v, draw(weights)))
+        if draw(st.booleans()):     # the reverse arc: a 2-cycle
+            arcs.append(Arc(v, u, draw(weights)))
+    if draw(st.booleans()):         # guarantee feasibility some of the time
+        arcs += [Arc(0, v, 16.0) for v in range(1, n)]
+    return n, arcs
+
+
+@st.composite
+def _grid_graphs(draw):
+    """What ``build_adg`` hands the solver: a memory root listed first,
+    then a few spatial offsets applied at every in-bounds FU of a small
+    grid, one weight per offset."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    step = st.integers(-1, 1)
+    offsets = draw(st.lists(st.tuples(step, step).filter(any),
+                            max_size=6, unique=True))
+    memory = draw(st.sampled_from([3.0, 16.0]))
+    arcs = [Arc(0, i + 1, memory) for i in range(rows * cols)]
+    for dr, dc in offsets:
+        weight = draw(st.sampled_from([0.0, 1.0, 1.25, 2.0, 4.5, 20.0]))
+        for r in range(rows):
+            for c in range(cols):
+                if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                    arcs.append(Arc(r * cols + c + 1,
+                                    (r + dr) * cols + c + dc + 1, weight))
+    return rows * cols + 1, arcs
+
+
+class TestArraySolverIsTheRecursion:
+    @given(_tied_graphs(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_tied_graphs(self, graph, data):
+        n, arcs = graph
+        _same_as_recursion(n, arcs, root=data.draw(st.integers(0, n - 1)))
+
+    @given(_grid_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_graphs(self, graph):
+        n, arcs = graph
+        assert _same_as_recursion(n, arcs) is not None
+
+    def test_nested_contraction(self):
+        # 1 <-> 2 is a zero-weight cycle; contracted, it forms a second
+        # cycle with 3; only the root's arc into 3 breaks in.
+        arcs = [Arc(1, 2, 0.0), Arc(2, 1, 0.0), Arc(3, 1, 0.5),
+                Arc(2, 3, 0.0), Arc(0, 3, 5.0), Arc(0, 1, 9.0)]
+        chosen = _same_as_recursion(4, arcs)
+        assert sorted((a.src, a.dst) for a in chosen) == [(0, 3), (1, 2),
+                                                           (3, 1)]
+
+    def test_cycles_numbered_in_discovery_order(self):
+        # Node 1 drains into the cycle {4, 5}, so a walk from 0, 1, ...
+        # meets it before {2, 3}, although 2 < 4: the contracted cycles
+        # are numbered in that order, which orders the arcs entering them.
+        arcs = [Arc(4, 1, 0.0), Arc(5, 4, 0.0), Arc(4, 5, 0.0),
+                Arc(3, 2, 0.0), Arc(2, 3, 0.0)]
+        arcs += [Arc(0, v, 5.0) for v in range(1, 6)]
+        chosen = _same_as_recursion(6, arcs)
+        assert [(a.src, a.dst) for a in chosen][:2] == [(0, 4), (0, 2)]
+
+    def test_spanning_forest_returns_indices(self):
+        src, dst = np.array([0, 1]), np.array([1, 2])
+        tree, roots = spanning_forest_with_memory_root(3, src, dst,
+                                                       [1.0, 1.0], 4.0)
+        assert tree.tolist() == [0, 1] and roots.tolist() == [0]
+        assert arborescence(2, [1], [0], [1.0], root=0) is None
