@@ -9,9 +9,9 @@ configuration word selecting the active dataflow, memory request/response
 ports per tensor.
 
 The emitted text is checked structurally by the test suite (declaration
-coverage, balanced blocks, identifier uniqueness) and the DAG it prints is
-the exact graph the cycle-accurate simulator executes, which stands in for
-RTL simulation.
+coverage, balanced blocks, identifier uniqueness).  It prints the graph
+the cycle-accurate simulator executes but does not yet behave like it:
+each address generator copies its counter and ``wr_en`` is ``1'b1``.
 """
 
 from __future__ import annotations

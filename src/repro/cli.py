@@ -98,16 +98,16 @@ def _artifact_suffix(name: str, module: str) -> str:
     return name[len(module):] if name.startswith(module) else f"_{name}"
 
 
-def _write_artifacts(output: str, request, rtl: str,
-                     artifacts: dict) -> None:
-    """``generate -o``: the primary artifact goes to *output*; companion
-    artifacts (e.g. the hls_c testbench) land next to it, named after
-    its stem."""
+def _write_artifacts(output: str, request, artifacts: dict) -> None:
+    """``generate -o``: the primary (first) artifact goes to *output*;
+    companion artifacts (e.g. the hls_c testbench) land next to it,
+    named after its stem."""
     out_path = pathlib.Path(output)
-    out_path.write_text(rtl)
-    print(f"wrote {len(rtl.splitlines())} lines ({request.backend}) "
-          f"to {output}")
     primary = next(iter(artifacts), None)
+    text = artifacts.get(primary, "")
+    out_path.write_text(text)
+    print(f"wrote {len(text.splitlines())} lines ({request.backend}) "
+          f"to {output}")
     stem = out_path.name
     for suffix in (out_path.suffixes or [""])[::-1]:
         stem = stem.removesuffix(suffix)
@@ -210,8 +210,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         for tensor in adg.tensor_names():
             print(render_topology(adg, tensor, dfs[0].name))
     if args.output:
-        _write_artifacts(args.output, request, record["rtl"],
-                         record["artifacts"])
+        _write_artifacts(args.output, request, record["artifacts"])
     return 0
 
 

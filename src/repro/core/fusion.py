@@ -37,7 +37,7 @@ from .interconnect import ReuseKind, ReuseSolution, offset_arcs
 from .mst import Arc, min_arborescence
 
 __all__ = ["Chain", "partition_chains", "plan_direct_interconnects",
-           "condensed_delay_tree", "FusionPlan", "naive_merge_links"]
+           "condensed_delay_tree", "FusionPlan"]
 
 Coord = tuple[int, ...]
 
@@ -297,13 +297,3 @@ def condensed_delay_tree(dataflow: Dataflow, tensor: str, is_output: bool,
             delay_edges.append((u, v, sol))
     return delay_edges, data_roots
 
-
-def naive_merge_links(per_dataflow_links: dict[str, list[tuple[Coord, Coord]]]
-                      ) -> dict[tuple[Coord, Coord], set[str]]:
-    """The baseline §IV-C argues against: union per-dataflow MST links,
-    multiplexing wherever they disagree."""
-    merged: dict[tuple[Coord, Coord], set[str]] = {}
-    for name, links in per_dataflow_links.items():
-        for link in links:
-            merged.setdefault(link, set()).add(name)
-    return merged

@@ -1,7 +1,5 @@
 """Mapping search: dataflow and tiling selection per layer."""
 
 from .search import Mapping, choose_mapping, map_model
-from .tiling import divisors, factor_pairs, tile_candidates
 
-__all__ = ["Mapping", "choose_mapping", "map_model", "divisors",
-           "factor_pairs", "tile_candidates"]
+__all__ = ["Mapping", "choose_mapping", "map_model"]

@@ -114,9 +114,6 @@ class AttentionLayer:
             "Y": hq * self.d_head,
         }
 
-    def softmax_elements(self) -> int:
-        return self.heads * self.q_len * self.kv_len
-
 
 @dataclass(frozen=True)
 class PPULayer:
@@ -154,9 +151,6 @@ class Model:
 
     def tensor_layers(self):
         return [l for l in self.layers if not isinstance(l, PPULayer)]
-
-    def ppu_layers(self):
-        return [l for l in self.layers if isinstance(l, PPULayer)]
 
     @cached_property
     def shapes(self) -> tuple[tuple, tuple[int, ...]]:

@@ -215,10 +215,6 @@ class Tracer:
                     "capacity": self._events.maxlen,
                     "dropped": self.dropped}
 
-    def chrome_trace(self) -> dict:
-        """The buffer as a Chrome-trace-event JSON object."""
-        return {"traceEvents": self.events(), "displayTimeUnit": "ms"}
-
 
 _TRACER = Tracer()
 

@@ -4,7 +4,7 @@ An accelerator-generation tool must let users persist and diff what it
 produced: the ADG (front-end decisions), the DAG (primitive netlist with
 delay-matching results), and the per-dataflow runtime configurations.
 The format is plain JSON — stable keys, integer-exact — and round-trips
-through :func:`load_design` for the simulator and the reports.
+through :func:`design_from_dict` for the simulator and the emitters.
 
 (Workload/dataflow definitions are code, not data: the ADG embeds only
 what downstream consumers need — matrices, bounds, names.)
@@ -18,8 +18,7 @@ from .backend.codegen import AddrGenConfig, DataflowConfig, Design
 from .backend.dag import DAG
 from .backend.primitives import Primitive
 
-__all__ = ["dump_design", "load_design_graph", "design_to_dict",
-           "design_from_dict", "canonical_dumps"]
+__all__ = ["design_to_dict", "design_from_dict", "canonical_dumps"]
 
 
 def canonical_dumps(obj) -> str:
@@ -131,11 +130,6 @@ def design_to_dict(design: Design) -> dict:
     }
 
 
-def dump_design(design: Design, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(design_to_dict(design), fh, indent=1)
-
-
 def _dag_from_dict(data: dict) -> DAG:
     """Rebuild the primitive DAG of a serialized design."""
     dag = DAG()
@@ -149,21 +143,6 @@ def _dag_from_dict(data: dict) -> DAG:
         dag.restore_edge(spec["uid"], spec["src"], spec["dst"], spec["pin"],
                          spec["width"], spec["el"])
     return dag
-
-
-def load_design_graph(path: str) -> tuple[DAG, dict[str, dict]]:
-    """Reload the DAG and raw per-dataflow configuration dictionaries.
-
-    The graph is fully reconstructed (usable for reports, Verilog
-    emission, and resource accounting); configurations are returned as
-    dictionaries.  :func:`design_from_dict` goes further and rebuilds a
-    simulatable :class:`Design`.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != "lego-design-v1":
-        raise ValueError("not a LEGO design file")
-    return _dag_from_dict(data), data["configs"]
 
 
 class _LoadedDataflow:

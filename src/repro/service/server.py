@@ -1033,8 +1033,9 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         if not quiet:
             print(server.banner(), flush=True)
         # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
-        # queued jobs swept and journaled, the prober stopped.  Both cancel this task on the loop (asyncio.run does
-        # it for SIGINT), which ends serve_forever and runs stop() below.
+        # queued jobs swept and journaled, the prober stopped.  Both
+        # cancel this task on the loop (asyncio.run does it for SIGINT),
+        # which ends serve_forever and runs stop() below.
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         try:

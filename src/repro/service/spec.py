@@ -239,10 +239,6 @@ class DesignResult:
     spec_hash: str
     request: DesignRequest
     design: dict | None = None
-    #: text of the *primary* emitted artifact (Verilog for the default
-    #: family, the C translation unit for ``hls_c``); kept under its
-    #: historical name so cache records and API payloads stay stable
-    rtl: str = ""
     #: the full artifact set, ``{filename: text}`` — first entry is the
     #: primary artifact, extra entries are companions (e.g. the HLS-C
     #: family's compilable testbench harness)
@@ -267,6 +263,12 @@ class DesignResult:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def rtl(self) -> str:
+        """Text of the *primary* (first) artifact: Verilog for the
+        default family, the C translation unit for ``hls_c``."""
+        return next(iter(self.artifacts.values()), "")
+
     def design_bytes(self) -> bytes:
         """Canonical byte form of the serialized design (for identity
         checks: equal designs compare byte-equal)."""
@@ -276,7 +278,6 @@ class DesignResult:
         return {
             "request": self.request.to_dict(),
             "design": self.design,
-            "rtl": self.rtl,
             "artifacts": self.artifacts,
             "summary": self.summary,
             "elapsed_s": self.elapsed_s,
@@ -311,7 +312,6 @@ class DesignResult:
         return cls(spec_hash=spec_hash,
                    request=DesignRequest.from_dict(record["request"]),
                    design=record["design"],
-                   rtl=record["rtl"],
                    artifacts=record["artifacts"],
                    summary=record["summary"],
                    elapsed_s=record.get("elapsed_s", 0.0),
@@ -445,12 +445,10 @@ def _execute_request_once(request: DesignRequest,
                 artifacts = emit_artifacts(family, design,
                                            module_name=request.module,
                                            context=context)
-        primary = next(iter(artifacts), "")
         return DesignResult(
             spec_hash=spec_hash,
             request=request,
             design=design_dict,
-            rtl=artifacts.get(primary, ""),
             artifacts=artifacts,
             summary=summary,
             elapsed_s=time.perf_counter() - start,

@@ -1,8 +1,6 @@
 """Cycle-accurate functional simulation of a generated design.
 
-This is the reproduction's stand-in for RTL simulation (the paper
-validates its performance model against Verilator runs of the generated
-Verilog): every primitive is executed every cycle, honoring node
+Every primitive of the DAG is executed every cycle, honoring node
 latencies, per-edge pipeline registers inserted by delay matching, and
 per-dataflow programmed FIFO depths.  A generated GEMM/Conv/MTTKRP design
 must produce bit-exact results against the numpy reference — this closes
@@ -40,7 +38,7 @@ import numpy as np
 
 from ..backend.codegen import Design, DataflowConfig
 
-__all__ = ["Simulator", "simulate_workload", "make_input",
+__all__ = ["Simulator", "make_input",
            "canonical_stimulus", "golden_vectors", "CANONICAL_STIMULUS"]
 
 _LOG = logging.getLogger("repro.sim")
@@ -354,13 +352,6 @@ def make_input(design: Design, dataflow: str, tensor: str,
         if design.dag.nodes[ag].params["tensor"] == tensor:
             return rng.integers(lo, hi, size=agc.dims).astype(np.int64)
     raise KeyError(f"no address generator for tensor {tensor!r}")
-
-
-def simulate_workload(design: Design, dataflow: str,
-                      tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Convenience wrapper: run the simulator, return output tensors."""
-    sim = Simulator(design, dataflow)
-    return sim.run(tensors).outputs
 
 
 def canonical_stimulus(design: Design,

@@ -1,24 +1,23 @@
-"""Network-on-chip models (paper §II: L1/L2 NoC, NoP).
+"""Network-on-chip size and area models (paper §II: L1/L2 NoC).
 
 Two predefined structures, as in the paper:
 
 * a **multistage butterfly** used between L1 banks and FU data nodes
   (the data distribution switches resolve layout conflicts here), and
 * a **wormhole 2D-mesh** used at the L2 level to scale past 1024 FUs
-  (Table IV), with classical X-Y dimension-ordered routing, which is
-  deadlock-free on a mesh.
+  (Table IV).
 
-Both give analytic latency/area/energy (used by the performance model)
-and the wormhole mesh additionally has a small flit-level simulator used
-by the tests to validate the analytic latency on random traffic.
+Each gives its switch/router count and its area, which
+:meth:`repro.arch.Accelerator.area_power` turns into the ``noc`` rows of
+the area/power report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["ButterflyNetwork", "WormholeMesh", "xy_route"]
+__all__ = ["ButterflyNetwork", "WormholeMesh"]
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,6 @@ class ButterflyNetwork:
     """A radix-2 multistage butterfly with ``n`` inputs and outputs."""
 
     n: int
-    width_bits: int = 64
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.n & (self.n - 1):
@@ -40,120 +38,21 @@ class ButterflyNetwork:
     def n_switches(self) -> int:
         return self.n_stages * self.n // 2
 
-    def latency(self) -> int:
-        """Pipeline latency in cycles (one per stage)."""
-        return self.n_stages
-
-    def route(self, src: int, dst: int) -> list[int]:
-        """Stage-by-stage port numbers of the unique butterfly path."""
-        if not (0 <= src < self.n and 0 <= dst < self.n):
-            raise ValueError("port out of range")
-        path = [src]
-        cur = src
-        for stage in range(self.n_stages):
-            bit = self.n_stages - 1 - stage
-            desired = (dst >> bit) & 1
-            cur = (cur & ~(1 << bit)) | (desired << bit)
-            path.append(cur)
-        return path
-
     def area_um2(self, area_per_port: float) -> float:
         return self.n_switches * 2 * area_per_port / 2
-
-    def transfer_energy_pj(self, n_bytes: int, energy_per_byte_hop: float) -> float:
-        return n_bytes * self.n_stages * energy_per_byte_hop
-
-
-def xy_route(src: tuple[int, int], dst: tuple[int, int]
-             ) -> list[tuple[int, int]]:
-    """Dimension-ordered (X first, then Y) route on a mesh — deadlock-free."""
-    path = [src]
-    x, y = src
-    while x != dst[0]:
-        x += 1 if dst[0] > x else -1
-        path.append((x, y))
-    while y != dst[1]:
-        y += 1 if dst[1] > y else -1
-        path.append((x, y))
-    return path
 
 
 @dataclass
 class WormholeMesh:
-    """A ``cols x rows`` wormhole-switched mesh with X-Y routing.
-
-    ``flit_bytes`` is the link width; a packet of ``n`` bytes becomes
-    ``ceil(n / flit_bytes)`` body flits plus a head flit.
-    """
+    """A ``cols x rows`` wormhole-switched mesh of 5-port routers."""
 
     cols: int
     rows: int
-    flit_bytes: int = 16
-    router_latency: int = 1
 
     @property
     def n_nodes(self) -> int:
         return self.cols * self.rows
 
-    def hops(self, src: tuple[int, int], dst: tuple[int, int]) -> int:
-        return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
-
-    def packet_latency(self, src: tuple[int, int], dst: tuple[int, int],
-                       n_bytes: int) -> int:
-        """Zero-load wormhole latency: head latency + serialization."""
-        n_flits = 1 + math.ceil(n_bytes / self.flit_bytes)
-        return (self.hops(src, dst) + 1) * self.router_latency + n_flits - 1
-
     def area_um2(self, area_per_port: float) -> float:
         # 5 ports per router (N, S, E, W, local).
         return self.n_nodes * 5 * area_per_port
-
-    def transfer_energy_pj(self, src: tuple[int, int], dst: tuple[int, int],
-                           n_bytes: int, energy_per_byte_hop: float) -> float:
-        return n_bytes * max(self.hops(src, dst), 1) * energy_per_byte_hop
-
-    # -- flit-level simulation (validates the analytic model) -------------------
-
-    def simulate(self, packets: list[tuple[tuple[int, int], tuple[int, int],
-                                           int, int]]) -> dict[int, int]:
-        """Simulate wormhole transfers; returns packet id -> arrival cycle.
-
-        ``packets`` are ``(src, dst, n_bytes, inject_cycle)`` tuples;
-        ids are list positions.  Links are single-flit per cycle; a link
-        occupied by one worm blocks others (wormhole, no virtual
-        channels).  X-Y routing guarantees progress.
-        """
-        flights = []
-        for pid, (src, dst, n_bytes, t0) in enumerate(packets):
-            route = xy_route(src, dst)
-            n_flits = 1 + math.ceil(n_bytes / self.flit_bytes)
-            flights.append({"id": pid, "route": route, "flits": n_flits,
-                            "t0": t0, "sent": 0, "head_pos": 0,
-                            "done": False, "arrival": None})
-        link_busy: dict[tuple, int] = {}
-        arrivals: dict[int, int] = {}
-        cycle = 0
-        max_cycles = 10000 + sum(f["flits"] for f in flights) * 4
-        while not all(f["done"] for f in flights) and cycle < max_cycles:
-            order = sorted((f["t0"], f["id"]) for f in flights if not f["done"])
-            for _t0, pid in order:
-                f = flights[pid]
-                if cycle < f["t0"]:
-                    continue
-                route = f["route"]
-                if f["head_pos"] < len(route) - 1:
-                    link = (route[f["head_pos"]], route[f["head_pos"] + 1])
-                    if link_busy.get(link, -1) < cycle:
-                        link_busy[link] = cycle + max(f["flits"] - 1, 0)
-                        f["head_pos"] += 1
-                if f["head_pos"] >= len(route) - 1:
-                    # Head arrived; tail needs the remaining flits to drain.
-                    f["done"] = True
-                    f["arrival"] = cycle + f["flits"] - 1 \
-                        + self.router_latency * len(route)
-                    arrivals[pid] = f["arrival"]
-            cycle += 1
-        for f in flights:
-            if not f["done"]:  # pragma: no cover - bounded by max_cycles
-                raise RuntimeError("wormhole simulation did not converge")
-        return arrivals

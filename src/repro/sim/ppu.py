@@ -1,100 +1,20 @@
-"""Post-processing units (paper §II).
+"""Post-processing unit latency (paper §II).
 
 Each PPU is a lookup table evaluating the activation function plus a
 reduction unit that accumulates the statistics non-linear layers need
 (sum of exponents for softmax, mean/variance for normalization).  PPUs
 share the output buffers with the FU array for in-place processing, so
-their latency model is simply elements / (PPU count x throughput) and the
-paper's claim to check is that this stays a small fraction of end-to-end
-latency (Fig. 12(b)).
-
-The functional LUT implementation here is real fixed-point hardware
-behavior: inputs are quantized to the table index grid, so accuracy is
-bounded by table resolution — the tests verify both the monotonic
-functions and softmax normalization error bounds.
+their latency is simply elements / (PPU count x throughput) per pass;
+the performance model charges it to the PPU layers of an architecture
+that has PPUs, and the paper's claim to check is that this stays a small
+fraction of end-to-end latency (Fig. 12(b)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["LookupTable", "PostProcessingUnit", "ppu_latency_cycles"]
-
-
-class LookupTable:
-    """A fixed-point function table with linear interpolation."""
-
-    def __init__(self, fn, lo: float, hi: float, n_entries: int = 256):
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        self.lo, self.hi = lo, hi
-        self.n_entries = n_entries
-        xs = np.linspace(lo, hi, n_entries)
-        self.table = np.array([fn(float(x)) for x in xs])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
-        pos = (x - self.lo) / (self.hi - self.lo) * (self.n_entries - 1)
-        idx = np.floor(pos).astype(int)
-        frac = pos - idx
-        hi_idx = np.minimum(idx + 1, self.n_entries - 1)
-        return self.table[idx] * (1 - frac) + self.table[hi_idx] * frac
-
-
-@dataclass
-class PostProcessingUnit:
-    """One PPU: LUT + reduction; ``throughput`` elements per cycle."""
-
-    throughput: int = 1
-    lut_entries: int = 256
-
-    def __post_init__(self) -> None:
-        self._exp = LookupTable(math.exp, -16.0, 0.0, self.lut_entries)
-        self._sigmoid = LookupTable(lambda x: 1 / (1 + math.exp(-x)),
-                                    -8.0, 8.0, self.lut_entries)
-        self._gelu = LookupTable(
-            lambda x: 0.5 * x * (1 + math.erf(x / math.sqrt(2))),
-            -8.0, 8.0, self.lut_entries)
-        self._rsqrt = LookupTable(lambda x: 1 / math.sqrt(max(x, 1e-6)),
-                                  1e-3, 16.0, self.lut_entries)
-
-    # -- functional models -------------------------------------------------------
-
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0)
-
-    def gelu(self, x: np.ndarray) -> np.ndarray:
-        return self._gelu(x)
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return self._sigmoid(x)
-
-    def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """LUT-based softmax: exp via table after max-subtraction (the
-        reduction unit tracks the running max and the sum of exponents)."""
-        x = np.asarray(x, dtype=np.float64)
-        shifted = x - x.max(axis=axis, keepdims=True)
-        ex = self._exp(shifted)
-        return ex / ex.sum(axis=axis, keepdims=True)
-
-    def layernorm(self, x: np.ndarray, axis: int = -1,
-                  eps: float = 1e-5) -> np.ndarray:
-        """Mean/variance via the reduction unit, 1/sqrt via LUT."""
-        x = np.asarray(x, dtype=np.float64)
-        mean = x.mean(axis=axis, keepdims=True)
-        var = x.var(axis=axis, keepdims=True)
-        return (x - mean) * self._rsqrt(var + eps)
-
-    # -- performance model ---------------------------------------------------------
-
-    def cycles(self, n_elements: int, n_passes: int = 2) -> int:
-        """Cycles to process ``n_elements``; reductions need an extra pass
-        (softmax: max+exp-sum then normalize; layernorm: stats then apply).
-        """
-        return math.ceil(n_elements * n_passes / self.throughput)
+__all__ = ["ppu_latency_cycles"]
 
 
 def ppu_latency_cycles(n_elements: int, n_ppus: int, throughput: int = 1,

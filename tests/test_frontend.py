@@ -6,7 +6,6 @@ import pytest
 from repro.core import kernels
 from repro.core.adg import MemoryLayout
 from repro.core.frontend import FrontendConfig, build_adg
-from repro.core.fusion import naive_merge_links
 from repro.core.interconnect import ReuseKind
 from repro.core.memory_analysis import (analyze_banks, distribution_switch_size,
                                         fuse_layouts, verify_conflict_free)
@@ -120,14 +119,6 @@ class TestFusion:
         dfa = kernels.gemm_dataflow("IJ", wl, 4, 4)
         with pytest.raises(ValueError, match="unique"):
             build_adg([dfa, dfa])
-
-    def test_naive_merge_links_helper(self):
-        merged = naive_merge_links({
-            "a": [((0, 0), (0, 1))],
-            "b": [((0, 0), (0, 1)), ((1, 0), (1, 1))],
-        })
-        assert merged[((0, 0), (0, 1))] == {"a", "b"}
-        assert len(merged) == 2
 
 
 class TestMemoryAnalysis:

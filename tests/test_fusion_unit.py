@@ -12,8 +12,7 @@ from repro.core import kernels
 from repro.core.dataflow import Dataflow
 from repro.core.frontend import FrontendConfig, build_adg
 from repro.core.fusion import (Chain, FusionPlan, condensed_delay_tree,
-                               naive_merge_links, partition_chains,
-                               plan_direct_interconnects)
+                               partition_chains, plan_direct_interconnects)
 from repro.core.interconnect import ReuseKind, find_reuse_solutions
 from repro.core.memory_analysis import analyze_banks, verify_conflict_free
 from repro.service.spec import DesignRequest
@@ -116,13 +115,6 @@ class TestCondensedDelayTree:
                                             sols, memory_cost=0.0)
         assert not edges
         assert len(roots) == len(chains)
-
-
-class TestNaiveMerge:
-    def test_union_semantics(self):
-        merged = naive_merge_links({"a": [(0, 1)], "b": [(0, 1), (1, 2)]})
-        assert merged[(0, 1)] == {"a", "b"}
-        assert merged[(1, 2)] == {"b"}
 
 
 class TestFrontendProperties:

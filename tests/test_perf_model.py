@@ -7,8 +7,7 @@ import pytest
 
 from repro.arch import AcceleratorSpec, build
 from repro.arch.references import AUTOSA_FPGA, EYERISS, NVDLA, SODA_45NM
-from repro.mapper import choose_mapping, divisors, factor_pairs, map_model
-from repro.mapper.tiling import n_tiles, tile_candidates, working_set_bytes
+from repro.mapper import choose_mapping, map_model
 from repro.models import zoo
 from repro.models.layers import (AttentionLayer, ConvLayer, LinearLayer,
                                  PPULayer)
@@ -59,30 +58,6 @@ class TestZoo:
         m1 = zoo.llama7b_decode(1)
         m32 = zoo.llama7b_decode(32)
         assert m32.total_macs() > m1.total_macs()
-
-
-class TestTiling:
-    def test_divisors(self):
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-    def test_factor_pairs(self):
-        assert (3, 4) in factor_pairs(12)
-
-    def test_tile_candidates_include_bound_and_floor(self):
-        cands = tile_candidates(56, floor=4)
-        assert 56 in cands
-        assert all(c >= 4 or c == 56 for c in cands)
-
-    def test_divisor_validation(self):
-        with pytest.raises(ValueError):
-            divisors(0)
-
-    def test_working_set(self):
-        ws = working_set_bytes({"m": 4, "k": 8}, {"X": ("m", "k")}, {"X": 1})
-        assert ws == 32
-
-    def test_n_tiles(self):
-        assert n_tiles({"m": 10}, {"m": 4}) == 3
 
 
 class TestPerfModel:

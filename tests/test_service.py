@@ -110,6 +110,19 @@ class TestCache:
         # pipeline's scheduled-design intermediate
         assert cache.stats.hits == 1 and cache.stats.puts == 2
 
+    def test_record_stores_the_primary_artifact_once(self):
+        from repro.service import DesignResult
+
+        result = BatchEngine(cache=None).submit(DesignRequest(array=(2, 2)))
+        record = result.to_record()
+        assert "rtl" not in record
+        clone = DesignResult.from_record(result.spec_hash, record)
+        assert clone.rtl == result.rtl == next(iter(result.artifacts.values()))
+        # Records that still carry the old duplicate "rtl" key load too.
+        legacy = dict(record, rtl=result.rtl)
+        assert DesignResult.from_record(result.spec_hash,
+                                        legacy).rtl == result.rtl
+
     def test_cold_memory_warm_disk(self, tmp_path):
         """A fresh process (fresh engine) must hit the on-disk tier."""
         req = DesignRequest(array=(2, 2))

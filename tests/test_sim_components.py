@@ -1,18 +1,13 @@
-"""Tests for the simulation substrates: NoC, memories, PPUs, energy."""
+"""Tests for the NoC and PPU terms and the energy model."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.adg import MemoryLayout
 from repro.sim.energy_model import (FREEPDK45, TSMC28, evaluate_design,
                                     sram_model)
-from repro.sim.memory import BankedMemory, Buffet
-from repro.sim.noc import ButterflyNetwork, WormholeMesh, xy_route
-from repro.sim.ppu import LookupTable, PostProcessingUnit, ppu_latency_cycles
+from repro.sim.noc import ButterflyNetwork, WormholeMesh
+from repro.sim.ppu import ppu_latency_cycles
 
 
 class TestButterfly:
@@ -22,154 +17,15 @@ class TestButterfly:
 
     def test_stage_count(self):
         assert ButterflyNetwork(16).n_stages == 4
-        assert ButterflyNetwork(16).latency() == 4
-
-    @given(st.integers(min_value=1, max_value=5), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_route_reaches_destination(self, log_n, data):
-        n = 1 << log_n
-        net = ButterflyNetwork(n)
-        src = data.draw(st.integers(min_value=0, max_value=n - 1))
-        dst = data.draw(st.integers(min_value=0, max_value=n - 1))
-        path = net.route(src, dst)
-        assert path[0] == src and path[-1] == dst
-        assert len(path) == net.n_stages + 1
-        for a, b in zip(path, path[1:]):
-            # Each stage flips at most one (stage-specific) bit.
-            assert bin(a ^ b).count("1") <= 1
-
-    def test_transfer_energy_scales_with_stages(self):
-        small, big = ButterflyNetwork(4), ButterflyNetwork(64)
-        assert big.transfer_energy_pj(64, 0.1) > small.transfer_energy_pj(64, 0.1)
+        assert ButterflyNetwork(16).n_switches == 32
 
 
 class TestWormhole:
-    def test_xy_route_is_dimension_ordered(self):
-        path = xy_route((0, 0), (2, 3))
-        assert path[0] == (0, 0) and path[-1] == (2, 3)
-        # X moves first, then Y — no interleaving (deadlock freedom).
-        xs = [p[0] for p in path]
-        assert xs == sorted(xs)
-        y_started = False
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            if y1 != y2:
-                y_started = True
-            if y_started:
-                assert x1 == x2
-
-    def test_zero_load_latency(self):
-        mesh = WormholeMesh(4, 4, flit_bytes=16)
-        lat = mesh.packet_latency((0, 0), (3, 3), 64)
-        # 6 hops + local, 1 head + 4 body flits
-        assert lat == 7 * 1 + 5 - 1
-
-    def test_simulation_matches_analytic_for_single_packet(self):
-        mesh = WormholeMesh(4, 4)
-        arrivals = mesh.simulate([((0, 0), (3, 2), 64, 0)])
-        analytic = mesh.packet_latency((0, 0), (3, 2), 64)
-        assert abs(arrivals[0] - analytic) <= len(xy_route((0, 0), (3, 2)))
-
-    def test_contention_delays_second_packet(self):
-        mesh = WormholeMesh(4, 1)
-        solo = mesh.simulate([((0, 0), (3, 0), 256, 0)])
-        pair = mesh.simulate([((0, 0), (3, 0), 256, 0),
-                              ((1, 0), (3, 0), 256, 0)])
-        assert pair[1] >= solo[0] - 5  # the second worm waits for links
-
     def test_mesh_area_scales(self):
         assert WormholeMesh(4, 5).area_um2(100) > WormholeMesh(2, 3).area_um2(100)
 
 
-class TestBankedMemory:
-    def _layout(self):
-        return MemoryLayout("X", (2, 2), (1, 1), 4)
-
-    def test_conflict_free_access(self):
-        mem = BankedMemory(self._layout(), (4, 4))
-        cycles = mem.access_cycle([(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert cycles == 1
-        assert mem.conflict_stalls == 0
-
-    def test_conflicting_access_stalls(self):
-        mem = BankedMemory(self._layout(), (4, 4))
-        cycles = mem.access_cycle([(0, 0), (2, 0)])  # same bank (stride 2)
-        assert cycles == 2
-        assert mem.conflict_stalls == 1
-
-    def test_read_write(self):
-        mem = BankedMemory(self._layout(), (4, 4))
-        mem.write((1, 2), 42)
-        assert mem.read((1, 2)) == 42
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            BankedMemory(self._layout(), (4, 4, 4))
-
-
-class TestBuffet:
-    def test_fill_read_shrink(self):
-        b = Buffet(capacity=4)
-        assert b.fill([1, 2, 3]) == 3
-        assert b.read(0) == 1
-        assert b.read(2) == 3
-        b.shrink(2)
-        assert b.occupancy == 1
-        assert b.read(0) == 3
-
-    def test_backpressure(self):
-        b = Buffet(capacity=2)
-        assert b.fill([1, 2, 3]) == 2
-
-    def test_read_beyond_fill_blocks(self):
-        b = Buffet(capacity=4)
-        b.fill([1])
-        assert b.read(5) is None
-        assert b.blocked_reads == 1
-
-    def test_shrink_underflow(self):
-        b = Buffet(capacity=2)
-        with pytest.raises(ValueError):
-            b.shrink(1)
-
-    def test_credit_cycle(self):
-        b = Buffet(capacity=2)
-        for batch in range(10):
-            assert b.fill([batch]) == 1
-            assert b.read(0) == batch
-            b.shrink(1)
-        assert b.occupancy == 0
-
-
 class TestPPU:
-    def test_lut_monotone(self):
-        lut = LookupTable(math.exp, -8, 0, 128)
-        xs = np.linspace(-8, 0, 50)
-        ys = lut(xs)
-        assert (np.diff(ys) >= -1e-12).all()
-
-    def test_softmax_normalizes(self):
-        ppu = PostProcessingUnit()
-        x = np.random.default_rng(0).normal(size=(4, 16)) * 3
-        y = ppu.softmax(x)
-        assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
-        ref = np.exp(x - x.max(-1, keepdims=True))
-        ref /= ref.sum(-1, keepdims=True)
-        assert np.abs(y - ref).max() < 2e-2  # bounded by LUT resolution
-
-    def test_layernorm_statistics(self):
-        ppu = PostProcessingUnit()
-        x = np.random.default_rng(1).normal(size=(8, 64)) * 2 + 3
-        y = ppu.layernorm(x)
-        assert np.abs(y.mean(-1)).max() < 1e-6
-        assert np.abs(y.std(-1) - 1).max() < 5e-2
-
-    def test_relu_gelu(self):
-        ppu = PostProcessingUnit()
-        x = np.array([-2.0, 0.0, 2.0])
-        assert (ppu.relu(x) == [0, 0, 2]).all()
-        g = ppu.gelu(x)
-        assert g[0] < 0.0 < g[2] and abs(g[1]) < 1e-2  # LUT grid error
-
     def test_latency_model(self):
         assert ppu_latency_cycles(1000, 8, 2, 2) == math.ceil(125 * 2 / 2)
         with pytest.raises(ValueError):
