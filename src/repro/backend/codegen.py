@@ -69,25 +69,8 @@ class AddrGenConfig:
     @staticmethod
     def build(df: Dataflow, tensor: str, fu: Coord,
               gate_dt: tuple[int, ...] | None = None) -> "AddrGenConfig":
-        mdt, mds, bias = df.tensor_ts_map(tensor)
-        offset = mds @ np.array(fu, dtype=np.int64) + bias
-        wl = df.workload
-        acc = wl.tensor(tensor)
-        m, b = acc.mapping.m, acc.mapping.b
-        dims = []
-        for row_idx in range(m.shape[0]):
-            hi = int(b[row_idx])
-            for coeff, dim in zip(m[row_idx], wl.dims):
-                if coeff > 0:
-                    hi += int(coeff) * (wl.bounds[dim] - 1)
-            dims.append(hi + 1)
-        return AddrGenConfig(
-            rt=df.rt,
-            mdt=tuple(tuple(int(x) for x in row) for row in mdt),
-            offset=tuple(int(x) for x in offset),
-            dims=tuple(dims),
-            gate_dt=gate_dt,
-        )
+        """The generator of *tensor* at FU *fu* under *df*."""
+        return _TensorMap(df, tensor).config(fu, gate_dt)
 
     def unrank(self, t_scalar: int) -> tuple[int, ...] | None:
         total = 1
@@ -137,6 +120,39 @@ class AddrGenConfig:
         return addr
 
 
+class _TensorMap:
+    """One (dataflow, tensor)'s address map with the FU left open:
+    ``M_DT``, ``M_DS``, ``b`` and the tensor's extents, derived once and
+    shared by every address generator of the tensor under that
+    dataflow (:func:`generate` keeps one per pair)."""
+
+    def __init__(self, df: Dataflow, tensor: str) -> None:
+        mdt, mds, bias = df.tensor_ts_map(tensor)
+        wl = df.workload
+        acc = wl.tensor(tensor)
+        m, b = acc.mapping.m, acc.mapping.b
+        dims = []
+        for row_idx in range(m.shape[0]):
+            hi = int(b[row_idx])
+            for coeff, dim in zip(m[row_idx], wl.dims):
+                if coeff > 0:
+                    hi += int(coeff) * (wl.bounds[dim] - 1)
+            dims.append(hi + 1)
+        self.rt = df.rt
+        self.mdt = tuple(tuple(int(x) for x in row) for row in mdt)
+        self.mds = [[int(x) for x in row] for row in mds]
+        self.bias = [int(x) for x in bias]
+        self.dims = tuple(dims)
+
+    def config(self, fu: Coord,
+               gate_dt: tuple[int, ...] | None = None) -> AddrGenConfig:
+        """FU *fu*'s generator: ``offset = M_DS @ fu + b``."""
+        offset = tuple(sum(c * x for c, x in zip(row, fu)) + b
+                       for row, b in zip(self.mds, self.bias))
+        return AddrGenConfig(rt=self.rt, mdt=self.mdt, offset=offset,
+                             dims=self.dims, gate_dt=gate_dt)
+
+
 @dataclass
 class DataflowConfig:
     """Runtime configuration of the generated design for one dataflow."""
@@ -178,6 +194,9 @@ class Design:
     out_adders: dict[Coord, int] = field(default_factory=dict)
     taps: dict[Coord, int] = field(default_factory=dict)
     report: dict = field(default_factory=dict)
+    #: the ``dag.version`` the configs' active sets were computed at
+    _live_version: int = field(default=-1, init=False, repr=False,
+                               compare=False)
 
     def config(self, name: str) -> DataflowConfig:
         return self.configs[name]
@@ -276,6 +295,14 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
                 configs[df.name].ctrl_offset[taps[fu]] = df.t_bias(fu)
 
     wiring = _Wiring(dag, configs, taps)
+    tensor_maps: dict[tuple[str, str], _TensorMap] = {}
+
+    def addrgen(df: Dataflow, tensor: str, fu: Coord,
+                gate_dt: tuple[int, ...] | None = None) -> AddrGenConfig:
+        tmap = tensor_maps.get((df.name, tensor))
+        if tmap is None:
+            tmap = tensor_maps[df.name, tensor] = _TensorMap(df, tensor)
+        return tmap.config(fu, gate_dt)
 
     if share_control:
         by_cv: dict[tuple[int, ...], set[str]] = {}
@@ -335,7 +362,7 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
             df = adg.dataflow(name)
             if not any(t.name == node.tensor for t in df.workload.tensors):
                 continue
-            configs[name].addrgen[ag] = AddrGenConfig.build(df, node.tensor, fu)
+            configs[name].addrgen[ag] = addrgen(df, node.tensor, fu)
             configs[name].read_enable.add(rd)
         wiring.connect(rd, ports[(fu, node.tensor)], 0, set(node.dataflows),
                        fallback=bool(node.fallback_of))
@@ -449,6 +476,9 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
             wiring.connect(acc_node, out_adders[fu], 1, names)
 
     # commit data nodes: addrgen + mem_write with read-modify-write
+    out_conns: dict[tuple[str, Coord], list] = {}
+    for conn in adg.connections:
+        out_conns.setdefault((conn.tensor, conn.src), []).append(conn)
     for node in adg.data_nodes:
         if not node.is_output:
             continue
@@ -466,12 +496,10 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
             if not any(t.name == node.tensor for t in df.workload.tensors):
                 continue
             gate = None
-            for conn in adg.connections:
-                if (conn.tensor == node.tensor and conn.src == fu
-                        and name in conn.dataflows):
+            for conn in out_conns.get((node.tensor, fu), ()):
+                if name in conn.dataflows:
                     gate = conn.dt_for(name)
-            configs[name].addrgen[ag] = AddrGenConfig.build(
-                df, node.tensor, fu, gate_dt=gate)
+            configs[name].addrgen[ag] = addrgen(df, node.tensor, fu, gate)
             configs[name].write_enable.add(wr)
 
     wiring.finalize()
@@ -503,9 +531,17 @@ def compute_liveness(design: Design) -> None:
     delay matching, the cycle simulator, the energy model and power
     gating).
 
-    Must be re-run after any pass that mutates the DAG topology.
+    Passes call this before they read the active sets and after they
+    change the topology.  It returns at once when the sets were computed
+    at the DAG's current :attr:`~repro.backend.dag.DAG.version`.  That is
+    sound because configs change only together with the topology: a
+    pass that edits a mux select, a FIFO depth or an enable also adds or
+    removes the nodes or edges the edit is about (only reduction
+    extraction edits them after :func:`generate`).
     """
     dag = design.dag
+    if design._live_version == dag.version:
+        return
     for name, cfg in design.configs.items():
         active: set[int] = set()
         active_edges: set[int] = set()
@@ -534,3 +570,4 @@ def compute_liveness(design: Design) -> None:
                 frontier.append(e.src)
         cfg.active_nodes = active
         cfg.active_edges = active_edges
+    design._live_version = dag.version

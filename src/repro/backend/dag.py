@@ -19,6 +19,12 @@ methods deserialization uses; nothing outside this module appends to the
 edge container, deletes from ``dag.nodes`` or rewrites an edge's
 endpoints (``tests/test_dag_index.py`` has the structural guard, and
 :meth:`DAG.validate` cross-checks the index against the edge set).
+
+Every one of those mutators bumps :attr:`DAG.version`, so an analysis of
+the topology can be kept for as long as the version it was computed at
+is current: the unfiltered :meth:`DAG.topo_order` is memoized that way,
+and so is ``codegen.compute_liveness``.  Widths, ``el``, placements and
+params are not topology and do not bump it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .primitives import Primitive
 __all__ = ["Edge", "DAG"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """A directed wire bundle from ``src``'s output to pin ``dst_pin`` of
     ``dst``.  ``el`` counts inserted pipeline registers (delay matching);
@@ -60,6 +66,10 @@ class DAG:
         self._out: dict[int, dict[int, Edge]] = {}
         self._next_id = 0
         self._next_edge_uid = 0
+        #: bumped by every topology mutation (see the module docstring)
+        self.version = 0
+        # sequential_break -> (version, order, or None when cyclic)
+        self._topo: dict[bool, tuple[int, list[int] | None]] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -79,6 +89,7 @@ class DAG:
         self._in[node.node_id] = {}
         self._out[node.node_id] = {}
         self._next_id = max(self._next_id, node.node_id + 1)
+        self.version += 1
 
     def add_edge(self, src: int, dst: int, dst_pin: int = 0,
                  width: int | None = None) -> Edge:
@@ -99,6 +110,7 @@ class DAG:
         edge = Edge(src, dst, dst_pin, width, el, uid)
         self._edges[uid] = self._in[dst][uid] = self._out[src][uid] = edge
         self._next_edge_uid = max(self._next_edge_uid, uid + 1)
+        self.version += 1
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
@@ -107,6 +119,7 @@ class DAG:
         del self._edges[edge.uid]
         del self._in[edge.dst][edge.uid]
         del self._out[edge.src][edge.uid]
+        self.version += 1
 
     def remove_node(self, node_id: int) -> None:
         """Delete a node and every edge touching it."""
@@ -114,6 +127,7 @@ class DAG:
         for edge in {**self._in[node_id], **self._out[node_id]}.values():
             self.remove_edge(edge)
         del self.nodes[node_id], self._in[node_id], self._out[node_id]
+        self.version += 1
 
     # -- queries -----------------------------------------------------------------
 
@@ -137,7 +151,25 @@ class DAG:
         a FIFO is legal hardware (e.g. two dataflows driving a link pair
         in opposite directions — only one is ever active).  Pass
         ``edge_filter`` to restrict to a per-dataflow active subgraph.
+
+        Without a filter the order is memoized per ``sequential_break``
+        until :attr:`version` moves; the caller gets its own copy.
         """
+        if edge_filter is not None:
+            order = self._sort(sequential_break, edge_filter)
+        else:
+            version, order = self._topo.get(sequential_break, (-1, None))
+            if version != self.version:
+                order = self._sort(sequential_break, None)
+                self._topo[sequential_break] = (self.version, order)
+            if order is not None:
+                order = list(order)
+        if order is None:
+            raise ValueError("DAG contains a combinational cycle")
+        return order
+
+    def _sort(self, sequential_break: bool, edge_filter) -> list[int] | None:
+        """Kahn's algorithm behind :meth:`topo_order`; None on a cycle."""
         indeg = dict.fromkeys(self.nodes, 0)
         succ: dict[int, list[int]] = {}
         for nid, node in self.nodes.items():
@@ -157,9 +189,7 @@ class DAG:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     ready.append(nxt)
-        if len(order) != len(self.nodes):
-            raise ValueError("DAG contains a combinational cycle")
-        return order
+        return order if len(order) == len(self.nodes) else None
 
     def validate(self) -> None:
         """Structural sanity, O(V+E): every edge joins existing nodes, the
@@ -186,7 +216,12 @@ class DAG:
         for nid, node in self.nodes.items():
             if node.is_sink and self._out[nid]:
                 raise ValueError(f"sink {node} has outgoing edges")
-        self.topo_order(sequential_break=True)
+        # an order that keeps FIFO edges proves the weaker property too,
+        # and is the one bit-width inference then finds memoized
+        try:
+            self.topo_order(sequential_break=False)
+        except ValueError:
+            self.topo_order(sequential_break=True)
 
     # -- register accounting (the optimization target of §V) ---------------------
 
@@ -195,15 +230,11 @@ class DAG:
         return sum(e.el * e.width for e in self.edges)
 
     def fifo_register_bits(self) -> int:
-        """Bits of delay-FIFO storage (max programmed depth per FIFO)."""
-        total = 0
-        for node in self.nodes.values():
-            if node.kind == "fifo":
-                depths = node.params.get("depths", {})
-                depth = max(depths.values()) if depths else node.params.get(
-                    "depth", 0)
-                total += depth * node.width
-        return total
+        """Bits of delay-FIFO storage: each FIFO's capacity (the max
+        physical depth over dataflows, set by delay matching) times its
+        width."""
+        return sum(node.params.get("depth", 0) * node.width
+                   for node in self.nodes.values() if node.kind == "fifo")
 
     def count(self, kind: str) -> int:
         return sum(1 for n in self.nodes.values() if n.kind == kind)

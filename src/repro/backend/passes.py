@@ -1,10 +1,15 @@
-"""Pass manager and the remaining DAG transformation passes (§V-D):
-bit-width inference and power gating, plus the canonical pass pipeline.
+"""Bit-width inference and power gating (§V-D), and :func:`run_backend`,
+the back end's fixed pass sequence.
 
-The pipeline order matters: widths must be known before delay matching
-(register cost is bits, Eq. 11); reduction extraction must precede
-rewiring (it removes adder chains the LP would otherwise pipeline); power
-gating is last (it only annotates).
+``run_backend`` is a plain call sequence gated by :class:`BackendOptions`,
+not a pass manager.  Its order matters: widths must be known before
+delay matching (register cost is bits, Eq. 11); reduction extraction
+must precede rewiring (it removes adder chains the LP would otherwise
+pipeline) and is followed by a second width pass over the reducers it
+built; power gating is last (it only annotates).  The analyses the
+passes share — topological order and per-dataflow liveness — are
+memoized on :attr:`~repro.backend.dag.DAG.version`, so each is computed
+once per topology change however many passes ask for it.
 
 §V-C pin reuse (Fig. 9) has no pass here: reduction extraction makes
 every pin of a reducer live in the same dataflows, so no reducer ever has
@@ -17,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .codegen import Design, compute_liveness
+from .dag import DAG
 from .delay_matching import delay_match
 from .primitives import MAX_WIDTH
 from .reduction import extract_reduction_trees
@@ -51,25 +57,72 @@ class BackendOptions:
                               power_gating=False)
 
 
+def _width(node, in_w: list[int]) -> int:
+    """A node's value-range-derived output width from its kind and its
+    inputs' widths (in edge insertion order)."""
+    w = node.width
+    if node.kind == "const":
+        value = abs(int(node.params.get("value", 0)))
+        w = max(1, value.bit_length())
+    elif node.kind == "mul" and len(in_w) >= 2:
+        w = in_w[0] + in_w[1]
+    elif node.kind in ("add", "sub", "max") and in_w:
+        w = max(in_w) + 1
+    elif node.kind == "shl" and in_w:
+        shift_max = (1 << min(in_w[1] if len(in_w) > 1 else 0, 4)) - 1
+        w = in_w[0] + shift_max
+    elif node.kind == "reducer" and in_w:
+        w = max(in_w) + max(1, math.ceil(
+            math.log2(max(node.params.get("n_inputs", 2), 2))))
+    elif node.kind in ("mux", "wire", "fifo", "mem_write") and in_w:
+        w = max(in_w)
+    return min(w, MAX_WIDTH)
+
+
 def infer_bitwidths(design: Design) -> dict[str, int]:
-    """Propagate value-range-derived widths through the DAG to their
-    fixpoint (§V-D).
+    """Give every node its value-range-derived width and every edge its
+    source's width (§V-D).
 
-    A round visits the nodes in topological order with FIFO outputs
-    broken, so a width crosses one FIFO per round: a systolic
-    accumulation chain of ``n`` adders needs ``n + 1`` rounds, the last
-    one confirming that nothing changed.
+    Widths only flow forward: a node's width is a function of its kind
+    and its inputs' widths (:func:`_width`), and a node that no rule
+    covers keeps the width it has.  So when the full topological order
+    exists — FIFO edges included; no golden or benchmark design has a
+    cycle — one pass in that order visits each node after all of its
+    inputs are final.  That pass reaches the fixpoint, and the
+    fixpoint is unique: each width is determined by its predecessors'.
+    It reports ``rounds`` 1.
 
-    Termination: a round is a function of the node widths the previous
-    round left, and every width a round assigns is an integer between 1
-    (or the narrowest starting width) and ``MAX_WIDTH``, so there are
-    finitely many width vectors and the sequence repeats.  A repeat is
-    either a round that changes nothing — the fixpoint, returned — or a
-    cycle of rounds that never settles (a ring of FIFOs seeded with
-    unequal widths rotates them forever), which raises instead of
-    looping.
+    A graph cyclic through FIFOs (legal hardware: a FIFO is sequential)
+    has no such order and is iterated by rounds instead.  A round visits
+    the nodes in topological order with FIFO outputs broken, so a width
+    crosses one FIFO per round, until a round changes nothing.
+
+    Termination of the rounds: a round is a function of the node widths
+    the previous round left, and every width a round assigns is an
+    integer between 1 (or the narrowest starting width) and
+    ``MAX_WIDTH``, so there are finitely many width vectors and the
+    sequence repeats.  A repeat is either a round that changes nothing —
+    the fixpoint, returned — or a cycle of rounds that never settles (a
+    ring of FIFOs seeded with unequal widths rotates them forever),
+    which raises instead of looping.
     """
     dag = design.dag
+    try:
+        order = dag.topo_order(sequential_break=False)
+    except ValueError:
+        return _bitwidth_rounds(dag)
+    nodes = dag.nodes
+    for nid in order:
+        node = nodes[nid]
+        node.width = _width(node, [nodes[e.src].width
+                                   for e in dag.in_edges(nid)])
+    for e in dag.edges:
+        e.width = nodes[e.src].width
+    return {"rounds": 1}
+
+
+def _bitwidth_rounds(dag: DAG) -> dict[str, int]:
+    """:func:`infer_bitwidths` on a graph cyclic through FIFOs."""
     order = dag.topo_order(sequential_break=True)
     seen: set[tuple[int, ...]] = set()
     changed, rounds = True, 0
@@ -78,27 +131,8 @@ def infer_bitwidths(design: Design) -> dict[str, int]:
         rounds += 1
         for nid in order:
             node = dag.nodes[nid]
-            ins = dag.in_edges(nid)
-            in_w = [dag.nodes[e.src].width for e in ins]
-            w = node.width
-            if node.kind == "const":
-                value = abs(int(node.params.get("value", 0)))
-                w = max(1, value.bit_length())
-            elif node.kind == "mul" and len(in_w) >= 2:
-                w = in_w[0] + in_w[1]
-            elif node.kind in ("add", "sub", "max") and in_w:
-                w = max(in_w) + 1
-            elif node.kind == "shl" and in_w:
-                shift_max = (1 << min(in_w[1] if len(in_w) > 1 else 0, 4)) - 1
-                w = in_w[0] + shift_max
-            elif node.kind == "reducer" and in_w:
-                w = max(in_w) + max(1, math.ceil(
-                    math.log2(max(node.params.get("n_inputs", 2), 2))))
-            elif node.kind in ("mux", "wire", "fifo") and in_w:
-                w = max(in_w)
-            elif node.kind == "mem_write" and in_w:
-                w = max(in_w)
-            w = min(w, MAX_WIDTH)
+            w = _width(node, [dag.nodes[e.src].width
+                              for e in dag.in_edges(nid)])
             if w != node.width:
                 node.width = w
                 changed = True

@@ -42,7 +42,7 @@ PRIMITIVE_LATENCY = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Primitive:
     """One DAG node.
 

@@ -251,20 +251,21 @@ def extract_reduction_trees(design: Design) -> dict[str, int]:
                 dag.add_edge(mux, e.dst, e.dst_pin)
             dag.remove_edge(e)
 
-        # Remove chain adders, then sweep glue (FIFOs/muxes/wires) that now
-        # feeds only removed nodes, until fixpoint.
+        # Remove chain adders, and with them every glue node (FIFO, mux,
+        # wire) whose out-edges all lead to removed nodes.  A node can only
+        # start to qualify when one of its consumers is removed, so the
+        # worklist visits the predecessors of each removed node.
         to_remove = set(adders)
-        changed = True
-        while changed:
-            changed = False
-            for nid, node in list(dag.nodes.items()):
-                if nid in to_remove or node.kind not in ("fifo", "mux",
-                                                         "wire"):
-                    continue
-                outs = dag.out_edges(nid)
-                if outs and all(o.dst in to_remove for o in outs):
+        worklist = list(adders)
+        while worklist:
+            for e in dag.in_edges(worklist.pop()):
+                nid = e.src
+                if (nid not in to_remove
+                        and dag.nodes[nid].kind in ("fifo", "mux", "wire")
+                        and all(o.dst in to_remove
+                                for o in dag.out_edges(nid))):
                     to_remove.add(nid)
-                    changed = True
+                    worklist.append(nid)
         for nid in to_remove:
             dag.remove_node(nid)
             for cfg in design.configs.values():

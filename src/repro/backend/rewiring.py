@@ -19,6 +19,10 @@ implements stage 2 plus the orchestration.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections.abc import Iterator
+
 from .codegen import Design, compute_liveness
 from .dag import Edge
 from .delay_matching import broadcast_sources, delay_match
@@ -26,11 +30,12 @@ from .delay_matching import broadcast_sources, delay_match
 __all__ = ["rewire_broadcasts", "run_rewiring"]
 
 
-def _adjacent(a, b) -> bool:
-    """Spatial adjacency of two placements (FU grid L-infinity distance 1)."""
-    if not (isinstance(a, tuple) and isinstance(b, tuple)) or len(a) != len(b):
-        return False
-    return max(abs(x - y) for x, y in zip(a, b)) <= 1 and a != b
+def _neighbours(place) -> Iterator[tuple]:
+    """The placements at FU-grid L-infinity distance 1 from *place*."""
+    if isinstance(place, tuple):
+        for step in itertools.product((-1, 0, 1), repeat=len(place)):
+            if any(step):
+                yield tuple(x + d for x, d in zip(place, step))
 
 
 def broadcast_tree(dests: list[tuple[Edge, tuple]]
@@ -42,22 +47,36 @@ def broadcast_tree(dests: list[tuple[Edge, tuple]]
     Returns ``index -> (edge, parent index, or None for the source)`` in
     the order destinations joined the tree.  Each remaining destination
     keeps its one best ``(cost, index, parent)`` candidate, relaxed only
-    against the destination that just joined; tuple order breaks ties
-    (the source, parent ``-1``, sorts before any relay parent).
+    against the grid neighbours of the destination that just joined
+    (found through a placement index); tuple order breaks ties (the
+    source, parent ``-1``, sorts before any relay parent).  The next to
+    join is the least candidate, popped from a heap whose entries a
+    relaxation has since beaten are skipped.
     """
     best = {idx: (float(e.el), idx, -1) for idx, (e, _p) in enumerate(dests)}
+    heap = list(best.values())
+    heapq.heapify(heap)
+    at: dict[tuple, list[int]] = {}
+    for idx, (_e, place) in enumerate(dests):
+        at.setdefault(place, []).append(idx)
     in_tree: dict[int, tuple[Edge, int | None]] = {}
     while best:
-        _cost, idx, parent = min(best.values())
+        entry = heapq.heappop(heap)
+        _cost, idx, parent = entry
+        if best.get(idx) != entry:
+            continue
         del best[idx]
         e_t, p_t = dests[idx]
         in_tree[idx] = (e_t, None if parent == -1 else parent)
-        for other, incumbent in best.items():
-            e_o, p_o = dests[other]
-            if _adjacent(p_o, p_t):
-                cand = (abs(float(e_o.el - e_t.el)), other, idx)
+        for place in _neighbours(p_t):
+            for other in at.get(place, ()):
+                incumbent = best.get(other)
+                if incumbent is None:
+                    continue
+                cand = (abs(float(dests[other][0].el - e_t.el)), other, idx)
                 if cand < incumbent:
                     best[other] = cand
+                    heapq.heappush(heap, cand)
     return in_tree
 
 

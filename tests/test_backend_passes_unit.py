@@ -2,6 +2,7 @@
 utilities — exercising the passes on hand-built DAGs where the optimal
 answer is known in closed form."""
 
+import copy
 import sys
 
 import pytest
@@ -14,11 +15,13 @@ from repro.backend.dag import DAG, Edge
 from repro.backend.delay_matching import broadcast_sources, delay_match
 from repro.backend.passes import infer_bitwidths
 from repro.backend.primitives import MAX_WIDTH
-from repro.backend.rewiring import (_adjacent, broadcast_tree,
-                                    rewire_broadcasts, run_rewiring)
+from repro.backend.rewiring import (broadcast_tree, rewire_broadcasts,
+                                    run_rewiring)
 from repro.core import kernels
 from repro.core.dataflow import Dataflow
 from repro.core.frontend import build_adg
+
+from test_bitwidth_oracle import reference_infer_bitwidths, widths
 
 
 def _toy_design(dag: DAG, write_nodes, read_nodes=(), dataflow=None):
@@ -146,6 +149,13 @@ class TestRewiring:
         assert stats["status"] == 0.0
 
 
+def _adjacent(a, b) -> bool:
+    """Spatial adjacency of two placements (FU grid L-infinity distance 1)."""
+    if not (isinstance(a, tuple) and isinstance(b, tuple)) or len(a) != len(b):
+        return False
+    return max(abs(x - y) for x, y in zip(a, b)) <= 1 and a != b
+
+
 def _exhaustive_prim(dests):
     """The pre-incremental tree search, kept as the oracle: for each
     pick, every remaining destination against every tree member."""
@@ -213,7 +223,7 @@ class TestBitwidthConvergence:
         b = dag.add_node("wire")
         dag.add_edge(a, b)
         result = infer_bitwidths(Design(adg=None, dag=dag, configs={}))
-        assert result == {"rounds": 2}
+        assert result == {"rounds": 1}   # acyclic: one pass is the fixpoint
         assert dag.nodes[b].width == 3
 
     def test_rotating_fifo_ring_raises_instead_of_looping(self):
@@ -231,11 +241,15 @@ class TestBitwidthConvergence:
     def test_baseline_accumulation_chain_converges(self, kind, n):
         """Before reduction extraction (and for good in the baseline
         pipeline) a systolic accumulation chain of n adders, one FIFO
-        apart, is in the DAG: n rounds carry the width down it, one more
-        confirms."""
+        apart, is in the DAG: rounds that break FIFO edges need n of them
+        to carry the width down it and one more to confirm, while one
+        pass in the full topological order reaches the same widths."""
         df = kernels.gemm_dataflow(kind, kernels.gemm(16, 16, 16), n, n)
         design = generate(build_adg([df]))
-        assert infer_bitwidths(design) == {"rounds": n + 1}
+        reference = copy.deepcopy(design)
+        assert reference_infer_bitwidths(reference) == {"rounds": n + 1}
+        assert infer_bitwidths(design) == {"rounds": 1}
+        assert widths(design.dag) == widths(reference.dag)
         assert infer_bitwidths(design) == {"rounds": 1}
 
 

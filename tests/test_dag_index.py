@@ -1,7 +1,7 @@
 """The indexed back-end IR: ``DAG`` owns adjacency, and nothing else does.
 
-Three layers of protection for the index behind ``DAG.in_edges`` /
-``out_edges``:
+Four layers of protection for the index behind ``DAG.in_edges`` /
+``out_edges`` and the analyses memoized on ``DAG.version``:
 
 * random mutation sequences checked step by step against the flat
   edge-list scan the index replaced (the oracle stays here);
@@ -9,19 +9,30 @@ Three layers of protection for the index behind ``DAG.in_edges`` /
 * an AST guard over ``src/repro``: no module other than
   ``backend/dag.py`` mutates the edge container, deletes from
   ``dag.nodes``, filters ``dag.edges`` by endpoint, or reads the index's
-  private fields.
+  private fields;
+* every mutator bumps ``DAG.version``, and at every pass boundary of
+  ``run_backend`` over the golden kernels the memoized active sets and
+  topological orders equal a fresh computation on a rebuilt copy.
 """
 
 import ast
+import copy
+import importlib
 import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.codegen import Design
+from repro.backend import generate, run_backend
+from repro.backend.codegen import Design, compute_liveness
 from repro.backend.dag import DAG, Edge
+from repro.backend.primitives import Primitive
+from repro.core.frontend import build_adg
 from repro.serialize import design_from_dict, design_to_dict
+from repro.service.spec import DesignRequest
+
+from test_golden_identity import KERNELS, OPTIONS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 OWNER = SRC / "backend" / "dag.py"
@@ -70,6 +81,24 @@ OPS = st.lists(
     max_size=60)
 
 
+def rebuilt(dag: DAG) -> DAG:
+    """*dag* rebuilt through ``restore_*``: the same nodes and edges in
+    the same order, and nothing memoized."""
+    fresh = DAG()
+    for node in copy.deepcopy(list(dag.nodes.values())):
+        fresh.restore_node(node)
+    for e in dag.edges:
+        fresh.restore_edge(e.uid, e.src, e.dst, e.dst_pin, e.width, e.el)
+    return fresh
+
+
+def topo_or_cycle(dag: DAG, sequential_break: bool):
+    try:
+        return dag.topo_order(sequential_break)
+    except ValueError:
+        return "cycle"
+
+
 class TestIndexMatchesListScan:
     @given(OPS)
     @settings(max_examples=150, deadline=None)
@@ -79,6 +108,7 @@ class TestIndexMatchesListScan:
             oracle.nodes.append(dag.add_node("wire"))
         max_uid = -1
         for op, a, b, pin in ops:
+            topo_or_cycle(dag, a % 2 == 0)     # leave a memo behind
             if op == "add_node":
                 nid = dag.add_node("wire")
                 assert nid not in oracle.nodes
@@ -102,6 +132,9 @@ class TestIndexMatchesListScan:
                 dag.remove_node(nid)
                 oracle.remove_node(nid)
             assert_same_adjacency(dag, oracle)
+            fresh = rebuilt(dag)
+            for brk in (True, False):
+                assert topo_or_cycle(dag, brk) == topo_or_cycle(fresh, brk)
 
         # and the index survives serialization: same edges, same order
         reloaded = design_from_dict(design_to_dict(
@@ -135,6 +168,67 @@ class TestIndexMatchesListScan:
         assert not hasattr(dag.edges, "remove")
         with pytest.raises(AttributeError):
             dag.edges = []
+
+
+class TestVersion:
+    def test_every_mutator_bumps_the_version(self):
+        dag = DAG()
+        seen = [dag.version]
+
+        def bumped():
+            assert dag.version > seen[-1]
+            seen.append(dag.version)
+
+        a = dag.add_node("wire")
+        bumped()
+        b = dag.add_node("fifo")
+        bumped()
+        edge = dag.add_edge(a, b)
+        bumped()
+        dag.restore_edge(edge.uid + 5, b, a, 0, width=8)
+        bumped()
+        dag.remove_edge(edge)
+        bumped()
+        dag.remove_node(b)            # with an edge left on it
+        bumped()
+        dag.remove_node(a)            # with none
+        bumped()
+        dag.restore_node(Primitive(10, "wire"))
+        bumped()
+
+    def test_queries_and_attribute_writes_do_not(self):
+        dag = DAG()
+        a, b = dag.add_node("wire"), dag.add_node("add", pins=("a", "b"))
+        edge = dag.add_edge(a, b)
+        version = dag.version
+        dag.in_edges(b), dag.out_edges(a), list(dag.edges), dag.stats()
+        dag.topo_order(), dag.topo_order(sequential_break=False)
+        dag.topo_order(edge_filter=lambda e: True)
+        dag.validate()
+        edge.width, edge.el = 3, 2
+        dag.nodes[b].width = 9
+        dag.nodes[b].params["depth"] = 4
+        assert dag.version == version
+
+    def test_topo_order_memo_hands_out_copies(self):
+        dag = DAG()
+        a, b = dag.add_node("wire"), dag.add_node("wire")
+        dag.add_edge(a, b)
+        order = dag.topo_order()
+        order.reverse()
+        assert dag.topo_order() == [a, b]
+        c = dag.add_node("wire")
+        dag.add_edge(c, a)
+        assert dag.topo_order() == [c, a, b]
+
+    def test_a_memoized_cycle_still_raises(self):
+        dag = DAG()
+        a, b = dag.add_node("wire"), dag.add_node("wire")
+        dag.add_edge(a, b)
+        dag.add_edge(b, a)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="combinational cycle"):
+                dag.topo_order()
 
 
 class TestMutatorsRejectMisuse:
@@ -207,6 +301,66 @@ class TestValidate:
         dag._out[src].clear()
         with pytest.raises(ValueError, match="adjacency index"):
             dag.validate()
+
+
+# ---------------------------------------------------------------------------
+# memoized analyses at every pass boundary
+# ---------------------------------------------------------------------------
+
+#: where run_backend's passes are looked up, as (module, name)
+PASS_ENTRY_POINTS = [
+    ("repro.backend.passes", "infer_bitwidths"),
+    ("repro.backend.passes", "extract_reduction_trees"),
+    ("repro.backend.passes", "delay_match"),
+    ("repro.backend.passes", "power_gate"),
+    ("repro.backend.rewiring", "delay_match"),
+    ("repro.backend.rewiring", "rewire_broadcasts"),
+]
+BOUNDARIES = {
+    "default": ["infer_bitwidths", "extract_reduction_trees",
+                "infer_bitwidths", "delay_match", "rewire_broadcasts",
+                "delay_match", "power_gate"],
+    "baseline": ["infer_bitwidths", "delay_match"],
+}
+
+
+def assert_memos_are_fresh(design: Design) -> None:
+    compute_liveness(design)      # what a pass does before reading them
+    fresh = Design(adg=design.adg, dag=rebuilt(design.dag),
+                   configs=copy.deepcopy(design.configs))
+    compute_liveness(fresh)
+    for name, cfg in design.configs.items():
+        assert cfg.active_nodes == fresh.configs[name].active_nodes
+        assert cfg.active_edges == fresh.configs[name].active_edges
+    for brk in (True, False):
+        assert design.dag.topo_order(brk) == fresh.dag.topo_order(brk)
+
+
+class TestMemosAtPassBoundaries:
+    @pytest.mark.parametrize("options", list(OPTIONS))
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_memoized_analyses_equal_fresh_ones(self, kernel, options,
+                                                monkeypatch):
+        seen = []
+
+        def checked(run, name):
+            def boundary(design, *args, **kwargs):
+                result = run(design, *args, **kwargs)
+                seen.append(name)
+                assert_memos_are_fresh(design)
+                return result
+            return boundary
+
+        for module, name in PASS_ENTRY_POINTS:
+            owner = importlib.import_module(module)
+            monkeypatch.setattr(owner, name,
+                                checked(getattr(owner, name), name))
+        request = DesignRequest(array=(4, 4), **KERNELS[kernel])
+        design = generate(build_adg(request.build_dataflows(),
+                                    request.frontend))
+        assert_memos_are_fresh(design)
+        run_backend(design, OPTIONS[options])
+        assert seen == BOUNDARIES[options]
 
 
 # ---------------------------------------------------------------------------

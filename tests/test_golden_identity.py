@@ -14,6 +14,11 @@ of the canonical ``design["adg"]`` of each ``cold_compile`` config at
 8x8/12x12 (plus gemm-IJ/IK at 8x8), where the reuse arborescences
 contract cycles that 4x4 arrays barely have.  Only ``build_adg`` runs.
 
+The ``ir/...`` pins hold the scheduled back end at the same scale: the IR
+digest of the six ``cold_compile`` configs at default options.
+Accumulation chains 8 and 12 adders deep and large broadcast trees only
+appear there; the 4x4 pins above barely have either.
+
 Re-record (only when an output change is intended and explained)::
 
     PYTHONPATH=src python tests/test_golden_identity.py > tests/golden_identity.json
@@ -62,6 +67,10 @@ ADG_CASES = {
 }
 
 
+IR_CASES = ("gemm-KJ@8x8", "gemm-IJ+KJ@8x8", "conv2d-OHOW@8x8",
+            "mttkrp-IJ+KJ@8x8", "attention@8x8", "gemm-KJ@12x12")
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -108,10 +117,20 @@ def adg_digest(label: str) -> str:
     return _sha(canonical_dumps(adg_section(adg)))
 
 
+def ir_digest(label: str) -> str:
+    return digests(DesignRequest(**ADG_CASES[label]))["ir"]
+
+
 @pytest.mark.parametrize("label", list(ADG_CASES))
 def test_adg_matches_pinned_hash(label):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert adg_digest(label) == golden[f"adg/{label}"]
+
+
+@pytest.mark.parametrize("label", IR_CASES)
+def test_scheduled_ir_matches_pinned_hash(label):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert ir_digest(label) == golden[f"ir/{label}"]
 
 
 def test_adg_section_is_what_the_design_records():
@@ -154,4 +173,5 @@ def test_output_does_not_depend_on_the_hash_seed():
 if __name__ == "__main__":
     pins = {f"{k}/{o}/{f}": fingerprint(k, o, f) for k, o, f in CASES}
     pins.update({f"adg/{label}": adg_digest(label) for label in ADG_CASES})
+    pins.update({f"ir/{label}": ir_digest(label) for label in IR_CASES})
     print(json.dumps(pins, indent=1, sort_keys=True))
