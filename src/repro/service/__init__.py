@@ -32,8 +32,7 @@ _EXPORTS = {
     "FaultError": ".faults", "FaultRegistry": ".faults",
     "get_faults": ".faults", "parse_fault_spec": ".faults",
     "reset_faults": ".faults",
-    "BackendHealth": ".health", "CircuitBreaker": ".health",
-    "FleetHealth": ".health",
+    "BackendHealth": ".health",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,10 +1,10 @@
-"""Fleet health: circuit breakers, a background prober, retry backoff.
+"""Fleet health: one tracker per backend, the probe schedule, retry backoff.
 
 Every backend the router knows about gets a :class:`BackendHealth`
 tracker fed from two directions: the request path (every forward
-records its transport success/failure) and a :class:`FleetHealth`
-prober thread (periodic ``GET /healthz`` per backend).  The tracker
-folds both into a three-state machine:
+records its transport success/failure) and the router's prober task
+(:func:`probe_forever`: a periodic ``GET /healthz`` per backend).  The
+tracker folds both into a three-state machine:
 
 ``up``
     breaker closed and the last probe answered.
@@ -18,26 +18,29 @@ folds both into a three-state machine:
 The breaker is the classic three-state machine: ``closed`` → (K
 consecutive failures) → ``open`` → (cooldown expires, one trial
 request allowed) → ``half_open`` → ``closed`` on success or back to
-``open`` (with doubled cooldown) on failure.  Cooldowns are capped at
-the probe interval so a revived backend is re-admitted within one
-probe interval — the prober's success closes the breaker even when no
-client traffic is flowing.
+``open`` (with doubled cooldown) on failure.  Cooldowns start at a
+quarter of the probe interval and are capped at the interval, so a
+revived backend is re-admitted within one probe interval — the
+prober's success closes the breaker even when no client traffic is
+flowing.  Trackers and prober live on the router's event loop, so
+nothing here takes a lock.
 
 Exported metrics: ``repro_backend_state{backend}`` (2=up, 1=degraded,
-0=down) and ``repro_breaker_transitions_total{backend,to}``.
+0=down; set when the state changes) and
+``repro_breaker_transitions_total{backend,to}``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import random
-import threading
 import time
 
 from ..obs import get_registry
 
-__all__ = ["BackendHealth", "CircuitBreaker", "FleetHealth",
-           "backoff_delays", "classify_error"]
+__all__ = ["BackendHealth", "backoff_delays", "classify_error",
+           "probe_forever"]
 
 _BREAKER_TRANSITIONS = get_registry().counter(
     "repro_breaker_transitions_total",
@@ -79,227 +82,105 @@ def backoff_delays(base_s: float = 0.05, max_s: float = 2.0,
         delay = min(max_s, delay * factor)
 
 
-class CircuitBreaker:
-    """Per-backend closed / open / half_open breaker (thread-safe)."""
+class BackendHealth:
+    """Circuit breaker plus last-probe verdict for one backend URL;
+    breaker cooldowns derive from the router's probe interval."""
 
-    def __init__(self, backend: str = "", threshold: int = 3,
-                 cooldown_s: float = 0.25, max_cooldown_s: float = 30.0):
+    def __init__(self, url: str, threshold: int = 3,
+                 probe_interval_s: float = 1.0):
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.backend = backend
+        self.url = url
         self.threshold = threshold
-        self.cooldown_s = max(cooldown_s, 0.001)
-        self.max_cooldown_s = max(max_cooldown_s, self.cooldown_s)
-        self.state = "closed"
+        self.probe_interval_s = probe_interval_s
+        self.breaker = "closed"
         self.failures = 0  # consecutive transport failures
+        self.probe_ok = True  # optimistic until the first verdict
+        self.last_error: str | None = None
+        self.state: str | None = None
         self._trips = 0    # consecutive open transitions, for backoff
         self._retry_at = 0.0
-        self._lock = threading.Lock()
+        self._settle()
+
+    def _settle(self) -> None:
+        """Re-derive :attr:`state`; export the gauge when it moved."""
+        if self.breaker == "open":
+            state = "down"
+        elif self.breaker == "closed" and self.probe_ok:
+            state = "up"
+        else:
+            state = "degraded"
+        if state != self.state:
+            self.state = state
+            _BACKEND_STATE.labels(backend=self.url).set(STATE_VALUES[state])
 
     def _transition(self, to: str) -> None:
-        # caller holds the lock
-        self.state = to
-        _BREAKER_TRANSITIONS.labels(backend=self.backend, to=to).inc()
+        self.breaker = to
+        _BREAKER_TRANSITIONS.labels(backend=self.url, to=to).inc()
         if to == "open":
             self._trips += 1
-            cooldown = min(self.max_cooldown_s,
-                           self.cooldown_s * 2 ** (self._trips - 1))
+            interval = self.probe_interval_s
+            cooldown = min(interval, interval / 4 * 2 ** (self._trips - 1))
             self._retry_at = time.monotonic() + cooldown
 
     def allows(self) -> bool:
         """May a request be sent now?  An expired-cooldown call flips
         open → half_open and admits exactly one trial request."""
-        with self._lock:
-            if self.state == "closed":
-                return True
-            if self.state == "open" and time.monotonic() >= self._retry_at:
-                self._transition("half_open")
-                return True
-            return False
+        if self.breaker == "closed":
+            return True
+        if self.breaker == "open" and time.monotonic() >= self._retry_at:
+            self._transition("half_open")
+            self._settle()
+            return True
+        return False
 
-    def record_success(self) -> None:
-        with self._lock:
+    def record(self, ok: bool, error: str | None = None) -> None:
+        """Fold one transport (or probe) verdict into the breaker."""
+        self.probe_ok = ok
+        if ok:
+            self.last_error = None
             self.failures = 0
             self._trips = 0
-            if self.state != "closed":
+            if self.breaker != "closed":
                 self._transition("closed")
-
-    def record_failure(self) -> None:
-        with self._lock:
+        else:
+            if error is not None:
+                self.last_error = error
             self.failures += 1
-            if self.state == "half_open":
+            if self.breaker == "half_open" or (
+                    self.breaker == "closed"
+                    and self.failures >= self.threshold):
                 self._transition("open")
-            elif self.state == "closed" and self.failures >= self.threshold:
-                self._transition("open")
+        self._settle()
 
     def to_dict(self) -> dict:
-        return {"state": self.state, "failures": self.failures}
-
-
-class BackendHealth:
-    """Breaker + last-probe verdict for one backend URL."""
-
-    def __init__(self, url: str, threshold: int = 3,
-                 cooldown_s: float = 0.25, max_cooldown_s: float = 30.0):
-        self.url = url
-        self.breaker = CircuitBreaker(url, threshold=threshold,
-                                      cooldown_s=cooldown_s,
-                                      max_cooldown_s=max_cooldown_s)
-        self.probe_ok = True  # optimistic until the first verdict
-        self.last_error: str | None = None
-        self._export()
-
-    @property
-    def state(self) -> str:
-        breaker = self.breaker.state
-        if breaker == "open":
-            return "down"
-        if breaker == "closed" and self.probe_ok:
-            return "up"
-        return "degraded"
-
-    def _export(self) -> None:
-        _BACKEND_STATE.labels(backend=self.url).set(
-            STATE_VALUES[self.state])
-
-    def allows(self) -> bool:
-        return self.breaker.allows()
-
-    def record_success(self) -> None:
-        self.probe_ok = True
-        self.last_error = None
-        self.breaker.record_success()
-        self._export()
-
-    def record_failure(self, error: str | None = None) -> None:
-        self.probe_ok = False
-        if error is not None:
-            self.last_error = error
-        self.breaker.record_failure()
-        self._export()
-
-    def to_dict(self) -> dict:
-        out = {"state": self.state, "breaker": self.breaker.to_dict()}
+        out = {"state": self.state,
+               "breaker": {"state": self.breaker,
+                           "failures": self.failures}}
         if self.last_error:
             out["last_error"] = self.last_error
         return out
 
 
-class FleetHealth:
-    """Health trackers for a backend list, plus the prober thread.
-
-    The prober re-checks each backend every ``probe_interval_s``; while
-    a backend is failing it backs off exponentially from
+async def probe_forever(probe, count: int, interval: float) -> None:
+    """Run ``await probe(index) -> bool`` for backends ``0..count-1``
+    until cancelled: each one every *interval*, all due ones at once.
+    While a backend is failing its probes back off exponentially from
     ``interval / 4`` up to the interval itself (fast confirmation of a
     blip, steady-state cost bounded) — so a revived backend is marked
-    ``up`` within one probe interval of coming back.  Breaker cooldowns
-    default to the same cap for the same reason.  Pass
-    ``probe_interval_s=0`` to disable probing (request-path recording
-    still runs).
-    """
-
-    def __init__(self, urls, probe_interval_s: float = 1.0,
-                 threshold: int = 3, cooldown_s: float | None = None,
-                 max_cooldown_s: float | None = None):
-        self.urls = list(urls)
-        self.probe_interval_s = probe_interval_s
-        interval = probe_interval_s if probe_interval_s else 1.0
-        interval = max(interval, 0.05)
-        if cooldown_s is None:
-            cooldown_s = interval / 4
-        if max_cooldown_s is None:
-            max_cooldown_s = interval
-        self.backends = [
-            BackendHealth(url, threshold=threshold, cooldown_s=cooldown_s,
-                          max_cooldown_s=max_cooldown_s)
-            for url in self.urls]
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    # request-path recording
-
-    def allows(self, index: int) -> bool:
-        return self.backends[index].allows()
-
-    def record(self, index: int, ok: bool,
-               error: str | None = None) -> None:
-        if ok:
-            self.backends[index].record_success()
-        else:
-            self.backends[index].record_failure(error)
-
-    def state(self, index: int) -> str:
-        return self.backends[index].state
-
-    def describe(self, index: int) -> dict:
-        return self.backends[index].to_dict()
-
-    def overall(self) -> str:
-        """Fleet verdict: ``up`` when every backend is, ``down`` when
-        none is reachable, ``degraded`` in between."""
-        states = [backend.state for backend in self.backends]
-        if all(state == "up" for state in states):
-            return "up"
-        if all(state == "down" for state in states):
-            return "down"
-        return "degraded"
-
-    # ------------------------------------------------------------------
-    # prober
-
-    def start(self) -> None:
-        if not self.probe_interval_s or self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-health-prober")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def probe(self, index: int) -> bool:
-        """One synchronous ``GET /healthz`` against backend *index*."""
-        from .client import ServiceClient, ServiceError
-        timeout = max(0.25, min(self._interval, 5.0))
-        try:
-            with ServiceClient.from_url(self.urls[index], timeout=timeout,
-                                        connect_timeout=timeout) as client:
-                client.request("GET", "/healthz")
-        except (OSError, ServiceError, ValueError,
-                http.client.HTTPException) as exc:
-            self.backends[index].record_failure(
-                f"probe: {type(exc).__name__}: {exc}")
-            return False
-        self.backends[index].record_success()
-        return True
-
-    def _run(self) -> None:
-        count = len(self.urls)
-        next_due = [0.0] * count  # probe everyone immediately at start
-        backoff = [self._interval] * count
-        floor = self._interval / 4
-        while not self._stop.is_set():
-            now = time.monotonic()
-            for index in range(count):
-                if now < next_due[index]:
-                    continue
-                if self.probe(index):
-                    backoff[index] = self._interval
-                else:
-                    # exponential from interval/4 back up to the interval:
-                    # a fresh failure is re-checked fast, a long-dead
-                    # backend costs one probe per interval
-                    if backoff[index] >= self._interval:
-                        backoff[index] = floor
-                    else:
-                        backoff[index] = min(self._interval,
-                                             backoff[index] * 2)
-                next_due[index] = time.monotonic() + backoff[index]
-            pause = min(next_due) - time.monotonic()
-            self._stop.wait(min(max(pause, 0.01), 0.25))
+    ``up`` within one probe interval of coming back."""
+    next_due = [0.0] * count  # probe everyone immediately at start
+    backoff = [interval] * count
+    while True:
+        now = time.monotonic()
+        due = [index for index in range(count) if next_due[index] <= now]
+        verdicts = await asyncio.gather(*map(probe, due))
+        for index, ok in zip(due, verdicts):
+            if ok:
+                backoff[index] = interval
+            elif backoff[index] >= interval:
+                backoff[index] = interval / 4
+            else:
+                backoff[index] = min(interval, backoff[index] * 2)
+            next_due[index] = time.monotonic() + backoff[index]
+        await asyncio.sleep(max(min(next_due) - time.monotonic(), 0.01))

@@ -77,8 +77,9 @@ class Job:
         #: for a `/batch` job — recorded before execution starts, so a
         #: poller can see how much schedule work the batch will pay.
         self.plan: dict | None = None
-        #: True when this job was reloaded from the journal after a
-        #: restart and transitioned by the recovery matrix.
+        #: True when a server's end, not its submitter, parked or failed
+        #: this job: the recovery matrix transitioned it after a
+        #: restart, or a clean stop parked it (:meth:`mark_paused`).
         self.recovered = False
         self._lock = threading.RLock()
         self._pause = threading.Event()
@@ -138,9 +139,13 @@ class Job:
         self._persist()
         return True
 
-    def mark_paused(self) -> None:
+    def mark_paused(self, interrupted: bool = False) -> None:
+        """Park the job.  *interrupted*: a clean server stop parked it,
+        not a pause request, so it counts as recovered — as if the
+        server had died with it live."""
         with self._lock:
             self.status = "paused"
+            self.recovered = self.recovered or interrupted
         self._finished.set()
         self._persist()
 
@@ -414,7 +419,7 @@ class JobRegistry:
             if status != "queued":
                 continue
             if job.kind == "explore":
-                job.mark_paused()
+                job.mark_paused(interrupted=not job.pause_requested)
                 swept["paused"] += 1
             else:
                 job.fail("server shut down before this batch job "

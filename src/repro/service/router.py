@@ -13,11 +13,11 @@ the backend owning the spec-hash prefix, ``any`` rows round-robin over
 the live backends, ``tagged`` rows follow a job id's ``s<shard>.`` tag,
 ``merged`` rows fan a ``GET`` to every backend and fold the answers
 with the router's own, ``local`` rows concern the router process
-itself.  Forwards run on the event loop over pooled keep-alive
-connections (only ``/jobs/<id>/stream`` pumps on a thread); a warm
-``/generate`` costs a raw-body → shard LRU hit plus a byte-for-byte
-forward, with no JSON work; and every write-path forward runs under a
-``proxy:<path>`` span whose id rides to the backend in
+itself.  The router is one event loop: forwards, relayed job streams
+and health probes all run on it over pooled keep-alive connections; a
+warm ``/generate`` costs a raw-body → shard LRU hit plus a
+byte-for-byte forward, with no JSON work; and every write-path forward
+runs under a ``proxy:<path>`` span whose id rides to the backend in
 ``X-Repro-Trace``, so the merged ``/trace`` links the hops.
 
 Fault tolerance (``--replicas N``): each hash-prefix range gets a
@@ -28,14 +28,16 @@ through a failover loop — live owners in order, then (whole group
 down) any live backend as *graceful degradation* (a cache miss, not an
 outage) — with deadline-budgeted jittered-backoff retries, safe
 because ``/generate``/``/batch`` are idempotent.  Per-backend health
-is tracked by :mod:`repro.service.health`: a circuit breaker trips
-after K consecutive transport failures and a background prober
-re-probes ``GET /healthz`` (exponential backoff capped at the probe
-interval) so a revived backend is back ``up`` within one interval.
-The merged ``/healthz`` reports the fleet verdict
+is one :class:`~repro.service.health.BackendHealth` tracker each: a
+circuit breaker trips after K consecutive transport failures and the
+prober task re-probes ``GET /healthz`` (exponential backoff capped at
+the probe interval) so a revived backend is back ``up`` within one
+interval.  The merged ``/healthz`` reports the fleet verdict
 (``up``/``degraded``/``down``) plus per-backend breaker state, and
 ``repro_backend_state`` / ``repro_router_retries_total`` /
 ``repro_breaker_transitions_total`` chart it all in ``repro top``.
+A backend that drops a relayed job stream ends it without its ``end``
+event; the client's replay-then-follow resumes it through the router.
 
 The router holds no job state beyond the composite-fan table, so
 router restarts only forget fan ids — the underlying per-shard jobs
@@ -53,18 +55,17 @@ import itertools
 import json
 import re
 import secrets
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 from ..obs import (TRACE_HEADER, MetricsRegistry, Profile,
                    current_span_id, current_trace_id, format_trace_header,
                    get_registry, new_trace_id, refresh_trace_metrics,
                    setup_logging, trace_context, trace_span)
-from .client import ServiceClient, ServiceError
 from .faults import get_faults
-from .health import FleetHealth, backoff_delays, classify_error
+from .health import (BackendHealth, backoff_delays, classify_error,
+                     probe_forever)
 from .server import (HttpServerBase, Request, Route, ServerOnThread,
                      StreamPayload, _BadRequest, _NotFound, _parse_body,
                      _request_from_body, _run_blocking)
@@ -82,10 +83,10 @@ _ROUTER_RETRIES = get_registry().counter(
     "previous attempt", ("reason",))
 
 
-async def _read_response(reader) -> tuple[int, bytes, bool]:
-    """``(status, body, keep-alive)`` of one backend response (read to
-    EOF without ``Content-Length``), failing as :mod:`http.client`
-    would, so :func:`classify_error` names each failure alike."""
+async def _read_head(reader) -> tuple[int, dict]:
+    """``(status, lower-cased header fields)`` of one backend response,
+    failing as :mod:`http.client` would, so :func:`classify_error`
+    names each failure alike."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -100,70 +101,75 @@ async def _read_response(reader) -> tuple[int, bytes, bool]:
     if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
             or len(parts[1]) != 3 or not parts[1].isdigit()):
         raise http.client.BadStatusLine(repr(lines[0]))
-    fields = dict(line.lower().partition(b":")[::2] for line in lines[1:])
-    length = fields.get(b"content-length", b"").strip()
-    if not head.endswith(b"\r\n\r\n") or length and not length.isdigit():
+    if not head.endswith(b"\r\n\r\n"):
         raise http.client.IncompleteRead(head)
+    return int(parts[1]), dict(line.lower().partition(b":")[::2]
+                               for line in lines[1:])
+
+
+async def _read_body(reader, fields: dict) -> tuple[bytes, bool]:
+    """``(body, keep-alive)`` after :func:`_read_head`: read to EOF
+    without ``Content-Length``, and then the connection is spent."""
+    length = fields.get(b"content-length", b"").strip()
     if not length:
-        return int(parts[1]), await reader.read(), False
+        return await reader.read(), False
+    if not length.isdigit():
+        raise http.client.IncompleteRead(b"")
     try:
         body = await reader.readexactly(int(length))
     except asyncio.IncompleteReadError as exc:
         raise http.client.IncompleteRead(exc.partial) from None
-    return (int(parts[1]), body,
-            fields.get(b"connection", b"").strip() != b"close")
+    return body, fields.get(b"connection", b"").strip() != b"close"
 
 
 class _ProxyStream(StreamPayload):
-    """Proxy one backend job stream through the router: each event of
-    :meth:`ServiceClient.stream` (whose replay-then-follow resume
-    survives backend drops) is pulled on a stream-executor thread."""
+    """One backend job stream relayed on the loop: the rest of the
+    backend's chunked NDJSON answer, event by event, with the terminal
+    ``end`` event's job id re-tagged ``s<i>.``.  A backend that drops
+    or stalls (``--timeout`` between chunks) ends the stream without
+    ``end``, so the client's replay-then-follow resumes it."""
 
-    def __init__(self, router: "DesignRouter", index: int, job_id: str,
-                 checkpoint: bool = True):
+    def __init__(self, router: "DesignRouter", index: int, reader, writer):
         self.router = router
         self.index = index
-        self.job_id = job_id
-        self.checkpoint = checkpoint
+        self.reader = reader
+        self.writer = writer
 
-    async def events(self, closing: threading.Event):
-        stream = ServiceClient.from_url(
-            self.router.backends[self.index],
-            timeout=self.router.timeout).stream(
-                self.job_id, checkpoint=self.checkpoint)
-        loop = asyncio.get_running_loop()
-        done, pull = object(), None
+    async def _chunk(self) -> bytes:
+        size = int((await self.reader.readline()).split(b";")[0], 16)
+        return (await self.reader.readexactly(size + 2))[:-2] if size else b""
+
+    async def events(self, closing):
+        buffer = b""
         try:
             while not closing.is_set():
-                pull = loop.run_in_executor(self.router._stream_executor,
-                                            next, stream, done)
-                try:
-                    event = await pull
-                except ServiceError as exc:
-                    event = {"event": "error", "error": str(exc)}
-                except OSError as exc:
-                    event = {"event": "error",
-                             "error": f"backend stream failed: {exc}"}
-                if event is done:
-                    break
-                if (event.get("event") == "end"
-                        and isinstance(event.get("job"), dict)):
-                    job = dict(event["job"])
-                    if isinstance(job.get("id"), str):
-                        job["id"] = self.router._tag(self.index,
-                                                     job["id"])
-                    event = dict(event, job=job)
-                yield event
+                data = await asyncio.wait_for(self._chunk(),
+                                              self.router.timeout)
+                if not data:
+                    return
+                *lines, buffer = (buffer + data).split(b"\n")
+                for line in filter(None, map(bytes.strip, lines)):
+                    event = json.loads(line)
+                    job = (event.get("job") if event.get("event") == "end"
+                           else None)
+                    if isinstance(job, dict) and isinstance(job.get("id"),
+                                                            str):
+                        job["id"] = self.router._tag(self.index, job["id"])
+                    yield event
+        except (OSError, EOFError, ValueError, asyncio.TimeoutError):
+            pass  # the backend dropped: no ``end``, so the client resumes
         finally:
-            # the downstream client left (or the router is closing):
-            # close the backend stream unless a thread may still be in
-            # it (a cancelled pull); then it closes when collected
-            if pull is None or pull.done() and not pull.cancelled():
-                stream.close()
+            self.writer.close()
 
 
 class DesignRouter(HttpServerBase):
-    """Fan requests across design-service shards (see module doc)."""
+    """Fan requests across design-service shards (see module doc).
+
+    Everything here runs on the router's event loop — forwards, relayed
+    streams, the prober task, the route LRU, the fan table and the
+    health trackers — so nothing takes a lock.  The one thread besides
+    the loop's is a ``/debug/profile`` capture on the default executor.
+    """
 
     log_name = "route"
     fault_scope = "router"
@@ -187,26 +193,23 @@ class DesignRouter(HttpServerBase):
         self.replicas = min(int(replicas), len(urls))
         #: per-request deadline for the write-path failover/retry loop
         self.retry_budget_s = min(retry_budget_s, timeout)
-        #: breaker + prober state per backend (``/healthz`` fans, the
-        #: request path, and the background prober all feed it)
-        self.health = FleetHealth(urls,
-                                  probe_interval_s=probe_interval_s,
-                                  threshold=breaker_threshold)
-        self._addrs = [(c.host, c.port)
-                       for c in map(ServiceClient.from_url, urls)]
+        #: ``GET /healthz`` period per backend (0: no prober); breaker
+        #: cooldowns derive from it even when probing is off
+        self.probe_interval_s = probe_interval_s
+        self._interval = max(probe_interval_s or 1.0, 0.05)
+        #: breaker + probe verdict per backend (the request path, the
+        #: prober and ``/healthz`` fans all feed it)
+        self.health = [BackendHealth(url, breaker_threshold, self._interval)
+                       for url in urls]
+        self._prober: asyncio.Task | None = None
+        self._addrs = [(u.hostname, u.port or 80) for u in map(urlsplit, urls)]
         #: idle keep-alive ``(reader, writer)`` pairs per backend
         self._idle: list[list] = [[] for _ in urls]
-        #: the one executor: proxied job streams (forwards run on the loop)
-        self._stream_executor = ThreadPoolExecutor(
-            max_workers=max(16, 8 * len(urls)),
-            thread_name_prefix="repro-route-stream")
         #: raw /generate body -> shard index (bounded LRU)
         self._route_cache: OrderedDict[bytes, int] = OrderedDict()
         self.route_cache_entries = 4096
-        self._route_lock = threading.Lock()
         self._rr = itertools.count()
         self._fans: dict[str, dict] = {}
-        self._fan_lock = threading.Lock()
         self._fan_seq = itertools.count(1)
 
     def banner(self) -> str:
@@ -217,17 +220,21 @@ class DesignRouter(HttpServerBase):
 
     async def start(self) -> "DesignRouter":
         await super().start()
-        self.health.start()
+        if self.probe_interval_s:
+            self._prober = asyncio.create_task(probe_forever(
+                self._probe, len(self.backends), self._interval))
         return self
 
     async def stop(self) -> None:
-        self.health.stop()
+        if self._prober is not None:
+            self._prober.cancel()
+            await asyncio.gather(self._prober, return_exceptions=True)
+            self._prober = None
         # super().stop() sets _closing before it first yields, so a
         # forward still in flight closes its connection, not pools it
         for _reader, writer in itertools.chain(*self._idle):
             writer.close()
         await super().stop()
-        self._stream_executor.shutdown(wait=False, cancel_futures=True)
 
     # -- forwarding --------------------------------------------------------
 
@@ -250,19 +257,17 @@ class DesignRouter(HttpServerBase):
             raise TimeoutError(f"connect to {host}:{port} exceeded the "
                                f"connect budget ({budget:g}s)") from None
 
-    async def _forward(self, index: int, method: str, path: str,
-                       body: bytes | None = None, trace: str | None = None
-                       ) -> tuple[int, bytes]:
-        """One attempt at backend *index* (the ``router:forward`` fault
-        site): its answer, or a structured 502 for a transport failure —
-        the only kind the breaker counts.  As in
-        :class:`ServiceClient`, a failed send is resent once on a fresh
-        connection and a failed read only for a GET (a lost POST may
-        have created a job).  A *timeout* deadline aborts the transport;
-        the read it ends is a ``timeout``."""
-        delay = get_faults().fire("router:forward")
-        if delay:
-            await asyncio.sleep(delay)
+    async def _exchange(self, index: int, method: str, path: str,
+                        body: bytes | None = None, trace: str | None = None,
+                        stream: bool = False):
+        """One request to backend *index*: ``(status, body)``, or with
+        *stream* a successful answer's unread body as a
+        :class:`_ProxyStream`.  As in :class:`ServiceClient`, a failed
+        send is resent once on a fresh connection and a failed read only
+        for a GET (a lost POST may have created a job).  A *timeout*
+        deadline aborts the transport; the read it ends is a
+        ``timeout``.  A transport failure raises (:class:`OSError` or
+        :class:`http.client.HTTPException`)."""
         host, port = self._addrs[index]
         head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
         if trace is not None:
@@ -282,7 +287,10 @@ class DesignRouter(HttpServerBase):
                 writer.write(data)
                 await writer.drain()
                 sent = True
-                status, raw, keep = await _read_response(reader)
+                status, fields = await _read_head(reader)
+                if stream and status < 400:
+                    return status, _ProxyStream(self, index, reader, writer)
+                raw, keep = await _read_body(reader, fields)
             except BaseException as exc:
                 if writer is not None:
                     writer.close()
@@ -291,20 +299,13 @@ class DesignRouter(HttpServerBase):
                 if not isinstance(exc, (OSError, http.client.HTTPException)):
                     raise
                 if deadline is not None and deadline.when() <= loop.time():
-                    exc = TimeoutError(
+                    raise TimeoutError(
                         f"read from {host}:{port} exceeded the total "
-                        f"budget (timeout={self.timeout:g}s)")
-                elif not (attempt or isinstance(exc, TimeoutError)
-                          or (sent and method != "GET")):
-                    continue
-                self.health.record(
-                    index, False, f"{type(exc).__name__}: {exc}")
-                return 502, json.dumps(
-                    {"error": f"backend {self.backends[index]} "
-                              f"unreachable: {type(exc).__name__}: {exc}",
-                     "backend": self.backends[index],
-                     "backend_index": index,
-                     "reason": classify_error(exc)}).encode()
+                        f"budget (timeout={self.timeout:g}s)") from None
+                if (attempt or isinstance(exc, TimeoutError)
+                        or (sent and method != "GET")):
+                    raise
+                continue
             finally:
                 if deadline is not None:
                     deadline.cancel()
@@ -312,8 +313,48 @@ class DesignRouter(HttpServerBase):
                 self._idle[index].append((reader, writer))
             else:
                 writer.close()
-            self.health.record(index, True)
             return status, raw
+
+    async def _forward(self, index: int, method: str, path: str,
+                       body: bytes | None = None, trace: str | None = None,
+                       stream: bool = False):
+        """One attempt at backend *index* (the ``router:forward`` fault
+        site): its answer, or a structured 502 for a transport failure —
+        the only kind the breaker counts."""
+        delay = get_faults().fire("router:forward")
+        if delay:
+            await asyncio.sleep(delay)
+        try:
+            answer = await self._exchange(index, method, path, body, trace,
+                                          stream)
+        except (OSError, http.client.HTTPException) as exc:
+            self.health[index].record(False, f"{type(exc).__name__}: {exc}")
+            return 502, json.dumps(
+                {"error": f"backend {self.backends[index]} "
+                          f"unreachable: {type(exc).__name__}: {exc}",
+                 "backend": self.backends[index],
+                 "backend_index": index,
+                 "reason": classify_error(exc)}).encode()
+        self.health[index].record(True)
+        return answer
+
+    async def _probe(self, index: int) -> bool:
+        """One ``GET /healthz`` at backend *index* under its own budget
+        (the interval, within 0.25–5 s), recorded in its tracker.  Not a
+        ``router:forward`` site: chaos there hits client traffic only."""
+        budget = max(0.25, min(self._interval, 5.0))
+        try:
+            status, raw = await asyncio.wait_for(
+                self._exchange(index, "GET", "/healthz"), budget)
+        except (OSError, http.client.HTTPException,
+                asyncio.TimeoutError) as exc:
+            error = (f"probe: {type(exc).__name__}: "
+                     f"{str(exc) or f'no answer within {budget:g}s'}")
+        else:
+            error = (None if status < 400 else
+                     f"probe: HTTP {status}: {self._decode(raw).get('error')}")
+        self.health[index].record(error is None, error)
+        return error is None
 
     # -- failover ----------------------------------------------------------
 
@@ -329,11 +370,11 @@ class DesignRouter(HttpServerBase):
         first; with the whole replica group down, one live non-owner
         (a cache miss beats an outage — graceful degradation); as a
         last resort the owners anyway (breakers can be stale)."""
-        live = [index for index in owners if self.health.allows(index)]
+        live = [index for index in owners if self.health[index].allows()]
         if live:
             return live
         others = [index for index in range(len(self.backends))
-                  if index not in owners and self.health.allows(index)]
+                  if index not in owners and self.health[index].allows()]
         if others:
             _ROUTER_RETRIES.labels(reason="degraded_reroute").inc()
             return [others[next(self._rr) % len(others)]]
@@ -442,17 +483,15 @@ class DesignRouter(HttpServerBase):
         one parse + spec hash to learn its shard."""
         if route.name != "generate" or not body:
             return None
-        with self._route_lock:
-            index = self._route_cache.get(body)
-            if index is not None:
-                self._route_cache.move_to_end(body)
+        index = self._route_cache.get(body)
         if index is None:
             # both may raise _BadRequest
             index = self._shard_for_generate(_parse_body(body))
-            with self._route_lock:
-                self._route_cache[body] = index
-                while len(self._route_cache) > self.route_cache_entries:
-                    self._route_cache.popitem(last=False)
+            self._route_cache[body] = index
+            if len(self._route_cache) > self.route_cache_entries:
+                self._route_cache.popitem(last=False)
+        else:
+            self._route_cache.move_to_end(body)
         status, raw, _served = await self._proxy(index, "POST",
                                                  "/generate", body)
         return status, raw
@@ -515,13 +554,11 @@ class DesignRouter(HttpServerBase):
                 payload["backend"] = self.backends[index]
                 return (status if status >= 400 else 502), payload
         fan_id = f"fan-{next(self._fan_seq)}-{secrets.token_hex(3)}"
-        with self._fan_lock:
-            self._fans[fan_id] = {
-                "n_requests": len(specs),
-                "parts": [{"shard": index, "job": payload["job"],
-                           "positions": positions}
-                          for index, positions, _status, payload
-                          in outcomes]}
+        self._fans[fan_id] = {
+            "n_requests": len(specs),
+            "parts": [{"shard": index, "job": payload["job"],
+                       "positions": positions}
+                      for index, positions, _status, payload in outcomes]}
         return 202, {"job": fan_id, "status": "queued",
                      "requests": len(specs),
                      "shards": [self.backends[i] for i, *_ in outcomes]}
@@ -549,8 +586,7 @@ class DesignRouter(HttpServerBase):
         backend the id's ``s<i>.`` tag names (``fan-`` ids are the
         router's own composites)."""
         job_id = req.job_id
-        with self._fan_lock:
-            fan = self._fans.get(job_id)
+        fan = self._fans.get(job_id)
         if fan is not None:
             if req.route.name != "job":
                 raise _BadRequest("fanned batch jobs support "
@@ -563,13 +599,12 @@ class DesignRouter(HttpServerBase):
         index = int(match.group(1))
         if index >= len(self.backends):
             raise _NotFound(f"no such shard s{index}")
-        backend_job = match.group(2)
-        if req.route.name == "stream":
-            return 200, _ProxyStream(
-                self, index, backend_job,
-                checkpoint=req.params.get("checkpoint") != "0")
-        status, raw = await self._forward(index, req.method, _with_query(
-            req.route.pattern.replace("<id>", backend_job), req.query))
+        status, raw = await self._forward(
+            index, req.method, _with_query(
+                req.route.pattern.replace("<id>", match.group(2)),
+                req.query), stream=req.route.name == "stream")
+        if isinstance(raw, _ProxyStream):
+            return status, raw
         payload = self._decode(raw)
         for key in ("job", "id"):
             if isinstance(payload.get(key), str):
@@ -652,12 +687,10 @@ class DesignRouter(HttpServerBase):
                     job = dict(job, id=self._tag(index, job["id"]),
                                backend=self.backends[index])
                 jobs.append(job)
-        with self._fan_lock:
-            fans = [{"id": fan_id, "kind": "batch", "fanned": True,
-                     "parts": [{"backend": self.backends[p["shard"]],
-                                "job": p["job"]}
-                               for p in fan["parts"]]}
-                    for fan_id, fan in self._fans.items()]
+        fans = [{"id": fan_id, "kind": "batch", "fanned": True,
+                 "parts": [{"backend": self.backends[p["shard"]],
+                            "job": p["job"]} for p in fan["parts"]]}
+                for fan_id, fan in self._fans.items()]
         return 200, {"jobs": jobs + fans}
 
     async def _ep_health(self, req: Request) -> tuple[int, dict]:
@@ -673,7 +706,7 @@ class DesignRouter(HttpServerBase):
             entry: dict = {"url": self.backends[index], "ok": up}
             # tracker verdict (breaker + prober); the live poll above
             # already fed it through _forward's recording
-            entry.update(self.health.describe(index))
+            entry.update(self.health[index].to_dict())
             if not up:
                 entry["error"] = payload.get("error")
             backends.append(entry)

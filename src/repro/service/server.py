@@ -1004,7 +1004,7 @@ class DesignServer(HttpServerBase):
                     job.finish(result.to_json())
                     return
                 if job.pause_requested or self._closing.is_set():
-                    job.mark_paused()
+                    job.mark_paused(interrupted=not job.pause_requested)
                     return
                 if stalled:
                     # Defense in depth: a step that charges nothing can
@@ -1029,16 +1029,17 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
     real port)."""
 
     async def main() -> None:
-        await server.start()
-        if not quiet:
-            print(server.banner(), flush=True)
         # `kill <pid>` (SIGTERM) must shut down as cleanly as ctrl-C:
         # queued jobs swept and journaled, the prober stopped.  Both
         # cancel this task on the loop (asyncio.run does it for SIGINT),
-        # which ends serve_forever and runs stop() below.
+        # which ends serve_forever and runs stop() below.  The handler
+        # goes in before the banner, which tells a caller it may signal.
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         try:
+            await server.start()
+            if not quiet:
+                print(server.banner(), flush=True)
             await server.serve_forever()
         except asyncio.CancelledError:
             pass

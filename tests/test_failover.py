@@ -1,8 +1,9 @@
 """Self-healing fleet behavior end to end: replica failover with zero
 client-visible errors, breaker re-close after a backend revives on the
-same port, and mid-stream resume (replay-then-follow) — against both a
-deterministic truncating fake server and a real server with an
-injected ``stream-event`` connection drop."""
+same port, and mid-stream resume (replay-then-follow) — against a
+deterministic truncating fake server, and against a real server with
+an injected ``stream-event`` connection drop, directly and behind the
+router."""
 
 import contextlib
 import json
@@ -15,7 +16,7 @@ import pytest
 from repro.obs import get_registry, snapshot_children
 from repro.service import (BatchEngine, DesignCache, RouterThread,
                            ServerThread, ServiceClient, ServiceError,
-                           reset_faults)
+                           get_faults, reset_faults)
 from repro.service.server import _request_from_body
 
 TINY = {"kernel": "gemm", "dataflows": ["KJ"], "array": [2, 2]}
@@ -239,3 +240,36 @@ class TestStreamResume:
                 assert len(hashes) == len(set(hashes)) == 2
         finally:
             server.stop()
+
+    def test_backend_drop_behind_router_resumes_client_side(self,
+                                                           tmp_path):
+        """The router relays a backend's stream on its loop; a backend
+        that drops mid-stream ends the relay without ``end`` and the
+        client's replay-then-follow resumes through the router."""
+        backends = [ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / f"s{i}"))).start()
+            for i in range(2)]
+        router = RouterThread([b.url for b in backends],
+                              probe_interval_s=0).start()
+        try:
+            with ServiceClient.from_url(router.url) as c:
+                job = c.batch(_specs_for_shard(1, 2))
+                assert job.startswith("s1.")
+                assert c.wait(job, timeout=180)["status"] == "done"
+            with ServiceClient.from_url(backends[1].url) as c:
+                c.request("POST", "/debug/faults",
+                          {"site": "server:stream-event", "kind": "drop",
+                           "count": 1})
+            with ServiceClient.from_url(router.url) as c:
+                got = list(c.stream(job))
+            assert get_faults().active() == []  # the drop did fire
+            assert [e.get("event") for e in got].count("end") == 1
+            assert got[-1]["event"] == "end"
+            assert got[-1]["job"]["id"] == job  # re-tagged s1.
+            hashes = [e["result"]["spec_hash"] for e in got
+                      if e.get("event") == "result"]
+            assert len(hashes) == len(set(hashes)) == 2
+        finally:
+            router.stop()
+            for backend in backends:
+                backend.stop()

@@ -162,6 +162,20 @@ class TestShutdownSweep:
         assert running.status == "running"  # live work is not swept
         # and the swept states are what a poller now sees immediately
         assert explore.settled() and batch.settled()
+        # the stop, not a pause request, parked it: it counts as
+        # recovered, journal included
+        assert explore.recovered is True
+        reloaded = JobRegistry(journal=JobJournal(tmp_path))
+        reloaded.restore()
+        assert reloaded.get(explore.id).recovered is True
+
+    def test_requested_pause_is_not_recovered(self, tmp_path):
+        registry = JobRegistry(journal=JobJournal(tmp_path))
+        job = registry.create("explore", {})
+        assert job.pause()
+        registry.sweep_shutdown()
+        assert job.status == "paused"
+        assert job.recovered is False
 
     def test_server_stop_settles_queued_jobs(self, tmp_path):
         """End to end: one job worker, a long exploration occupying it,

@@ -4,6 +4,8 @@ namespaced job forwarding (poll/pause/resume/stream through the
 router), merged /jobs, /healthz and /metrics, and backend-failure
 surfacing (502 with the backend named)."""
 
+import asyncio
+import json
 import socket
 import threading
 
@@ -12,7 +14,7 @@ import pytest
 from repro.service import (BatchEngine, DesignCache, RouterThread,
                            ServerThread, ServiceClient, ServiceError)
 from repro.service.router import DesignRouter
-from repro.service.server import _request_from_body
+from repro.service.server import _request_from_body, match_route
 
 SMALL_SPACE = {
     "arrays": [[8, 8], [16, 16]],
@@ -97,14 +99,18 @@ class TestShardRouting:
     def test_route_cache_is_bounded(self):
         router = DesignRouter(["http://127.0.0.1:1"])
         router.route_cache_entries = 4
-        for i in range(10):
-            with router._route_lock:
-                router._route_cache[b"body-%d" % i] = 0
-                while (len(router._route_cache)
-                       > router.route_cache_entries):
-                    router._route_cache.popitem(last=False)
-        assert len(router._route_cache) == 4
-        assert b"body-9" in router._route_cache
+
+        async def answered(index, method, path, body):
+            return 200, b"{}", index
+
+        router._proxy = answered
+        route, _ = match_route("/generate")
+        bodies = [json.dumps({"kernel": "gemm", "array": [a, 2]}).encode()
+                  for a in range(2, 12)]
+        for body in bodies:
+            assert asyncio.run(router._route_raw(route, body)) == (200,
+                                                                   b"{}")
+        assert list(router._route_cache) == bodies[-4:]
 
     def test_bad_generate_body_400(self, client):
         with pytest.raises(ServiceError) as err:
@@ -197,6 +203,10 @@ class TestJobForwarding:
         for job_id in ("nope", "s0.nope", "s9.explore-1-abc"):
             with pytest.raises(ServiceError) as err:
                 client.job(job_id)
+            assert err.value.status == 404
+            # a stream passes the backend's error status through
+            with pytest.raises(ServiceError) as err:
+                list(client.stream(job_id))
             assert err.value.status == 404
 
 

@@ -1,6 +1,7 @@
-"""The router's backend transport: forwards run on the event loop over
-pooled keep-alive connections.  No forward thread is left behind and
-no telemetry thread samples in the background; a
+"""The router's backend transport: forwards, relayed streams and
+health probes run on the event loop over pooled keep-alive
+connections.  No router thread is left behind and no telemetry thread
+samples in the background; a
 backend that hangs up, truncates or omits ``Content-Length`` is named
 and counted exactly once; ``ServiceClient``'s resend rule holds (a GET
 is resent once after any transport error, a POST only when the send
@@ -124,21 +125,24 @@ def scripted():
 
 
 def _failures(router) -> int:
-    return router.server.health.backends[0].breaker.failures
+    return router.server.health[0].failures
 
 
-def _forward_threads(router) -> list[str]:
+def _router_threads(router) -> list[str]:
     return [t.name for t in threading.enumerate()
-            if t.name.startswith("repro-route") and t is not router._thread]
+            if (t.name.startswith("repro-route") and t is not router._thread)
+            or t.name == "repro-health-prober"]
 
 
 class TestOnTheLoop:
     def test_no_forward_threads(self, tmp_path):
+        """Forwards, a relayed job stream and a live prober all run on
+        the router's loop thread."""
         backends = [ServerThread(BatchEngine(
             cache=DesignCache(root=tmp_path / f"s{i}"))).start()
             for i in range(2)]
         router = RouterThread([b.url for b in backends],
-                              probe_interval_s=0).start()
+                              probe_interval_s=0.05).start()
         try:
             with ServiceClient.from_url(router.url) as c:
                 assert c.generate(TINY)["ok"]
@@ -153,7 +157,11 @@ class TestOnTheLoop:
                 assert c.health()["ok"]
                 assert "# TYPE" in c.metrics()
                 assert {single, fanned} <= {j["id"] for j in c.jobs()}
-            assert _forward_threads(router) == []
+                events = list(c.stream(single))
+                assert events[-1]["job"]["id"] == single
+                assert _router_threads(router) == []
+            assert router.server.health[0].state == "up"
+            assert _router_threads(router) == []
         finally:
             router.stop()
             for backend in backends:

@@ -15,7 +15,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -519,9 +518,11 @@ class TestBlockingEntryPoints:
         assert len(route.backend) == 2
 
     def test_second_sigterm_while_stopping_exits_clean(self):
-        # A backend that accepts (the kernel backlog does) but never
-        # answers holds the router's prober in a 2 s probe, so stop()
-        # is still joining it when the second SIGTERM lands.
+        # The second SIGTERM follows the first with no gap, so it lands
+        # while the first is still being handled: in the same loop
+        # iteration (one more cancel of a task already cancelling) or
+        # during stop().  The backend accepts (the kernel backlog does)
+        # but never answers, so stop() also cancels a probe in flight.
         silent = socket.socket()
         silent.bind(("127.0.0.1", 0))
         silent.listen(8)
@@ -532,7 +533,6 @@ class TestBlockingEntryPoints:
         try:
             self._banner_url(proc, "repro fleet router")
             proc.send_signal(signal.SIGTERM)
-            time.sleep(0.3)
             proc.send_signal(signal.SIGTERM)
             _out, err = proc.communicate(timeout=20)
             assert proc.returncode == 0, err
