@@ -139,13 +139,13 @@ class Job:
         self._persist()
         return True
 
-    def mark_paused(self, interrupted: bool = False) -> None:
-        """Park the job.  *interrupted*: a clean server stop parked it,
-        not a pause request, so it counts as recovered — as if the
+    def mark_paused(self) -> None:
+        """Park the job.  Parked without a pause request, a clean
+        server stop did it, so it counts as recovered — as if the
         server had died with it live."""
         with self._lock:
             self.status = "paused"
-            self.recovered = self.recovered or interrupted
+            self.recovered = self.recovered or not self._pause.is_set()
         self._finished.set()
         self._persist()
 
@@ -419,7 +419,7 @@ class JobRegistry:
             if status != "queued":
                 continue
             if job.kind == "explore":
-                job.mark_paused(interrupted=not job.pause_requested)
+                job.mark_paused()
                 swept["paused"] += 1
             else:
                 job.fail("server shut down before this batch job "

@@ -158,8 +158,9 @@ class _ProxyStream(StreamPayload):
                     yield event
         except (OSError, EOFError, ValueError, asyncio.TimeoutError):
             pass  # the backend dropped: no ``end``, so the client resumes
-        finally:
-            self.writer.close()
+
+    def close(self) -> None:
+        self.writer.close()
 
 
 class DesignRouter(HttpServerBase):
@@ -203,6 +204,10 @@ class DesignRouter(HttpServerBase):
                        for url in urls]
         self._prober: asyncio.Task | None = None
         self._addrs = [(u.hostname, u.port or 80) for u in map(urlsplit, urls)]
+        for url, (host, _port) in zip(urls, self._addrs):
+            if host is None:
+                raise ValueError(f"bad --backend {url!r}: expected "
+                                 "http://host:port")
         #: idle keep-alive ``(reader, writer)`` pairs per backend
         self._idle: list[list] = [[] for _ in urls]
         #: raw /generate body -> shard index (bounded LRU)

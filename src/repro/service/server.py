@@ -250,6 +250,10 @@ class StreamPayload:
         raise NotImplementedError
         yield  # pragma: no cover — makes this an async generator
 
+    def close(self) -> None:
+        """Release what the stream holds.  Called once its response
+        ends, whether or not :meth:`events` ever ran."""
+
 
 class _JobStream(StreamPayload):
     """Live NDJSON view of one job: replays the buffered events, then
@@ -476,27 +480,30 @@ class HttpServerBase:
                 "Content-Type: application/x-ndjson\r\n"
                 "Transfer-Encoding: chunked\r\n"
                 "Connection: close\r\n\r\n")
-        writer.write(head.encode("ascii"))
-        await writer.drain()
-        async for event in stream.events(self._closing):
-            try:
-                delay = get_faults().fire(
-                    f"{self.fault_scope}:stream-event")
-            except (FaultDrop, FaultError):
-                # mid-stream chaos: the response status is already on
-                # the wire, so both kinds truncate the chunked stream
-                # exactly like a crash between events — resume clients
-                # must replay-then-follow
-                writer.transport.abort()
-                return
-            if delay:
-                await asyncio.sleep(delay)
-            line = event if isinstance(event, str) else json.dumps(event)
-            data = line.encode() + b"\n"
-            writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        try:
+            writer.write(head.encode("ascii"))
             await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+            async for event in stream.events(self._closing):
+                try:
+                    delay = get_faults().fire(
+                        f"{self.fault_scope}:stream-event")
+                except (FaultDrop, FaultError):
+                    # mid-stream chaos: the response status is already
+                    # on the wire, so both kinds truncate the chunked
+                    # stream exactly like a crash between events —
+                    # resume clients must replay-then-follow
+                    writer.transport.abort()
+                    return
+                if delay:
+                    await asyncio.sleep(delay)
+                line = event if isinstance(event, str) else json.dumps(event)
+                data = line.encode() + b"\n"
+                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+                await writer.drain()
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+        finally:
+            stream.close()
 
     # -- dispatch ----------------------------------------------------------
 
@@ -1004,7 +1011,7 @@ class DesignServer(HttpServerBase):
                     job.finish(result.to_json())
                     return
                 if job.pause_requested or self._closing.is_set():
-                    job.mark_paused(interrupted=not job.pause_requested)
+                    job.mark_paused()
                     return
                 if stalled:
                     # Defense in depth: a step that charges nothing can

@@ -384,6 +384,10 @@ class TestBackendFailure:
         with pytest.raises(ValueError):
             DesignRouter([])
 
+    def test_router_rejects_scheme_less_backend(self):
+        with pytest.raises(ValueError, match="http://host:port"):
+            DesignRouter(["127.0.0.1:9001"])
+
 
 class TestRouterConcurrency:
     def test_warm_fanout_many_threads(self, fleet, client):

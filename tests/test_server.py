@@ -4,6 +4,7 @@ cache, malformed-input status codes, and pause/resume of exploration
 jobs (including resuming on a brand-new server from a polled
 checkpoint, the killed-server scenario)."""
 
+import asyncio
 import http.client
 import json
 import os
@@ -518,27 +519,31 @@ class TestBlockingEntryPoints:
         assert len(route.backend) == 2
 
     def test_second_sigterm_while_stopping_exits_clean(self):
-        # The second SIGTERM follows the first with no gap, so it lands
-        # while the first is still being handled: in the same loop
-        # iteration (one more cancel of a task already cancelling) or
-        # during stop().  The backend accepts (the kernel backlog does)
-        # but never answers, so stop() also cancels a probe in flight.
-        silent = socket.socket()
-        silent.bind(("127.0.0.1", 0))
-        silent.listen(8)
-        proc = self._spawn(
-            "route", "--port", "0", "--probe-interval", "2",
-            "--backend", f"http://127.0.0.1:{silent.getsockname()[1]}",
-            stderr=subprocess.PIPE)
+        # In process: the first SIGTERM cancels serve_forever, and the
+        # second is sent from inside stop(), which then yields to the
+        # loop so the signal is handled while stop() is still running.
+        # stop() must run to its end and the runner return normally.
+        from repro.service.router import DesignRouter
+        from repro.service.server import _run_blocking
+
+        class SlowStop(DesignRouter):
+            stopped = False
+
+            async def serve_forever(self):
+                os.kill(os.getpid(), signal.SIGTERM)
+                await super().serve_forever()
+
+            async def stop(self):
+                os.kill(os.getpid(), signal.SIGTERM)
+                await asyncio.sleep(0.2)
+                await super().stop()
+                self.stopped = True
+
+        router = SlowStop(["http://127.0.0.1:1"], port=0,
+                          probe_interval_s=0)
+        previous = signal.getsignal(signal.SIGTERM)
         try:
-            self._banner_url(proc, "repro fleet router")
-            proc.send_signal(signal.SIGTERM)
-            proc.send_signal(signal.SIGTERM)
-            _out, err = proc.communicate(timeout=20)
-            assert proc.returncode == 0, err
-            assert "Traceback" not in err
+            _run_blocking(router, quiet=True)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate(timeout=10)
-            silent.close()
+            signal.signal(signal.SIGTERM, previous)
+        assert router.stopped
