@@ -1083,6 +1083,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "url", None):
+        from .service.client import ServiceClient
+
+        try:  # a malformed --url is a usage error, whatever the command
+            ServiceClient.from_url(args.url)
+        except ValueError as exc:
+            print(f"--url: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -1,24 +1,29 @@
-"""Blocking client for the design service (stdlib ``http.client``).
+"""Blocking client for the design service, on one raw keep-alive socket.
 
 One :class:`ServiceClient` wraps one persistent HTTP/1.1 connection to a
-``repro serve`` instance; it reconnects transparently when the server
-closes the socket.  The client is deliberately synchronous — benchmark
-worker processes, tests, and notebook users all drive it directly, and
-concurrency comes from running many clients, exactly like production
-traffic.  A client instance is not thread-safe: give each thread or
-process its own.
+``repro serve`` instance or a ``repro route`` fleet, and redials when
+the server closes it.  It is deliberately synchronous — benchmark
+workers, tests and notebooks drive it directly, and concurrency comes
+from running many clients.  An instance is not thread-safe.
 
-When a trace id is bound in the calling context (``trace_context``),
-every request carries it in the ``X-Repro-Trace`` header — so the
-server (or the router, and through it every backend and pool worker)
-joins the caller's trace tree instead of minting an unrelated id.
+The client writes its own framing for the one peer it talks to: the
+constant request headers are bytes built once, each request is one
+``sendall``, and a reply has a ``Content-Length`` body or is read to EOF
+(``Connection: close`` is honoured); only ``/jobs/<id>/stream`` answers
+chunked.  A reply that breaks this framing (not HTTP, cut short) raises
+a ``ConnectionError`` naming ``host:port``.
+
+A trace id bound in the calling context (``trace_context``) rides on
+every request as ``X-Repro-Trace``, so the server (or the router, and
+through it every backend and pool worker) joins the caller's trace tree.
 """
 
 from __future__ import annotations
 
-import http.client
+import itertools
 import json
 import random
+import socket
 import time
 import urllib.parse
 
@@ -40,6 +45,17 @@ class ServiceError(RuntimeError):
 class _BudgetTimeout(TimeoutError):
     """A timeout already attributed to one budget (connect vs read) —
     the message names which one expired."""
+
+
+class _ProtocolError(ConnectionError):
+    """A reply that breaks the framing: not HTTP, or cut short."""
+
+
+def _decode(data: bytes) -> dict:
+    try:
+        return json.loads(data.decode()) if data else {}
+    except ValueError:
+        return {"error": data.decode(errors="replace")}
 
 
 class ServiceClient:
@@ -65,24 +81,36 @@ class ServiceClient:
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.retries = max(0, int(retries))
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        netloc = f"[{host}]" if ":" in host else host
+        self._fixed = (f" HTTP/1.1\r\nHost: {netloc}:{port}\r\n"
+                       "Content-Type: application/json\r\n"
+                       "Content-Length: ").encode()
 
     @classmethod
     def from_url(cls, url: str, timeout: float = 120.0,
                  connect_timeout: float | None = None,
                  retries: int = 2) -> "ServiceClient":
-        """``ServiceClient.from_url("http://127.0.0.1:8731")``."""
-        hostport = url.split("//", 1)[-1].rstrip("/")
-        host, _, port = hostport.partition(":")
-        return cls(host=host, port=int(port or 80), timeout=timeout,
+        """``ServiceClient.from_url("http://127.0.0.1:8731")``; a URL
+        with any path but ``/``, or without a host, is a ValueError."""
+        parts = urllib.parse.urlsplit(url if "//" in url else "//" + url)
+        try:
+            port = parts.port or 80     # ValueError: not a port number
+            if (not parts.hostname or parts.scheme not in ("", "http")
+                    or parts.path not in ("", "/") or parts.query):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"not a service URL: {url!r} (expected "
+                             "http://host:port)") from None
+        return cls(host=parts.hostname, port=port, timeout=timeout,
                    connect_timeout=connect_timeout, retries=retries)
 
     # -- transport ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -102,14 +130,8 @@ class ServiceClient:
         job.  An expired time budget raises :class:`ServiceError` with
         a synthesized 504 naming the budget.
         """
-        try:
-            status, data = self._roundtrip(method, path, body)
-        except _BudgetTimeout as exc:
-            raise ServiceError(504, {"error": str(exc)}) from exc
-        try:
-            decoded = json.loads(data.decode()) if data else {}
-        except ValueError:
-            decoded = {"error": data.decode(errors="replace")}
+        status, data = self._roundtrip(method, path, body)
+        decoded = _decode(data)
         if status >= 400:
             raise ServiceError(status, decoded)
         return decoded
@@ -118,36 +140,102 @@ class ServiceClient:
         """Like :meth:`request`, but return the raw response body as
         text — for non-JSON endpoints (the Prometheus exposition of
         ``GET /metrics``)."""
-        try:
-            status, data = self._roundtrip(method, path, None)
-        except _BudgetTimeout as exc:
-            raise ServiceError(504, {"error": str(exc)}) from exc
+        status, data = self._roundtrip(method, path, None)
         text = data.decode(errors="replace")
         if status >= 400:
             raise ServiceError(status, {"error": text})
         return text
 
-    def _new_connection(self) -> http.client.HTTPConnection:
+    def _dial(self) -> socket.socket:
         """Dial under *connect_timeout*, then rebind the socket to the
         read *timeout* — so a refused/blackholed backend fails fast
         without shrinking the budget for slow-but-working responses."""
         connect = (self.connect_timeout if self.connect_timeout is not None
                    else self.timeout)
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=connect)
         try:
-            conn.connect()
+            sock = socket.create_connection((self.host, self.port), connect)
         except TimeoutError:
-            conn.close()
             raise _BudgetTimeout(
                 f"connect to {self.host}:{self.port} exceeded the "
                 f"connect budget (connect_timeout={connect:g}s)") from None
-        except OSError:
-            conn.close()
-            raise
-        if conn.sock is not None:
-            conn.sock.settimeout(self.timeout)
-        return conn
+        sock.settimeout(self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _message(self, method: str, path: str, payload: bytes) -> bytes:
+        """The whole request: line, pre-built constant headers, length,
+        the bound trace id if any, and the body."""
+        if " " in path or not path.isprintable():
+            raise ValueError(f"invalid request target {path!r}")
+        head = (method.encode() + b" " + path.encode() + self._fixed
+                + b"%d\r\n" % len(payload))
+        trace = format_trace_header()  # bound trace id, if any
+        if trace is not None:
+            head += f"{TRACE_HEADER}: {trace}\r\n".encode()
+        return head + b"\r\n" + payload
+
+    def _broken(self, what: str) -> _ProtocolError:
+        return _ProtocolError(f"{self.host}:{self.port} {what}")
+
+    def _recv(self, sock: socket.socket, what: str) -> bytes:
+        if data := sock.recv(65536):
+            return data
+        raise self._broken(what)
+
+    def _read_head(self, sock: socket.socket) -> tuple[int, dict, bytes]:
+        """``(status, lower-cased header fields, bytes read past the
+        head)`` of one reply."""
+        data = self._recv(sock, "closed the connection without a reply")
+        while (end := data.find(b"\r\n\r\n")) < 0:
+            data += self._recv(sock, "cut the reply head short")
+        lines = data[:end].split(b"\r\n")
+        parts = lines[0].split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit()):
+            raise self._broken(f"sent a bad status line {lines[0][:80]!r}")
+        return int(parts[1]), dict(line.lower().partition(b":")[::2]
+                                   for line in lines[1:]), data[end + 4:]
+
+    def _read_body(self, sock: socket.socket, fields: dict,
+                   body: bytes) -> tuple[bytes, bool]:
+        """``(body, keep-alive)`` after :meth:`_read_head`: a
+        ``Content-Length`` body, or one read to EOF, after which the
+        socket is spent."""
+        length = fields.get(b"content-length", b"").strip()
+        parts = [body]
+        if not length:
+            while data := sock.recv(65536):
+                parts.append(data)
+            return b"".join(parts), False
+        if not length.isdigit():
+            raise self._broken(f"sent a bad Content-Length {length!r}")
+        need, got = int(length), len(body)
+        while got < need:
+            parts.append(self._recv(sock, f"cut the reply short at {got} "
+                                          f"of {need} bytes"))
+            got += len(parts[-1])
+        keep = (got == need
+                and fields.get(b"connection", b"").strip() != b"close")
+        return b"".join(parts)[:need], keep
+
+    def _lines(self, sock: socket.socket, data: bytes):
+        """The non-blank lines of a chunked body (*data* is what was
+        read past the head), up to its zero-size chunk."""
+        buffer = b""
+        while True:
+            while (eol := data.find(b"\r\n")) < 0:
+                data += self._recv(sock, "cut a chunk short")
+            size = data[:eol].split(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise self._broken(f"sent a bad chunk size {size[:80]!r}")
+            if not (size := int(size, 16)):
+                return
+            end = eol + 2 + size
+            while len(data) < end + 2:
+                data += self._recv(sock, "cut a chunk short")
+            *lines, buffer = (buffer + data[eol + 2:end]).split(b"\n")
+            yield from filter(None, map(bytes.strip, lines))
+            data = data[end + 2:]
 
     def _read_timeout(self, exc: OSError) -> _BudgetTimeout:
         if isinstance(exc, _BudgetTimeout):
@@ -162,46 +250,35 @@ class ServiceClient:
 
     def _roundtrip(self, method: str, path: str,
                    body: dict | None) -> tuple[int, bytes]:
-        payload = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"}
-        trace = format_trace_header()  # bound trace id, if any
-        if trace is not None:
-            headers[TRACE_HEADER] = trace
+        message = self._message(method, path, b"" if body is None
+                                else json.dumps(body).encode())
         # Non-GETs keep the historical two attempts (the second only
         # replaces a stale keep-alive socket); idempotent GETs add the
         # transport retry allowance on top.
         attempts = 2 + (self.retries if method == "GET" else 0)
-        last_exc: BaseException | None = None
-        for attempt in range(attempts):
+        attempt = 0
+        while True:
+            sent = False
             try:
-                if self._conn is None:
-                    self._conn = self._new_connection()
-                self._conn.request(method, path, body=payload,
-                                   headers=headers)
-            except (ConnectionError, http.client.HTTPException,
-                    OSError) as exc:
+                if self._sock is None:
+                    self._sock = self._dial()
+                self._sock.sendall(message)
+                sent = True
+                status, fields, rest = self._read_head(self._sock)
+                data, keep = self._read_body(self._sock, fields, rest)
+            except OSError as exc:
                 self.close()
                 if isinstance(exc, TimeoutError):
-                    raise self._read_timeout(exc) from exc
-                last_exc = exc
-                if attempt == attempts - 1:
+                    raise ServiceError(504, {
+                        "error": str(self._read_timeout(exc))}) from exc
+                if (sent and method != "GET") or attempt == attempts - 1:
                     raise
                 self._retry_pause(attempt)
+                attempt += 1
                 continue
-            try:
-                response = self._conn.getresponse()
-                return response.status, response.read()
-            except (ConnectionError, http.client.HTTPException,
-                    OSError) as exc:
+            if not keep:
                 self.close()
-                if isinstance(exc, TimeoutError):
-                    raise self._read_timeout(exc) from exc
-                if method != "GET" or attempt == attempts - 1:
-                    raise
-                last_exc = exc
-                self._retry_pause(attempt)
-        raise ConnectionError(  # pragma: no cover — loop always raises
-            f"could not reach {self.host}:{self.port}: {last_exc}")
+            return status, data
 
     # -- endpoints ---------------------------------------------------------
 
@@ -337,86 +414,46 @@ class ServiceClient:
         connection when it ends), so the client's persistent connection
         stays usable; abandoning the generator early closes the stream.
         """
-        path = (f"/jobs/{job_id}/stream"
-                + ("" if checkpoint else "?checkpoint=0"))
+        message = self._message(
+            "GET", f"/jobs/{job_id}/stream"
+            + ("" if checkpoint else "?checkpoint=0"), b"")
         # Resume state: the server replays a job's buffered events from
-        # the start of every stream, so after a mid-stream connection
-        # reset we reconnect and skip the `seen` events already yielded
+        # the start of every stream, so after a mid-stream drop we
+        # reconnect and skip the `seen` events already yielded
         # (replay-then-follow).  `failures` resets on progress, so a
         # long stream tolerates `retries` *consecutive* drops, not
         # `retries` total.
         seen = 0
         failures = 0
         while True:
+            sock = None
             try:
-                conn = self._new_connection()
-            except (ConnectionError, OSError) as exc:
+                sock = self._dial()
+                sock.sendall(message)
+                status, fields, data = self._read_head(sock)
+                if status >= 400:
+                    raise ServiceError(status, _decode(
+                        self._read_body(sock, fields, data)[0]))
+                for line in itertools.islice(self._lines(sock, data), seen,
+                                             None):
+                    event = json.loads(line.decode())
+                    seen += 1
+                    failures = 0
+                    yield event
+                    if (isinstance(event, dict)
+                            and event.get("event") == "end"):
+                        return  # the protocol's terminal event
+                # The zero-size chunk came before the "end" event, the
+                # only trusted ending: resume like any mid-stream drop.
+                raise self._broken("ended the stream before the terminal "
+                                   f"event ({seen} events seen)")
+            except OSError as exc:
                 if isinstance(exc, TimeoutError):
-                    raise  # already budget-named by _new_connection
+                    raise self._read_timeout(exc) from exc
                 failures += 1
                 if failures > self.retries:
                     raise
                 self._retry_pause(failures)
-                continue
-            try:
-                try:
-                    conn.request("GET", path)
-                    response = conn.getresponse()
-                except (ConnectionError, http.client.HTTPException,
-                        OSError) as exc:
-                    if isinstance(exc, TimeoutError):
-                        raise self._read_timeout(exc) from exc
-                    failures += 1
-                    if failures > self.retries:
-                        raise
-                    self._retry_pause(failures)
-                    continue
-                if response.status >= 400:
-                    data = response.read()
-                    try:
-                        decoded = (json.loads(data.decode())
-                                   if data else {})
-                    except ValueError:
-                        decoded = {"error": data.decode(errors="replace")}
-                    raise ServiceError(response.status, decoded)
-                # http.client undoes the chunked framing; each line is
-                # one JSON event.
-                skip = seen
-                try:
-                    for raw in response:
-                        line = raw.strip()
-                        if not line:
-                            continue
-                        if skip:
-                            skip -= 1
-                            continue
-                        event = json.loads(line.decode())
-                        seen += 1
-                        failures = 0
-                        yield event
-                        if (isinstance(event, dict)
-                                and event.get("event") == "end"):
-                            return  # the protocol's terminal event
-                except (ConnectionError, http.client.HTTPException,
-                        OSError) as exc:
-                    if isinstance(exc, TimeoutError):
-                        raise self._read_timeout(exc) from exc
-                    failures += 1
-                    if failures > self.retries:
-                        raise
-                    self._retry_pause(failures)
-                else:
-                    # EOF before the "end" event: the server died
-                    # mid-stream.  A truncated chunked response reads
-                    # as a clean EOF here (http.client's line iteration
-                    # swallows the IncompleteRead), so only the "end"
-                    # event above is trusted as a real ending — resume
-                    # this like any other mid-stream drop.
-                    failures += 1
-                    if failures > self.retries:
-                        raise ConnectionError(
-                            "stream ended before the terminal event "
-                            f"({seen} events seen)")
-                    self._retry_pause(failures)
             finally:
-                conn.close()
+                if sock is not None:
+                    sock.close()

@@ -16,6 +16,7 @@ from repro.service.engine import BatchEngine
 from repro.service.router import RouterThread
 from repro.service.server import ServerThread
 from repro.service.spec import DesignRequest
+from test_client_transport import Peer
 
 #: timings, trace ids and job ids differ run to run
 MASKS = ((re.compile(r"\d+\.\d+s\b"), "<t>s"),
@@ -205,3 +206,38 @@ def test_every_flag_is_honoured_or_refused_under_url(capsys, tmp_path):
             assert code == 1 and "remote" in err, (command, flag, err)
     assert seen == {command: HONOURED[command] | REFUSED[command]
                     for command in HONOURED}
+
+
+def _answer_not_http(peer, conn, rfile, n):
+    peer.read(rfile, n)
+    conn.sendall(b"I AM NOT HTTP\r\n\r\n")
+
+
+@pytest.mark.parametrize("argv", [["metrics"],
+                                  ["generate", "--array", "2", "2"]],
+                         ids=lambda argv: argv[0])
+def test_a_peer_that_is_not_http_is_one_line(capsys, argv):
+    """A reply that is not HTTP used to escape the CLI's handlers as an
+    ``http.client.BadStatusLine`` traceback."""
+    with Peer(_answer_not_http) as peer:
+        code = main([*argv, "--url", f"http://127.0.0.1:{peer.port}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"127.0.0.1:{peer.port}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["metrics"], ["top", "--iterations", "1"], ["trace"],
+    ["profile", "--seconds", "0.1"], ["generate", "--array", "2", "2"],
+    ["batch"], ["explore", "--models", "LeNet"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("url", ["http://127.0.0.1:8731/healthz",
+                                 "http://:8731", "127.0.0.1:port"])
+def test_a_malformed_url_is_a_usage_error(capsys, command, url):
+    """Every ``--url`` command exits 2 with one line naming the URL —
+    a path, a missing host or a bad port used to crash in ``int()``."""
+    assert main([*command, "--url", url]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert repr(url) in err

@@ -17,6 +17,7 @@ from repro.service import (BatchEngine, DesignRouter, DesignServer,
                            RouterThread, ServerThread, ServiceClient,
                            ServiceError)
 from repro.service.server import ROUTES, UNMATCHED, match_route
+from test_client_transport import STREAM_HEAD, Peer, chunk, reply
 
 TIERS = ("server", "router")
 #: a job id both tiers can parse (the router needs its ``s<i>.`` tag)
@@ -91,51 +92,34 @@ class TestTableConformance:
         assert match_route("/healthz/") == (None, None)
 
 
-class _RecordingConnection:
-    """Stands in for ``http.client.HTTPConnection``: records request
-    lines, answers 200 with a body every client method can unpack."""
-
-    sock = None
-    status = 200
-
-    def __init__(self):
-        self.seen: list[tuple[str, str]] = []
-
-    def request(self, method, path, body=None, headers=None):
-        self.seen.append((method, path))
-
-    def getresponse(self):
-        return self
-
-    def read(self):
-        return b'{"job": "j", "jobs": [], "backends": []}'
-
-    def __iter__(self):
-        yield b'{"event": "end"}\n'
-
-    def close(self):
-        pass
+def _answer_anything(peer, conn, rfile, n):
+    """Answer every request 200 with a body every client method can
+    unpack: a one-event chunked stream on ``/stream``, JSON otherwise."""
+    while (request := peer.read(rfile, n)) is not None:
+        if request[0].split()[1].partition("?")[0].endswith("/stream"):
+            conn.sendall(STREAM_HEAD + chunk({"event": "end"})
+                         + b"0\r\n\r\n")
+            return
+        reply(conn, b'{"job": "j", "jobs": [], "backends": []}')
 
 
 class TestClientCoversTheTable:
     @pytest.mark.parametrize(
         "route", [r for r in ROUTES if r.name != "faults"],
         ids=lambda r: r.pattern)
-    def test_client_method_named_after_the_route(self, route,
-                                                 monkeypatch):
+    def test_client_method_named_after_the_route(self, route):
         """Every row (``/debug/faults`` aside — chaos tests drive it
         with ``client.request``) is requested by the ``ServiceClient``
-        method that carries the row's name."""
-        conn = _RecordingConnection()
-        monkeypatch.setattr(ServiceClient, "_new_connection",
-                            lambda self: conn)
+        method that carries the row's name: a peer records the request
+        line the method put on the wire."""
         args = (("j",) if "<id>" in route.pattern
                 else ([],) if route.name == "batch" else ())
-        out = getattr(ServiceClient(), route.name)(*args)
-        if route.name == "stream":
-            list(out)
-        assert len(conn.seen) == 1
-        method, target = conn.seen[0]
+        with Peer(_answer_anything) as peer, peer.client() as client:
+            out = getattr(client, route.name)(*args)
+            if route.name == "stream":
+                list(out)
+        assert len(peer.requests) == 1
+        method, target, _version = peer.requests[0][1].split()
         assert match_route(target.partition("?")[0])[0] is route
         assert method in route.methods
 
