@@ -253,10 +253,10 @@ def _batch_remote(args: argparse.Namespace, client, requests) -> dict:
                        workers=args.workers)
     shown = 0
     try:
-        for event in client.stream(job, checkpoint=False):
+        for event in client.stream(job):
             if event["event"] == "result":
                 if args.plan_summary and not shown:  # planned by now
-                    _print_plan(client.job(job, checkpoint=False)["plan"])
+                    _print_plan(client.job(job)["plan"])
                 _print_progress(event["done"], event["total"],
                                 event["result"])
                 shown += 1
@@ -406,7 +406,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if bad:
         return bad
     serve(engine=_build_engine(args), host=args.host, port=args.port,
-          step_evals=args.step_evals, log_level=args.log_level,
+          log_level=args.log_level,
           slow_request_ms=args.slow_request_ms,
           persist_jobs=not args.no_persist_jobs)
     return 0
@@ -891,9 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (0 picks an ephemeral port)")
     srv.add_argument("--workers", type=int, default=1,
                      help="worker processes for cold generation batches")
-    srv.add_argument("--step-evals", type=float, default=1.0,
-                     metavar="E", help="checkpoint granularity of explore "
-                     "jobs, in full-model evaluations per step")
     from .obs import LOG_LEVELS
     srv.add_argument("--log-level", default="warning",
                      choices=list(LOG_LEVELS),
@@ -907,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--no-persist-jobs", action="store_true",
                      help="don't journal jobs under <cache>/jobs/; "
                      "jobs then die with the process instead of being "
-                     "recovered (paused/failed) on reboot")
+                     "recovered on reboot (explorations re-queued, "
+                     "batches failed)")
     # accepted and ignored: the metrics-history recorder it tuned is
     # gone, but bench/workloads/serve.py still passes it
     srv.add_argument("--history-interval", help=argparse.SUPPRESS)

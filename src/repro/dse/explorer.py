@@ -18,12 +18,13 @@ using this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
-from ..sim.perf_model import ArchPerf
+from ..sim.perf_model import DATAFLOWS, ArchPerf
 
 __all__ = ["DesignPoint", "DesignSpace", "pareto_front",
-           "generate_winner"]
+           "generate_winner", "space_to_dict", "space_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,75 @@ class DesignSpace:
     def size(self) -> int:
         return (len(self.arrays) * len(self.buffer_kb)
                 * len(self.dram_gbps) * len(self.dataflow_sets))
+
+
+def space_to_dict(space: DesignSpace) -> dict:
+    """JSON-serializable form of a :class:`DesignSpace` (the ``space``
+    field of an ``/explore`` request)."""
+    return {"arrays": [list(a) for a in space.arrays],
+            "buffer_kb": list(space.buffer_kb),
+            "dram_gbps": list(space.dram_gbps),
+            "dataflow_sets": [list(s) for s in space.dataflow_sets],
+            "freq_mhz": space.freq_mhz}
+
+
+def _positive(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x) and x > 0)
+
+
+def _pair(a) -> bool:
+    return (isinstance(a, (list, tuple)) and len(a) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    and x > 0 for x in a))
+
+
+def _dataflow_set(s) -> bool:
+    return (isinstance(s, (list, tuple)) and len(s) > 0
+            and all(d in DATAFLOWS for d in s))
+
+
+#: list axis -> (what each entry must be, its check, its conversion)
+_AXES = {
+    "arrays": ("a pair of positive ints", _pair, tuple),
+    "buffer_kb": ("a positive finite number", _positive, float),
+    "dram_gbps": ("a positive finite number", _positive, float),
+    "dataflow_sets": (f"a non-empty list of dataflows from "
+                      f"{list(DATAFLOWS)}", _dataflow_set, tuple),
+}
+
+
+def space_from_dict(data: dict) -> DesignSpace:
+    """Rebuild a :class:`DesignSpace` from :func:`space_to_dict` output.
+    Missing axes fall back to the defaults; a malformed axis raises a
+    ``ValueError`` naming it, so nothing the search would crash on or
+    score as nonsense gets through.
+
+    >>> space_from_dict({"arrays": [[8, 8]]}).size()
+    12
+    >>> space_from_dict({"buffer_kb": [-1.0]})
+    Traceback (most recent call last):
+    ...
+    ValueError: buffer_kb: -1.0 is not a positive finite number
+    """
+    unknown = sorted(set(data) - {f.name for f in fields(DesignSpace)})
+    if unknown:
+        raise ValueError(f"unknown design-space axes {unknown}")
+    freq = data.get("freq_mhz", DesignSpace.freq_mhz)
+    if not _positive(freq):
+        raise ValueError(f"freq_mhz: {freq!r} is not a positive finite "
+                         "number")
+    axes = {}
+    for axis, (what, valid, convert) in _AXES.items():
+        values = data.get(axis, getattr(DesignSpace, axis))
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"{axis} must be a non-empty list, got "
+                             f"{values!r}")
+        for value in values:
+            if not valid(value):
+                raise ValueError(f"{axis}: {value!r} is not {what}")
+        axes[axis] = tuple(convert(v) for v in values)
+    return DesignSpace(freq_mhz=float(freq), **axes)
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:

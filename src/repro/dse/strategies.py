@@ -55,7 +55,7 @@ from ..obs import get_registry, trace_span
 from .explorer import DesignPoint, DesignSpace, pareto_front
 
 __all__ = [
-    "OBJECTIVES", "PointEvaluator", "SearchPaused", "SearchResult",
+    "OBJECTIVES", "PointEvaluator", "SearchResult",
     "SearchStrategy", "Exhaustive", "SimulatedAnnealing",
     "SuccessiveHalving", "STRATEGIES", "get_strategy", "run_search",
 ]
@@ -75,16 +75,6 @@ _DSE_EVALS = get_registry().counter(
     ("strategy",))
 _DSE_SEARCHES = get_registry().counter(
     "repro_dse_searches_total", "DSE searches run", ("strategy",))
-
-
-class SearchPaused(RuntimeError):
-    """Raised by a :class:`PointEvaluator` whose ``pause_after`` budget
-    is exhausted while cold work remains.  Strategies must let it
-    propagate (it is the pause signal of
-    :func:`repro.dse.checkpoint.run_checkpointed`); they never need to
-    catch or recover from it, because resuming replays the search from
-    its seed with the already-computed rows preloaded.
-    """
 
 
 class PointEvaluator:
@@ -107,9 +97,7 @@ class PointEvaluator:
 
     def __init__(self, models, tech=None, cache=None, workers: int = 1,
                  area_budget_mm2: float | None = None,
-                 objective: str = "edp",
-                 row_store: dict | None = None,
-                 pause_after: float | None = None):
+                 objective: str = "edp"):
         from ..sim.energy_model import TSMC28
 
         if objective not in OBJECTIVES:
@@ -122,18 +110,6 @@ class PointEvaluator:
         self.area_budget_mm2 = area_budget_mm2
         self.objective = objective
         self.key = OBJECTIVES[objective]
-        #: resume hook: every row this evaluator reads or computes is
-        #: mirrored into this dict (eval-key -> row), so a checkpoint
-        #: can carry the memo across processes without the design cache.
-        self.row_store = row_store
-        #: resume hook: raise :class:`SearchPaused` once ``evals_used``
-        #: reaches this many charged full-model-equivalents and more
-        #: cold work arrives.  ``None`` disables pausing.
-        self.pause_after = pause_after
-        #: ordered record of every charged evaluation (arch, models,
-        #: cost, raw row) — the replay-identity witness the checkpoint
-        #: property tests compare bit-for-bit.
-        self.eval_log: list[dict] = []
         self._full_cost = sum(len(m.layers) for m in self.models) or 1
         self._memo: dict[tuple, DesignPoint | None] = {}
         self._full_points: dict = {}  # arch -> DesignPoint, full fidelity
@@ -195,44 +171,17 @@ class PointEvaluator:
             if (mkey, arch) not in self._memo and arch not in seen:
                 todo.append(arch)
                 seen.add(arch)
-        # With a pause budget the cold set is processed in worker-sized
-        # chunks so the budget check lands at deterministic points of
-        # the proposal stream.  Chunk boundaries do not need to match
-        # between runs (resume replays proposals, not pauses), so when
-        # the remaining budget covers this whole call we keep it as one
-        # batch — one worker-pool spin-up instead of one per chunk.
-        if (self.pause_after is None
-                or self.evals_used + cost * len(todo) <= self.pause_after):
-            width = max(1, len(todo))
-        else:
-            width = max(1, self.workers)
-        for start in range(0, len(todo), width):
-            if (self.pause_after is not None
-                    and self.evals_used >= self.pause_after):
-                raise SearchPaused(
-                    f"evaluation budget exhausted at "
-                    f"{self.evals_used:.3f}/{self.pause_after:.3f} "
-                    "full-model evals")
-            chunk = todo[start:start + width]
-            rows = evaluate_archs(models, chunk, self.tech,
-                                  workers=self.workers, cache=self.cache,
-                                  overlay=self.row_store)
-            for arch, row in zip(chunk, rows):
-                point = self._to_point(arch, row)
-                self._memo[(mkey, arch)] = point
-                self.evals_used += cost
-                self.eval_log.append({
-                    "arch": arch.name,
-                    "models": [m.name for m in models],
-                    "cost": cost,
-                    "cycles": row["cycles"],
-                    "energy_pj": row["energy_pj"],
-                    "ops": row["ops"],
-                })
-                if full:
-                    self.points_evaluated += 1
-                    if point is not None:
-                        self._full_points[arch] = point
+        rows = evaluate_archs(models, todo, self.tech,
+                              workers=self.workers,
+                              cache=self.cache) if todo else []
+        for arch, row in zip(todo, rows):
+            point = self._to_point(arch, row)
+            self._memo[(mkey, arch)] = point
+            self.evals_used += cost
+            if full:
+                self.points_evaluated += 1
+                if point is not None:
+                    self._full_points[arch] = point
         return [self._memo[(mkey, arch)] for arch in archs]
 
     def _to_point(self, arch, row) -> DesignPoint | None:
@@ -524,9 +473,7 @@ def run_search(models, space: DesignSpace | None = None,
                area_budget_mm2: float | None = None, tech=None,
                workers: int = 1, cache=None,
                max_evals: int | None = None,
-               seed: int = 0,
-               evaluator: PointEvaluator | None = None,
-               rng: random.Random | None = None) -> SearchResult:
+               seed: int = 0) -> SearchResult:
     """Search *space* on *models* (a list of zoo models) with one
     strategy and return the :class:`SearchResult`: the evaluated points
     sorted best-first by *objective* (``edp`` | ``latency`` | ``energy``
@@ -540,30 +487,28 @@ def run_search(models, space: DesignSpace | None = None,
     repeated explorations (the LEGO-in-series-with-DSE loop) skip
     re-evaluation.
 
-    *evaluator*/*rng* inject a pre-built :class:`PointEvaluator` and RNG
-    (the :mod:`repro.dse.checkpoint` resume hooks); when given, they
-    take precedence over the models/tech/cache/workers/seed arguments.
-    A pausing evaluator's :class:`SearchPaused` propagates to the
-    caller.
+    A search is a deterministic function of its arguments: every
+    proposal is drawn from ``random.Random(seed)`` and every decision
+    depends only on that stream and the evaluated rows.  So rerunning an
+    interrupted search over the same *cache* is its resume path — it
+    replays the same evaluations, and the rows the first run stored come
+    back as cache hits.
     """
     space = space or DesignSpace()
     strat = get_strategy(strategy)
-    if evaluator is None:
-        evaluator = PointEvaluator(models, tech=tech, cache=cache,
-                                   workers=workers,
-                                   area_budget_mm2=area_budget_mm2,
-                                   objective=objective)
+    evaluator = PointEvaluator(models, tech=tech, cache=cache,
+                               workers=workers,
+                               area_budget_mm2=area_budget_mm2,
+                               objective=objective)
     # Meter the strategy's spend (full-model-equivalents) even when the
-    # run pauses or fails: the evals-used delta is charged on the way
-    # out, and the span records how far the search got.
-    before = evaluator.evals_used
+    # run fails: the evals-used total is charged on the way out, and
+    # the span records how far the search got.
     try:
         with trace_span("dse:search", strategy=strat.name,
                         objective=objective):
-            strat.run(evaluator, space, rng or random.Random(seed),
+            strat.run(evaluator, space, random.Random(seed),
                       max_evals=max_evals)
     finally:
-        _DSE_EVALS.labels(strategy=strat.name).inc(
-            max(0.0, evaluator.evals_used - before))
+        _DSE_EVALS.labels(strategy=strat.name).inc(evaluator.evals_used)
         _DSE_SEARCHES.labels(strategy=strat.name).inc()
     return evaluator.result(strat.name, space)

@@ -353,47 +353,31 @@ class ServiceClient:
             body["include_rtl"] = True
         return self.request("POST", "/batch", body)["job"]
 
-    def explore(self, models: list[str] | None = None,
-                checkpoint: dict | None = None, **params) -> str:
-        """Start (or, with *checkpoint*, resume) an exploration job;
-        returns the job id.  *params* pass through: ``strategy``,
-        ``objective``, ``max_evals``, ``seed``, ``step_evals``,
+    def explore(self, models: list[str] | None = None, **params) -> str:
+        """Start an exploration job; returns the job id.  *params* pass
+        through: ``strategy``, ``objective``, ``max_evals``, ``seed``,
         ``area_budget_mm2``, ``space``."""
         body = dict(params)
         if models is not None:
             body["models"] = list(models)
-        if checkpoint is not None:
-            body["checkpoint"] = checkpoint
         return self.request("POST", "/explore", body)["job"]
 
     def jobs(self) -> list[dict]:
         return self.request("GET", "/jobs")["jobs"]
 
-    def job(self, job_id: str, checkpoint: bool = True) -> dict:
-        path = f"/jobs/{job_id}" + ("" if checkpoint else "?checkpoint=0")
-        return self.request("GET", path)
-
-    def pause(self, job_id: str) -> dict:
-        return self.request("POST", f"/jobs/{job_id}/pause")
-
-    def resume(self, job_id: str) -> dict:
-        return self.request("POST", f"/jobs/{job_id}/resume")
+    def job(self, job_id: str) -> dict:
+        return self.request("GET", f"/jobs/{job_id}")
 
     def wait(self, job_id: str, timeout: float = 300.0,
-             poll_s: float = 0.05,
-             until: tuple[str, ...] = ("done", "failed", "paused"),
-             ) -> dict:
-        """Poll ``GET /jobs/<id>`` until the job settles; returns the
-        final job dict (raises :class:`TimeoutError` on timeout).
-
-        Polls exclude the checkpoint (which grows with an exploration's
-        evaluated rows); only the final fetch carries it.
-        """
+             poll_s: float = 0.05) -> dict:
+        """Poll ``GET /jobs/<id>`` until the job is done or failed;
+        returns the final job dict (raises :class:`TimeoutError` on
+        timeout)."""
         deadline = time.monotonic() + timeout
         while True:
-            state = self.job(job_id, checkpoint=False)
-            if state["status"] in until:
-                return self.job(job_id)
+            state = self.job(job_id)
+            if state["status"] in ("done", "failed"):
+                return state
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
@@ -404,19 +388,17 @@ class ServiceClient:
             # ~1.5s.
             time.sleep(min(poll_s, remaining))
 
-    def stream(self, job_id: str, checkpoint: bool = True):
+    def stream(self, job_id: str):
         """Follow ``GET /jobs/<id>/stream``: yield each NDJSON event
-        (per-result dicts for batches, per-step checkpoints for
-        explorations, then one ``{"event": "end", "job": ...}``) as the
-        server produces it — replacing a :meth:`wait` poll loop.
+        (per-result dicts for batches, then one ``{"event": "end",
+        "job": ...}``) as the server produces it — replacing a
+        :meth:`wait` poll loop.
 
         Runs on its own connection (the server closes a stream's
         connection when it ends), so the client's persistent connection
         stays usable; abandoning the generator early closes the stream.
         """
-        message = self._message(
-            "GET", f"/jobs/{job_id}/stream"
-            + ("" if checkpoint else "?checkpoint=0"), b"")
+        message = self._message("GET", f"/jobs/{job_id}/stream", b"")
         # Resume state: the server replays a job's buffered events from
         # the start of every stream, so after a mid-stream drop we
         # reconnect and skip the `seen` events already yielded

@@ -21,7 +21,7 @@ group (each member carries the failure traceback); sibling groups are
 unaffected, and nothing broken is cached, so a retry recomputes.
 
 The same engine also memoizes DSE point evaluations
-(:func:`evaluate_archs`), which is how ``dse.explorer.explore`` gets its
+(:func:`evaluate_archs`), which is how ``dse.run_search`` gets its
 ``workers=``/``cache=`` parameters without knowing about this module's
 internals.
 """
@@ -430,8 +430,8 @@ class BatchEngine:
 
 def model_fingerprint(model) -> str:
     """Deterministic identity of a workload model (dataclass repr of
-    names/ints/floats, stable across processes).  Part of the eval-row
-    address, and the thing a DSE checkpoint pins its models to."""
+    names/ints/floats, stable across processes): part of the eval-row
+    address."""
     return hashlib.sha256(repr(model).encode()).hexdigest()
 
 
@@ -476,17 +476,13 @@ def _eval_arch_pooled(args) -> dict:
 
 def evaluate_archs(models, archs, tech,
                    workers: int = 1,
-                   cache: DesignCache | None = None,
-                   overlay: dict | None = None) -> list[dict]:
+                   cache: DesignCache | None = None) -> list[dict]:
     """Evaluate *models* on every architecture in *archs*; returns one
     ``{"cycles", "energy_pj", "ops"}`` row per arch, in order.  Rows are
     served from *cache* when possible and computed in parallel when
-    ``workers > 1``.
-
-    *overlay* is a plain ``{eval_key: row}`` dict consulted before the
-    cache and updated with every row this call resolves (including
-    cache hits), so a caller can carry a self-contained copy of the
-    rows — the DSE checkpoint mechanism."""
+    ``workers > 1``.  Each computed row is put in the cache as soon as
+    it exists, so a process killed mid-call keeps every row it
+    finished — the rows a rerun of the same search reads back."""
     models = list(models)
     archs = list(archs)
     fingerprints = [model_fingerprint(m) for m in models]
@@ -494,29 +490,25 @@ def evaluate_archs(models, archs, tech,
     rows: dict[int, dict] = {}
     cold: list[int] = []
     for i, key in enumerate(keys):
-        record = overlay.get(key) if overlay is not None else None
-        if record is None:
-            record = cache.get(key) if cache is not None else None
+        record = cache.get(key) if cache is not None else None
         if record is not None and record.get("kind") == "eval-v1":
             rows[i] = record
-            if overlay is not None:
-                overlay[key] = record
         else:
             cold.append(i)
 
+    def store(computed) -> None:
+        for i, record in zip(cold, computed):
+            rows[i] = record
+            if cache is not None:
+                cache.put(keys[i], record)
+
     if workers <= 1 or len(cold) <= 1:
-        computed = [_eval_arch(models, archs[i], tech) for i in cold]
+        store(_eval_arch(models, archs[i], tech) for i in cold)
     else:
         ctx = _pool_context()
         with ctx.Pool(processes=min(workers, len(cold)),
                       initializer=_init_eval_worker,
                       initargs=(models,)) as pool:
-            computed = pool.map(_eval_arch_pooled,
-                                [(archs[i], tech) for i in cold])
-    for i, record in zip(cold, computed):
-        rows[i] = record
-        if overlay is not None:
-            overlay[keys[i]] = record
-        if cache is not None:
-            cache.put(keys[i], record)
+            store(pool.imap(_eval_arch_pooled,
+                            [(archs[i], tech) for i in cold]))
     return [rows[i] for i in range(len(archs))]

@@ -1,24 +1,23 @@
 """The serving job table: long-running work the HTTP front end tracks.
 
 A :class:`Job` is one `/batch` or `/explore` request living across many
-HTTP round-trips: submitted, polled via ``GET /jobs/<id>``, optionally
-paused and resumed (explorations), and eventually carrying its result
-or the full traceback of its failure.  The :class:`JobRegistry` is the
-thread-safe table the asyncio server and its executor threads share;
-nothing in here knows about HTTP.
+HTTP round-trips: submitted, polled via ``GET /jobs/<id>``, and
+eventually carrying its result or the full traceback of its failure.
+The :class:`JobRegistry` is the thread-safe table the asyncio server and
+its executor threads share; nothing in here knows about HTTP.
 
 Two serving-tier facilities hang off the job table:
 
 * **Persistence** — give the registry a journal (see
   :class:`repro.service.persist.JobJournal`) and every transition is
   recorded to disk; :meth:`JobRegistry.restore` reloads the table at
-  boot and applies the recovery matrix (interrupted explorations park
-  as ``paused`` with their last journaled checkpoint, interrupted
-  batches fail with an error explaining the restart).
-* **Events** — job bodies :meth:`Job.emit` per-result / per-checkpoint
-  events into a bounded buffer that the ``/jobs/<id>/stream`` endpoint
-  drains with a cursor, so clients can stream results as they finish
-  instead of polling.
+  boot and applies the recovery matrix (interrupted explorations are
+  re-queued from their journaled request, interrupted batches fail with
+  an error explaining the restart).
+* **Events** — job bodies :meth:`Job.emit` per-result events into a
+  bounded buffer that the ``/jobs/<id>/stream`` endpoint drains with a
+  cursor, so clients can stream results as they finish instead of
+  polling.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ __all__ = ["Job", "JobRegistry", "JOB_STATUSES", "RegistryFull"]
 #: so a stream always terminates; ``events_dropped`` records the loss)
 MAX_JOB_EVENTS = 10_000
 
-JOB_STATUSES = ("queued", "running", "pausing", "paused", "done", "failed")
+JOB_STATUSES = ("queued", "running", "done", "failed")
 
-#: statuses that still hold (or may again hold) an executor thread
-LIVE_STATUSES = ("queued", "running", "pausing", "paused")
+#: statuses that still hold (or will hold) an executor thread
+LIVE_STATUSES = ("queued", "running")
 
 
 class RegistryFull(RuntimeError):
@@ -60,10 +59,6 @@ class Job:
         self.result: dict | None = None
         self.error: str | None = None
         self.traceback: str | None = None
-        #: serialized SearchCheckpoint of an exploration job — updated
-        #: after every step, so a poll always sees a resumable snapshot
-        #: even if the server dies mid-search.
-        self.checkpoint: dict | None = None
         #: request-scoped trace id minted at submission; every span the
         #: job body produces (pool workers included) carries it, so an
         #: exported Chrome trace can be filtered down to this job.
@@ -77,12 +72,11 @@ class Job:
         #: for a `/batch` job — recorded before execution starts, so a
         #: poller can see how much schedule work the batch will pay.
         self.plan: dict | None = None
-        #: True when a server's end, not its submitter, parked or failed
-        #: this job: the recovery matrix transitioned it after a
-        #: restart, or a clean stop parked it (:meth:`mark_paused`).
+        #: True when a server's end, not its submitter, re-queued or
+        #: failed this job: the recovery matrix transitioned it after a
+        #: restart.
         self.recovered = False
         self._lock = threading.RLock()
-        self._pause = threading.Event()
         self._finished = threading.Event()
         self._events: list[dict] = []
         self.events_dropped = 0
@@ -103,14 +97,6 @@ class Job:
         with self._lock:
             self.progress.update(fields)
 
-    def set_checkpoint(self, checkpoint: dict | None) -> None:
-        """Record the latest resumable exploration snapshot — and
-        journal it, so a killed server re-parks the search exactly one
-        step behind where it died."""
-        with self._lock:
-            self.checkpoint = checkpoint
-        self._persist()
-
     def finish(self, result: dict) -> None:
         with self._lock:
             self.result = result
@@ -128,61 +114,24 @@ class Job:
         self._finished.set()
         self._persist()
 
-    def pause(self) -> bool:
-        """Ask a running exploration to stop after its current step."""
-        with self._lock:
-            if self.status not in ("queued", "running", "pausing"):
-                return False
-            self._pause.set()
-            if self.status == "running":
-                self.status = "pausing"
-        self._persist()
-        return True
-
-    def mark_paused(self) -> None:
-        """Park the job.  Parked without a pause request, a clean
-        server stop did it, so it counts as recovered — as if the
-        server had died with it live."""
-        with self._lock:
-            self.status = "paused"
-            self.recovered = self.recovered or not self._pause.is_set()
-        self._finished.set()
-        self._persist()
-
-    def resume(self) -> bool:
-        """Clear the pause flag; the server re-dispatches the work."""
-        with self._lock:
-            if self.status != "paused":
-                return False
-            self._pause.clear()
-            self._finished.clear()
-            self.status = "running"
-        self._persist()
-        return True
-
-    @property
-    def pause_requested(self) -> bool:
-        return self._pause.is_set()
-
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the job reaches done/failed/paused."""
+        """Block until the job reaches done/failed."""
         return self._finished.wait(timeout)
 
     def settled(self) -> bool:
-        """True once the job sits in done/failed/paused (no executor
-        thread will emit further events until a resume)."""
+        """True once the job sits in done/failed (no executor thread
+        will emit further events)."""
         return self._finished.is_set()
 
     # -- recovery transitions (applied by JobRegistry.restore) -------------
 
-    def recover_paused(self) -> None:
-        """Park an exploration interrupted by a crash/restart: it holds
-        no executor thread, but its journaled checkpoint makes it
-        resumable through the ordinary ``POST /jobs/<id>/resume``."""
+    def recover_queued(self) -> None:
+        """Re-queue an exploration a dead server left live.  Its body
+        replays the search from the journaled request; the rows the dead
+        run computed come back from the design cache."""
         with self._lock:
-            self.status = "paused"
+            self.status = "queued"
             self.recovered = True
-        self._finished.set()
         self._persist()
 
     def recover_failed(self, error: str) -> None:
@@ -223,7 +172,7 @@ class Job:
         if journal is None:
             return
         with self._lock:
-            data = self.to_dict(include_checkpoint=True)
+            data = self.to_dict()
             data["params"] = self.params
             data["recovered"] = self.recovered
             try:
@@ -245,12 +194,11 @@ class Job:
         job.result = data.get("result")
         job.error = data.get("error")
         job.traceback = data.get("traceback")
-        job.checkpoint = data.get("checkpoint")
         job.trace_id = data.get("trace_id")
         job.plan = data.get("plan")
         job.recovered = bool(data.get("recovered"))
         job._journal = journal
-        if job.status in ("done", "failed", "paused"):
+        if job.status in ("done", "failed"):
             job._finished.set()
         return job
 
@@ -266,22 +214,19 @@ class Job:
                     "recovered": self.recovered,
                     "progress": dict(self.progress)}
 
-    def to_dict(self, include_checkpoint: bool = True) -> dict:
+    def to_dict(self) -> dict:
         with self._lock:
-            out = {"id": self.id, "kind": self.kind, "status": self.status,
-                   "created_s": self.created_s,
-                   "trace_id": self.trace_id,
-                   "plan": self.plan,
-                   "recovered": self.recovered,
-                   "started_s": self.started_s,
-                   "finished_s": self.finished_s,
-                   "progress": dict(self.progress),
-                   "result": self.result,
-                   "error": self.error,
-                   "traceback": self.traceback}
-            if include_checkpoint:
-                out["checkpoint"] = self.checkpoint
-            return out
+            return {"id": self.id, "kind": self.kind, "status": self.status,
+                    "created_s": self.created_s,
+                    "trace_id": self.trace_id,
+                    "plan": self.plan,
+                    "recovered": self.recovered,
+                    "started_s": self.started_s,
+                    "finished_s": self.finished_s,
+                    "progress": dict(self.progress),
+                    "result": self.result,
+                    "error": self.error,
+                    "traceback": self.traceback}
 
 
 class JobRegistry:
@@ -312,7 +257,7 @@ class JobRegistry:
                 # are never discarded, so refuse new ones.
                 raise RegistryFull(
                     f"{live} live jobs (limit {self.max_jobs}); retry "
-                    "when current jobs finish, or pause/resume less")
+                    "when current jobs finish")
             self._jobs[job_id] = job
             # Drop the oldest *finished* jobs once over the bound; live
             # jobs are never discarded.
@@ -332,6 +277,11 @@ class JobRegistry:
     def get(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def queued(self) -> list[Job]:
+        """The jobs waiting for an executor thread."""
+        with self._lock:
+            return [j for j in self._jobs.values() if j.status == "queued"]
 
     def list(self) -> list[dict]:
         with self._lock:
@@ -359,19 +309,18 @@ class JobRegistry:
         ========== ============================ =======================
         journaled  meaning after a dead server  restored as
         ========== ============================ =======================
-        queued /   the executor thread died     explore → ``paused``
-        running /  with the process             (resumable from its
-        pausing                                 checkpoint); batch →
-                                                ``failed`` with a
-                                                recovery error
-        paused     parked, holds no thread      as-is (resumable)
+        queued /   the executor thread died     explore → ``queued``
+        running    with the process (or never   (``recovered``; the
+                   got one)                     server replays it);
+                                                batch → ``failed``
+                                                with a recovery error
         done /     terminal                     as-is
         failed
         ========== ============================ =======================
 
-        Returns ``{"jobs": n, "resumable": n, "failed": n}``.
+        Returns ``{"jobs": n, "requeued": n, "failed": n}``.
         """
-        summary = {"jobs": 0, "resumable": 0, "failed": 0}
+        summary = {"jobs": 0, "requeued": 0, "failed": 0}
         if self.journal is None:
             return summary
         records = sorted(self.journal.load_all(),
@@ -379,17 +328,16 @@ class JobRegistry:
         max_seq = 0
         for data in records:
             job = Job.from_journal(data, journal=self.journal)
-            if job.status in ("queued", "running", "pausing"):
+            if job.status not in ("done", "failed"):
                 if job.kind == "explore":
-                    job.recover_paused()
-                    summary["resumable"] += 1
+                    job.recover_queued()
+                    summary["requeued"] += 1
                 else:
                     job.recover_failed(
                         "server restarted while this batch job was "
-                        f"{job.status}; batch jobs hold no checkpoint, "
-                        "so the work cannot be resumed — resubmit the "
-                        "batch (finished designs are in the cache and "
-                        "will be served warm)")
+                        f"{job.status}; batch jobs are not replayed, so "
+                        "resubmit the batch (finished designs are in the "
+                        "cache and will be served warm)")
                     summary["failed"] += 1
             with self._lock:
                 self._jobs[job.id] = job
@@ -402,30 +350,21 @@ class JobRegistry:
                 self._seq = itertools.count(max_seq + 1)
         return summary
 
-    def sweep_shutdown(self) -> dict:
-        """Transition jobs whose queued executor slot was cancelled by
-        a server shutdown (``cancel_futures=True``): without this they
+    def sweep_shutdown(self) -> int:
+        """Fail the batch jobs whose queued executor slot a server
+        shutdown cancelled (``cancel_futures=True``): without this they
         would sit ``queued`` forever and every ``wait()`` on them would
-        hang to its timeout.  Explorations park as ``paused`` (a resume
-        — possibly after a restart, via the journal — re-runs them);
-        batches fail with an explanation.  Running jobs are left alone:
-        their bodies observe the closing flag themselves."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        swept = {"paused": 0, "failed": 0}
-        for job in jobs:
-            with job._lock:
-                status = job.status
-            if status != "queued":
-                continue
-            if job.kind == "explore":
-                job.mark_paused()
-                swept["paused"] += 1
-            else:
+        hang to its timeout.  Queued explorations stay ``queued`` in the
+        journal, so the next boot on the same root re-queues them, and
+        running jobs finish on their threads.  Returns how many batches
+        failed."""
+        failed = 0
+        for job in self.queued():
+            if job.kind != "explore":
                 job.fail("server shut down before this batch job "
                          "started; resubmit it")
-                swept["failed"] += 1
-        return swept
+                failed += 1
+        return failed
 
 
 def _id_sequence(job_id: str) -> int:

@@ -3,9 +3,9 @@
 The in-memory :class:`~repro.service.jobs.JobRegistry` dies with the
 process; this journal is how it survives.  Each job gets one JSON file
 (``<dir>/<job id>.json``) holding its latest
-:meth:`~repro.service.jobs.Job.to_dict` snapshot (checkpoint included)
-plus its submission params; every transition — and every exploration
-step's checkpoint — overwrites it with the same atomic temp-file +
+:meth:`~repro.service.jobs.Job.to_dict` snapshot plus its submission
+params — for an exploration, everything needed to replay it; every
+transition overwrites it with the same atomic temp-file +
 ``os.replace`` discipline the design cache uses, so a reader (or a
 rebooting server) never observes a partial record.
 
@@ -13,7 +13,7 @@ The journal is deliberately dumb: no log compaction, no cross-file
 index, no locking.  One file per job means a transition costs one
 atomic write, a forgotten job costs one unlink, and recovery is "read
 the directory".  Recovery *policy* — which journaled states are
-resumable after a crash — lives in :meth:`JobRegistry.restore`, not
+replayed after a crash — lives in :meth:`JobRegistry.restore`, not
 here.
 
 The server places the journal under the cache root

@@ -75,7 +75,7 @@ __all__ = ["DesignRouter", "RouterThread", "route"]
 #: router-namespaced backend job ids: ``s<shard>.<backend job id>``
 _SHARD_ID = re.compile(r"^s(\d+)\.(.+)$")
 
-_LIVE = ("queued", "running", "pausing")
+_LIVE = ("queued", "running")
 
 _ROUTER_RETRIES = get_registry().counter(
     "repro_router_retries_total",

@@ -24,10 +24,9 @@ sites and the router's forwarding policy all derive from it, and
 
 When the engine has a cache, the job table is **journaled** under the
 cache root (``<root>/jobs/``, see
-:mod:`repro.service.persist`): every transition and every exploration
-step's checkpoint hits disk, and a server rebooted on the same root
-reloads the table — interrupted explorations park as ``paused``
-(resumable via ``POST /jobs/<id>/resume``), interrupted batches fail
+:mod:`repro.service.persist`): every transition hits disk, and a server
+rebooted on the same root reloads the table — interrupted explorations
+are re-queued and replayed from their request, interrupted batches fail
 with an error explaining the restart.
 
 Every ``POST /generate`` / ``/batch`` / ``/explore`` response carries a
@@ -45,12 +44,12 @@ default); designs emitted by different families are cached under
 distinct content hashes, so a warm hit for one family is never served
 for another.
 
-`/explore` jobs advance in checkpointed steps
-(:func:`repro.dse.checkpoint.run_checkpointed`): after every
-``step_evals`` worth of evaluations the job's resumable checkpoint is
-refreshed in the job table, so a poll always sees a snapshot that
-survives a killed server — POST the checkpoint back to ``/explore`` on a
-fresh server and the search resumes bit-for-bit.
+An `/explore` job is one :func:`repro.dse.run_search` call.  A search
+is a deterministic function of its request, and every row it evaluates
+is stored in the design cache as soon as it is computed, so replaying
+the request after a crash is its resume path: the rows the dead run
+finished come back as cache hits, and the result is bit-for-bit the
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
-from ..dse.checkpoint import run_checkpointed, space_from_dict
 from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
                    get_logger, get_registry, get_tracer, new_trace_id,
                    parse_trace_header, profile_for, refresh_trace_metrics,
@@ -149,8 +147,6 @@ ROUTES = (
     Route(("GET",), "/jobs", "jobs", "merged"),
     Route(("GET",), "/jobs/<id>", "job", "tagged"),
     Route(("GET",), "/jobs/<id>/stream", "stream", "tagged"),
-    Route(("POST",), "/jobs/<id>/pause", "pause", "tagged"),
-    Route(("POST",), "/jobs/<id>/resume", "resume", "tagged"),
 )
 _STATIC_ROUTES = {r.pattern: r for r in ROUTES if "<id>" not in r.pattern}
 #: per-job routes by what follows the id ("" for ``/jobs/<id>`` itself)
@@ -221,6 +217,14 @@ def _check_number(data: dict, key: str, kind=(int, float),
         raise _BadRequest(f'"{key}" must be >= {minimum}, got {value!r}')
 
 
+#: every ``POST /explore`` field with its default; a job's params are
+#: this dict filled from the request, and they are what its journal
+#: record replays
+_EXPLORE_FIELDS = {"models": ["ResNet50"], "strategy": "exhaustive",
+                   "objective": "edp", "max_evals": None, "seed": 0,
+                   "area_budget_mm2": None, "space": None}
+
+
 def _request_from_body(data: dict) -> DesignRequest:
     """A full :class:`DesignRequest` from a (possibly partial) dict,
     with unknown keys rejected rather than silently ignored."""
@@ -259,35 +263,27 @@ class _JobStream(StreamPayload):
     """Live NDJSON view of one job: replays the buffered events, then
     follows new ones at a small poll cadence *on the event loop* (no
     executor thread is held), and terminates with an ``end`` event
-    carrying the full job dict once the job settles (done / failed /
-    paused) or the server starts closing."""
+    carrying the full job dict once the job settles (done / failed)
+    or the server starts closing."""
 
     poll_s = 0.05
 
-    def __init__(self, job, include_checkpoint: bool = True):
+    def __init__(self, job):
         self.job = job
-        self.include_checkpoint = include_checkpoint
-
-    def _strip(self, event: dict) -> dict:
-        if self.include_checkpoint or "checkpoint" not in event:
-            return event
-        return {k: v for k, v in event.items() if k != "checkpoint"}
 
     async def events(self, closing: threading.Event):
         cursor = 0
         while True:
             fresh, cursor = self.job.events_since(cursor)
             for event in fresh:
-                yield self._strip(event)
+                yield event
             if self.job.settled() or closing.is_set():
                 break
             await asyncio.sleep(self.poll_s)
         fresh, cursor = self.job.events_since(cursor)
         for event in fresh:
-            yield self._strip(event)
-        yield {"event": "end",
-               "job": self.job.to_dict(
-                   include_checkpoint=self.include_checkpoint)}
+            yield event
+        yield {"event": "end", "job": self.job.to_dict()}
 
 
 class HttpServerBase:
@@ -646,35 +642,31 @@ class DesignServer(HttpServerBase):
 
     With a cached engine and ``persist_jobs=True`` (the default) the
     job table is journaled under ``<cache root>/jobs/`` and
-    reloaded on construction — see the module docstring's recovery
-    matrix.  ``job_workers`` overrides the job-body executor width
-    (defaults to ``min(max_jobs, 32)``).  Remaining keyword arguments
-    (``host``, ``port``, ``slow_request_ms``) are
+    reloaded on construction — see :meth:`JobRegistry.restore`'s
+    recovery matrix.  ``job_workers`` overrides the job-body executor
+    width (defaults to ``min(max_jobs, 32)``).  Remaining keyword
+    arguments (``host``, ``port``, ``slow_request_ms``) are
     :class:`HttpServerBase`'s.
     """
 
     def __init__(self, engine: BatchEngine | None = None,
-                 step_evals: float = 1.0, max_jobs: int = 1024,
-                 persist_jobs: bool = True,
+                 max_jobs: int = 1024, persist_jobs: bool = True,
                  job_workers: int | None = None, **http):
         super().__init__(**http)
         self.engine = engine if engine is not None else BatchEngine()
-        #: default checkpoint step of `/explore` jobs, in
-        #: full-model-equivalents (smaller = finer pause granularity)
-        self.step_evals = step_evals
         journal = None
         if persist_jobs and self.engine.cache is not None:
             journal = JobJournal(self.engine.cache.root / "jobs")
         self.journal = journal
         self.jobs = JobRegistry(max_jobs=max_jobs, journal=journal)
-        #: boot-recovery summary ({"jobs": n, "resumable": n,
+        #: boot-recovery summary ({"jobs": n, "requeued": n,
         #: "failed": n}; all zero on a fresh root or without a journal)
         self.recovered = self.jobs.restore()
         if self.recovered.get("jobs"):
             self._log.info(
-                "restored %d journaled job(s): %d exploration(s) parked "
-                "paused (resumable), %d interrupted batch(es) failed",
-                self.recovered["jobs"], self.recovered["resumable"],
+                "restored %d journaled job(s): %d exploration(s) "
+                "re-queued, %d interrupted batch(es) failed",
+                self.recovered["jobs"], self.recovered["requeued"],
                 self.recovered["failed"])
         # Long-lived /batch and /explore job bodies get their own
         # bounded pool, sized consistently with the job registry: the
@@ -686,18 +678,25 @@ class DesignServer(HttpServerBase):
                          else max(1, min(max_jobs, 32))),
             thread_name_prefix="repro-job")
 
+    async def start(self) -> "DesignServer":
+        # The explorations the journal re-queued replay now.  Before the
+        # socket opens they are the only queued jobs.
+        for job in self.jobs.queued():
+            self._submit(self._run_explore_job, job)
+        return await super().start()
+
     async def stop(self) -> None:
         self._closing.set()
-        # Queued-but-unstarted job bodies are dropped; running ones see
-        # _closing at their next checkpoint and park themselves.
+        # Queued-but-unstarted job bodies are dropped; running ones
+        # finish on their threads.
         self._job_executor.shutdown(wait=False, cancel_futures=True)
-        # The dropped queued jobs would otherwise sit "queued" forever
-        # and hang every wait() on them: transition them now — explore
-        # parks paused (resumable, and journaled for the next boot),
-        # batch fails with an explanation.
-        swept = self.jobs.sweep_shutdown()
-        if any(swept.values()):
-            self._log.info("shutdown swept queued jobs: %s", swept)
+        # A dropped batch would otherwise sit "queued" forever and hang
+        # every wait() on it; a dropped exploration stays journaled
+        # "queued", and the next boot on this root replays it.
+        failed = self.jobs.sweep_shutdown()
+        if failed:
+            self._log.info("shutdown failed %d queued batch job(s)",
+                           failed)
         await super().stop()
 
     def banner(self) -> str:
@@ -811,18 +810,18 @@ class DesignServer(HttpServerBase):
                      "requests": len(requests), "trace_id": job.trace_id}
 
     async def _ep_explore(self, req: Request) -> tuple[int, dict]:
+        from ..dse.explorer import space_from_dict
+        from ..dse.strategies import OBJECTIVES, get_strategy
         from ..models import zoo
 
         data = req.data
         if not isinstance(data, dict):
             raise _BadRequest("body must be a JSON object")
-        checkpoint = data.get("checkpoint")
-        if checkpoint is not None and not isinstance(checkpoint, dict):
-            raise _BadRequest('"checkpoint" must be a checkpoint object')
-        if checkpoint is not None:
-            model_names = checkpoint.get("model_names", [])
-        else:
-            model_names = data.get("models", ["ResNet50"])
+        unknown = set(data) - set(_EXPLORE_FIELDS)
+        if unknown:
+            raise _BadRequest(f"unknown explore fields: {sorted(unknown)}")
+        params = dict(_EXPLORE_FIELDS, **data)
+        model_names = params["models"]
         if (not isinstance(model_names, list) or not model_names
                 or not all(isinstance(m, str) for m in model_names)):
             raise _BadRequest('"models" must be a list of model names')
@@ -830,36 +829,16 @@ class DesignServer(HttpServerBase):
         if unknown:
             raise _BadRequest(f"unknown models {unknown}; choose from "
                               f"{sorted(zoo.MODEL_BUILDERS)}")
-        step = data.get("step_evals", self.step_evals)
-        if step is not None and (isinstance(step, bool)
-                                 or not isinstance(step, (int, float))
-                                 or step <= 0):
-            raise _BadRequest('"step_evals" must be a positive number '
-                              "(or null to run without pausing)")
         _check_number(data, "max_evals", minimum=1)
         _check_number(data, "seed", kind=int)
         _check_number(data, "area_budget_mm2")
-        strategy = data.get("strategy", "exhaustive")
-        params = {
-            "models": model_names,
-            "strategy": strategy,
-            "objective": data.get("objective", "edp"),
-            "max_evals": data.get("max_evals"),
-            "seed": data.get("seed", 0),
-            "area_budget_mm2": data.get("area_budget_mm2"),
-            "space": data.get("space"),
-            "step_evals": step,
-            "checkpoint": checkpoint,
-        }
         # Fail fast on bad strategy/space/objective before queueing.
-        from ..dse.strategies import OBJECTIVES, get_strategy
         if (params["space"] is not None
                 and not isinstance(params["space"], dict)):
             raise _BadRequest('"space" must be an object of DesignSpace '
                               "axes (see repro.dse.space_to_dict)")
         try:
-            if checkpoint is None:
-                get_strategy(strategy)
+            get_strategy(params["strategy"])
             if params["space"] is not None:
                 space_from_dict(params["space"])
         except (ValueError, TypeError, KeyError) as exc:
@@ -869,12 +848,10 @@ class DesignServer(HttpServerBase):
                               f"{params['objective']!r}; expected "
                               f"{sorted(OBJECTIVES)}")
         job = self.jobs.create("explore", params)
-        job.set_checkpoint(checkpoint)
         job.trace_id = current_trace_id() or new_trace_id()
         job.trace_parent = current_span_id()
         self._submit(self._run_explore_job, job)
         return 202, {"job": job.id, "status": job.status,
-                     "resumed": checkpoint is not None,
                      "trace_id": job.trace_id}
 
     # -- per-job endpoints -------------------------------------------------
@@ -886,35 +863,10 @@ class DesignServer(HttpServerBase):
         return job
 
     async def _ep_job(self, req: Request) -> tuple[int, dict]:
-        return 200, self._job(req).to_dict(
-            include_checkpoint=req.params.get("checkpoint") != "0")
+        return 200, self._job(req).to_dict()
 
     async def _ep_stream(self, req: Request):
-        return 200, _JobStream(
-            self._job(req),
-            include_checkpoint=req.params.get("checkpoint") != "0")
-
-    async def _ep_pause(self, req: Request) -> tuple[int, dict]:
-        job = self._job(req)
-        if job.kind != "explore":
-            raise _BadRequest("only explore jobs can be paused")
-        if job.params.get("step_evals") is None:
-            raise _BadRequest(
-                "this job runs without a step_evals budget and cannot "
-                "pause; submit with a step_evals to make an exploration "
-                "pausable")
-        accepted = job.pause()
-        return (202 if accepted else 400,
-                {"job": job.id, "status": job.status,
-                 "accepted": accepted})
-
-    async def _ep_resume(self, req: Request) -> tuple[int, dict]:
-        job = self._job(req)
-        if not job.resume():
-            raise _BadRequest(f"job {job.id} is not paused "
-                              f"(status {job.status})")
-        self._submit(self._run_explore_job, job)
-        return 202, {"job": job.id, "status": job.status}
+        return 200, _JobStream(self._job(req))
 
     # -- background work (executor threads) --------------------------------
 
@@ -965,61 +917,24 @@ class DesignServer(HttpServerBase):
                      traceback.format_exc())
 
     def _run_explore_job(self, job) -> None:
-        with trace_context(job.trace_id, job.trace_parent), \
-                trace_span("job:explore", job=job.id):
-            self._explore_body(job)
-
-    def _explore_body(self, job) -> None:
+        from ..dse.explorer import space_from_dict
+        from ..dse.strategies import run_search
         from ..models import zoo
 
         try:
             job.start()
             p = job.params
-            models = [zoo.MODEL_BUILDERS[name]() for name in p["models"]]
-            space = (space_from_dict(p["space"])
-                     if p.get("space") is not None else None)
-            ckpt = job.checkpoint
-            step = p.get("step_evals")
-            while True:
-                if ckpt is None:
-                    result, snapshot = run_checkpointed(
-                        models, space, strategy=p["strategy"],
-                        objective=p["objective"],
-                        area_budget_mm2=p["area_budget_mm2"],
-                        workers=self.engine.workers,
-                        cache=self.engine.cache,
-                        max_evals=p["max_evals"], seed=p["seed"],
-                        model_names=p["models"], step_evals=step)
-                else:
-                    result, snapshot = run_checkpointed(
-                        models=models, checkpoint=ckpt,
-                        workers=self.engine.workers,
-                        cache=self.engine.cache, step_evals=step)
-                stalled = (job.checkpoint is not None
-                           and snapshot.evals_used
-                           <= job.checkpoint.get("evals_used", -1.0))
-                ckpt = snapshot.to_dict()
-                # set_checkpoint (vs plain assignment) journals the
-                # snapshot, so a SIGKILL between steps loses at most
-                # the step in flight.
-                job.set_checkpoint(ckpt)
-                job.update_progress(**snapshot.progress())
-                job.emit({"event": "checkpoint",
-                          "progress": snapshot.progress(),
-                          "checkpoint": ckpt})
-                if result is not None:
-                    job.finish(result.to_json())
-                    return
-                if job.pause_requested or self._closing.is_set():
-                    job.mark_paused()
-                    return
-                if stalled:
-                    # Defense in depth: a step that charges nothing can
-                    # never finish — fail loudly instead of spinning.
-                    job.fail("exploration step made no progress "
-                             f"(evals_used stuck at "
-                             f"{snapshot.evals_used})")
-                    return
+            with trace_context(job.trace_id, job.trace_parent), \
+                    trace_span("job:explore", job=job.id):
+                result = run_search(
+                    [zoo.MODEL_BUILDERS[name]() for name in p["models"]],
+                    (space_from_dict(p["space"])
+                     if p["space"] is not None else None),
+                    strategy=p["strategy"], objective=p["objective"],
+                    area_budget_mm2=p["area_budget_mm2"],
+                    workers=self.engine.workers, cache=self.engine.cache,
+                    max_evals=p["max_evals"], seed=p["seed"])
+            job.finish(result.to_json())
         except Exception as exc:  # noqa: BLE001 — job table captures it
             job.fail(f"{type(exc).__name__}: {exc}",
                      traceback.format_exc())

@@ -60,7 +60,6 @@ class TechModel:
     sram_area_per_bit: float = 0.60     # um^2 per bit + bank overhead
     sram_bank_overhead: float = 2500.0
     dram_energy_per_byte: float = 20.0  # pJ/byte (LPDDR-class)
-    noc_energy_per_byte_hop: float = 0.18
     noc_area_per_port: float = 230.0
 
     def scaled(self, node_nm: float) -> "TechModel":

@@ -32,9 +32,9 @@ from ..models.layers import AttentionLayer, ConvLayer, LinearLayer, PPULayer
 from .energy_model import TSMC28, TechModel, sram_model
 from .ppu import ppu_latency_cycles
 
-__all__ = ["ArchPerf", "LayerPerf", "ModelPerf", "spatial_options",
-           "evaluate_layer", "evaluate_model", "best_dataflow", "memo_info",
-           "GEMMINI_LIKE"]
+__all__ = ["ArchPerf", "LayerPerf", "ModelPerf", "DATAFLOWS",
+           "spatial_options", "evaluate_layer", "evaluate_model",
+           "best_dataflow", "memo_info", "GEMMINI_LIKE"]
 
 
 @dataclass(frozen=True)
@@ -184,20 +184,21 @@ def spatial_options(layer, dataflow: str,
     ``OCOH`` are the Eyeriss- and AutoSA-style conv dataflows.
     """
     p0, p1 = array
-    if isinstance(layer, ConvLayer):
-        mapping = {"MN": ("oh", "ow"), "ICOC": ("ic", "oc"),
-                   "KHOH": ("kh", "oh"), "OCOH": ("oc", "oh")}
-        if dataflow not in mapping:
-            return None
-        a, b = mapping[dataflow]
-        return {a: p0, b: p1}
-    mapping = {"MN": ("m", "n"), "ICOC": ("k", "n"), "OCOH": ("n", "m"),
-               "KHOH": None}
-    pair = mapping.get(dataflow)
+    pair = (_CONV_SPATIAL if isinstance(layer, ConvLayer)
+            else _GEMM_SPATIAL).get(dataflow)
     if pair is None:
         return None
     a, b = pair
     return {a: p0, b: p1}
+
+
+#: the spatial dims each named dataflow parallelizes, per layer family
+_CONV_SPATIAL = {"MN": ("oh", "ow"), "ICOC": ("ic", "oc"),
+                 "KHOH": ("kh", "oh"), "OCOH": ("oc", "oh")}
+_GEMM_SPATIAL = {"MN": ("m", "n"), "ICOC": ("k", "n"), "OCOH": ("n", "m")}
+
+#: every dataflow name :func:`spatial_options` knows
+DATAFLOWS = tuple(_CONV_SPATIAL)
 
 
 def _tile_search(dims: dict[str, int], tensors: dict[str, tuple[str, ...]],

@@ -1,19 +1,22 @@
-"""Property-style tests of DSE checkpointing: an interrupted-then-
-resumed search must reproduce the uninterrupted run's evaluation
-sequence **bit-for-bit** — same archs, same order, same raw
-cycles/energy floats, same metered cost — for many seeds, strategies,
-and interruption granularities, including across a JSON round-trip of
-every intermediate checkpoint (the wire format the server polls out)."""
+"""Replay properties of DSE searches.  A search is a deterministic
+function of its seed, and every row it computes is stored in the design
+cache as soon as it exists, so rerunning an interrupted search over the
+same cache is its resume path.  These tests hold that to bit-for-bit
+equality: the same archs in the same order with the same raw
+cycles/energy floats, and the same ``SearchResult`` record, for many
+seeds, strategies and interruption points."""
 
 import json
 
 import pytest
 
-from repro.dse import (DesignSpace, SearchCheckpoint, SearchPaused,
-                       run_checkpointed, run_search, space_from_dict,
+import repro.service.engine as engine
+import repro.sim.perf_model as perf
+from repro.dse import (DesignSpace, run_search, space_from_dict,
                        space_to_dict)
-from repro.dse.strategies import PointEvaluator
 from repro.models import zoo
+from repro.service import DesignCache
+from repro.sim.energy_model import TSMC28
 
 SPACE = DesignSpace(arrays=((8, 8), (16, 16), (8, 32)),
                     buffer_kb=(128.0, 256.0),
@@ -22,167 +25,124 @@ MODELS = [zoo.lenet()]
 SEEDS = range(6)
 
 
-def interrupted_run(strategy, seed, step, max_evals=8, json_hop=True):
-    """Drive a search to completion in `step`-sized interrupted pieces,
-    optionally JSON-round-tripping the checkpoint between pieces."""
-    result, ckpt = run_checkpointed(MODELS, SPACE, strategy=strategy,
-                                    seed=seed, max_evals=max_evals,
-                                    step_evals=step)
-    hops = 0
-    while result is None:
-        hops += 1
-        assert hops < 200, "resume loop did not converge"
-        if json_hop:
-            ckpt = SearchCheckpoint.loads(ckpt.dumps())
-        result, ckpt = run_checkpointed(checkpoint=ckpt, step_evals=step)
-    return result, ckpt, hops
+class Interrupted(Exception):
+    """Stands in for a kill: raised by the row computation."""
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every row the evaluator asks ``engine.evaluate_archs`` for, in
+    order, as ``(model names, arch name, row)``."""
+    log = []
+    original = engine.evaluate_archs
+
+    def recording(models, archs, tech, **kwargs):
+        rows = original(models, archs, tech, **kwargs)
+        names = [m.name for m in models]
+        log.extend((names, arch.name, row) for arch, row in zip(archs, rows))
+        return rows
+
+    monkeypatch.setattr(engine, "evaluate_archs", recording)
+    return log
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Count the rows actually computed (cache misses), and interrupt
+    the run once ``computed["kill_after"]`` rows exist."""
+    state = {"rows": 0, "kill_after": None}
+    original = engine._eval_arch
+
+    def counting(models, arch, tech):
+        if state["rows"] == state["kill_after"]:
+            raise Interrupted(f"killed after {state['rows']} rows")
+        state["rows"] += 1
+        return original(models, arch, tech)
+
+    monkeypatch.setattr(engine, "_eval_arch", counting)
+    return state
+
+
+def search(strategy, seed, cache=None, max_evals=8):
+    return run_search(MODELS, SPACE, strategy=strategy, seed=seed,
+                      max_evals=max_evals, cache=cache)
 
 
 class TestBitForBitReplay:
     @pytest.mark.parametrize("strategy", ["exhaustive", "anneal",
                                           "halving"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_eval_sequence_identical(self, strategy, seed):
-        full, done = run_checkpointed(MODELS, SPACE, strategy=strategy,
-                                      seed=seed, max_evals=8)
-        step = 0.5 + (seed % 3)  # vary the interruption granularity
-        result, ckpt, hops = interrupted_run(strategy, seed, step)
-        assert done.completed and ckpt.completed
-        # The witness: every charged evaluation, in order, with the raw
-        # model rows — equality here is exact float equality.
-        assert ckpt.eval_log == done.eval_log
-        assert ckpt.evals_used == done.evals_used
-        assert ckpt.points_evaluated == done.points_evaluated
-        assert result.best.arch.name == full.best.arch.name
-        assert result.best.edp == full.best.edp
-        assert ([p.arch.name for p in result.points]
-                == [p.arch.name for p in full.points])
+    def test_eval_sequence_identical(self, evaluations, strategy, seed):
+        """Same seed, same evaluation sequence, same result record."""
+        first = search(strategy, seed).to_json()
+        sequence = list(evaluations)
+        evaluations.clear()
+        second = search(strategy, seed).to_json()
+        assert sequence and evaluations == sequence
+        assert json.dumps(second) == json.dumps(first)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_single_eval_steps_anneal(self, seed):
-        """The finest pause granularity (one eval per request) still
-        replays exactly — the serving front end's default."""
-        full, done = run_checkpointed(MODELS, SPACE, strategy="anneal",
-                                      seed=seed, max_evals=6)
-        result, ckpt, hops = interrupted_run("anneal", seed, step=1,
-                                             max_evals=6)
-        assert ckpt.eval_log == done.eval_log
-        assert result.best.edp == full.best.edp
-        assert hops >= 1  # the run was actually interrupted
+    def test_single_eval_steps_anneal(self, tmp_path, computed, seed):
+        """The finest interruption granularity: an anneal killed after
+        any single evaluation replays over its cache to the uninterrupted
+        result, computing only the rows the dead run had not stored."""
+        full = search("anneal", seed, max_evals=6).to_json()
+        total = computed["rows"]
+        assert total >= 2
+        for kill_after in range(1, total):
+            root = tmp_path / f"killed-after-{kill_after}"
+            computed.update(rows=0, kill_after=kill_after)
+            with pytest.raises(Interrupted):
+                search("anneal", seed, DesignCache(root=root), max_evals=6)
+            computed.update(rows=0, kill_after=None)
+            replay = search("anneal", seed, DesignCache(root=root),
+                            max_evals=6)
+            assert json.dumps(replay.to_json()) == json.dumps(full)
+            assert computed["rows"] == total - kill_after
 
-    def test_paused_run_is_a_prefix(self):
-        result, ckpt = run_checkpointed(MODELS, SPACE, strategy="anneal",
-                                        seed=0, max_evals=8, step_evals=2)
-        assert result is None and not ckpt.completed
-        _, done = run_checkpointed(MODELS, SPACE, strategy="anneal",
-                                   seed=0, max_evals=8)
-        assert ckpt.eval_log == done.eval_log[:len(ckpt.eval_log)]
-        assert len(ckpt.eval_log) < len(done.eval_log)
-        assert ckpt.rng_state is not None  # the pause-time RNG snapshot
-
-    def test_matches_plain_run_search(self):
-        """run_checkpointed without a step is run_search plus a
-        completed checkpoint."""
-        direct = run_search(MODELS, SPACE, strategy="halving", seed=3)
-        result, ckpt = run_checkpointed(MODELS, SPACE, strategy="halving",
-                                        seed=3)
-        assert ckpt.completed and ckpt.rng_state is None
-        assert result.best.edp == direct.best.edp
-        assert result.evals_used == direct.evals_used
-
-    def test_strategy_params_survive_resume(self):
-        from repro.dse import SuccessiveHalving
-
-        strat = SuccessiveHalving(eta=2, proxy_fraction=0.5)
-        result, ckpt = run_checkpointed(MODELS, SPACE, strategy=strat,
-                                        seed=1, step_evals=1)
-        assert ckpt.strategy_params == {"eta": 2, "proxy_fraction": 0.5}
-        while result is None:
-            result, ckpt = run_checkpointed(checkpoint=ckpt, step_evals=1)
-        full, _ = run_checkpointed(MODELS, SPACE,
-                                   strategy=SuccessiveHalving(
-                                       eta=2, proxy_fraction=0.5),
-                                   seed=1)
-        assert result.best.edp == full.best.edp
+    def test_interrupted_run_stores_a_prefix(self, tmp_path, evaluations,
+                                             computed):
+        """Rows are durable as they are computed: an exhaustive sweep
+        (one ``evaluate_archs`` call) killed after two rows leaves
+        exactly the first two rows of the uninterrupted sequence on
+        disk."""
+        search("exhaustive", 0)
+        fingerprints = [engine.model_fingerprint(m) for m in MODELS]
+        archs = {a.name: a for a in SPACE.points()}
+        keys = [engine._eval_key(fingerprints, archs[name], TSMC28)
+                for _names, name, _row in evaluations]
+        computed.update(rows=0, kill_after=2)
+        cache = DesignCache(root=tmp_path)
+        with pytest.raises(Interrupted):
+            search("exhaustive", 0, cache)
+        stored = DesignCache(root=tmp_path)
+        assert [stored.get(k) is not None for k in keys] \
+            == [True, True] + [False] * (len(keys) - 2)
+        assert stored.get(keys[1]) == evaluations[1][2]
 
 
-class TestCheckpointFormat:
-    def test_json_roundtrip_exact(self):
-        _, ckpt = run_checkpointed(MODELS, SPACE, strategy="anneal",
-                                   seed=2, max_evals=5, step_evals=2)
-        clone = SearchCheckpoint.loads(ckpt.dumps())
-        assert clone.to_dict() == ckpt.to_dict()
+class TestReplayFromCache:
+    def test_cached_rows_make_replay_free(self, tmp_path, monkeypatch):
+        """A finished search replayed over the same cache root computes
+        nothing: with ``evaluate_model`` raising, the replay still
+        returns the identical result, and every lookup is a hit."""
+        for strategy in ("exhaustive", "anneal", "halving"):
+            root = tmp_path / strategy
+            first = search(strategy, 1, DesignCache(root=root)).to_json()
 
-    def test_save_load_file(self, tmp_path):
-        _, ckpt = run_checkpointed(MODELS, SPACE, seed=0, step_evals=1)
-        path = ckpt.save(tmp_path / "search.ckpt.json")
-        resumed, done = run_checkpointed(checkpoint=path, step_evals=100)
-        assert done.completed and resumed.best is not None
+            def boom(*args, **kwargs):
+                raise AssertionError("the replay recomputed a cached row")
 
-    def test_rejects_foreign_format(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            SearchCheckpoint.from_dict({"format": "something-else"})
+            with monkeypatch.context() as patch:
+                patch.setattr(perf, "evaluate_model", boom)
+                cache = DesignCache(root=root)
+                replay = search(strategy, 1, cache).to_json()
+            assert json.dumps(replay) == json.dumps(first)
+            assert cache.stats.misses == 0 and cache.stats.hits > 0
 
+
+class TestSpaceFormat:
     def test_space_roundtrip(self):
         clone = space_from_dict(json.loads(json.dumps(
             space_to_dict(SPACE))))
         assert clone == SPACE
-
-    def test_model_fingerprint_mismatch_rejected(self):
-        _, ckpt = run_checkpointed(MODELS, SPACE, seed=0, step_evals=1)
-        with pytest.raises(ValueError, match="fingerprint"):
-            run_checkpointed(models=[zoo.alexnet()], checkpoint=ckpt,
-                             step_evals=1)
-
-    def test_non_zoo_model_needs_explicit_models(self):
-        from repro.models.layers import Model
-
-        custom = Model("custom", zoo.lenet().layers)
-        _, ckpt = run_checkpointed([custom], SPACE, seed=0, step_evals=1)
-        with pytest.raises(ValueError, match="zoo"):
-            run_checkpointed(checkpoint=ckpt, step_evals=1)
-        result, done = run_checkpointed(models=[custom], checkpoint=ckpt,
-                                        step_evals=100)
-        assert done.completed and result.best is not None
-
-    def test_fresh_run_requires_models(self):
-        with pytest.raises(ValueError, match="models"):
-            run_checkpointed(space=SPACE)
-
-
-class TestPauseMechanics:
-    def test_evaluator_raises_when_budget_spent(self):
-        evaluator = PointEvaluator(MODELS, pause_after=2.0)
-        archs = list(SPACE.points())[:4]
-        with pytest.raises(SearchPaused):
-            evaluator.evaluate(archs)
-        assert evaluator.evals_used == 2.0
-        assert len(evaluator.eval_log) == 2
-
-    def test_no_pause_without_budget(self):
-        evaluator = PointEvaluator(MODELS)
-        points = evaluator.evaluate(list(SPACE.points())[:3])
-        assert len(points) == 3
-
-    def test_checkpoint_rows_make_resume_cheap(self):
-        """Replay must reuse the checkpoint's rows rather than
-        recomputing: a resume with a poisoned evaluate_model would only
-        survive if every warm row came from the checkpoint."""
-        _, ckpt = run_checkpointed(MODELS, SPACE, strategy="exhaustive",
-                                   seed=0, step_evals=100)
-        assert ckpt.completed and len(ckpt.rows) > 0
-        # Resume the finished search: every row is warm, zero cold work.
-        import repro.sim.perf_model as perf
-
-        original = perf.evaluate_model
-
-        def boom(*args, **kwargs):
-            raise AssertionError("resume recomputed a warm row")
-
-        perf.evaluate_model = boom
-        try:
-            result, done = run_checkpointed(checkpoint=ckpt)
-        finally:
-            perf.evaluate_model = original
-        assert done.completed
-        assert done.eval_log == ckpt.eval_log

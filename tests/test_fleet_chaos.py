@@ -6,10 +6,11 @@ load and show the self-healing tier absorbs it.
   client-visible errors (the router's health-gated retry moves the
   affected requests to the replica), and once the primary is revived on
   the same port the breaker re-closes.
-* **Revival.** A server killed mid-exploration comes back on the same
-  cache root with the job parked as ``paused``; resuming it finishes a
-  search bit-for-bit identical to an uninterrupted one, and every design
-  the clients generated through the outage is warm afterwards.
+* **Revival.** A server SIGKILLed mid-exploration comes back on the
+  same cache root with the job re-queued; with no client action it
+  finishes a search bit-for-bit identical to an uninterrupted one, every
+  row stored before the kill is a cache hit, and every design the
+  clients generated through the outage is warm afterwards.
 
 Timing is not asserted here: `bench/run.py`'s ``serve_routed`` workload
 measures the routed warm path.
@@ -24,18 +25,15 @@ import sys
 import threading
 import time
 
+from repro.dse import DesignSpace, run_search
+from repro.models import zoo
 from repro.service import RouterThread, ServiceClient, ServiceError
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
-SMALL_SPACE = {
-    "arrays": [[8, 8], [16, 16]],
-    "buffer_kb": [128.0, 256.0],
-    "dram_gbps": [16.0],
-    "dataflow_sets": [["ICOC"], ["MN", "ICOC"]],
-}
-EXPLORE = dict(models=["LeNet"], strategy="anneal", max_evals=8,
-               seed=11, space=SMALL_SPACE, step_evals=1)
+#: every zoo model over the default 48-point space: about a second of
+#: rows after the first, so a kill lands mid-search
+EXPLORE = dict(models=sorted(zoo.MODEL_BUILDERS), strategy="exhaustive")
 
 
 def _free_port() -> int:
@@ -67,6 +65,60 @@ def _boot(root, port) -> subprocess.Popen:
 def _kill(proc: subprocess.Popen) -> None:
     proc.kill()  # SIGKILL: no FIN, no goodbye
     proc.wait()
+
+
+def uninterrupted_exploration() -> dict:
+    """The result record of EXPLORE run straight through, in-process."""
+    models = [zoo.MODEL_BUILDERS[name]() for name in EXPLORE["models"]]
+    return run_search(models, DesignSpace(),
+                      strategy=EXPLORE["strategy"]).to_json()
+
+
+def eval_rows_on_disk(root) -> int:
+    """DSE evaluation rows stored under a cache root."""
+    return sum('"eval-v1"' in path.read_text()
+               for path in root.glob("??/*.json"))
+
+
+def explore_then_sigkill(root, port: int, on_started=None) -> tuple[str,
+                                                                    int]:
+    """Boot ``repro serve`` on *root*, start EXPLORE, and SIGKILL the
+    server once at least one evaluation row is on disk.  Returns the
+    job id and the rows the dead server left on disk."""
+    proc = _boot(root, port)
+    try:
+        with ServiceClient(port=port, timeout=60) as c:
+            job_id = c.explore(**EXPLORE)
+            if on_started is not None:
+                on_started()
+            deadline = time.monotonic() + 120
+            while not eval_rows_on_disk(root):
+                assert time.monotonic() < deadline, "no row was stored"
+                time.sleep(0.005)
+    finally:
+        _kill(proc)
+    return job_id, eval_rows_on_disk(root)
+
+
+def assert_replayed(client, job_id: str, rows_before_kill: int,
+                    reference: dict, other_misses: bool = False) -> dict:
+    """The revived server finishes the re-queued job by itself, with the
+    uninterrupted result, computing only the rows the dead one had not
+    stored (exactly, unless *other_misses*: other traffic shares the
+    cache counters).  Returns the final job."""
+    total = reference["points_evaluated"]
+    assert 1 <= rows_before_kill < total, "the kill missed the search"
+    final = client.wait(job_id, timeout=120)
+    assert final["status"] == "done", final["error"]
+    assert final["recovered"] is True
+    assert json.dumps(final["result"], sort_keys=True) \
+        == json.dumps(reference, sort_keys=True)
+    misses = client.health()["cache"]["misses"]
+    if other_misses:
+        assert misses >= total - rows_before_kill
+    else:
+        assert misses == total - rows_before_kill
+    return final
 
 
 def test_primary_sigkill_zero_client_errors(tmp_path):
@@ -152,21 +204,10 @@ def _generate_with_retry(port_box: dict, spec: dict,
 def test_kill_revive_mid_exploration(tmp_path):
     specs = [{"kernel": "gemm", "array": [a, b]}
              for a, b in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))]
-
-    # The uninterrupted reference: same exploration, separate root.
-    ref_port = _free_port()
-    reference = _boot(tmp_path / "ref", ref_port)
-    try:
-        with ServiceClient(port=ref_port, timeout=60) as c:
-            uninterrupted = c.wait(c.explore(**EXPLORE), timeout=300)
-            assert uninterrupted["status"] == "done"
-    finally:
-        _kill(reference)
+    reference = uninterrupted_exploration()
 
     root = tmp_path / "cache"
-    port = _free_port()
-    proc = _boot(root, port)
-    port_box = {"port": port}
+    port_box = {"port": _free_port()}
     client_results, client_errors = [], []
     deadline = time.monotonic() + 240
 
@@ -177,20 +218,11 @@ def test_kill_revive_mid_exploration(tmp_path):
         except Exception as exc:  # noqa: BLE001
             client_errors.append(str(exc))
 
-    threads = [threading.Thread(target=client_worker, args=(s,))
-               for s in specs]
-    try:
-        with ServiceClient(port=port, timeout=60) as c:
-            job_id = c.explore(**EXPLORE)
-            for t in threads:
-                t.start()
-            # SIGKILL as soon as one checkpoint is journaled.
-            for event in c.stream(job_id):
-                if event.get("event") in ("checkpoint", "end"):
-                    break
-    except (OSError, ServiceError):
-        pass  # the stream may die with the process: that is the point
-    _kill(proc)
+    threads = [threading.Thread(target=client_worker, args=(s,),
+                                daemon=True) for s in specs]
+    job_id, stored = explore_then_sigkill(
+        root, port_box["port"],
+        on_started=lambda: [t.start() for t in threads])
 
     # Revive on the same root (new port: the old one may linger in
     # TIME_WAIT) and let the in-flight clients find it.
@@ -198,15 +230,8 @@ def test_kill_revive_mid_exploration(tmp_path):
     proc = _boot(root, port)
     try:
         with ServiceClient(port=port, timeout=60) as c:
-            state = c.job(job_id)
-            if state["status"] == "done":
-                final = state  # finished before the kill landed
-            else:
-                assert state["status"] == "paused", state["status"]
-                assert state["recovered"] is True
-                c.resume(job_id)
-                final = c.wait(job_id, timeout=300)
-            assert final["status"] == "done"
+            # the clients' cold designs miss the cache too
+            assert_replayed(c, job_id, stored, reference, other_misses=True)
             for t in threads:
                 t.join(timeout=240)
             assert not any(t.is_alive() for t in threads)
@@ -217,7 +242,3 @@ def test_kill_revive_mid_exploration(tmp_path):
             assert all(c.generate(s)["from_cache"] for s in specs)
     finally:
         _kill(proc)
-
-    # Bit-for-bit: the resumed search equals the uninterrupted one.
-    assert json.dumps(final["result"], sort_keys=True) \
-        == json.dumps(uninterrupted["result"], sort_keys=True)

@@ -141,6 +141,12 @@ class TestLayers:
         assert "numpy" in modules
         assert not loaded(modules, *SOLVER)
 
+    def test_server_does_not_load_the_dse(self):
+        """``repro serve`` loads the search and the perf model at its
+        first ``/explore``, not at boot."""
+        modules = run_child("import repro.service.server" + REPORT)
+        assert not loaded(modules, "repro.dse", "repro.sim.perf_model")
+
     def test_front_end_does_not_load_the_solver(self):
         """``build_adg`` on every golden kernel, at 4x4 and at benchmark
         scale, solves its reuse delays without scipy."""

@@ -1,8 +1,9 @@
 """Restart safety of the serving tier: the per-job journal, registry
 recovery (``restore``) and shutdown sweeping (``sweep_shutdown``), plus
-the end-to-end scenarios from the issue — kill a server mid-``/explore``
-and reboot on the same cache root (resumable, bit-for-bit), kill it
-mid-``/batch`` (failed with a clear explanation).  Also holds the
+the end-to-end scenarios — SIGKILL a server mid-``/explore`` and reboot
+on the same cache root (re-queued and replayed bit-for-bit, every row
+stored before the kill a cache hit), kill it mid-``/batch`` (failed with
+a clear explanation).  Also holds the
 regression tests for the shutdown/accounting bugfix sweep: queued jobs
 orphaned at shutdown, torn ``JobRegistry.counts()`` reads, and the
 ``ServiceClient.wait`` deadline overshoot."""
@@ -13,13 +14,13 @@ import time
 
 import pytest
 
-from repro.dse import run_search
-from repro.dse.explorer import DesignSpace
-from repro.models import zoo
 from repro.service import (BatchEngine, DesignCache, JobJournal,
                            ServerThread, ServiceClient, ServiceError)
 from repro.service.jobs import JobRegistry
 from repro.service.persist import JOURNAL_FORMAT
+from test_fleet_chaos import (EXPLORE, _boot, _free_port, _kill,
+                              assert_replayed, explore_then_sigkill,
+                              uninterrupted_exploration)
 
 SMALL_SPACE = {
     "arrays": [[8, 8], [16, 16]],
@@ -27,10 +28,6 @@ SMALL_SPACE = {
     "dram_gbps": [16.0],
     "dataflow_sets": [["ICOC"], ["MN", "ICOC"]],
 }
-
-DIRECT_SPACE = DesignSpace(arrays=((8, 8), (16, 16)),
-                           buffer_kb=(128.0, 256.0),
-                           dataflow_sets=(("ICOC",), ("MN", "ICOC")))
 
 
 class TestJournal:
@@ -96,25 +93,25 @@ class TestRegistryRecovery:
         job.finish({"best": "x"})
         second = self._registry(tmp_path)
         stats = second.restore()
-        assert stats == {"jobs": 1, "resumable": 0, "failed": 0}
+        assert stats == {"jobs": 1, "requeued": 0, "failed": 0}
         restored = second.get(job.id)
         assert restored.status == "done"
         assert restored.result == {"best": "x"}
         assert restored.recovered is False  # settled, not interrupted
 
-    def test_interrupted_explore_restores_paused(self, tmp_path):
+    def test_interrupted_explore_restores_queued(self, tmp_path):
         first = self._registry(tmp_path)
         job = first.create("explore", {"seed": 3})
         job.start()
-        job.set_checkpoint({"completed": False, "rows": [1, 2]})
         # no clean shutdown: simulate the crash by just re-reading disk
         second = self._registry(tmp_path)
         stats = second.restore()
-        assert stats["resumable"] == 1
+        assert stats["requeued"] == 1
         restored = second.get(job.id)
-        assert restored.status == "paused"
+        assert restored.status == "queued" and not restored.settled()
         assert restored.recovered is True
-        assert restored.checkpoint == {"completed": False, "rows": [1, 2]}
+        assert restored.params == {"seed": 3}  # the request it replays
+        assert second.queued() == [restored]
 
     def test_interrupted_batch_restores_failed(self, tmp_path):
         first = self._registry(tmp_path)
@@ -139,14 +136,15 @@ class TestRegistryRecovery:
 
     def test_restore_without_journal_is_noop(self):
         registry = JobRegistry()
-        assert registry.restore() == {"jobs": 0, "resumable": 0,
+        assert registry.restore() == {"jobs": 0, "requeued": 0,
                                       "failed": 0}
 
 
 class TestShutdownSweep:
     """Regression: ``stop()`` used to cancel queued futures and leave
     their jobs "queued" forever — a client polling such a job would hang
-    until its timeout.  Shutdown now sweeps them to paused/failed."""
+    until its timeout.  Shutdown now fails queued batches; a queued
+    exploration stays journaled "queued" for the next boot to replay."""
 
     def test_sweep_parks_queued_jobs(self, tmp_path):
         registry = JobRegistry(journal=JobJournal(tmp_path))
@@ -154,54 +152,41 @@ class TestShutdownSweep:
         batch = registry.create("batch", {})
         running = registry.create("explore", {})
         running.start()
-        swept = registry.sweep_shutdown()
-        assert swept == {"paused": 1, "failed": 1}
-        assert explore.status == "paused"
-        assert batch.status == "failed"
+        assert registry.sweep_shutdown() == 1
+        assert batch.status == "failed" and batch.settled()
         assert "resubmit" in batch.error
+        assert explore.status == "queued"  # parked in the journal
         assert running.status == "running"  # live work is not swept
-        # and the swept states are what a poller now sees immediately
-        assert explore.settled() and batch.settled()
-        # the stop, not a pause request, parked it: it counts as
-        # recovered, journal included
-        assert explore.recovered is True
         reloaded = JobRegistry(journal=JobJournal(tmp_path))
-        reloaded.restore()
-        assert reloaded.get(explore.id).recovered is True
-
-    def test_requested_pause_is_not_recovered(self, tmp_path):
-        registry = JobRegistry(journal=JobJournal(tmp_path))
-        job = registry.create("explore", {})
-        assert job.pause()
-        registry.sweep_shutdown()
-        assert job.status == "paused"
-        assert job.recovered is False
+        assert reloaded.restore()["requeued"] == 2
+        assert {j.id for j in reloaded.queued()} == {explore.id,
+                                                     running.id}
 
     def test_server_stop_settles_queued_jobs(self, tmp_path):
         """End to end: one job worker, a long exploration occupying it,
-        and a queued batch behind it.  stop() must leave neither
-        'queued' — the batch fails with an explanation, the exploration
-        is parked or settled, never left live."""
-        handle = ServerThread(
-            BatchEngine(cache=DesignCache(root=tmp_path / "cache")),
-            job_workers=1).start()
+        and a batch and an exploration queued behind it.  stop() fails
+        the batch with an explanation, the running exploration finishes,
+        and the queued one is replayed by the next boot."""
+        root = tmp_path / "cache"
+        handle = ServerThread(BatchEngine(cache=DesignCache(root=root)),
+                              job_workers=1).start()
         server = handle.server
         try:
             with ServiceClient.from_url(handle.url) as c:
-                blocker = c.explore(models=["LeNet"], strategy="anneal",
-                                    max_evals=200, seed=1,
-                                    space=SMALL_SPACE, step_evals=1)
-                queued = c.batch([{"kernel": "gemm", "array": [2, 2]}])
-                deadline = time.monotonic() + 10
-                while (server.jobs.get(queued).status != "queued"
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+                blocker = c.explore(**EXPLORE)
+                batch = c.batch([{"kernel": "gemm", "array": [2, 2]}])
+                queued = c.explore(models=["LeNet"], space=SMALL_SPACE)
         finally:
             handle.stop()
-        assert server.jobs.get(queued).status == "failed"
-        assert "resubmit" in server.jobs.get(queued).error
-        assert server.jobs.get(blocker).status not in ("queued",
-                                                       "running")
+        assert server.jobs.get(batch).status == "failed"
+        assert "resubmit" in server.jobs.get(batch).error
+        assert server.jobs.get(blocker).wait(timeout=120)
+        assert server.jobs.get(blocker).status == "done"
+        assert server.jobs.get(queued).status == "queued"
+        with ServerThread(BatchEngine(cache=DesignCache(root=root))) as url:
+            with ServiceClient.from_url(url) as c:
+                final = c.wait(queued, timeout=180)
+        assert final["status"] == "done" and final["recovered"] is True
 
 
 class TestCountsLocking:
@@ -256,7 +241,7 @@ class TestWaitDeadline:
         client = ServiceClient(port=1)  # never actually connected
         monkeypatch.setattr(
             ServiceClient, "job",
-            lambda self, job_id, checkpoint=True: {"status": "running"})
+            lambda self, job_id: {"status": "running"})
         begun = time.monotonic()
         with pytest.raises(TimeoutError):
             client.wait("explore-1-abc", timeout=1.0, poll_s=0.5)
@@ -273,42 +258,26 @@ class TestServerRestartRecovery:
             BatchEngine(cache=DesignCache(root=root)), **kwargs).start()
 
     def test_explore_killed_midway_resumes_bit_for_bit(self, tmp_path):
+        """SIGKILL ``repro serve`` once a row is on disk: the journal
+        holds the request, the next boot on the root re-queues it, and
+        the replay finishes with no client action — bit-for-bit, with
+        every row stored before the kill a cache hit."""
         root = tmp_path / "cache"
-        uninterrupted = run_search([zoo.lenet()], DIRECT_SPACE,
-                                   strategy="anneal", max_evals=8,
-                                   seed=11)
-        first = self._boot(root)
+        reference = uninterrupted_exploration()
+        job_id, stored = explore_then_sigkill(root, _free_port())
+        record = JobJournal(root / "jobs").load(job_id)
+        assert record["status"] in ("queued", "running")
+        assert record["params"]["models"] == EXPLORE["models"]
+        port = _free_port()
+        proc = _boot(root, port)
         try:
-            with ServiceClient.from_url(first.url) as c:
-                job_id = c.explore(models=["LeNet"], strategy="anneal",
-                                   max_evals=8, seed=11,
-                                   space=SMALL_SPACE, step_evals=1)
-                # wait until at least one checkpoint hit the journal
-                for event in c.stream(job_id):
-                    if event.get("event") in ("checkpoint", "end"):
-                        break
+            with ServiceClient(port=port, timeout=60) as c:
+                assert c.health()["recovered"] == {"jobs": 1,
+                                                   "requeued": 1,
+                                                   "failed": 0}
+                assert_replayed(c, job_id, stored, reference)
         finally:
-            first.stop()  # the kill: journal survives on disk
-
-        second = self._boot(root)
-        try:
-            assert second.server.recovered["jobs"] >= 1
-            with ServiceClient.from_url(second.url) as c:
-                state = c.job(job_id)
-                if state["status"] == "done":
-                    final = state  # finished before the kill landed
-                else:
-                    assert state["status"] == "paused"
-                    assert state["recovered"] is True
-                    assert not state["checkpoint"]["completed"]
-                    c.resume(job_id)
-                    final = c.wait(job_id, timeout=180)
-                    assert final["status"] == "done"
-        finally:
-            second.stop()
-        assert (final["result"]["best"]["arch"]["name"]
-                == uninterrupted.best.arch.name)
-        assert final["result"]["evals_used"] == uninterrupted.evals_used
+            _kill(proc)
 
     def test_batch_killed_midway_fails_with_explanation(self, tmp_path):
         root = tmp_path / "cache"
@@ -318,8 +287,7 @@ class TestServerRestartRecovery:
                 # occupy the single worker so the batch stays queued —
                 # "mid-flight" in its journaled state
                 c.explore(models=["LeNet"], strategy="anneal",
-                          max_evals=200, seed=1, space=SMALL_SPACE,
-                          step_evals=1)
+                          max_evals=200, seed=1, space=SMALL_SPACE)
                 job_id = c.batch([{"kernel": "gemm", "array": [2, 2]}])
             # simulate a hard kill: bypass stop()'s sweep so the journal
             # still says "queued", exactly as after SIGKILL

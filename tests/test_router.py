@@ -1,6 +1,6 @@
 """Fleet router tests: spec-hash shard routing (and its raw-body LRU),
 multi-shard batch fan-out with in-order merge, explore round-robin,
-namespaced job forwarding (poll/pause/resume/stream through the
+namespaced job forwarding (poll/stream through the
 router), merged /jobs, /healthz and /metrics, and backend-failure
 surfacing (502 with the backend named)."""
 
@@ -147,7 +147,7 @@ class TestBatchFanOut:
         specs = _specs_for_shard(0, 1) + _specs_for_shard(1, 1)
         job_id = client.batch(specs)
         with pytest.raises(ServiceError) as err:
-            client.pause(job_id)
+            list(client.stream(job_id))
         assert err.value.status == 400
         client.wait(job_id, timeout=180)
 
@@ -178,24 +178,11 @@ class TestJobForwarding:
             assert final["status"] == "done"
             assert final["id"] == job  # re-tagged with the router name
 
-    def test_pause_resume_through_router(self, fleet, client):
-        job_id = client.explore(models=["LeNet"], strategy="anneal",
-                                max_evals=10, seed=5, space=SMALL_SPACE,
-                                step_evals=1)
-        client.pause(job_id)
-        state = client.wait(job_id)
-        if state["status"] == "paused":
-            client.resume(job_id)
-            state = client.wait(job_id, timeout=180)
-        assert state["status"] == "done"
-
     def test_stream_proxied_through_router(self, fleet, client):
         job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE, step_evals=1)
+                                space=SMALL_SPACE)
         events = list(client.stream(job_id))
-        kinds = [e.get("event") for e in events]
-        assert kinds[-1] == "end"
-        assert "checkpoint" in kinds[:-1]
+        assert [e.get("event") for e in events] == ["end"]
         assert events[-1]["job"]["id"] == job_id  # re-tagged
         assert events[-1]["job"]["status"] == "done"
 

@@ -1,8 +1,8 @@
 """End-to-end tests of the asyncio serving front end: real sockets on
 ephemeral ports, the stdlib client, concurrent traffic against the warm
-cache, malformed-input status codes, and pause/resume of exploration
-jobs (including resuming on a brand-new server from a polled
-checkpoint, the killed-server scenario)."""
+cache, malformed-input status codes, and exploration jobs (including the
+killed-server scenario: a SIGKILLed server's exploration is replayed by
+the next boot on the same cache root)."""
 
 import asyncio
 import http.client
@@ -19,11 +19,14 @@ import threading
 
 import pytest
 
-from repro.dse import run_search
+from repro.dse import run_search, space_from_dict
 from repro.dse.explorer import DesignSpace
 from repro.models import zoo
 from repro.service import (BatchEngine, DesignCache, ServerThread,
                            ServiceClient, ServiceError)
+from test_fleet_chaos import (_boot, _free_port, _kill, assert_replayed,
+                              explore_then_sigkill,
+                              uninterrupted_exploration)
 
 SMALL_SPACE = {
     "arrays": [[8, 8], [16, 16]],
@@ -33,6 +36,23 @@ SMALL_SPACE = {
 }
 
 TINY = {"kernel": "gemm", "dataflows": ["KJ"], "array": [2, 2]}
+
+#: ``space`` values ``/explore`` must refuse, with the axis each names
+BAD_SPACES = {
+    "one-int-array": ({"arrays": [[8]]}, "arrays"),
+    "zero-array": ({"arrays": [[0, 8]]}, "arrays"),
+    "three-int-array": ({"arrays": [[8, 8, 8]]}, "arrays"),
+    "float-array": ({"arrays": [[8.5, 8]]}, "arrays"),
+    "no-arrays": ({"arrays": []}, "arrays"),
+    "zero-freq": ({"freq_mhz": 0}, "freq_mhz"),
+    "infinite-freq": ({"freq_mhz": float("inf")}, "freq_mhz"),
+    "negative-buffer": ({"buffer_kb": [-1.0]}, "buffer_kb"),
+    "string-bandwidth": ({"dram_gbps": ["fast"]}, "dram_gbps"),
+    "no-bandwidth": ({"dram_gbps": []}, "dram_gbps"),
+    "unknown-dataflow": ({"dataflow_sets": [["XYZ"]]}, "dataflow_sets"),
+    "empty-dataflow-set": ({"dataflow_sets": [[]]}, "dataflow_sets"),
+    "unknown-axis": ({"array": [[8, 8]]}, "array"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +176,26 @@ class TestHttpEdges:
             client.explore(models=["LeNet"], strategy="gradient")
         assert err.value.status == 400
 
-    def test_explore_nonpositive_step_400(self, client):
-        """step_evals <= 0 would be a zero-progress infinite loop."""
-        for bad in (0, -1, "fast", True):
+    def test_explore_unknown_fields_400(self, client):
+        """A typo must not start an unbounded search, and the removed
+        ``checkpoint``/``step_evals`` fields fail loudly."""
+        for body in ({"max_eval": 5}, {"step_evals": 1},
+                     {"checkpoint": {}, "seed": 1}):
             with pytest.raises(ServiceError) as err:
-                client.explore(models=["LeNet"], step_evals=bad)
+                client.explore(models=["LeNet"], **body)
             assert err.value.status == 400
+            extra = sorted(set(body) - {"seed"})
+            assert str(extra) in err.value.payload["error"]
+
+    @pytest.mark.parametrize("space,axis", BAD_SPACES.values(),
+                             ids=BAD_SPACES)
+    def test_explore_bad_space_400(self, client, space, axis):
+        with pytest.raises(ValueError, match=axis):
+            space_from_dict(space)
+        with pytest.raises(ServiceError) as err:
+            client.explore(models=["LeNet"], space=space)
+        assert err.value.status == 400
+        assert axis in err.value.payload["error"]
 
     def test_bad_numeric_params_400(self, client):
         with pytest.raises(ServiceError) as err:
@@ -191,17 +225,6 @@ class TestHttpEdges:
         first.finish({})
         registry.create("explore", {})  # slot freed
 
-    def test_pause_rejected_without_step_budget(self, client):
-        """A job submitted with step_evals=null never reaches a pause
-        point; accepting the pause would leave the client waiting."""
-        job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE, step_evals=None)
-        with pytest.raises(ServiceError) as err:
-            client.pause(job_id)
-        assert err.value.status == 400
-        assert "step_evals" in str(err.value)
-        client.wait(job_id, timeout=180)
-
 
 class TestBatchJobs:
     def test_batch_job_roundtrip(self, client):
@@ -222,13 +245,6 @@ class TestBatchJobs:
         assert final["result"]["ok"] == 1
         (failed,) = final["result"]["failed"]
         assert "Traceback" in failed["traceback"]
-
-    def test_pause_rejected_for_batch_jobs(self, client):
-        job_id = client.batch([dict(TINY)])
-        with pytest.raises(ServiceError) as err:
-            client.pause(job_id)
-        assert err.value.status == 400
-        client.wait(job_id)
 
 
 class TestConcurrentClients:
@@ -255,7 +271,7 @@ class TestConcurrentClients:
 
     def test_interleaved_jobs_and_requests(self, server, client):
         job_id = client.explore(models=["LeNet"], strategy="halving",
-                                space=SMALL_SPACE, step_evals=1)
+                                space=SMALL_SPACE)
         # The event loop must keep answering while the job computes.
         assert client.generate(TINY)["ok"]
         final = client.wait(job_id, timeout=180)
@@ -280,97 +296,34 @@ class TestExploreJobs:
         assert served["evals_used"] == direct.evals_used
         assert served["points_evaluated"] == direct.points_evaluated
 
-    def test_pause_then_resume_same_server(self, server, client):
-        job_id = client.explore(models=["LeNet"], strategy="anneal",
-                                max_evals=10, seed=5, space=SMALL_SPACE,
-                                step_evals=1)
-        client.pause(job_id)
-        state = client.wait(job_id)
-        if state["status"] == "paused":  # job may already have finished
-            assert state["checkpoint"] is not None
-            assert not state["checkpoint"]["completed"]
-            client.resume(job_id)
-            state = client.wait(job_id, timeout=180)
-        assert state["status"] == "done"
-        uninterrupted = run_search(
-            [zoo.lenet()],
-            DesignSpace(arrays=((8, 8), (16, 16)),
-                        buffer_kb=(128.0, 256.0),
-                        dataflow_sets=(("ICOC",), ("MN", "ICOC"))),
-            strategy="anneal", max_evals=10, seed=5)
-        assert (state["result"]["best"]["arch"]["name"]
-                == uninterrupted.best.arch.name)
-        assert state["result"]["evals_used"] == uninterrupted.evals_used
-
-    def test_killed_server_resumes_from_checkpoint(self, tmp_path):
-        """Start an exploration, kill the whole server mid-run, resume
-        the polled checkpoint on a brand-new server (fresh cache too):
-        the final best point must match an uninterrupted run."""
-        space = DesignSpace(arrays=((8, 8), (16, 16)),
-                            buffer_kb=(128.0, 256.0),
-                            dataflow_sets=(("ICOC",), ("MN", "ICOC")))
-        uninterrupted = run_search([zoo.lenet()], space, strategy="anneal",
-                                   max_evals=8, seed=11)
-
-        first = ServerThread(
-            BatchEngine(cache=DesignCache(root=tmp_path / "a"))).start()
+    def test_killed_server_resumes_from_cache(self, tmp_path):
+        """SIGKILL ``repro serve`` once a row is on disk and reboot on
+        the same root: the exploration comes back re-queued, its stream
+        ends with the replayed result, and every row stored before the
+        kill is a cache hit."""
+        root = tmp_path / "cache"
+        reference = uninterrupted_exploration()
+        job_id, stored = explore_then_sigkill(root, _free_port())
+        port = _free_port()
+        proc = _boot(root, port)
         try:
-            with ServiceClient.from_url(first.url) as c:
-                job_id = c.explore(models=["LeNet"], strategy="anneal",
-                                   max_evals=8, seed=11,
-                                   space=SMALL_SPACE, step_evals=1)
-                c.pause(job_id)  # deterministic "mid-run" stop
-                state = c.wait(job_id)
-                checkpoint = state["checkpoint"]
+            with ServiceClient(port=port, timeout=60) as c:
+                (end,) = list(c.stream(job_id))
+                assert end["job"]["recovered"] is True
+                final = assert_replayed(c, job_id, stored, reference)
+                assert end["job"]["result"] == final["result"]
         finally:
-            first.stop()  # the kill
-
-        if state["status"] == "done":  # finished before the pause landed
-            final_result = state["result"]
-        else:
-            assert checkpoint is not None and not checkpoint["completed"]
-            second = ServerThread(
-                BatchEngine(cache=DesignCache(root=tmp_path / "b"))).start()
-            try:
-                with ServiceClient.from_url(second.url) as c:
-                    resumed = c.explore(checkpoint=checkpoint,
-                                        step_evals=1)
-                    final = c.wait(resumed, timeout=180)
-                    assert final["status"] == "done"
-                    final_result = final["result"]
-            finally:
-                second.stop()
-        assert (final_result["best"]["arch"]["name"]
-                == uninterrupted.best.arch.name)
-        assert final_result["evals_used"] == uninterrupted.evals_used
-
-    def test_checkpoint_excluded_on_request(self, client):
-        job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE, step_evals=1)
-        client.wait(job_id, timeout=180)
-        assert "checkpoint" not in client.job(job_id, checkpoint=False)
-
-    def test_resume_of_running_job_400(self, client):
-        job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE)
-        with pytest.raises(ServiceError) as err:
-            client.resume(job_id)
-        assert err.value.status == 400
-        client.wait(job_id, timeout=180)
+            _kill(proc)
 
 
 class TestStreaming:
-    def test_explore_stream_checkpoints_then_end(self, client):
+    def test_explore_stream_is_only_end(self, client):
+        """An exploration is one search call: its stream is the one
+        terminal event."""
         job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE, step_evals=1)
+                                space=SMALL_SPACE)
         events = list(client.stream(job_id))
-        kinds = [e.get("event") for e in events]
-        assert kinds[-1] == "end"
-        assert set(kinds[:-1]) == {"checkpoint"}
-        assert len(kinds) >= 2  # at least one step before the end
-        for event in events[:-1]:
-            assert event["progress"]["points_evaluated"] >= 0
-            assert event["checkpoint"]["rows"] is not None
+        assert [e.get("event") for e in events] == ["end"]
         final = events[-1]["job"]
         assert final["status"] == "done"
         assert final["id"] == job_id
@@ -396,14 +349,6 @@ class TestStreaming:
         events = list(client.stream(job_id))
         assert events[-1]["event"] == "end"
         assert events[-1]["job"]["status"] == "done"
-
-    def test_stream_checkpoint_opt_out(self, client):
-        job_id = client.explore(models=["LeNet"], strategy="exhaustive",
-                                space=SMALL_SPACE, step_evals=1)
-        events = list(client.stream(job_id, checkpoint=False))
-        for event in events[:-1]:
-            assert "checkpoint" not in event
-        assert "checkpoint" not in events[-1]["job"]
 
     def test_stream_unknown_job_404(self, client):
         with pytest.raises(ServiceError) as err:
@@ -433,8 +378,7 @@ class TestStreaming:
         """Closing a stream early must not wedge the server or the
         job."""
         job_id = client.explore(models=["LeNet"], strategy="anneal",
-                                max_evals=6, seed=2, space=SMALL_SPACE,
-                                step_evals=1)
+                                max_evals=6, seed=2, space=SMALL_SPACE)
         stream = client.stream(job_id)
         next(stream)
         stream.close()  # abandon mid-stream
