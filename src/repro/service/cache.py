@@ -378,6 +378,12 @@ class DesignCache:
         _PUTS.inc()
         self._evict_disk()
 
+    def remember(self, key: str, record: dict) -> None:
+        """Memory-tier insert of a record another process already wrote
+        to disk (a batch engine's pool worker): no I/O, no put count."""
+        with self._lock:
+            self._remember(key, record)
+
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""
         n = 0

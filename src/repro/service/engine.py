@@ -5,14 +5,17 @@
 cache, deduplicates identical requests within the batch, and **plans**
 the remaining cold work as a DAG over the staged pipeline's phase keys:
 cold specs are grouped by ``design_key`` (the identity of the scheduled
-design), only one *leader* per distinct design fans out to the worker
-pool, and every other member of the group — a backend/module *variant*
-of the same scheduled design — is emitted in-process afterwards from
-the phase records the leader left in the shared cache.  A sweep of
-1000 requests over 60 distinct designs × several backends therefore
-pays ~60 schedule phases, not 1000.  :meth:`BatchEngine.plan` exposes
-the same grouping as a dry-run :class:`BatchPlan` (the ``repro batch
---plan-summary`` surface and the serving job table's ``plan`` field).
+design), and each *group* is one unit of work — in a pool worker when
+``workers > 1``.  Its *leader* schedules the design (or loads it once
+from the phase tier), and every other member — a backend/module
+*variant* of the same scheduled design — is emitted in the same process
+from that live design.  Each record is written to the cache where it
+was built; the parent only hashes, runs the cache pass, groups and
+collects.  A sweep of 1000 requests over 60 distinct designs × several
+backends therefore pays ~60 schedule phases, not 1000.
+:meth:`BatchEngine.plan` exposes the same grouping as a dry-run
+:class:`BatchPlan` (the ``repro batch --plan-summary`` surface and the
+serving job table's ``plan`` field).
 
 Per-request failures are captured in the result, never raised — a
 thousand-design sweep must not die on design #713.  A leader that
@@ -58,8 +61,9 @@ _DSE_DATAFLOW_MAP = {
 def _pool_context():
     # fork is cheap and hands the workers every module the parent has
     # loaded; the solver is not among them unless the parent has solved
-    # (repro.solvers loads at the first solve), so _execute imports it
-    # before it forks.  spawn is the fallback.
+    # (repro.solvers loads at the first solve), so _run_pooled imports
+    # it before it forks workers that will schedule.  spawn is the
+    # fallback.
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — platforms without fork
@@ -88,27 +92,48 @@ def _cache_spec(cache: DesignCache | None) -> dict | None:
             "disk_entries": cache.disk_entries}
 
 
-def _run_request_payload(payload: dict) -> tuple[str, dict, dict]:
-    """Worker entry point: rebuild the request, run it through the
-    staged pipeline, return the cache record plus this task's telemetry
-    delta (metrics snapshot + spans, tagged with the trace id the
-    payload carried).  Top-level so it pickles under both fork and
-    spawn.
+def _run_group(group: PlanGroup, cache: DesignCache | None
+               ) -> list[DesignResult]:
+    """One design group, in-process or in a pool worker: the leader
+    schedules (or loads) the design, then every variant emits from the
+    live design it left in *cache*.  Each ok record is cached here,
+    where it was built."""
+    def build(request: DesignRequest) -> DesignResult:
+        result = execute_request(request, cache=cache)
+        if cache is not None and result.ok:
+            cache.put(result.spec_hash, result.to_record())
+        return result
+
+    leader = build(group.leader)
+    # A leader that failed before its design phase left no live design:
+    # its failure is every member's.  (Only a cached group has variants.)
+    poisoned = (not leader.ok and bool(group.variants)
+                and cache.get_live(PHASE_DESIGN, group.design_key) is None)
+    return [leader] + [
+        DesignResult(spec_hash=v.spec_hash(), request=v,
+                     error=leader.error, traceback=leader.traceback)
+        if poisoned else build(v) for v in group.variants]
+
+
+def _run_group_task(task: tuple) -> tuple[list[DesignResult], dict]:
+    """Pool entry point: one group plus this task's telemetry delta
+    (metrics snapshot + spans, tagged with the trace id the task
+    carried).  Top-level so it pickles under both fork and spawn.
 
     Pool workers process tasks serially, so resetting the worker's
     process-global registry/tracer at task start makes the snapshot at
     task end exactly this task's delta — fork-inherited parent counts
     included in neither.
     """
+    group, trace_id, parent_id = task
     reset_registry()
     get_tracer().clear()
-    request = DesignRequest.from_dict(payload["request"])
     # parent_id is the engine-side span that fanned this task out (the
     # "batch" span): binding it makes the worker's spans children in
     # the merged trace tree, not disconnected roots.
-    with trace_context(payload.get("trace_id"), payload.get("parent_id")):
-        result = execute_request(request, cache=_WORKER_CACHE)
-    return result.spec_hash, result.to_record(), telemetry_snapshot()
+    with trace_context(trace_id, parent_id):
+        results = _run_group(group, _WORKER_CACHE)
+    return results, telemetry_snapshot()
 
 
 def requests_from_space(space, options=None,
@@ -146,18 +171,19 @@ _PLAN_GROUPS = get_registry().counter(
 
 _PLAN_REQUESTS = get_registry().counter(
     "repro_planner_requests_total",
-    "cold unique specs routed by the batch planner: leader = carries "
-    "its group's schedule phase to the pool, variant = emitted "
-    "in-process from the leader's shared phase records",
+    "cold unique specs routed by the batch planner: leader = pays its "
+    "group's schedule phase, variant = emitted after it in the same "
+    "process from the live scheduled design",
     ("role",))
 
 
 @dataclasses.dataclass
 class PlanGroup:
-    """One distinct scheduled design in a :class:`BatchPlan`: the
-    *leader* pays the ``schedule`` phase (and goes to the worker pool);
-    the *variants* are backend/module re-emissions of the same
-    scheduled design, run in-process from the leader's phase records."""
+    """One distinct scheduled design in a :class:`BatchPlan`, run as
+    one unit of work: the *leader* pays the ``schedule`` phase; the
+    *variants* are backend/module re-emissions of the same scheduled
+    design, emitted after it in the same process from the live
+    design."""
 
     design_key: str
     leader: DesignRequest
@@ -248,7 +274,7 @@ class BatchEngine:
             n_cached=len(unique) - len(cold),
             groups=self._group_by_design(cold))
 
-    def _group_by_design(self, cold: Sequence[DesignRequest]
+    def _group_by_design(self, cold: Iterable[DesignRequest]
                          ) -> list[PlanGroup]:
         """Cold specs grouped by scheduled-design identity; the first
         request seen for each ``design_key`` leads its group.  Without
@@ -279,12 +305,12 @@ class BatchEngine:
         ``DesignSpace`` (translated via :func:`requests_from_space`).
 
         With *plan* (the default), cold specs are grouped by
-        ``design_key``: one leader per distinct scheduled design fans
-        out (to the pool when ``workers > 1``), then its group's
-        backend/module variants are emitted in-process from the phase
-        records the leader left in the shared cache.  ``plan=False``
-        executes every cold spec independently — the baseline the
-        planner tests compare against byte-for-byte.
+        ``design_key`` and each group runs as one unit (in a pool worker
+        when ``workers > 1`` and there is more than one group): its
+        leader schedules the design, its backend/module variants emit
+        from the live design, and each record is cached where it was
+        built.  ``plan=False`` executes every cold spec independently —
+        the baseline the planner tests compare against byte-for-byte.
         """
         requests = self._as_requests(requests)
         workers = workers if workers is not None else self.workers
@@ -298,6 +324,7 @@ class BatchEngine:
             # One progress tick per *request*, so `done` reaches `total`
             # even when requests are cache hits or in-batch duplicates.
             nonlocal done
+            resolved[result.spec_hash] = result
             _DESIGNS.labels(
                 source="cache" if result.from_cache else "cold",
                 outcome="ok" if result.ok else "error",
@@ -307,37 +334,23 @@ class BatchEngine:
                 if progress is not None:
                     progress(done, total, result)
 
-        def resolve(result: DesignResult) -> None:
-            resolved[result.spec_hash] = result
-            if (self.cache is not None and result.ok
-                    and not result.from_cache):
-                self.cache.put(result.spec_hash, result.to_record())
-            report(result)
-
         with trace_span("batch", n_requests=total, workers=workers):
             # 1. cache pass + in-batch dedup
-            cold: list[DesignRequest] = []
-            cold_keys: set[str] = set()
+            cold: dict[str, DesignRequest] = {}
             for req, key in zip(requests, hashes):
-                if key in resolved or key in cold_keys:
+                if key in resolved or key in cold:
                     continue
                 record = (self.cache.get(key)
                           if self.cache is not None else None)
                 if record is not None:
-                    resolved[key] = DesignResult.from_record(key, record)
-                    report(resolved[key])
+                    report(DesignResult.from_record(key, record))
                 else:
-                    cold.append(req)
-                    cold_keys.add(key)
+                    cold[key] = req
 
             # 2. plan: group cold specs by scheduled-design identity
-            if plan:
-                groups = self._group_by_design(cold)
-            else:
-                groups = [PlanGroup(r.design_key(), r) for r in cold]
-            variants_of = {g.leader.spec_hash(): g.variants
-                           for g in groups}
-            n_variants = sum(len(g.variants) for g in groups)
+            groups = (self._group_by_design(cold.values()) if plan else
+                      [PlanGroup(r.design_key(), r) for r in cold.values()])
+            n_variants = len(cold) - len(groups)
             if plan and cold:
                 _PLAN_GROUPS.inc(len(groups))
                 _PLAN_REQUESTS.labels(role="leader").inc(len(groups))
@@ -348,74 +361,52 @@ class BatchEngine:
                                 n_variants=n_variants):
                     pass  # instant span: records the plan in the trace
 
-            # 3. fan only the group leaders out; as each leader lands,
-            # emit its variants in-process from the shared phase records
-            for key, record in self._execute(
-                    [g.leader for g in groups], workers):
-                result = DesignResult.from_record(key, record,
-                                                  from_cache=False)
-                resolve(result)
-                for variant in variants_of.get(key, ()):
-                    resolve(self._run_variant(variant, result))
+            # 3. run the groups: in-process, or one pool task per group
+            if workers <= 1 or len(groups) <= 1:
+                # the runner shares this engine's cache directly (live
+                # tier included), and its telemetry lands in this
+                # process's registry/tracer as it happens
+                for group in groups:
+                    for result in _run_group(group, self.cache):
+                        report(result)
+            else:
+                for result in self._run_pooled(groups, workers):
+                    report(result)
 
         return [resolved[key] for key in hashes]
 
-    def _run_variant(self, variant: DesignRequest,
-                     leader: DesignResult) -> DesignResult:
-        """One non-leader member of a design group.  By the time this
-        runs the leader has (on success) left the group's scheduled
-        design in the cache's phase/live tiers, so ``execute_request``
-        here pays for emission alone.  If the leader failed *before*
-        its design phase completed, the shared schedule itself is
-        broken: propagate the leader's failure to the variant instead
-        of re-scheduling a known-bad design once per backend."""
-        if not leader.ok and not self._design_available(variant):
-            return DesignResult(spec_hash=variant.spec_hash(),
-                                request=variant, error=leader.error,
-                                traceback=leader.traceback)
-        return execute_request(variant, cache=self.cache)
-
-    def _design_available(self, request: DesignRequest) -> bool:
-        key = request.design_key()
-        return (self.cache is not None
-                and (self.cache.get_live(PHASE_DESIGN, key) is not None
-                     or self.cache.get_phase(PHASE_DESIGN, key)
-                     is not None))
-
-    def _execute(self, cold: Sequence[DesignRequest],
-                 workers: int) -> Iterable[tuple[str, dict]]:
-        if workers <= 1 or len(cold) <= 1:
-            # In-process: the staged pipeline shares this engine's cache
-            # directly (live tier included), and its telemetry lands in
-            # this process's registry/tracer as it happens.
-            for request in cold:
-                result = execute_request(request, cache=self.cache)
-                yield result.spec_hash, result.to_record()
-            return
-        # Pooled: ship the current trace id (and the enclosing span's id
-        # — the pool tasks' parent in the trace tree) inside each
-        # pickled payload and merge every worker's telemetry delta back,
-        # so the parent's /metrics and exported trace cover the whole
-        # fan-out.
-        trace_id = current_trace_id()
-        parent_id = current_span_id()
-        payloads = [{"request": r.to_dict(), "trace_id": trace_id,
-                     "parent_id": parent_id}
-                    for r in cold]
-        ctx = _pool_context()
-        # Cold work solves.  Load the solver here, once, so that every
-        # forked worker inherits it instead of importing it for itself.
-        try:
-            from .. import solvers  # noqa: F401
-        except ImportError:
-            pass  # every request reports it (see repro.solvers)
-        with ctx.Pool(processes=min(workers, len(cold)),
-                      initializer=_init_request_worker,
-                      initargs=(_cache_spec(self.cache),)) as pool:
-            for key, record, telemetry in pool.imap(
-                    _run_request_payload, payloads, chunksize=1):
+    def _run_pooled(self, groups: Sequence[PlanGroup],
+                    workers: int) -> Iterable[DesignResult]:
+        # Each task carries the trace id and the enclosing span's id (its
+        # parent in the trace tree); every worker's telemetry delta is
+        # merged back, so /metrics and the trace cover the fan-out.
+        tasks = [(group, current_trace_id(), current_span_id())
+                 for group in groups]
+        cache = self.cache
+        if cache is None or any(
+                cache.phase_address(PHASE_DESIGN, g.design_key)
+                not in cache for g in groups):
+            # Some group will schedule: load the solver once, here, so
+            # every forked worker inherits it.  A batch whose designs are
+            # all in the phase tier only emits and never needs it.
+            try:
+                from .. import solvers  # noqa: F401
+            except ImportError:
+                pass  # every request reports it (see repro.solvers)
+        with _pool_context().Pool(
+                processes=min(workers, len(groups)),
+                initializer=_init_request_worker,
+                initargs=(_cache_spec(cache),)) as pool:
+            for results, telemetry in pool.imap(_run_group_task, tasks,
+                                                chunksize=1):
                 merge_telemetry(telemetry)
-                yield key, record
+                for result in results:
+                    if cache is not None and result.ok:
+                        # the worker wrote it to disk; keep the parent's
+                        # memory tier as warm as an in-process run
+                        cache.remember(result.spec_hash,
+                                       result.to_record())
+                    yield result
 
     @staticmethod
     def _as_requests(requests) -> list[DesignRequest]:

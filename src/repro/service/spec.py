@@ -142,16 +142,28 @@ class DesignRequest:
         """Deterministic serialization — the hashed identity."""
         return canonical_dumps(self.to_dict())
 
+    def _digest(self, name: str) -> str:
+        """SHA-256 of one canonical form, memoized in ``__dict__`` under
+        *name*: not a field, so ``==``/``hash()`` ignore it and
+        ``dataclasses.replace`` starts afresh; pickle carries it."""
+        memo = self.__dict__
+        digest = memo.get(name)
+        if digest is None:
+            text = (self.canonical_json() if name == "_spec"
+                    else self._phase_json(name[1:]))
+            digest = memo[name] = hashlib.sha256(text.encode()).hexdigest()
+        return digest
+
     def spec_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return self._digest("_spec")
 
     # -- phase keys (the staged cold path's intermediate addresses) --------
 
-    def _phase_json(self, phase: str, with_options: bool) -> str:
+    def _phase_json(self, phase: str) -> str:
         data = self.to_dict()
         del data["backend"]   # emission decisions only
         del data["module"]
-        if with_options:
+        if phase == "design":
             del data["options"]["emit_testbench"]
         else:
             del data["options"]  # backend passes happen after the ADG
@@ -160,16 +172,13 @@ class DesignRequest:
 
     def adg_key(self) -> str:
         """Identity of the front-end phase (dataflows → ADG)."""
-        return hashlib.sha256(
-            self._phase_json("adg", with_options=False).encode()).hexdigest()
+        return self._digest("_adg")
 
     def design_key(self) -> str:
         """Identity of the scheduled design (ADG → §V passes): shared
         by every request that differs only in emitter family, module
         name, or emission-only options."""
-        return hashlib.sha256(
-            self._phase_json("design",
-                             with_options=True).encode()).hexdigest()
+        return self._digest("_design")
 
     def sim_key(self, dataflow: str) -> str:
         """Identity of one dataflow's golden simulation vectors (the

@@ -13,8 +13,10 @@ never solve anything (the CLI's client subcommands, the router, a DSE
 sweep over the analytical model, a warm-cache ``generate``).  So nothing
 imports this module at module scope: the solve site imports it inside
 the function that solves, and ``BatchEngine`` imports it once before it
-forks a worker pool so that the workers inherit it loaded
-(``tests/test_import_layers.py`` holds both rules).
+forks a worker pool so that the workers inherit it loaded — but only
+when some design group is not in the phase tier and will schedule; a
+batch that only re-emits stored designs never loads it
+(``tests/test_import_layers.py`` holds these rules).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """The phase-aware batch planner.
 
 ``BatchEngine.generate_many`` plans each batch as a DAG over phase
-keys: requests group by ``design_key``, one leader per distinct
-scheduled design fans out, and backend/module variants are emitted
-in-process from the leader's shared phase records.  These tests pin
-down the planner's core contract with randomized batches:
+keys: requests group by ``design_key``, each group is one unit of work
+(a pool task when ``workers > 1``), its leader schedules the design and
+its backend/module variants are emitted from that live design.  These
+tests pin down the planner's core contract with randomized batches:
 
 * exactly **one schedule phase per distinct design_key** — counted
   through the process-global metrics registry, not inferred from
@@ -12,7 +12,9 @@ down the planner's core contract with randomized batches:
 * planned results are **byte-identical** to the unplanned baseline
   (``plan=False``), timing fields aside;
 * :meth:`BatchEngine.plan` is a faithful dry run of what
-  ``generate_many`` then executes, and never perturbs cache stats.
+  ``generate_many`` then executes, and never perturbs cache stats;
+* a pooled variant never reloads its design: the leader's worker emits
+  it from the live design and writes its record.
 """
 
 import random
@@ -122,6 +124,53 @@ class TestByteIdentity:
         results = engine.generate_many(batch, plan=False)
         assert all(r.ok for r in results)
         assert len({r.spec_hash for r in results}) == 2
+
+
+class TestVariantsEmitFromTheLiveDesign:
+    """Pooled (``workers=2``): a group runs in one worker, so its variants
+    never reload the design the leader scheduled or loaded, and the
+    worker writes every record it built."""
+
+    ARRAYS = [(2, 2), (2, 3), (3, 2)]
+
+    def batch(self, module: str = "lego_top") -> list[DesignRequest]:
+        return [DesignRequest(kernel="gemm", dataflows=("KJ",), array=a,
+                              backend=b, module=module)
+                for a in self.ARRAYS for b in BACKENDS]
+
+    @staticmethod
+    def loads_per_design(results) -> dict[str, int]:
+        loads = {}
+        for result in results:
+            key = result.request.design_key()
+            loads[key] = loads.get(key, 0) + ("design_load" in result.phases)
+        return loads
+
+    def test_cold_and_restage(self, tmp_path):
+        engine = BatchEngine(cache=DesignCache(root=tmp_path / "c"))
+        cold = engine.generate_many(self.batch(), workers=2)
+        assert all(r.ok and not r.from_cache for r in cold)
+        assert set(self.loads_per_design(cold).values()) == {0}
+        # the parent's memory tier holds every result (a server's next
+        # /generate hits on the event loop) but wrote no copy to disk
+        assert engine.cache.stats.puts == 0
+        for result in cold:
+            assert engine.cache.get_memory(result.spec_hash) is not None
+        assert all(r.from_cache for r in BatchEngine(cache=DesignCache(
+            root=tmp_path / "c")).generate_many(self.batch()))
+
+        restaged = engine.generate_many(self.batch("alt_top"), workers=2)
+        assert all(r.ok and "schedule" not in r.phases for r in restaged)
+        assert set(self.loads_per_design(restaged).values()) == {1}
+
+    def test_artifacts_match_unplanned_and_in_process(self, tmp_path):
+        runs = [BatchEngine(cache=DesignCache(root=tmp_path / str(i)))
+                .generate_many(self.batch(), workers=workers, plan=plan)
+                for i, (workers, plan) in enumerate(
+                    [(2, True), (2, False), (1, True)])]
+        pooled, unplanned, in_process = (
+            [record_identity(r.to_record()) for r in run] for run in runs)
+        assert pooled == unplanned == in_process
 
 
 class TestDryRunPlan:

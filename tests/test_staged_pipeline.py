@@ -70,6 +70,77 @@ class TestPhaseKeys:
             DesignRequest(backend="hls_c", **TINY).sim_key("GEMM-KJ")
 
 
+class TestHashOnce:
+    """Each key is hashed once per frozen request: the memo is invisible
+    to equality, fresh after ``dataclasses.replace``, carried by pickle,
+    and costs a one-shot request nothing it would not compute anyway."""
+
+    KEYS = ("spec_hash", "design_key", "adg_key")
+
+    @pytest.fixture()
+    def dumps_calls(self, monkeypatch):
+        import repro.service.spec as spec_mod
+
+        calls = []
+        real = spec_mod.canonical_dumps
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(spec_mod, "canonical_dumps", counting)
+        return calls
+
+    def test_second_call_serializes_nothing(self, dumps_calls):
+        request = DesignRequest(**TINY)
+        first = [getattr(request, key)() for key in self.KEYS]
+        assert len(dumps_calls) == 3
+        assert [getattr(request, key)() for key in self.KEYS] == first
+        request.sim_key("GEMM-KJ")  # reads the memoized design_key
+        assert len(dumps_calls) == 4
+
+    def test_replace_hashes_afresh(self, dumps_calls):
+        request = DesignRequest(**TINY)
+        request.spec_hash()
+        request.design_key()
+        other = dataclasses.replace(request, backend="hls_c")
+        assert other.spec_hash() != request.spec_hash()
+        assert other.spec_hash() == \
+            DesignRequest(backend="hls_c", **TINY).spec_hash()
+        dumps_calls.clear()
+        assert other.design_key() == request.design_key()
+        assert len(dumps_calls) == 1  # computed for `other`, not copied
+
+    def test_equality_and_hash_ignore_the_memo(self, dumps_calls):
+        import pickle
+
+        hashed = DesignRequest(**TINY)
+        hashed.spec_hash()
+        fresh = DesignRequest(**TINY)
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+        clone = pickle.loads(pickle.dumps(hashed))
+        assert clone == hashed == fresh
+        dumps_calls.clear()
+        assert clone.spec_hash() == fresh.spec_hash()
+        assert len(dumps_calls) == 1  # the clone's memo came along
+
+    def test_one_shot_request_allocates_no_memo(self):
+        """The server builds one request per ``/generate`` body: the
+        memo is one ``__dict__`` entry per key actually asked for — no
+        container up front, no per-call lambda or closure."""
+        import types
+
+        request = DesignRequest(**TINY)
+        fields = {f.name for f in dataclasses.fields(DesignRequest)}
+        assert set(vars(request)) == fields
+        request.spec_hash()
+        assert set(vars(request)) - fields == {"_spec"}
+        for name in ("_digest", *self.KEYS):
+            code = getattr(DesignRequest, name).__code__
+            assert not any(isinstance(const, types.CodeType)
+                           for const in code.co_consts), name
+
+
 class TestStagedReuse:
     def test_second_backend_reuses_scheduled_design(self, engine):
         cache = engine.cache
