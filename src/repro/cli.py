@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8731,
                      help="TCP port (0 picks an ephemeral port)")
     srv.add_argument("--workers", type=int, default=1,
-                     help="worker processes for cold generation batches")
+                     help="worker processes for every compile and job")
     from .obs import LOG_LEVELS
     srv.add_argument("--log-level", default="warning",
                      choices=list(LOG_LEVELS),

@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..models.layers import Model
-from ..obs import get_registry, trace_span
+from ..obs import trace_span
 from .explorer import DesignPoint, DesignSpace, pareto_front
 
 __all__ = [
@@ -67,14 +67,6 @@ OBJECTIVES = {
     "energy": lambda p: p.energy_pj,
     "throughput": lambda p: -p.gops,
 }
-
-
-_DSE_EVALS = get_registry().counter(
-    "repro_dse_evals_total",
-    "DSE evaluation budget spent, in full-model-equivalents",
-    ("strategy",))
-_DSE_SEARCHES = get_registry().counter(
-    "repro_dse_searches_total", "DSE searches run", ("strategy",))
 
 
 class PointEvaluator:
@@ -500,15 +492,8 @@ def run_search(models, space: DesignSpace | None = None,
                                workers=workers,
                                area_budget_mm2=area_budget_mm2,
                                objective=objective)
-    # Meter the strategy's spend (full-model-equivalents) even when the
-    # run fails: the evals-used total is charged on the way out, and
-    # the span records how far the search got.
-    try:
-        with trace_span("dse:search", strategy=strat.name,
-                        objective=objective):
-            strat.run(evaluator, space, random.Random(seed),
-                      max_evals=max_evals)
-    finally:
-        _DSE_EVALS.labels(strategy=strat.name).inc(evaluator.evals_used)
-        _DSE_SEARCHES.labels(strategy=strat.name).inc()
+    with trace_span("dse:search", strategy=strat.name,
+                    objective=objective):
+        strat.run(evaluator, space, random.Random(seed),
+                  max_evals=max_evals)
     return evaluator.result(strat.name, space)

@@ -38,6 +38,8 @@ into a caller-owned dict such as ``DesignResult.phases``.
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
 import time
 
 from .dashboard import (histogram_quantile, histogram_totals,
@@ -46,9 +48,8 @@ from .logs import LOG_LEVELS, get_logger, setup_logging
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry, reset_registry)
 from .phases import (CACHE_PHASE_TIERS, PHASE_ADG, PHASE_DESIGN,
-                     PHASE_DESIGN_LOAD, PHASE_EMIT, PHASE_FLIGHT_WAIT,
-                     PHASE_REQUEST, PHASE_SCHEDULE, PHASE_SIM,
-                     PIPELINE_PHASES)
+                     PHASE_DESIGN_LOAD, PHASE_EMIT, PHASE_SCHEDULE,
+                     PHASE_SIM, PIPELINE_PHASES)
 from .profiler import DEFAULT_HZ, Profile, SamplingProfiler, profile_for
 from .tracing import (TRACE_HEADER, Span, Tracer, active_spans,
                       current_span_id, current_trace_id,
@@ -69,8 +70,7 @@ __all__ = [
     "snapshot_value", "snapshot_children",
     "histogram_totals", "histogram_quantile", "render_dashboard",
     "PHASE_ADG", "PHASE_SCHEDULE", "PHASE_EMIT", "PHASE_DESIGN_LOAD",
-    "PHASE_FLIGHT_WAIT", "PHASE_REQUEST", "PHASE_DESIGN", "PHASE_SIM",
-    "PIPELINE_PHASES", "CACHE_PHASE_TIERS",
+    "PHASE_DESIGN", "PHASE_SIM", "PIPELINE_PHASES", "CACHE_PHASE_TIERS",
     "setup_logging", "get_logger", "LOG_LEVELS",
     "timed_phase", "telemetry_snapshot", "merge_telemetry",
 ]
@@ -111,3 +111,19 @@ def merge_telemetry(bundle: dict | None) -> None:
         return
     get_registry().merge(bundle.get("metrics"))
     get_tracer().extend(bundle.get("spans", ()))
+
+
+def _free_locks_in_child() -> None:
+    # A fork copies the registry and tracer locks in whatever state
+    # another thread of the parent left them, and that thread does not
+    # exist in the child: a pool worker forked beside a busy thread
+    # would block on its first metric or span.  Start it with free ones.
+    registry = get_registry()
+    registry._lock = threading.RLock()
+    for family in registry._families.values():
+        family._lock = registry._lock
+    get_tracer()._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_free_locks_in_child)

@@ -246,29 +246,15 @@ def _engine_section(prev, curr, dt) -> list[str]:
             if prev else None
         return value, _rate(value, prev_value, dt)
 
-    def summed(name, **match):
-        total = prev_total = 0.0
-        for labels, value in _counter_children(curr, name):
-            if all(labels.get(k) == v for k, v in match.items()):
-                total += value
-                if prev:
-                    prev_total += snapshot_value(prev, name,
-                                                 **labels) or 0.0
-        return total, _rate(total, prev_total if prev else None, dt)
-
     groups, groups_s = pair("repro_planner_groups_total")
     leader, _ = pair("repro_planner_requests_total", role="leader")
     variant, _ = pair("repro_planner_requests_total", role="variant")
-    lead, lead_s = summed("repro_singleflight_total", outcome="lead")
-    wait, wait_s = summed("repro_singleflight_total", outcome="wait")
     mem, _ = pair("repro_generate_path_total", path="event_loop")
     exe, _ = pair("repro_generate_path_total", path="executor")
     return [
         f"planner: groups={int(groups)} ({groups_s:.1f}/s) "
-        f"leader={int(leader)} variant={int(variant)}   "
-        f"single-flight: lead={int(lead)} ({lead_s:.1f}/s) "
-        f"wait={int(wait)} ({wait_s:.1f}/s)",
-        f"generate path: memory-tier={int(mem)} executor={int(exe)}",
+        f"leader={int(leader)} variant={int(variant)}",
+        f"generate path: memory-tier={int(mem)} pool={int(exe)}",
     ]
 
 

@@ -3,8 +3,8 @@
 Dependency-free (stdlib only) and deliberately small: a
 :class:`MetricsRegistry` owns named metric *families*; a family plus one
 set of label values is a *child* holding the actual number(s).  All
-mutation happens under one registry lock, so the asyncio server's
-executor threads, the batch engine, and the cache can share the
+mutation happens under one registry lock, so threads (a profile
+capture beside the server's event loop, say) can share the
 process-global registry (:func:`get_registry`) without coordination.
 
 Two properties matter beyond the basics:

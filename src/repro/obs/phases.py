@@ -11,8 +11,7 @@ from __future__ import annotations
 
 __all__ = [
     "PHASE_ADG", "PHASE_SCHEDULE", "PHASE_EMIT", "PHASE_DESIGN_LOAD",
-    "PHASE_FLIGHT_WAIT", "PHASE_REQUEST", "PHASE_DESIGN", "PHASE_SIM",
-    "PIPELINE_PHASES", "CACHE_PHASE_TIERS",
+    "PHASE_DESIGN", "PHASE_SIM", "PIPELINE_PHASES", "CACHE_PHASE_TIERS",
 ]
 
 #: front-end phase: dataflows -> architecture description graph
@@ -24,13 +23,6 @@ PHASE_EMIT = "emit"
 #: reloading a cached scheduled design instead of re-scheduling
 #: (appears in ``DesignResult.phases`` when the intermediate tier hit)
 PHASE_DESIGN_LOAD = "design_load"
-#: joined another caller's in-flight computation instead of running
-#: one (appears in ``DesignResult.phases`` when single-flight dedup
-#: made this request wait; the winner's record is shared)
-PHASE_FLIGHT_WAIT = "flight_wait"
-#: single-flight namespace of a whole ``execute_request`` (keyed by
-#: ``spec_hash`` — a flight-table namespace, never a cache namespace)
-PHASE_REQUEST = "request"
 #: cache namespace of the serialized scheduled design
 PHASE_DESIGN = "design"
 #: cache namespace of one dataflow's golden simulation vectors
@@ -38,7 +30,7 @@ PHASE_SIM = "sim"
 
 #: every wall-clock phase a cold ``execute_request`` can report
 PIPELINE_PHASES = (PHASE_ADG, PHASE_SCHEDULE, PHASE_EMIT,
-                   PHASE_DESIGN_LOAD, PHASE_FLIGHT_WAIT)
+                   PHASE_DESIGN_LOAD)
 
 #: the ``(phase, key)`` namespaces the cache's phase/live tiers store
 CACHE_PHASE_TIERS = (PHASE_ADG, PHASE_DESIGN, PHASE_SIM)

@@ -12,8 +12,8 @@ timing per thread track.
 Request-scoped **trace IDs** ride a :mod:`contextvars` variable: the
 server (or the CLI) mints one per request (:func:`new_trace_id`), binds
 it with :func:`trace_context`, and every span recorded inside — on the
-event loop, on an executor thread that re-binds it, or in a pool worker
-that received it inside a pickled payload — carries it in ``args``, so
+event loop, or in a pool worker that received it inside a pickled
+payload and re-binds it — carries it in ``args``, so
 one request's work can be filtered out of a fleet-wide trace.
 
 Spans additionally form a **tree**: every span mints a ``span_id`` and
@@ -217,6 +217,7 @@ class Tracer:
 
 
 _TRACER = Tracer()
+
 
 # Innermost open span *name* per OS thread — read by the sampling
 # profiler (obs.profiler) to attribute CPU samples to pipeline phases.

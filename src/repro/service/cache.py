@@ -10,10 +10,10 @@ fall back to regeneration.
 
 Concurrency: every write is atomic (temp file + ``os.replace``), so
 readers never observe a partial entry; the memory tier is guarded by a
-lock, so the asyncio server's executor threads can share one cache; and
-the disk eviction scan takes a cross-process advisory file lock
-(``.evict.lock``) so concurrent writers don't both act on the same
-stale directory snapshot and evict twice the excess.
+lock, so threads can share one cache; and the disk eviction scan takes
+a cross-process advisory file lock (``.evict.lock``) so concurrent
+writers (a server's pool workers, say) don't both act on the same stale
+directory snapshot and evict twice the excess.
 
 Besides finished designs, the cache stores **keyed intermediates** of
 the staged cold path (:meth:`DesignCache.get_phase` /
@@ -26,17 +26,10 @@ unserializable in-process objects (front-end ADGs, reloaded designs)
 for the duration of a burst — it never touches disk and dies with the
 process.
 
-Beside the live tier sits the **in-flight registry**
-(:attr:`DesignCache.flights`, a :class:`SingleFlight` table): caching
-alone cannot deduplicate *concurrent* identical work — two server
-threads that miss the cache at the same instant both start computing —
-so the pipeline routes each phase computation through
-``flights.run(phase, key, fn)``, where the first caller becomes the
-leader and every concurrent caller for the same ``(phase, key)`` waits
-on the one in-flight computation and shares its result (failures
-propagate to all waiters; the slot is always released so a retry
-recomputes).  Like the live tier, it is per-process: processes
-deduplicate through the disk tier's content-addressed records instead.
+The cache does not deduplicate *concurrent* identical work: the server
+does that on its event loop, one in-flight compile per ``design_key``
+(see :mod:`repro.service.server`), and processes share work through the
+disk tier's content-addressed records.
 """
 
 from __future__ import annotations
@@ -48,9 +41,8 @@ import os
 import pathlib
 import tempfile
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 try:
     import fcntl
@@ -60,8 +52,7 @@ except ImportError:  # pragma: no cover — non-POSIX fallback
 from ..obs import get_registry
 from ..serialize import canonical_dumps
 
-__all__ = ["DesignCache", "CacheStats", "SingleFlight",
-           "default_cache_dir"]
+__all__ = ["DesignCache", "CacheStats", "default_cache_dir"]
 
 _FORMAT = "lego-cache-v1"
 
@@ -72,105 +63,6 @@ _FORMAT = "lego-cache-v1"
 _LOOKUPS = get_registry().counter(
     "repro_cache_lookups_total",
     "design-cache lookups by tier and outcome", ("tier", "outcome"))
-_PUTS = get_registry().counter(
-    "repro_cache_puts_total", "design-cache record writes")
-_EVICTIONS = get_registry().counter(
-    "repro_cache_evictions_total", "design-cache disk-tier evictions")
-_CORRUPT = get_registry().counter(
-    "repro_cache_corrupt_total",
-    "corrupted design-cache entries dropped")
-_FLIGHTS = get_registry().counter(
-    "repro_singleflight_total",
-    "single-flight outcomes by phase: lead = computed, wait = joined "
-    "another caller's in-flight computation, reclaim = timed out "
-    "waiting and recomputed", ("phase", "outcome"))
-_FLIGHT_WAIT_SECONDS = get_registry().histogram(
-    "repro_singleflight_wait_seconds",
-    "seconds spent joined to another caller's in-flight computation",
-    ("phase",))
-
-
-class _Flight:
-    """One in-flight computation: its completion event plus outcome."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.result = None
-        self.error: BaseException | None = None
-
-
-class SingleFlight:
-    """Process-wide dedup of concurrent identical computations.
-
-    ``run(phase, key, fn)`` executes *fn* at most once per ``(phase,
-    key)`` at a time: the first caller (the *leader*) computes; every
-    caller that arrives while that computation is in flight blocks and
-    receives the same result.  The leader publishes its outcome —
-    result or exception, ``BaseException`` included, so a leader killed
-    mid-flight still releases its waiters — and removes the slot
-    *before* waking them, so a later retry always recomputes rather
-    than being served a stale failure.
-
-    *timeout* (seconds) bounds how long a waiter trusts its leader: a
-    waiter that times out reclaims the slot and computes for itself
-    (duplicated work, never a deadlock).  ``None`` waits indefinitely.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._flights: dict[tuple[str, str], _Flight] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._flights)
-
-    def run(self, phase: str, key: str, fn,
-            timeout: float | None = None):
-        """``(fn(), True)`` as the leader, or ``(shared result,
-        False)`` after waiting on another caller's flight.  A leader's
-        exception is re-raised in every waiter."""
-        slot = (phase, key)
-        while True:
-            with self._lock:
-                flight = self._flights.get(slot)
-                lead = flight is None
-                if lead:
-                    flight = _Flight()
-                    self._flights[slot] = flight
-            if lead:
-                try:
-                    flight.result = fn()
-                except BaseException as exc:
-                    flight.error = exc
-                    raise
-                finally:
-                    # Release the slot before waking waiters: anyone
-                    # arriving from here on starts a fresh computation
-                    # (a failed flight must never be joinable).
-                    with self._lock:
-                        if self._flights.get(slot) is flight:
-                            del self._flights[slot]
-                    flight.done.set()
-                _FLIGHTS.labels(phase=phase, outcome="lead").inc()
-                return flight.result, True
-            t0 = time.perf_counter()
-            if not flight.done.wait(timeout):
-                # Leader hung (or was killed without unwinding): stop
-                # trusting it.  Drop the slot if it is still ours and
-                # loop — we (or whoever wins the race) recompute.
-                with self._lock:
-                    if self._flights.get(slot) is flight:
-                        del self._flights[slot]
-                _FLIGHTS.labels(phase=phase, outcome="reclaim").inc()
-                continue
-            _FLIGHTS.labels(phase=phase, outcome="wait").inc()
-            _FLIGHT_WAIT_SECONDS.labels(phase=phase).observe(
-                time.perf_counter() - t0)
-            if flight.error is not None:
-                raise flight.error
-            return flight.result, False
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -245,12 +137,9 @@ class DesignCache:
         self.root = pathlib.Path(self.root)
         self._memory: OrderedDict[str, dict] = OrderedDict()
         self._live: OrderedDict[str, object] = OrderedDict()
-        #: in-flight registry: concurrent identical phase computations
-        #: are deduplicated here before they ever reach the tiers above
-        self.flights = SingleFlight()
         # Guards the memory LRU and the stats counters: without it, two
-        # server threads can race a membership check against an
-        # eviction and crash on move_to_end(missing key).
+        # threads can race a membership check against an eviction and
+        # crash on move_to_end(missing key).
         self._lock = threading.RLock()
         # Approximate on-disk entry count; scanned lazily so put() stays
         # O(1) until the cache actually nears its bound.
@@ -339,7 +228,6 @@ class DesignCache:
                 if unlinked and self._disk_count is not None:
                     self._disk_count = max(0, self._disk_count - 1)
             _LOOKUPS.labels(tier="disk", outcome="miss").inc()
-            _CORRUPT.inc()
             return None
         with self._lock:
             self.stats.hits += 1
@@ -375,7 +263,6 @@ class DesignCache:
             if self._disk_count is not None and not existed:
                 self._disk_count += 1
             self._remember(key, record)
-        _PUTS.inc()
         self._evict_disk()
 
     def remember(self, key: str, record: dict) -> None:
@@ -383,6 +270,13 @@ class DesignCache:
         to disk (a batch engine's pool worker): no I/O, no put count."""
         with self._lock:
             self._remember(key, record)
+
+    def merge_stats(self, delta: CacheStats) -> None:
+        """Add a pool worker's per-task stats delta to this cache's."""
+        with self._lock:
+            for f in fields(CacheStats):
+                setattr(self.stats, f.name, getattr(self.stats, f.name)
+                        + getattr(delta, f.name))
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""
@@ -524,7 +418,6 @@ class DesignCache:
                     path.unlink()
                     with self._lock:
                         self.stats.evictions += 1
-                    _EVICTIONS.inc()
                 except OSError:
                     pass
                 with self._lock:

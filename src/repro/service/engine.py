@@ -34,6 +34,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
+import os
+import signal
+import stat
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +45,7 @@ from ..obs import (PHASE_DESIGN, current_span_id, current_trace_id,
                    telemetry_snapshot, trace_context, trace_span)
 from ..obs.tracing import get_tracer
 from ..serialize import canonical_dumps
-from .cache import DesignCache
+from .cache import CacheStats, DesignCache
 from .spec import DesignRequest, DesignResult, execute_request
 
 __all__ = ["BatchEngine", "BatchPlan", "PlanGroup",
@@ -79,8 +82,41 @@ _WORKER_CACHE: DesignCache | None = None
 
 def _init_request_worker(cache_spec: dict | None) -> None:
     global _WORKER_CACHE
+    _detach_from_parent()
     _WORKER_CACHE = (DesignCache(**cache_spec)
                      if cache_spec is not None else None)
+
+
+def _detach_from_parent() -> None:
+    """Cut a forked worker's ties to its parent.  A server forks while
+    it serves: a copy of a client socket kept here would hold open a
+    connection the server closed, so every inherited socket is pointed
+    at ``/dev/null`` (the pool's pipes are not sockets).  The parent's
+    signal handlers belong to its event loop, so a worker takes
+    SIGTERM's default and leaves ctrl-C to the parent.  And a worker
+    must not outlive a SIGKILLed parent, still writing to its cache: on
+    Linux it asks for SIGKILL when the thread that forked it dies."""
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # pragma: no cover — no procfs
+        fds = []
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+    os.close(null)
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    except (OSError, AttributeError):  # pragma: no cover — not Linux
+        pass
 
 
 def _cache_spec(cache: DesignCache | None) -> dict | None:
@@ -92,13 +128,19 @@ def _cache_spec(cache: DesignCache | None) -> dict | None:
             "disk_entries": cache.disk_entries}
 
 
-def _run_group(group: PlanGroup, cache: DesignCache | None
-               ) -> list[DesignResult]:
+def _run_group(cache: DesignCache | None, group: PlanGroup,
+               lookup: bool = False) -> list[DesignResult]:
     """One design group, in-process or in a pool worker: the leader
     schedules (or loads) the design, then every variant emits from the
     live design it left in *cache*.  Each ok record is cached here,
-    where it was built."""
+    where it was built.  With *lookup*, a member whose full record is
+    already cached is answered from it instead (the server's loop reads
+    only the memory tier, so the disk tier is read here)."""
     def build(request: DesignRequest) -> DesignResult:
+        if lookup and cache is not None:
+            record = cache.get(request.spec_hash())
+            if record is not None:
+                return DesignResult.from_record(request.spec_hash(), record)
         result = execute_request(request, cache=cache)
         if cache is not None and result.ok:
             cache.put(result.spec_hash, result.to_record())
@@ -115,25 +157,43 @@ def _run_group(group: PlanGroup, cache: DesignCache | None
         if poisoned else build(v) for v in group.variants]
 
 
-def _run_group_task(task: tuple) -> tuple[list[DesignResult], dict]:
-    """Pool entry point: one group plus this task's telemetry delta
+def _pool_task(task: tuple) -> tuple[object, dict, CacheStats | None]:
+    """The one pool entry point: ``(fn, args, trace_id, parent_id)`` →
+    ``fn(worker cache, *args)`` plus this task's telemetry delta
     (metrics snapshot + spans, tagged with the trace id the task
-    carried).  Top-level so it pickles under both fork and spawn.
+    carried) and its cache-stats delta.  *fn* is a top-level function
+    (:func:`_run_group`, or the server's exploration body), so the task
+    pickles under both fork and spawn.
 
     Pool workers process tasks serially, so resetting the worker's
-    process-global registry/tracer at task start makes the snapshot at
-    task end exactly this task's delta — fork-inherited parent counts
-    included in neither.
+    process-global registry/tracer/stats at task start makes the
+    snapshot at task end exactly this task's delta — fork-inherited
+    parent counts included in neither.
     """
-    group, trace_id, parent_id = task
+    fn, args, trace_id, parent_id = task
     reset_registry()
     get_tracer().clear()
-    # parent_id is the engine-side span that fanned this task out (the
-    # "batch" span): binding it makes the worker's spans children in
-    # the merged trace tree, not disconnected roots.
+    cache = _WORKER_CACHE
+    if cache is not None:
+        cache.stats = CacheStats()
+    # parent_id is the span that sent this task out (a "batch" span, or
+    # the server's request or job span): binding it makes the worker's
+    # spans children in the merged trace tree, not disconnected roots.
     with trace_context(trace_id, parent_id):
-        results = _run_group(group, _WORKER_CACHE)
-    return results, telemetry_snapshot()
+        value = fn(cache, *args)
+    return (value, telemetry_snapshot(),
+            cache.stats if cache is not None else None)
+
+
+def remember_built(cache: DesignCache | None,
+                   results: Iterable[DesignResult]) -> None:
+    """Keep this process's memory tier as warm as an in-process run:
+    a pool worker wrote these records to disk, and the next lookup
+    here should not have to read them back."""
+    if cache is not None:
+        for result in results:
+            if result.ok:
+                cache.remember(result.spec_hash, result.to_record())
 
 
 def requests_from_space(space, options=None,
@@ -294,6 +354,44 @@ class BatchEngine:
 
     # -- batch -------------------------------------------------------------
 
+    def begin(self, requests: Sequence[DesignRequest],
+              progress: Callable[[int, int, DesignResult], None]
+              | None = None, plan: bool = True,
+              memory_only: bool = False) -> "_Batch":
+        """The first half of a batch, shared by :meth:`generate_many`
+        and the server's event loop: the cache pass with in-batch dedup
+        (every hit reported at once), then the cold remainder grouped
+        by ``design_key`` into :attr:`_Batch.groups`.  *memory_only*
+        keeps the pass off the disk (the server's loop); its groups
+        then hold disk-cached specs too, for ``_run_group(...,
+        lookup=True)`` to answer.  Call inside a ``batch`` span."""
+        batch = _Batch(requests, progress)
+        cold: dict[str, DesignRequest] = {}
+        cache = self.cache
+        lookup = (None if cache is None
+                  else cache.get_memory if memory_only else cache.get)
+        for req, key in zip(requests, batch.hashes):
+            if key in batch.resolved or key in cold:
+                continue
+            record = lookup(key) if lookup is not None else None
+            if record is not None:
+                batch.collect([DesignResult.from_record(key, record)])
+            else:
+                cold[key] = req
+        groups = (self._group_by_design(cold.values()) if plan else
+                  [PlanGroup(r.design_key(), r) for r in cold.values()])
+        n_variants = len(cold) - len(groups)
+        if plan and cold:
+            _PLAN_GROUPS.inc(len(groups))
+            _PLAN_REQUESTS.labels(role="leader").inc(len(groups))
+            if n_variants:
+                _PLAN_REQUESTS.labels(role="variant").inc(n_variants)
+            with trace_span("plan", n_cold=len(cold),
+                            n_groups=len(groups), n_variants=n_variants):
+                pass  # instant span: records the plan in the trace
+        batch.groups = groups
+        return batch
+
     def generate_many(self, requests,
                       workers: int | None = None,
                       progress: Callable[[int, int, DesignResult], None]
@@ -314,74 +412,27 @@ class BatchEngine:
         """
         requests = self._as_requests(requests)
         workers = workers if workers is not None else self.workers
-        hashes = [r.spec_hash() for r in requests]
-        occurrences = Counter(hashes)
-        total = len(requests)
-        done = 0
-        resolved: dict[str, DesignResult] = {}
-
-        def report(result: DesignResult) -> None:
-            # One progress tick per *request*, so `done` reaches `total`
-            # even when requests are cache hits or in-batch duplicates.
-            nonlocal done
-            resolved[result.spec_hash] = result
-            _DESIGNS.labels(
-                source="cache" if result.from_cache else "cold",
-                outcome="ok" if result.ok else "error",
-            ).inc(occurrences[result.spec_hash])
-            for _ in range(occurrences[result.spec_hash]):
-                done += 1
-                if progress is not None:
-                    progress(done, total, result)
-
-        with trace_span("batch", n_requests=total, workers=workers):
-            # 1. cache pass + in-batch dedup
-            cold: dict[str, DesignRequest] = {}
-            for req, key in zip(requests, hashes):
-                if key in resolved or key in cold:
-                    continue
-                record = (self.cache.get(key)
-                          if self.cache is not None else None)
-                if record is not None:
-                    report(DesignResult.from_record(key, record))
-                else:
-                    cold[key] = req
-
-            # 2. plan: group cold specs by scheduled-design identity
-            groups = (self._group_by_design(cold.values()) if plan else
-                      [PlanGroup(r.design_key(), r) for r in cold.values()])
-            n_variants = len(cold) - len(groups)
-            if plan and cold:
-                _PLAN_GROUPS.inc(len(groups))
-                _PLAN_REQUESTS.labels(role="leader").inc(len(groups))
-                if n_variants:
-                    _PLAN_REQUESTS.labels(role="variant").inc(n_variants)
-                with trace_span("plan", n_cold=len(cold),
-                                n_groups=len(groups),
-                                n_variants=n_variants):
-                    pass  # instant span: records the plan in the trace
-
-            # 3. run the groups: in-process, or one pool task per group
-            if workers <= 1 or len(groups) <= 1:
+        with trace_span("batch", n_requests=len(requests), workers=workers):
+            batch = self.begin(requests, progress, plan)
+            if workers <= 1 or len(batch.groups) <= 1:
                 # the runner shares this engine's cache directly (live
                 # tier included), and its telemetry lands in this
                 # process's registry/tracer as it happens
-                for group in groups:
-                    for result in _run_group(group, self.cache):
-                        report(result)
+                for group in batch.groups:
+                    batch.collect(_run_group(self.cache, group))
             else:
-                for result in self._run_pooled(groups, workers):
-                    report(result)
+                self._run_pooled(batch, workers)
+        return batch.results()
 
-        return [resolved[key] for key in hashes]
-
-    def _run_pooled(self, groups: Sequence[PlanGroup],
-                    workers: int) -> Iterable[DesignResult]:
+    def _run_pooled(self, batch: "_Batch", workers: int) -> None:
         # Each task carries the trace id and the enclosing span's id (its
         # parent in the trace tree); every worker's telemetry delta is
-        # merged back, so /metrics and the trace cover the fan-out.
-        tasks = [(group, current_trace_id(), current_span_id())
-                 for group in groups]
+        # merged back, so /metrics and the trace cover the fan-out.  The
+        # workers' cache stats are not: this engine's stats count its
+        # own lookups and writes, and it wrote no record.
+        groups = batch.groups
+        tasks = [(_run_group, (group,), current_trace_id(),
+                  current_span_id()) for group in groups]
         cache = self.cache
         if cache is None or any(
                 cache.phase_address(PHASE_DESIGN, g.design_key)
@@ -397,22 +448,48 @@ class BatchEngine:
                 processes=min(workers, len(groups)),
                 initializer=_init_request_worker,
                 initargs=(_cache_spec(cache),)) as pool:
-            for results, telemetry in pool.imap(_run_group_task, tasks,
-                                                chunksize=1):
+            for results, telemetry, _stats in pool.imap(
+                    _pool_task, tasks, chunksize=1):
                 merge_telemetry(telemetry)
-                for result in results:
-                    if cache is not None and result.ok:
-                        # the worker wrote it to disk; keep the parent's
-                        # memory tier as warm as an in-process run
-                        cache.remember(result.spec_hash,
-                                       result.to_record())
-                    yield result
+                remember_built(cache, results)
+                batch.collect(results)
 
     @staticmethod
     def _as_requests(requests) -> list[DesignRequest]:
         if hasattr(requests, "points") and hasattr(requests, "size"):
             return requests_from_space(requests)
         return list(requests)
+
+
+class _Batch:
+    """One batch's bookkeeping from its cache pass to its results (see
+    :meth:`BatchEngine.begin`): one progress tick per *request* as
+    results land, so ``done`` reaches ``total`` even when requests are
+    cache hits or in-batch duplicates."""
+
+    def __init__(self, requests: Sequence[DesignRequest], progress):
+        self.hashes = [r.spec_hash() for r in requests]
+        self.groups: list[PlanGroup] = []
+        self.resolved: dict[str, DesignResult] = {}
+        self._occurrences = Counter(self.hashes)
+        self._progress = progress
+        self._done = 0
+
+    def collect(self, results: Iterable[DesignResult]) -> None:
+        for result in results:
+            self.resolved[result.spec_hash] = result
+            n = self._occurrences[result.spec_hash]
+            _DESIGNS.labels(
+                source="cache" if result.from_cache else "cold",
+                outcome="ok" if result.ok else "error").inc(n)
+            for _ in range(n):
+                self._done += 1
+                if self._progress is not None:
+                    self._progress(self._done, len(self.hashes), result)
+
+    def results(self) -> list[DesignResult]:
+        """Every request's result, in input order."""
+        return [self.resolved[key] for key in self.hashes]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A :class:`Job` is one `/batch` or `/explore` request living across many
 HTTP round-trips: submitted, polled via ``GET /jobs/<id>``, and
 eventually carrying its result or the full traceback of its failure.
-The :class:`JobRegistry` is the thread-safe table the asyncio server and
-its executor threads share; nothing in here knows about HTTP.
+The :class:`JobRegistry` is the thread-safe table the asyncio server's
+job coroutines update and its pollers read; nothing in here knows about
+HTTP.
 
 Two serving-tier facilities hang off the job table:
 
@@ -36,7 +37,7 @@ MAX_JOB_EVENTS = 10_000
 
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
-#: statuses that still hold (or will hold) an executor thread
+#: statuses of work that has not settled yet
 LIVE_STATUSES = ("queued", "running")
 
 
@@ -82,7 +83,7 @@ class Job:
         self.events_dropped = 0
         self._journal = None  # set by JobRegistry.create / restore
 
-    # -- state transitions (called from executor threads) ------------------
+    # -- state transitions ---------------------------------------------------
 
     def start(self) -> None:
         with self._lock:
@@ -91,9 +92,8 @@ class Job:
         self._persist()
 
     def update_progress(self, **fields) -> None:
-        """Merge progress fields under the job lock (worker threads
-        update while pollers copy — unlocked mutation would race the
-        ``dict(self.progress)`` snapshots)."""
+        """Merge progress fields under the job lock (an updating thread
+        would otherwise race the ``dict(self.progress)`` snapshots)."""
         with self._lock:
             self.progress.update(fields)
 
@@ -119,8 +119,8 @@ class Job:
         return self._finished.wait(timeout)
 
     def settled(self) -> bool:
-        """True once the job sits in done/failed (no executor thread
-        will emit further events)."""
+        """True once the job sits in done/failed (it will emit no
+        further events)."""
         return self._finished.is_set()
 
     # -- recovery transitions (applied by JobRegistry.restore) -------------
@@ -279,7 +279,7 @@ class JobRegistry:
             return self._jobs.get(job_id)
 
     def queued(self) -> list[Job]:
-        """The jobs waiting for an executor thread."""
+        """The jobs waiting to run (explorations re-queued at boot)."""
         with self._lock:
             return [j for j in self._jobs.values() if j.status == "queued"]
 
@@ -294,8 +294,8 @@ class JobRegistry:
         counts = {status: 0 for status in JOB_STATUSES}
         for job in jobs:
             # Snapshot each status under its own job lock (like
-            # summary() does): executor threads transition concurrently
-            # and the gauge must never observe a mid-transition read.
+            # summary() does): the gauge must never observe a
+            # mid-transition read.
             with job._lock:
                 status = job.status
             counts[status] = counts.get(status, 0) + 1
@@ -309,9 +309,9 @@ class JobRegistry:
         ========== ============================ =======================
         journaled  meaning after a dead server  restored as
         ========== ============================ =======================
-        queued /   the executor thread died     explore → ``queued``
-        running    with the process (or never   (``recovered``; the
-                   got one)                     server replays it);
+        queued /   the job died with the        explore → ``queued``
+        running    process (or never ran)       (``recovered``; the
+                                                server replays it);
                                                 batch → ``failed``
                                                 with a recovery error
         done /     terminal                     as-is
@@ -351,18 +351,19 @@ class JobRegistry:
         return summary
 
     def sweep_shutdown(self) -> int:
-        """Fail the batch jobs whose queued executor slot a server
-        shutdown cancelled (``cancel_futures=True``): without this they
-        would sit ``queued`` forever and every ``wait()`` on them would
-        hang to its timeout.  Queued explorations stay ``queued`` in the
-        journal, so the next boot on the same root re-queues them, and
-        running jobs finish on their threads.  Returns how many batches
+        """Fail the batch jobs a server shutdown left unsettled (their
+        compiles were dropped): without this they would stay live
+        forever and every ``wait()`` on them would hang to its timeout.
+        Unsettled explorations stay live in the journal, so the next
+        boot on the same root re-queues them.  Returns how many batches
         failed."""
+        with self._lock:
+            jobs = list(self._jobs.values())
         failed = 0
-        for job in self.queued():
-            if job.kind != "explore":
+        for job in jobs:
+            if job.kind != "explore" and not job.settled():
                 job.fail("server shut down before this batch job "
-                         "started; resubmit it")
+                         "finished; resubmit it")
                 failed += 1
         return failed
 

@@ -2,14 +2,17 @@
 
 ``repro serve`` turns the batch engine into a long-lived service.  The
 server is stdlib-only (``asyncio.start_server`` plus a small HTTP/1.1
-reader/writer — no web framework): connections are multiplexed on the
-event loop, blocking work (generation, DSE steps) runs on executor
-threads against the shared :class:`~repro.service.engine.BatchEngine`,
-and long-running work lives in a :class:`~repro.service.jobs.JobRegistry`
-polled across requests.  Job bodies run on a **dedicated bounded
-executor** (sized with ``max_jobs``, capped at 32 threads) while
-synchronous ``/generate`` work keeps asyncio's default executor, so a
-registry full of long-lived jobs cannot starve interactive requests.
+reader/writer — no web framework) and runs on **one event loop**: it
+parses requests, answers memory-tier hits inline, and sends every
+compile — a ``/generate`` miss, each design group of a ``/batch``, each
+``/explore`` search — to **one process pool** of ``--workers``
+processes, forked on first use.  The loop keeps one in-flight compile
+per ``design_key``: a request for a design being compiled waits for it
+and re-reads the memory tier, so concurrent clients share one schedule.
+Long-running work lives in a :class:`~repro.service.jobs.JobRegistry`
+polled across requests; a job is a coroutine that keeps at most
+``workers`` of its design groups in the pool, so an interactive request
+queues behind compiles already running, never behind a job's backlog.
 
 The HTTP layer itself (connection handling, request parsing, dispatch
 telemetry, JSON/text/chunked-stream responses) lives in
@@ -62,14 +65,18 @@ import threading
 import time
 import traceback
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple
 
 from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
-                   get_logger, get_registry, get_tracer, new_trace_id,
-                   parse_trace_header, profile_for, refresh_trace_metrics,
-                   setup_logging, trace_context, trace_span)
-from .engine import BatchEngine
+                   get_logger, get_registry, get_tracer, merge_telemetry,
+                   new_trace_id, parse_trace_header, profile_for,
+                   refresh_trace_metrics, setup_logging, trace_context,
+                   trace_span)
+from .engine import (BatchEngine, PlanGroup, _cache_spec,
+                     _init_request_worker, _pool_context, _pool_task,
+                     _run_group, remember_built)
 from .faults import FaultDrop, FaultError, get_faults
 from .jobs import JobRegistry, RegistryFull
 from .persist import JobJournal
@@ -80,8 +87,8 @@ __all__ = ["DesignServer", "HttpServerBase", "ROUTES", "Route",
 
 _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
-                500: "Internal Server Error", 502: "Bad Gateway",
-                503: "Service Unavailable"}
+                500: "Internal Server Error", 501: "Not Implemented",
+                502: "Bad Gateway", 503: "Service Unavailable"}
 _MAX_BODY = 64 * 1024 * 1024
 #: ``GET /debug/profile`` capture window without ``seconds=`` — the
 #: ``repro profile --seconds`` default
@@ -96,8 +103,8 @@ _HTTP_SECONDS = get_registry().histogram(
     "HTTP request handling latency by normalized route", ("route",))
 _GENERATE_PATH = get_registry().counter(
     "repro_generate_path_total",
-    "how /generate answers were produced: memory-tier hits stay on the "
-    "event loop, everything else pays two executor handoffs", ("path",))
+    "how /generate answers were produced: event_loop = a memory-tier "
+    "hit, executor = a trip through the process pool", ("path",))
 _JOBS_GAUGE = get_registry().gauge(
     "repro_jobs", "jobs in the registry by status", ("status",))
 
@@ -212,7 +219,8 @@ def _check_number(data: dict, key: str, kind=(int, float),
     if value is None:
         return
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise _BadRequest(f'"{key}" must be a number, got {value!r}')
+        what = "an integer" if kind is int else "a number"
+        raise _BadRequest(f'"{key}" must be {what}, got {value!r}')
     if minimum is not None and value < minimum:
         raise _BadRequest(f'"{key}" must be >= {minimum}, got {value!r}')
 
@@ -261,10 +269,9 @@ class StreamPayload:
 
 class _JobStream(StreamPayload):
     """Live NDJSON view of one job: replays the buffered events, then
-    follows new ones at a small poll cadence *on the event loop* (no
-    executor thread is held), and terminates with an ``end`` event
-    carrying the full job dict once the job settles (done / failed)
-    or the server starts closing."""
+    follows new ones at a small poll cadence on the event loop, and
+    terminates with an ``end`` event carrying the full job dict once
+    the job settles (done / failed) or the server starts closing."""
 
     poll_s = 0.05
 
@@ -317,7 +324,6 @@ class HttpServerBase:
         self._log = get_logger(self.log_name)
         self._server: asyncio.AbstractServer | None = None
         self._closing = threading.Event()
-        self._tasks: set = set()
         self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ---------------------------------------------------------
@@ -436,6 +442,13 @@ class HttpServerBase:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # A body framed some other way than Content-Length would be
+            # read as an empty body, and its bytes as the next request.
+            await self._respond(writer, 501, {
+                "error": "Transfer-Encoding is not supported; send the "
+                         "body with Content-Length"}, False)
+            return None
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
@@ -621,7 +634,7 @@ class HttpServerBase:
     async def _capture_profile(self, params: dict):
         """This process's CPU profile for ``GET /debug/profile``: a
         blocking capture of ``seconds=N`` (default 2, clamped to 30) at
-        ``hz=H`` on an executor thread."""
+        ``hz=H`` on an executor thread (it samples the event loop)."""
         try:
             secs = min(30.0, max(0.05, float(
                 params.get("seconds", _PROFILE_SECONDS))))
@@ -640,18 +653,17 @@ class HttpServerBase:
 class DesignServer(HttpServerBase):
     """The serving front end around one shared :class:`BatchEngine`.
 
-    With a cached engine and ``persist_jobs=True`` (the default) the
-    job table is journaled under ``<cache root>/jobs/`` and
-    reloaded on construction — see :meth:`JobRegistry.restore`'s
-    recovery matrix.  ``job_workers`` overrides the job-body executor
-    width (defaults to ``min(max_jobs, 32)``).  Remaining keyword
-    arguments (``host``, ``port``, ``slow_request_ms``) are
-    :class:`HttpServerBase`'s.
+    Every compile runs in one process pool of ``engine.workers``
+    processes, forked on first use and shut down by :meth:`stop`.  With
+    a cached engine and ``persist_jobs=True`` (the default) the job
+    table is journaled under ``<cache root>/jobs/`` and reloaded on
+    construction — see :meth:`JobRegistry.restore`'s recovery matrix.
+    Remaining keyword arguments (``host``, ``port``,
+    ``slow_request_ms``) are :class:`HttpServerBase`'s.
     """
 
     def __init__(self, engine: BatchEngine | None = None,
-                 max_jobs: int = 1024, persist_jobs: bool = True,
-                 job_workers: int | None = None, **http):
+                 max_jobs: int = 1024, persist_jobs: bool = True, **http):
         super().__init__(**http)
         self.engine = engine if engine is not None else BatchEngine()
         journal = None
@@ -668,36 +680,35 @@ class DesignServer(HttpServerBase):
                 "re-queued, %d interrupted batch(es) failed",
                 self.recovered["jobs"], self.recovered["requeued"],
                 self.recovered["failed"])
-        # Long-lived /batch and /explore job bodies get their own
-        # bounded pool, sized consistently with the job registry: the
-        # asyncio *default* executor (~32 threads) stays reserved for
-        # synchronous /generate work, so a registry full of long jobs
-        # can no longer starve interactive requests.
-        self._job_executor = ThreadPoolExecutor(
-            max_workers=(job_workers if job_workers
-                         else max(1, min(max_jobs, 32))),
-            thread_name_prefix="repro-job")
+        self._pool: ProcessPoolExecutor | None = None
+        #: design_key -> the one compile of that design in flight
+        self._flights: dict[str, asyncio.Task] = {}
+        #: running job coroutines
+        self._job_tasks: set[asyncio.Task] = set()
 
     async def start(self) -> "DesignServer":
-        # The explorations the journal re-queued replay now.  Before the
-        # socket opens they are the only queued jobs.
+        # The explorations the journal re-queued replay now.
         for job in self.jobs.queued():
-            self._submit(self._run_explore_job, job)
+            self._spawn_job(job, self._explore_job(job))
         return await super().start()
 
     async def stop(self) -> None:
-        self._closing.set()
-        # Queued-but-unstarted job bodies are dropped; running ones
-        # finish on their threads.
-        self._job_executor.shutdown(wait=False, cancel_futures=True)
-        # A dropped batch would otherwise sit "queued" forever and hang
-        # every wait() on it; a dropped exploration stays journaled
-        # "queued", and the next boot on this root replays it.
+        await super().stop()
+        if self._pool is not None:
+            # Compiles still queued in the pool are dropped; running ones
+            # finish before the workers are joined.  (This blocks the
+            # loop, which no longer serves anything.)
+            self._pool.shutdown(cancel_futures=True)
+        # jobs settle on what came back; a dropped compile unwinds its
+        # job as cancelled
+        await asyncio.gather(*self._job_tasks)
+        # A batch that lost compiles would otherwise stay live and hang
+        # every wait() on it; an exploration stays journaled live, and
+        # the next boot on this root replays it.
         failed = self.jobs.sweep_shutdown()
         if failed:
-            self._log.info("shutdown failed %d queued batch job(s)",
+            self._log.info("shutdown failed %d unfinished batch job(s)",
                            failed)
-        await super().stop()
 
     def banner(self) -> str:
         cache = self.engine.cache
@@ -762,32 +773,28 @@ class DesignServer(HttpServerBase):
         # router's proxy span, or a traced client) so the whole request
         # is one tree; mint only for untraced callers.
         trace_id = current_trace_id() or new_trace_id()
-        parent_id = current_span_id()
-        # Warm fast path: answer *memory-tier* hits directly on the
-        # event loop — such a hit is a dict lookup plus JSON, and
-        # skipping the two executor-thread handoffs roughly halves warm
-        # latency.  Disk-tier hits still go through the executor: their
-        # open()+json.load() must not stall every other connection.
-        if self.engine.cache is not None:
-            key = request.spec_hash()
-            record = self.engine.cache.get_memory(key)
+        cache = self.engine.cache
+        key = request.spec_hash()
+        # A memory-tier hit is a dict lookup plus JSON: answer it here.
+        # While this design is being compiled, wait for that compile and
+        # look again — it may have produced this very record, and if not
+        # (another backend) the phase record it left saves a schedule.
+        while True:
+            record = cache.get_memory(key) if cache is not None else None
             if record is not None:
                 _GENERATE_PATH.labels(path="event_loop").inc()
                 result = DesignResult.from_record(key, record)
                 return 200, dict(result.to_json(include_rtl),
                                  trace_id=trace_id)
+            flight = self._flights.get(request.design_key())
+            if flight is None:
+                break
+            await asyncio.wait((flight,))
         _GENERATE_PATH.labels(path="executor").inc()
-        loop = asyncio.get_running_loop()
-        # contextvars do not follow work into executor threads, so the
-        # trace id rides along explicitly and is re-bound over there.
-        result = await loop.run_in_executor(
-            None, self._submit_traced, request, trace_id, parent_id)
+        with trace_context(trace_id, current_span_id()):
+            [result] = await self._compile(
+                PlanGroup(request.design_key(), request))
         return 200, dict(result.to_json(include_rtl), trace_id=trace_id)
-
-    def _submit_traced(self, request: DesignRequest, trace_id: str,
-                       parent_id: str | None = None) -> DesignResult:
-        with trace_context(trace_id, parent_id):
-            return self.engine.submit(request)
 
     async def _ep_batch(self, req: Request) -> tuple[int, dict]:
         data = req.data
@@ -805,7 +812,7 @@ class DesignServer(HttpServerBase):
         })
         job.trace_id = current_trace_id() or new_trace_id()
         job.trace_parent = current_span_id()
-        self._submit(self._run_batch_job, job, requests)
+        self._spawn_job(job, self._batch_job(job, requests))
         return 202, {"job": job.id, "status": job.status,
                      "requests": len(requests), "trace_id": job.trace_id}
 
@@ -829,7 +836,7 @@ class DesignServer(HttpServerBase):
         if unknown:
             raise _BadRequest(f"unknown models {unknown}; choose from "
                               f"{sorted(zoo.MODEL_BUILDERS)}")
-        _check_number(data, "max_evals", minimum=1)
+        _check_number(data, "max_evals", kind=int, minimum=1)
         _check_number(data, "seed", kind=int)
         _check_number(data, "area_budget_mm2")
         # Fail fast on bad strategy/space/objective before queueing.
@@ -850,7 +857,7 @@ class DesignServer(HttpServerBase):
         job = self.jobs.create("explore", params)
         job.trace_id = current_trace_id() or new_trace_id()
         job.trace_parent = current_span_id()
-        self._submit(self._run_explore_job, job)
+        self._spawn_job(job, self._explore_job(job))
         return 202, {"job": job.id, "status": job.status,
                      "trace_id": job.trace_id}
 
@@ -868,76 +875,146 @@ class DesignServer(HttpServerBase):
     async def _ep_stream(self, req: Request):
         return 200, _JobStream(self._job(req))
 
-    # -- background work (executor threads) --------------------------------
+    # -- the process pool ------------------------------------------------
 
-    def _submit(self, fn, *args) -> None:
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(self._job_executor, fn, *args)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _in_pool(self, fn, *args):
+        """``fn(worker cache, *args)`` in the pool, under the current
+        trace context; the worker's telemetry and cache-stats deltas are
+        folded into this process."""
+        if self._closing.is_set():
+            raise asyncio.CancelledError("server is stopping")
+        task = (fn, args, current_trace_id(), current_span_id())
+        for retry in (True, False):
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.engine.workers,
+                    mp_context=_pool_context(),
+                    initializer=_init_request_worker,
+                    initargs=(_cache_spec(self.engine.cache),))
+            pool = self._pool
+            try:
+                value, telemetry, stats = await asyncio.wrap_future(
+                    pool.submit(_pool_task, task))
+                break
+            except BrokenProcessPool:
+                # A worker died (killed, out of memory) and took the pool
+                # down with every task in it: start a fresh pool, and
+                # run this task once more.
+                if self._pool is pool:
+                    self._pool = None
+                    pool.shutdown(wait=False)
+                if not retry:
+                    raise
+        merge_telemetry(telemetry)
+        if stats is not None:
+            self.engine.cache.merge_stats(stats)
+        return value
 
-    def _run_batch_job(self, job, requests) -> None:
+    async def _compile(self, group: PlanGroup) -> list:
+        """One design group through the pool, with at most one compile
+        per ``design_key`` in flight: a compile of the same design
+        already running is waited for first, and the worker then finds
+        what it left in the cache tiers."""
+        key = group.design_key
+        while (flight := self._flights.get(key)) is not None:
+            await asyncio.wait((flight,))
+        flight = self._flights[key] = asyncio.ensure_future(
+            self._flight(group))
+        # shielded: a caller that goes away must not cancel a compile
+        # other requests are waiting on
+        return await asyncio.shield(flight)
+
+    async def _flight(self, group: PlanGroup) -> list:
         try:
-            job.start()
-            include_rtl = job.params.get("include_rtl", False)
+            results = await self._in_pool(_run_group, group, True)
+        finally:
+            del self._flights[group.design_key]
+        # before the flight completes, so its waiters find these warm
+        remember_built(self.engine.cache, results)
+        return results
 
-            def progress(done, total, result):
-                job.update_progress(done=done, total=total)
-                # One stream event per finished request, so
-                # /jobs/<id>/stream readers see results as they land
-                # instead of waiting for the terminal summary.
-                job.emit({"event": "result", "done": done, "total": total,
-                          "result": result.to_json(include_rtl)})
+    # -- jobs (coroutines on the loop) -------------------------------------
 
-            # Job bodies run on executor threads, which never inherit
-            # the submitting request's context — re-bind the job's
-            # trace id (and upstream parent span) so engine/pipeline
-            # spans land under it.
-            with trace_context(job.trace_id, job.trace_parent), \
-                    trace_span("job:batch", job=job.id,
-                               n_requests=len(requests)):
-                # Record the planner's dry run before executing, so a
-                # poller sees how the batch collapses (duplicates,
-                # cache hits, schedule groups) while it is running.
-                job.plan = self.engine.plan(requests).to_dict()
-                results = self.engine.generate_many(
-                    requests, workers=job.params.get("workers"),
-                    progress=progress)
-            job.finish({
-                "results": [r.to_json(include_rtl) for r in results],
+    def _spawn_job(self, job, body) -> None:
+        """Run *body*, a coroutine returning *job*'s result, as that job
+        under its trace ids.  A body that :meth:`stop` cancels leaves
+        the job unsettled: the shutdown sweep fails a batch, and an
+        exploration stays journaled for the next boot."""
+        async def run():
+            try:
+                job.start()
+                with trace_context(job.trace_id, job.trace_parent):
+                    job.finish(await body)
+            except asyncio.CancelledError:
+                pass
+            except Exception as exc:  # noqa: BLE001 — job table captures it
+                job.fail(f"{type(exc).__name__}: {exc}",
+                         traceback.format_exc())
+
+        task = asyncio.ensure_future(run())
+        self._job_tasks.add(task)
+        task.add_done_callback(self._job_tasks.discard)
+
+    async def _batch_job(self, job, requests) -> dict:
+        include_rtl = job.params.get("include_rtl", False)
+        workers = job.params.get("workers") or self.engine.workers
+
+        def progress(done, total, result):
+            job.update_progress(done=done, total=total)
+            # One stream event per finished request, so
+            # /jobs/<id>/stream readers see results as they land
+            # instead of waiting for the terminal summary.
+            job.emit({"event": "result", "done": done, "total": total,
+                      "result": result.to_json(include_rtl)})
+
+        # At most `workers` of this job's groups are in the pool at once:
+        # other requests queue behind those, not behind its backlog.
+        slots = asyncio.Semaphore(workers)
+
+        async def run(group):
+            async with slots:
+                batch.collect(await self._compile(group))
+
+        with trace_span("job:batch", job=job.id, n_requests=len(requests)):
+            # Record the planner's dry run before executing, so a poller
+            # sees how the batch collapses (duplicates, cache hits,
+            # schedule groups) while it is running.
+            job.plan = self.engine.plan(requests).to_dict()
+            with trace_span("batch", n_requests=len(requests),
+                            workers=workers):
+                batch = self.engine.begin(requests, progress,
+                                          memory_only=True)
+                await asyncio.gather(*map(run, batch.groups))
+        results = batch.results()
+        return {"results": [r.to_json(include_rtl) for r in results],
                 "ok": sum(r.ok for r in results),
                 "from_cache": sum(r.from_cache for r in results),
                 "plan": job.plan,
                 "failed": [{"spec_hash": r.spec_hash, "error": r.error,
                             "traceback": r.traceback}
-                           for r in results if not r.ok],
-            })
-        except Exception as exc:  # noqa: BLE001 — job table captures it
-            job.fail(f"{type(exc).__name__}: {exc}",
-                     traceback.format_exc())
+                           for r in results if not r.ok]}
 
-    def _run_explore_job(self, job) -> None:
-        from ..dse.explorer import space_from_dict
-        from ..dse.strategies import run_search
-        from ..models import zoo
+    async def _explore_job(self, job) -> dict:
+        with trace_span("job:explore", job=job.id):
+            return await self._in_pool(_explore, job.params)
 
-        try:
-            job.start()
-            p = job.params
-            with trace_context(job.trace_id, job.trace_parent), \
-                    trace_span("job:explore", job=job.id):
-                result = run_search(
-                    [zoo.MODEL_BUILDERS[name]() for name in p["models"]],
-                    (space_from_dict(p["space"])
-                     if p["space"] is not None else None),
-                    strategy=p["strategy"], objective=p["objective"],
-                    area_budget_mm2=p["area_budget_mm2"],
-                    workers=self.engine.workers, cache=self.engine.cache,
-                    max_evals=p["max_evals"], seed=p["seed"])
-            job.finish(result.to_json())
-        except Exception as exc:  # noqa: BLE001 — job table captures it
-            job.fail(f"{type(exc).__name__}: {exc}",
-                     traceback.format_exc())
+
+def _explore(cache, params: dict) -> dict:
+    """An ``/explore`` job's body, in a pool worker: one
+    :func:`~repro.dse.run_search` call over the request's fields, with
+    every row stored in (and read back from) *cache*.  It evaluates
+    serially — a pool worker does not fork a pool of its own."""
+    from ..dse.explorer import space_from_dict
+    from ..dse.strategies import run_search
+    from ..models import zoo
+
+    return run_search(
+        [zoo.MODEL_BUILDERS[name]() for name in params["models"]],
+        (space_from_dict(params["space"])
+         if params["space"] is not None else None),
+        strategy=params["strategy"], objective=params["objective"],
+        area_budget_mm2=params["area_budget_mm2"], cache=cache,
+        max_evals=params["max_evals"], seed=params["seed"]).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,7 @@ from ..backend import BackendOptions
 from ..backends import DEFAULT_BACKEND, backend_names, get_backend
 from ..core.frontend import FrontendConfig
 from ..obs import (PHASE_ADG, PHASE_DESIGN, PHASE_DESIGN_LOAD, PHASE_EMIT,
-                   PHASE_FLIGHT_WAIT, PHASE_REQUEST, PHASE_SCHEDULE,
-                   timed_phase, trace_span)
+                   PHASE_SCHEDULE, timed_phase, trace_span)
 from ..serialize import canonical_dumps
 
 __all__ = ["DesignRequest", "DesignResult", "execute_request",
@@ -330,42 +329,14 @@ class DesignResult:
                    traceback=record.get("traceback"))
 
 
-def _scheduled_design(request: DesignRequest, cache,
-                      phases: dict[str, float]):
-    """Phases 1+2 of the staged cold path: ``(design, design_dict,
-    summary)`` for *request*, reusing the intermediate cache.
-
-    With a cache, the build runs under the cache's single-flight table
-    keyed by ``design_key``: concurrent requests for the same scheduled
-    design (same spec on many server threads, or different backends of
-    one design racing) wait on one in-flight §V run instead of each
-    scheduling independently.  A waiter reports the time it spent
-    joined to the winner's flight as the ``flight_wait`` phase; a
-    leader's failure is re-raised in every waiter and the slot is
-    released, so a retry recomputes.
-    """
-    if cache is None:
-        return _build_scheduled_design(request, None, phases)
-    design_key = request.design_key()
-    live = cache.get_live(PHASE_DESIGN, design_key)
-    if live is not None:
-        return live
-    t0 = time.perf_counter()
-    built, lead = cache.flights.run(
-        PHASE_DESIGN, design_key,
-        lambda: _build_scheduled_design(request, cache, phases))
-    if not lead:
-        phases[PHASE_FLIGHT_WAIT] = time.perf_counter() - t0
-    return built
-
-
 def _build_scheduled_design(request: DesignRequest, cache,
                             phases: dict[str, float]):
-    """The single-flight leader's body: cache tiers re-checked (another
-    leader may have finished between our miss and our flight), then the
-    cold build — front-end ADG (itself live-cached, so requests
-    differing only in backend-pass options share it) followed by the
-    §V pass pipeline.  Cold results are stored back in both tiers.
+    """Phases 1+2 of the staged cold path: ``(design, design_dict,
+    summary)`` for *request*, reusing the intermediate cache — the live
+    tier, then the phase record, then the cold build: front-end ADG
+    (itself live-cached, so requests differing only in backend-pass
+    options share it) followed by the §V pass pipeline.  Cold results
+    are stored back in both tiers.
     """
     from ..backend import generate, run_backend
     from ..core.frontend import build_adg
@@ -416,26 +387,11 @@ def execute_request(request: DesignRequest,
     (dataflows→ADG, ADG→scheduled design, design→golden vectors,
     design→artifacts) are reused from the intermediate tier, so a
     request that differs from a previous one only in ``backend`` or
-    ``module`` pays for emission alone.  Concurrent calls for the same
-    ``spec_hash`` are **single-flighted** through the cache's in-flight
-    registry: exactly one computes, every concurrent caller shares its
-    :class:`DesignResult` (failed results included — the slot is
-    released, so a later retry recomputes).
+    ``module`` pays for emission alone.
 
     Failures are captured, not raised: a batch must survive one bad
     request, and the caller decides what to do with the error string.
     """
-    flights = getattr(cache, "flights", None)
-    if flights is None:
-        return _execute_request_once(request, cache)
-    result, _lead = flights.run(
-        PHASE_REQUEST, request.spec_hash(),
-        lambda: _execute_request_once(request, cache))
-    return result
-
-
-def _execute_request_once(request: DesignRequest,
-                          cache=None) -> DesignResult:
     from ..backends import EmitContext, emit_artifacts
 
     start = time.perf_counter()
@@ -446,7 +402,7 @@ def _execute_request_once(request: DesignRequest,
                         backend=request.backend,
                         spec_hash=spec_hash[:12]):
             family = get_backend(request.backend)
-            design, design_dict, summary = _scheduled_design(
+            design, design_dict, summary = _build_scheduled_design(
                 request, cache, phases)
             with timed_phase(PHASE_EMIT, phases, family=family.name):
                 context = EmitContext(cache=cache, request=request,

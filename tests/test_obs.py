@@ -12,14 +12,15 @@ import threading
 import pytest
 
 from repro.obs import (CACHE_PHASE_TIERS, PHASE_ADG, PHASE_DESIGN,
-                       PHASE_DESIGN_LOAD, PHASE_EMIT, PHASE_FLIGHT_WAIT,
-                       PHASE_SCHEDULE, PHASE_SIM, PIPELINE_PHASES,
-                       MetricsRegistry, current_span_id,
-                       current_trace_id, export_chrome_trace,
-                       format_trace_header, get_registry, get_tracer,
+                       PHASE_DESIGN_LOAD, PHASE_EMIT, PHASE_SCHEDULE,
+                       PHASE_SIM, PIPELINE_PHASES, MetricsRegistry,
+                       current_span_id, current_trace_id,
+                       export_chrome_trace, format_trace_header,
+                       get_registry, get_tracer,
                        load_chrome_trace, new_trace_id,
                        parse_trace_header, refresh_trace_metrics,
-                       timed_phase, trace_context, trace_span)
+                       reset_registry, timed_phase, trace_context,
+                       trace_span)
 from repro.obs.tracing import Tracer
 from repro.service import (BatchEngine, DesignCache, DesignRequest,
                            ServerThread, ServiceClient)
@@ -280,9 +281,9 @@ class TestTracing:
         # and on-disk record kinds; changing them silently invalidates
         # every warm cache.
         assert (PHASE_ADG, PHASE_SCHEDULE, PHASE_EMIT,
-                PHASE_DESIGN_LOAD, PHASE_FLIGHT_WAIT) == PIPELINE_PHASES
+                PHASE_DESIGN_LOAD) == PIPELINE_PHASES
         assert PIPELINE_PHASES == ("adg", "schedule", "emit",
-                                   "design_load", "flight_wait")
+                                   "design_load")
         assert (PHASE_ADG, PHASE_DESIGN, PHASE_SIM) == CACHE_PHASE_TIERS
         assert CACHE_PHASE_TIERS == ("adg", "design", "sim")
 
@@ -394,6 +395,46 @@ class TestPoolTelemetry:
             results = engine.generate_many(requests, workers=2)
             assert all(r.ok for r in results)
             assert emit.count == before + len(requests)
+
+
+    def test_fork_beside_a_busy_thread(self):
+        """A pool worker forked while another thread holds the registry
+        or tracer lock (a server's pool forks beside its router and
+        client threads) starts with free locks, not a copy of a held
+        one it would block on forever."""
+        import multiprocessing
+
+        from repro.obs.tracing import _TRACER
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with get_registry()._lock, _TRACER._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10)
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_touch_telemetry)
+            child.start()
+        finally:
+            release.set()
+            holder.join()
+        child.join(20)
+        if child.exitcode is None:
+            child.kill()
+            child.join()
+        assert child.exitcode == 0, "the forked child blocked on a lock"
+
+
+def _touch_telemetry() -> None:
+    reset_registry()
+    get_tracer().clear()
+    with trace_span("child"):
+        get_registry().counter("repro_test_fork_total").inc()
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,9 @@ class TestRegistryRecovery:
 class TestShutdownSweep:
     """Regression: ``stop()`` used to cancel queued futures and leave
     their jobs "queued" forever — a client polling such a job would hang
-    until its timeout.  Shutdown now fails queued batches; a queued
-    exploration stays journaled "queued" for the next boot to replay."""
+    until its timeout.  Shutdown now fails unfinished batches; an
+    unfinished exploration stays journaled live for the next boot to
+    replay."""
 
     def test_sweep_parks_queued_jobs(self, tmp_path):
         registry = JobRegistry(journal=JobJournal(tmp_path))
@@ -163,18 +164,23 @@ class TestShutdownSweep:
                                                      running.id}
 
     def test_server_stop_settles_queued_jobs(self, tmp_path):
-        """End to end: one job worker, a long exploration occupying it,
-        and a batch and an exploration queued behind it.  stop() fails
-        the batch with an explanation, the running exploration finishes,
-        and the queued one is replayed by the next boot."""
+        """End to end: one pool worker, a long exploration occupying it,
+        and a three-design batch and two explorations queued behind it.
+        The pool's call queue holds two compiles beyond the running one,
+        and they finish; stop() drops the rest.  So the batch, whose
+        later designs never reached the pool, fails with an explanation;
+        the running exploration finishes; and the last exploration stays
+        live for the next boot to replay."""
         root = tmp_path / "cache"
-        handle = ServerThread(BatchEngine(cache=DesignCache(root=root)),
-                              job_workers=1).start()
+        handle = ServerThread(BatchEngine(cache=DesignCache(root=root),
+                                          workers=1)).start()
         server = handle.server
         try:
             with ServiceClient.from_url(handle.url) as c:
                 blocker = c.explore(**EXPLORE)
-                batch = c.batch([{"kernel": "gemm", "array": [2, 2]}])
+                batch = c.batch([{"kernel": "gemm", "array": [2, a]}
+                                 for a in (2, 3, 4)])
+                c.explore(models=["LeNet"], space=SMALL_SPACE)
                 queued = c.explore(models=["LeNet"], space=SMALL_SPACE)
         finally:
             handle.stop()
@@ -182,7 +188,7 @@ class TestShutdownSweep:
         assert "resubmit" in server.jobs.get(batch).error
         assert server.jobs.get(blocker).wait(timeout=120)
         assert server.jobs.get(blocker).status == "done"
-        assert server.jobs.get(queued).status == "queued"
+        assert not server.jobs.get(queued).settled()
         with ServerThread(BatchEngine(cache=DesignCache(root=root))) as url:
             with ServiceClient.from_url(url) as c:
                 final = c.wait(queued, timeout=180)
@@ -281,11 +287,11 @@ class TestServerRestartRecovery:
 
     def test_batch_killed_midway_fails_with_explanation(self, tmp_path):
         root = tmp_path / "cache"
-        first = self._boot(root, job_workers=1)
+        first = self._boot(root)
         try:
             with ServiceClient.from_url(first.url) as c:
-                # occupy the single worker so the batch stays queued —
-                # "mid-flight" in its journaled state
+                # occupy the single pool worker so the batch's compile
+                # stays queued — "mid-flight" in its journaled state
                 c.explore(models=["LeNet"], strategy="anneal",
                           max_evals=200, seed=1, space=SMALL_SPACE)
                 job_id = c.batch([{"kernel": "gemm", "array": [2, 2]}])

@@ -146,6 +146,37 @@ class TestHttpEdges:
         assert status == 400
         assert "JSON" in payload["error"]
 
+    @pytest.mark.parametrize("tier", ["server", "router"])
+    def test_transfer_encoding_501(self, server, tier):
+        """A chunked body is refused with 501 and the connection closed
+        — never read as an empty body (which answered the default
+        design) with the chunk bytes parsed as the next request."""
+        from repro.service import RouterThread
+
+        body = json.dumps({"kernel": "gemm", "dataflows": ["IJ"],
+                           "array": [2, 2]}).encode()
+        payload = (b"POST /generate HTTP/1.1\r\nHost: x\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+        router = (RouterThread([server.url]).start() if tier == "router"
+                  else None)
+        target = router if router is not None else server
+        try:
+            with socket.create_connection(("127.0.0.1", target.port),
+                                          timeout=10) as sock:
+                sock.sendall(payload)
+                data = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    data += chunk
+        finally:
+            if router is not None:
+                router.stop()
+        head, _, rest = data.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"501"
+        assert b"connection: close" in head.lower()
+        assert b"Content-Length" in json.loads(rest)["error"].encode()
+        assert data.count(b"HTTP/1.1") == 1  # the chunks drew no reply
+
     def test_unknown_route_404(self, client):
         with pytest.raises(ServiceError) as err:
             client.request("GET", "/designs")
@@ -205,6 +236,13 @@ class TestHttpEdges:
         with pytest.raises(ServiceError) as err:
             client.explore(models=["LeNet"], max_evals="20")
         assert err.value.status == 400
+        # an evaluation budget is a count, as the CLI's --max-evals is
+        for budget in (2.5, 4.0):
+            with pytest.raises(ServiceError) as err:
+                client.explore(models=["LeNet"], strategy="anneal",
+                               max_evals=budget)
+            assert err.value.status == 400
+            assert "integer" in err.value.payload["error"]
 
     def test_explore_non_object_space_400(self, client):
         for bad_space in ("grid", [1, 2], 7):
@@ -400,6 +438,27 @@ class TestKeepAlive:
         finally:
             conn.close()
 
+    def test_close_reaches_peer_after_pool_fork(self, tmp_path):
+        """The pool forks while connections are open; a worker must not
+        keep a copy of one alive, or a connection the server closes
+        never reaches EOF at its peer."""
+        handle = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path))).start()
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                with ServiceClient.from_url(handle.url) as client:
+                    assert client.generate(TINY)["ok"]  # forks the pool
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                             b"Connection: close\r\n\r\n")
+                sock.settimeout(5)
+                while sock.recv(65536):  # socket.timeout = no EOF
+                    pass
+        finally:
+            handle.stop()
+
 
 class TestBlockingEntryPoints:
     """``repro serve`` / ``repro route`` as real processes: the shared
@@ -444,6 +503,36 @@ class TestBlockingEntryPoints:
                     proc.kill()
                     proc.wait(timeout=10)
                 proc.stdout.close()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                        reason="finds the pool workers through procfs")
+    def test_killed_pool_worker_is_replaced(self, tmp_path):
+        """SIGKILL one of ``repro serve``'s pool workers (the OOM killer,
+        say): the next compile runs on a fresh pool, and SIGTERM still
+        exits 0 — the broken pool's SIGTERM reached the dead worker's
+        sibling, which obeys it instead of the server's inherited
+        signal handler."""
+        proc = self._spawn("serve", "--port", "0", "--workers", "2",
+                           "--cache-dir", str(tmp_path))
+        try:
+            url = self._banner_url(proc, "repro design service")
+            with ServiceClient.from_url(url) as c:
+                assert c.generate(TINY)["ok"]
+                children = pathlib.Path(
+                    f"/proc/{proc.pid}/task/{proc.pid}/children")
+                workers = children.read_text().split()
+                assert len(workers) == 2
+                os.kill(int(workers[0]), signal.SIGKILL)
+                result = c.generate(dict(TINY, array=[3, 3]))
+                assert result["ok"] and not result["from_cache"]
+                assert not set(workers) & set(children.read_text().split())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_parser_accepts_the_benchmark_argv(self):
         """``bench/workloads/serve.py`` boots its servers and router with

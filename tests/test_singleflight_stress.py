@@ -1,32 +1,32 @@
-"""Single-flight dedup under concurrency: the in-flight registry that
-makes concurrent ``execute_request`` calls for the same phase key wait
-on one computation instead of each recomputing.
+"""Single-flight dedup under concurrency: a :class:`DesignServer`
+keeps one compile per ``design_key`` in flight on its event loop, so
+concurrent requests for one cold design pay one schedule phase between
+them — whether they ask for the same spec (the waiters find its record
+in the memory tier) or for different backends of it (the waiters' own
+compiles load the scheduled design the first one stored).
 
-Three layers of hammering:
+Two layers:
 
-* :class:`SingleFlight` unit semantics — leader/waiter accounting,
-  failure propagation (``BaseException`` included: a leader killed
-  mid-flight must release its waiters, not deadlock them), slot release
-  on both success and failure, waiter-timeout reclaim;
-* ``execute_request`` — N threads against one cold spec run the
-  pipeline exactly once and all share one :class:`DesignResult`;
-* a live :class:`DesignServer` — concurrent HTTP clients requesting
-  the same cold spec pay one schedule phase between them.
+* the loop's flight table alone — ``/generate`` handlers on an event
+  loop, with the process pool replaced by a gated fake, so leader and
+  waiter order is exact;
+* a live server with two pool workers (with one, the pool would
+  serialise the compiles and hide a missing dedup behind the disk
+  tier): concurrent HTTP clients pay one schedule phase between them.
 """
 
+import asyncio
 import threading
-import time
 
 import pytest
 
 from repro.obs import get_registry
 from repro.service import (BatchEngine, DesignCache, ServerThread,
                            ServiceClient)
-from repro.service import spec as spec_module
-from repro.service.cache import SingleFlight
-from repro.service.spec import DesignRequest, execute_request
+from repro.service.server import DesignServer, Request, match_route
+from repro.service.spec import DesignResult
 
-TINY = dict(kernel="gemm", dataflows=("KJ",), array=(2, 2))
+TINY = {"kernel": "gemm", "dataflows": ["KJ"], "array": [2, 2]}
 
 
 def schedule_count() -> float:
@@ -50,169 +50,135 @@ def run_threads(n: int, target) -> list:
     return out
 
 
-class TestSingleFlightUnit:
-    def test_one_leader_many_waiters(self):
-        flights = SingleFlight()
-        calls = []
-        gate = threading.Event()
-        started = threading.Barrier(9)
+class FakePool:
+    """Stands in for ``DesignServer._in_pool``: records each compile,
+    holds it until :attr:`gate` opens, then returns the group's results
+    (or raises :attr:`error`)."""
 
-        def compute():
-            calls.append(1)
-            gate.wait(10)
-            return "value"
+    def __init__(self):
+        self.calls: list[str] = []
+        self.in_flight = 0
+        self.peak = 0
+        self.gate = asyncio.Event()
+        self.error: Exception | None = None
 
-        def caller(_i):
-            started.wait(10)
-            return flights.run("p", "k", compute)
-
-        # Hold the leader inside fn until everyone has had a chance to
-        # join its flight.
-        release = threading.Timer(0.2, gate.set)
-        release.start()
+    async def __call__(self, fn, group, lookup):
+        self.calls.append(group.design_key)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
         try:
-            results = run_threads(9, caller)
+            await self.gate.wait()
+            if self.error is not None:
+                raise self.error
         finally:
-            release.cancel()
-            gate.set()
-        assert len(calls) == 1
-        assert all(value == "value" for value, _ in results)
-        assert sum(1 for _, lead in results if lead) == 1
-        assert len(flights) == 0  # slot released
-
-    def test_leader_failure_propagates_and_releases_slot(self):
-        flights = SingleFlight()
-        attempts = []
-        gate = threading.Event()
-
-        def explode():
-            attempts.append(1)
-            gate.wait(10)
-            raise ValueError("boom")
-
-        def caller(_i):
-            return flights.run("p", "k", explode)
-
-        threading.Timer(0.2, gate.set).start()
-        results = run_threads(4, caller)
-        assert len(attempts) == 1
-        assert all(isinstance(r, ValueError) for r in results)
-        # the failed flight is gone: a retry recomputes (and can heal)
-        assert len(flights) == 0
-        value, lead = flights.run("p", "k", lambda: "healed")
-        assert value == "healed" and lead
-
-    def test_killed_leader_releases_waiters(self):
-        """A leader dying on a non-Exception BaseException (the
-        killed-mid-flight scenario) must still wake its waiters and
-        surface the kill — never leave them blocked forever."""
-        flights = SingleFlight()
-        gate = threading.Event()
-
-        def die():
-            gate.wait(10)
-            raise KeyboardInterrupt
-
-        def caller(_i):
-            return flights.run("p", "k", die)
-
-        threading.Timer(0.2, gate.set).start()
-        results = run_threads(3, caller)
-        assert all(isinstance(r, KeyboardInterrupt) for r in results)
-        assert len(flights) == 0
-
-    def test_waiter_timeout_reclaims(self):
-        """A waiter that stops trusting a hung leader recomputes for
-        itself instead of deadlocking."""
-        flights = SingleFlight()
-        hang = threading.Event()
-        leader_in = threading.Event()
-
-        def hung_leader():
-            leader_in.set()
-            hang.wait(30)
-            return "stale"
-
-        leader = threading.Thread(
-            target=lambda: flights.run("p", "k", hung_leader))
-        leader.start()
-        assert leader_in.wait(10)
-        value, lead = flights.run("p", "k", lambda: "fresh",
-                                  timeout=0.05)
-        assert value == "fresh" and lead
-        hang.set()
-        leader.join(timeout=10)
-        assert not leader.is_alive()
-
-    def test_distinct_keys_do_not_serialize(self):
-        flights = SingleFlight()
-        barrier = threading.Barrier(4, timeout=10)
-
-        def compute(i):
-            def fn():
-                # All four computations must be in flight at once for
-                # the barrier to open — same phase, distinct keys.
-                barrier.wait()
-                return i
-            return flights.run("p", f"k{i}", fn)
-
-        results = run_threads(4, compute)
-        assert sorted(value for value, _ in results) == [0, 1, 2, 3]
-        assert all(lead for _, lead in results)
+            self.in_flight -= 1
+        return [DesignResult(spec_hash=r.spec_hash(), request=r,
+                             summary="fake")
+                for r in [group.leader, *group.variants]]
 
 
-class TestExecuteRequestDedup:
-    def test_n_threads_one_pipeline_run(self, tmp_path, monkeypatch):
-        cache = DesignCache(root=tmp_path / "cache")
-        request = DesignRequest(**TINY)
-        # Hold the leader inside its flight until every caller is on its
-        # way in.  The compile takes ~30 ms and run_threads starts its
-        # callers one by one, so on a stalled host a late caller used to
-        # find the flight over, lead a second one (answered from the
-        # phase tier) and come back with its own DesignResult: a fact
-        # about the scheduler, not about single-flight.
-        n, arrived, all_arrived = 8, [], threading.Event()
-        compute = spec_module._execute_request_once
+def generate(server: DesignServer, spec: dict):
+    """One ``POST /generate`` handler call, as the dispatcher makes it."""
+    route, _ = match_route("/generate")
+    return server._ep_generate(Request(route, "POST", "", {}, spec, None))
 
-        def held(*args):
-            assert all_arrived.wait(30)
-            return compute(*args)
 
-        def caller(i):
-            arrived.append(i)
-            if len(arrived) == n:
-                all_arrived.set()
-            return execute_request(request, cache=cache)
+@pytest.fixture()
+def loop_server(tmp_path):
+    server = DesignServer(BatchEngine(cache=DesignCache(root=tmp_path)),
+                          persist_jobs=False)
+    server._in_pool = FakePool()
+    return server
 
-        monkeypatch.setattr(spec_module, "_execute_request_once", held)
-        before = schedule_count()
-        results = run_threads(n, caller)
-        assert schedule_count() - before == 1
-        assert not any(isinstance(r, BaseException) for r in results)
-        assert all(r.ok for r in results)
-        # every caller shares the leader's DesignResult object
-        assert all(r is results[0] for r in results)
 
-    def test_backend_variants_share_one_schedule(self, tmp_path):
-        """Concurrent requests for *different* backends of one design
-        single-flight the schedule through the design_key slot."""
-        cache = DesignCache(root=tmp_path / "cache")
-        backends = ["verilog", "hls_c"] * 3
-        before = schedule_count()
-        results = run_threads(
-            len(backends),
-            lambda i: execute_request(
-                DesignRequest(backend=backends[i], **TINY), cache=cache))
-        assert schedule_count() - before == 1
-        assert all(r.ok for r in results)
-        assert len({r.spec_hash for r in results}) == 2
+class TestSingleFlightUnit:
+    def test_one_leader_many_waiters(self, loop_server):
+        fake = loop_server._in_pool
+
+        async def main():
+            calls = [asyncio.ensure_future(generate(loop_server, TINY))
+                     for _ in range(9)]
+            await asyncio.sleep(0.05)  # every caller is in, one compiles
+            assert fake.calls and fake.in_flight == 1
+            fake.gate.set()
+            return await asyncio.gather(*calls)
+
+        answers = asyncio.run(main())
+        assert len(fake.calls) == 1
+        assert all(status == 200 and body["ok"]
+                   for status, body in answers)
+        # the eight waiters were answered from the memory tier
+        assert sum(body["from_cache"] for _, body in answers) == 8
+        assert loop_server._flights == {}  # slot released
+
+    def test_killed_leader_releases_waiters(self, loop_server):
+        """A leader whose client goes away mid-compile (its handler is
+        cancelled) must not take the compile down with it: the waiters
+        still get its result, and the slot is released."""
+        fake = loop_server._in_pool
+
+        async def main():
+            leader = asyncio.ensure_future(generate(loop_server, TINY))
+            await asyncio.sleep(0.02)
+            waiters = [asyncio.ensure_future(generate(loop_server, TINY))
+                       for _ in range(3)]
+            await asyncio.sleep(0.02)
+            leader.cancel()
+            await asyncio.sleep(0.02)
+            fake.gate.set()
+            return await asyncio.gather(*waiters)
+
+        answers = asyncio.run(main())
+        assert len(fake.calls) == 1
+        assert all(body["ok"] and body["from_cache"] for _, body in answers)
+        assert loop_server._flights == {}
+
+    def test_failed_flight_releases_slot(self, loop_server):
+        """A compile that raises fails its own request and leaves no
+        slot behind: the requests that waited on it compile for
+        themselves, and once the fault heals a retry succeeds."""
+        fake = loop_server._in_pool
+        fake.error = RuntimeError("pool broke")
+
+        async def main():
+            leader = asyncio.ensure_future(generate(loop_server, TINY))
+            await asyncio.sleep(0.02)
+            waiter = asyncio.ensure_future(generate(loop_server, TINY))
+            await asyncio.sleep(0.02)
+            fake.gate.set()
+            with pytest.raises(RuntimeError):
+                await leader
+            with pytest.raises(RuntimeError):
+                await waiter
+            assert loop_server._flights == {}
+            fake.error = None
+            return await generate(loop_server, TINY)
+
+        status, body = asyncio.run(main())
+        assert len(fake.calls) == 3  # leader, waiter's own, the retry
+        assert status == 200 and body["ok"] and not body["from_cache"]
+
+    def test_distinct_keys_do_not_serialize(self, loop_server):
+        fake = loop_server._in_pool
+        specs = [dict(TINY, array=[2, a]) for a in (2, 3, 4, 5)]
+
+        async def main():
+            calls = [asyncio.ensure_future(generate(loop_server, spec))
+                     for spec in specs]
+            await asyncio.sleep(0.05)
+            fake.gate.set()
+            return await asyncio.gather(*calls)
+
+        answers = asyncio.run(main())
+        assert fake.peak == len(specs)  # all four compiled at once
+        assert all(body["ok"] for _, body in answers)
 
 
 class TestServerDedup:
     @pytest.fixture()
     def server(self, tmp_path):
         cache = DesignCache(root=tmp_path / "serve-cache")
-        handle = ServerThread(BatchEngine(cache=cache)).start()
+        handle = ServerThread(BatchEngine(cache=cache, workers=2)).start()
         yield handle
         handle.stop()
 
@@ -228,4 +194,22 @@ class TestServerDedup:
         assert not any(isinstance(r, BaseException) for r in results)
         assert all(r["ok"] for r in results)
         assert len({r["spec_hash"] for r in results}) == 1
+        assert schedule_count() - before == 1
+
+    def test_backend_variants_share_one_schedule(self, server):
+        """Concurrent requests for *different* backends of one design
+        share its schedule: the hls_c compile waits for the verilog one
+        (or the other way round) and loads the design it stored."""
+        spec = {"kernel": "gemm", "dataflows": ["KJ"], "array": [3, 3]}
+        backends = ["verilog", "hls_c"] * 3
+        before = schedule_count()
+
+        def hit(i):
+            with ServiceClient.from_url(server.url) as client:
+                return client.generate(dict(spec, backend=backends[i]))
+
+        results = run_threads(len(backends), hit)
+        assert not any(isinstance(r, BaseException) for r in results)
+        assert all(r["ok"] for r in results)
+        assert len({r["spec_hash"] for r in results}) == 2
         assert schedule_count() - before == 1

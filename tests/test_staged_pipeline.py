@@ -233,45 +233,99 @@ class TestTestbenchOnDemand:
 
 
 class TestJobExecutor:
-    def test_dedicated_pool_sized_with_max_jobs(self):
-        from repro.service.server import DesignServer
+    """How ``repro serve`` executes work: every compile and job body in
+    one process pool driven by the event loop — no job threads, no
+    default-executor threads — and no job monopolising that pool."""
 
-        server = DesignServer(max_jobs=7)
-        try:
-            assert server._job_executor._max_workers == 7
-        finally:
-            server._job_executor.shutdown(wait=False)
-        big = DesignServer(max_jobs=4096)
-        try:
-            assert big._job_executor._max_workers == 32
-        finally:
-            big._job_executor.shutdown(wait=False)
+    def test_pool_sized_with_workers(self, tmp_path):
+        from repro.service import ServiceClient
+        from repro.service.server import ServerThread
 
-    def test_generate_not_starved_by_saturated_job_pool(self):
-        """With every dedicated job thread busy, synchronous /generate
-        still answers on the default executor."""
+        thread = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / "c"), workers=2))
+        assert thread.server._pool is None  # forked on first use
+        with thread as url, ServiceClient.from_url(url) as client:
+            assert client.generate(**TINY)["ok"]
+            pool = thread.server._pool
+            assert pool._max_workers == 2
+            assert len(pool._processes) == 2
+            processes = list(pool._processes.values())
+        assert not any(p.is_alive() for p in processes)  # stop() joined
+
+    def test_one_loop_thread_under_mixed_load(self, tmp_path):
+        """A cold /generate, a /batch and an /explore at once: no
+        ``repro-job`` or default-executor (``asyncio_*``) thread ever
+        appears — the loop sends all of it to the pool."""
         import threading
 
         from repro.service import ServiceClient
         from repro.service.server import ServerThread
 
-        release = threading.Event()
-        thread = ServerThread(BatchEngine(cache=None), max_jobs=2)
+        space = {"arrays": [[8, 8], [16, 16]], "buffer_kb": [128.0],
+                 "dram_gbps": [16.0], "dataflow_sets": [["ICOC"]]}
 
-        def stuck_job(job, requests):
-            job.start()
-            release.wait(30)
-            job.finish({"results": [], "ok": 0, "from_cache": 0,
-                        "failed": []})
+        def work(url, kind):
+            with ServiceClient.from_url(url) as client:
+                if kind == "generate":
+                    return client.generate(**dict(TINY, array=[3, 3]))
+                if kind == "batch":
+                    job = client.batch([dict(TINY, array=[2, a])
+                                        for a in (2, 3, 4)])
+                else:
+                    job = client.explore(models=["LeNet"], space=space)
+                return client.wait(job, timeout=120)
 
-        thread.server._run_batch_job = stuck_job
-        try:
-            with thread as url, ServiceClient.from_url(url) as client:
-                for _ in range(2):  # saturate the dedicated pool
-                    client.batch([dict(TINY, dataflows=["KJ"],
-                                       array=[2, 2])])
-                result = client.generate(**dict(
-                    TINY, dataflows=["KJ"], array=[2, 2]))
-                assert result["ok"]
-        finally:
-            release.set()
+        def forbidden():
+            return [t.name for t in threading.enumerate()
+                    if t.name.startswith(("repro-job", "asyncio_"))]
+
+        seen = []
+        thread = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / "c"), workers=2))
+        with thread as url:
+            # Fork the pool before the mixed load: if the executor path
+            # came back, a fork while its thread is mid-compile can copy
+            # a lock that thread holds into the worker, and this test
+            # must fail on the thread, not hang in that worker.
+            with ServiceClient.from_url(url) as client:
+                client.wait(client.batch([TINY]), timeout=120)
+            out = {}
+            clients = [threading.Thread(
+                target=lambda k=kind: out.__setitem__(k, work(url, k)))
+                for kind in ("generate", "batch", "explore")]
+            for client in clients:
+                client.start()
+            while any(c.is_alive() for c in clients):
+                seen += forbidden()
+                clients[0].join(0.01)
+            for client in clients:
+                client.join()
+            seen += forbidden()
+        assert out["generate"]["ok"]
+        assert out["batch"]["status"] == "done"
+        assert out["batch"]["result"]["ok"] == 3
+        assert out["explore"]["status"] == "done"
+        assert not seen, f"threads outside the loop: {sorted(set(seen))}"
+
+    def test_generate_not_starved_by_saturated_job_pool(self, tmp_path):
+        """One pool worker, two queued batches of four design groups
+        each: a cold /generate sent after them returns while a batch is
+        still running, because a job keeps at most ``workers`` groups
+        in the pool and the /generate queues only behind those."""
+        from repro.service import ServiceClient
+        from repro.service.server import ServerThread
+
+        arrays = ([2, 2], [2, 3], [3, 2], [3, 3])
+        thread = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / "c"), workers=1))
+        with thread as url, ServiceClient.from_url(url) as client:
+            jobs = [client.batch([dict(TINY, dataflows=[df], array=a)
+                                  for a in arrays])
+                    for df in ("KJ", "IJ")]
+            result = client.generate(**dict(TINY, dataflows=["IK"]))
+            statuses = [client.job(job)["status"] for job in jobs]
+            for job in jobs:
+                assert client.wait(job, timeout=120)["status"] == "done"
+        assert result["ok"] and not result["from_cache"]
+        assert statuses != ["done", "done"], \
+            "the /generate waited for both batches' whole backlog"
