@@ -20,9 +20,12 @@ steep.  This module turns the search policy into a first-class object:
     full-fidelity evaluation — two rungs of the Hyperband ladder.
 
 All strategies speak through a :class:`PointEvaluator`, which owns the
-models, the technology node, the area screen, and the service-layer
-cache, and meters evaluation cost in *full-model-equivalents* so proxy
-evaluations are charged fairly:
+models, the technology node and the area screen, memoizes points, and
+meters evaluation cost in *full-model-equivalents* so proxy
+evaluations are charged fairly.  A strategy's ``run`` is a generator:
+each batch of rows it needs is yielded to whoever drives the search —
+:func:`complete` in this process (``run_search``), or ``repro serve``'s
+event loop, which fans the rows out over its process pool:
 
 >>> sorted(set(STRATEGIES.values()), key=lambda c: c.__name__)
 [<class 'repro.dse.strategies.Exhaustive'>, \
@@ -58,6 +61,7 @@ __all__ = [
     "OBJECTIVES", "PointEvaluator", "SearchResult",
     "SearchStrategy", "Exhaustive", "SimulatedAnnealing",
     "SuccessiveHalving", "STRATEGIES", "get_strategy", "run_search",
+    "search", "complete",
 ]
 
 #: Objective name -> sort key (lower is better) on a :class:`DesignPoint`.
@@ -150,8 +154,15 @@ class PointEvaluator:
         given); returns one point (or ``None`` if degenerate) per arch,
         in order.  Within-run revisits are free; cold points route
         through the service engine (parallel workers + design cache)."""
-        from ..service.engine import evaluate_archs
+        return complete(self.evaluating(archs, models), self.workers,
+                        self.cache)
 
+    def evaluating(self, archs, models=None):
+        """:meth:`evaluate` as a generator, the form strategies use:
+        when some of *archs* are not memoized it yields one ``(models,
+        archs, tech)`` row request for them and expects their rows sent
+        back (:func:`~repro.service.engine.evaluate_archs`'s), then
+        returns the points."""
         full = models is None
         models = self.models if full else list(models)
         mkey = tuple((m.name, len(m.layers)) for m in models)
@@ -163,9 +174,7 @@ class PointEvaluator:
             if (mkey, arch) not in self._memo and arch not in seen:
                 todo.append(arch)
                 seen.add(arch)
-        rows = evaluate_archs(models, todo, self.tech,
-                              workers=self.workers,
-                              cache=self.cache) if todo else []
+        rows = (yield models, todo, self.tech) if todo else []
         for arch, row in zip(todo, rows):
             point = self._to_point(arch, row)
             self._memo[(mkey, arch)] = point
@@ -258,9 +267,10 @@ class SearchStrategy:
     """Protocol for pluggable searches: implement :meth:`run`.
 
     A strategy receives the evaluator, the space, a seeded
-    ``random.Random`` and an optional evaluation budget; it proposes
-    architectures via ``evaluator.evaluate(...)`` and returns nothing —
-    the evaluator keeps the score.
+    ``random.Random`` and an optional evaluation budget.  ``run`` is a
+    generator: it proposes architectures with ``points = yield from
+    evaluator.evaluating(archs)`` and returns nothing — the evaluator
+    keeps the score.
     """
 
     name = "strategy"
@@ -284,7 +294,7 @@ class Exhaustive(SearchStrategy):
         archs = evaluator.candidates(space)
         if max_evals is not None and len(archs) > max_evals:
             archs = rng.sample(archs, max_evals)
-        evaluator.evaluate(archs)
+        yield from evaluator.evaluating(archs)
 
 
 class SimulatedAnnealing(SearchStrategy):
@@ -319,7 +329,8 @@ class SimulatedAnnealing(SearchStrategy):
             arch = space.point_at(idx)
             if not evaluator.feasible(arch):
                 return None
-            return evaluator.evaluate([arch])[0]
+            [point] = yield from evaluator.evaluating([arch])
+            return point
 
         def random_state():
             return tuple(rng.randrange(n) for n in sizes)
@@ -355,7 +366,7 @@ class SimulatedAnnealing(SearchStrategy):
             state, current = None, None
             for _ in range(4 * max(total, 1)):  # find a feasible start
                 state = random_state()
-                current = evaluate(state)
+                current = yield from evaluate(state)
                 if current is not None:
                     break
                 if evaluator.points_evaluated >= budget:
@@ -366,7 +377,7 @@ class SimulatedAnnealing(SearchStrategy):
             while evaluator.points_evaluated < budget and guard > 0:
                 guard -= 1
                 cand_state = neighbour(state)
-                cand = evaluate(cand_state)
+                cand = yield from evaluate(cand_state)
                 # Cool by *consumed budget*, not by proposal count: free
                 # memo revisits and infeasible moves must not freeze the
                 # schedule before the evaluation budget is spent.
@@ -418,7 +429,7 @@ class SuccessiveHalving(SearchStrategy):
             limit = max(1, int((max_evals - 1) / per_point))
             if len(archs) > limit:
                 archs = rng.sample(archs, limit)
-        scores = evaluator.evaluate(archs, models=proxies)
+        scores = yield from evaluator.evaluating(archs, models=proxies)
         scored = [(evaluator.key(p), i) for i, p in enumerate(scores)
                   if p is not None]
         scored.sort()
@@ -427,7 +438,7 @@ class SuccessiveHalving(SearchStrategy):
         if max_evals is not None:
             remaining = int(max_evals - evaluator.evals_used)
             survivors = max(1, min(survivors, remaining))
-        evaluator.evaluate(ranked[:survivors])
+        yield from evaluator.evaluating(ranked[:survivors])
 
 
 #: Registry of named strategies (CLI ``--strategy`` values + aliases).
@@ -460,6 +471,47 @@ def get_strategy(spec, **kwargs) -> SearchStrategy:
     return cls(**kwargs)
 
 
+def search(models, space: DesignSpace | None = None,
+           strategy="exhaustive", objective: str = "edp",
+           area_budget_mm2: float | None = None, tech=None,
+           max_evals: int | None = None, seed: int = 0):
+    """:func:`run_search` as a generator: it yields each ``(models,
+    archs, tech)`` row request of the search, expects the rows sent
+    back, and returns the :class:`SearchResult`.  :func:`complete`
+    drives it in this process; ``repro serve`` drives it from its event
+    loop, sending the rows of each request to its process pool."""
+    space = space or DesignSpace()
+    strat = get_strategy(strategy)
+    evaluator = PointEvaluator(models, tech=tech,
+                               area_budget_mm2=area_budget_mm2,
+                               objective=objective)
+    with trace_span("dse:search", strategy=strat.name,
+                    objective=objective):
+        yield from strat.run(evaluator, space, random.Random(seed),
+                             max_evals=max_evals)
+    return evaluator.result(strat.name, space)
+
+
+def complete(steps, workers: int = 1, cache=None):
+    """Drive *steps* — a :func:`search` or one
+    :meth:`PointEvaluator.evaluating` — to its end in this process,
+    answering every row request with
+    :func:`~repro.service.engine.evaluate_archs` (*workers* processes,
+    *cache*), and return its value."""
+    from ..service.engine import evaluate_archs
+
+    rows = None
+    try:
+        while True:
+            models, archs, tech = steps.send(rows)
+            rows = evaluate_archs(models, archs, tech, workers=workers,
+                                  cache=cache)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        steps.close()
+
+
 def run_search(models, space: DesignSpace | None = None,
                strategy="exhaustive", objective: str = "edp",
                area_budget_mm2: float | None = None, tech=None,
@@ -486,14 +538,6 @@ def run_search(models, space: DesignSpace | None = None,
     replays the same evaluations, and the rows the first run stored come
     back as cache hits.
     """
-    space = space or DesignSpace()
-    strat = get_strategy(strategy)
-    evaluator = PointEvaluator(models, tech=tech, cache=cache,
-                               workers=workers,
-                               area_budget_mm2=area_budget_mm2,
-                               objective=objective)
-    with trace_span("dse:search", strategy=strat.name,
-                    objective=objective):
-        strat.run(evaluator, space, random.Random(seed),
-                  max_evals=max_evals)
-    return evaluator.result(strat.name, space)
+    return complete(search(models, space, strategy, objective,
+                           area_budget_mm2, tech, max_evals, seed),
+                    workers, cache)

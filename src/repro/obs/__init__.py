@@ -38,8 +38,6 @@ into a caller-owned dict such as ``DesignResult.phases``.
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 import time
 
 from .dashboard import (histogram_quantile, histogram_totals,
@@ -111,19 +109,3 @@ def merge_telemetry(bundle: dict | None) -> None:
         return
     get_registry().merge(bundle.get("metrics"))
     get_tracer().extend(bundle.get("spans", ()))
-
-
-def _free_locks_in_child() -> None:
-    # A fork copies the registry and tracer locks in whatever state
-    # another thread of the parent left them, and that thread does not
-    # exist in the child: a pool worker forked beside a busy thread
-    # would block on its first metric or span.  Start it with free ones.
-    registry = get_registry()
-    registry._lock = threading.RLock()
-    for family in registry._families.values():
-        family._lock = registry._lock
-    get_tracer()._lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_free_locks_in_child)

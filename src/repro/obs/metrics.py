@@ -31,6 +31,7 @@ True
 from __future__ import annotations
 
 import math
+import os
 import re
 import threading
 
@@ -364,6 +365,21 @@ _REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-global registry every subsystem instruments into."""
     return _REGISTRY
+
+
+def _free_lock_in_child() -> None:
+    # A fork copies the registry lock in whatever state another thread
+    # of the parent left it, and that thread does not exist in the
+    # child: a pool worker forked beside a busy thread would block on
+    # its first metric.  Start it with a free one (every family shares
+    # the registry's lock).
+    _REGISTRY._lock = threading.RLock()
+    for family in _REGISTRY._families.values():
+        family._lock = _REGISTRY._lock
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_free_lock_in_child)
 
 
 def reset_registry() -> None:

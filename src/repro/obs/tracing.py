@@ -219,6 +219,16 @@ class Tracer:
 _TRACER = Tracer()
 
 
+def _free_lock_in_child() -> None:
+    # as for the metrics registry: a forked child must not inherit a
+    # buffer lock held by a parent thread it does not have
+    _TRACER._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_free_lock_in_child)
+
+
 # Innermost open span *name* per OS thread — read by the sampling
 # profiler (obs.profiler) to attribute CPU samples to pipeline phases.
 # Mutated only by the owning thread; dict/list ops are GIL-atomic.

@@ -162,7 +162,7 @@ def _pool_task(task: tuple) -> tuple[object, dict, CacheStats | None]:
     ``fn(worker cache, *args)`` plus this task's telemetry delta
     (metrics snapshot + spans, tagged with the trace id the task
     carried) and its cache-stats delta.  *fn* is a top-level function
-    (:func:`_run_group`, or the server's exploration body), so the task
+    (:func:`_run_group`, or :func:`_evaluate_rows`), so the task
     pickles under both fork and spawn.
 
     Pool workers process tasks serially, so resetting the worker's
@@ -361,10 +361,12 @@ class BatchEngine:
         """The first half of a batch, shared by :meth:`generate_many`
         and the server's event loop: the cache pass with in-batch dedup
         (every hit reported at once), then the cold remainder grouped
-        by ``design_key`` into :attr:`_Batch.groups`.  *memory_only*
-        keeps the pass off the disk (the server's loop); its groups
-        then hold disk-cached specs too, for ``_run_group(...,
-        lookup=True)`` to answer.  Call inside a ``batch`` span."""
+        by ``design_key`` into :attr:`_Batch.groups`, summed up in
+        :attr:`_Batch.plan`.  *memory_only* keeps the pass off the disk
+        (the server's loop); its groups then hold disk-cached specs
+        too, for ``_run_group(..., lookup=True)`` to answer, and its
+        plan counts only memory-tier hits as cached.  Call inside a
+        ``batch`` span."""
         batch = _Batch(requests, progress)
         cold: dict[str, DesignRequest] = {}
         cache = self.cache
@@ -390,6 +392,9 @@ class BatchEngine:
                             n_groups=len(groups), n_variants=n_variants):
                 pass  # instant span: records the plan in the trace
         batch.groups = groups
+        batch.plan = BatchPlan(n_requests=len(requests),
+                               n_unique=len(batch.resolved) + len(cold),
+                               n_cached=len(batch.resolved), groups=groups)
         return batch
 
     def generate_many(self, requests,
@@ -470,6 +475,7 @@ class _Batch:
     def __init__(self, requests: Sequence[DesignRequest], progress):
         self.hashes = [r.spec_hash() for r in requests]
         self.groups: list[PlanGroup] = []
+        self.plan: BatchPlan | None = None
         self.resolved: dict[str, DesignResult] = {}
         self._occurrences = Counter(self.hashes)
         self._progress = progress
@@ -540,6 +546,13 @@ def _init_eval_worker(models) -> None:
 def _eval_arch_pooled(args) -> dict:
     arch, tech = args
     return _eval_arch(_WORKER_MODELS, arch, tech)
+
+
+def _evaluate_rows(cache: DesignCache | None, models, archs, tech
+                   ) -> list[dict]:
+    """:func:`evaluate_archs` as a pool task (the server's unit of
+    ``/explore`` work): serial, through the worker's cache."""
+    return evaluate_archs(models, archs, tech, cache=cache)
 
 
 def evaluate_archs(models, archs, tech,

@@ -3,16 +3,18 @@
 ``repro serve`` turns the batch engine into a long-lived service.  The
 server is stdlib-only (``asyncio.start_server`` plus a small HTTP/1.1
 reader/writer — no web framework) and runs on **one event loop**: it
-parses requests, answers memory-tier hits inline, and sends every
-compile — a ``/generate`` miss, each design group of a ``/batch``, each
-``/explore`` search — to **one process pool** of ``--workers``
-processes, forked on first use.  The loop keeps one in-flight compile
-per ``design_key``: a request for a design being compiled waits for it
-and re-reads the memory tier, so concurrent clients share one schedule.
-Long-running work lives in a :class:`~repro.service.jobs.JobRegistry`
-polled across requests; a job is a coroutine that keeps at most
-``workers`` of its design groups in the pool, so an interactive request
-queues behind compiles already running, never behind a job's backlog.
+parses requests, answers memory-tier hits inline, and sends the rest
+of the work — a ``/generate`` miss, each design group of a ``/batch``,
+each batch of DSE rows an ``/explore`` search asks for — to **one
+process pool** of ``--workers`` processes, forked on first use; a task
+waits on the loop for a free worker.  The loop keeps one in-flight
+compile per ``design_key``: a request for a design being compiled waits
+for it and re-reads the memory tier, so concurrent clients share one
+schedule.  Long-running work lives in a
+:class:`~repro.service.jobs.JobRegistry` polled across requests; a job
+is a coroutine that keeps at most ``workers`` of its tasks waiting for
+or in a worker, so an interactive request queues behind a few tasks of
+each job, never behind a job's backlog.
 
 The HTTP layer itself (connection handling, request parsing, dispatch
 telemetry, JSON/text/chunked-stream responses) lives in
@@ -47,12 +49,13 @@ default); designs emitted by different families are cached under
 distinct content hashes, so a warm hit for one family is never served
 for another.
 
-An `/explore` job is one :func:`repro.dse.run_search` call.  A search
-is a deterministic function of its request, and every row it evaluates
-is stored in the design cache as soon as it is computed, so replaying
-the request after a crash is its resume path: the rows the dead run
-finished come back as cache hits, and the result is bit-for-bit the
-uninterrupted one.
+An `/explore` job is one :func:`repro.dse.strategies.search` (the
+generator form of :func:`repro.dse.run_search`) driven by the loop.  A
+search is a deterministic function of its request, and every row it
+evaluates is stored in the design cache as soon as it is computed, so
+replaying the request after a crash is its resume path: the rows the
+dead run finished come back as cache hits, and the result is
+bit-for-bit the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
                    refresh_trace_metrics, setup_logging, trace_context,
                    trace_span)
 from .engine import (BatchEngine, PlanGroup, _cache_spec,
-                     _init_request_worker, _pool_context, _pool_task,
-                     _run_group, remember_built)
+                     _evaluate_rows, _init_request_worker, _pool_context,
+                     _pool_task, _run_group, remember_built)
 from .faults import FaultDrop, FaultError, get_faults
 from .jobs import JobRegistry, RegistryFull
 from .persist import JobJournal
@@ -90,6 +93,10 @@ _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 500: "Internal Server Error", 501: "Not Implemented",
                 502: "Bad Gateway", 503: "Service Unavailable"}
 _MAX_BODY = 64 * 1024 * 1024
+#: the most DSE rows one ``/explore`` pool task evaluates, which bounds
+#: how long a request can queue behind it (8 rows of every zoo model
+#: take about 0.2 s on one core)
+_ROWS_PER_TASK = 8
 #: ``GET /debug/profile`` capture window without ``seconds=`` — the
 #: ``repro profile --seconds`` default
 _PROFILE_SECONDS = 2.0
@@ -681,6 +688,10 @@ class DesignServer(HttpServerBase):
                 self.recovered["jobs"], self.recovered["requeued"],
                 self.recovered["failed"])
         self._pool: ProcessPoolExecutor | None = None
+        #: one per pool worker: a task holds one from submission until
+        #: its result is back, so the pool never holds a backlog and a
+        #: job is queued until one of its tasks gets here
+        self._slots = asyncio.Semaphore(self.engine.workers)
         #: design_key -> the one compile of that design in flight
         self._flights: dict[str, asyncio.Task] = {}
         #: running job coroutines
@@ -694,17 +705,17 @@ class DesignServer(HttpServerBase):
 
     async def stop(self) -> None:
         await super().stop()
-        if self._pool is not None:
-            # Compiles still queued in the pool are dropped; running ones
-            # finish before the workers are joined.  (This blocks the
-            # loop, which no longer serves anything.)
-            self._pool.shutdown(cancel_futures=True)
-        # jobs settle on what came back; a dropped compile unwinds its
-        # job as cancelled
+        # Every job stops at its next pool task; the tasks already in a
+        # worker finish (and cache what they built) before the workers
+        # are joined.  (This blocks the loop, which serves nothing now.)
+        for task in self._job_tasks:
+            task.cancel()
         await asyncio.gather(*self._job_tasks)
-        # A batch that lost compiles would otherwise stay live and hang
+        if self._pool is not None:
+            self._pool.shutdown()
+        # A batch that stopped short would otherwise stay live and hang
         # every wait() on it; an exploration stays journaled live, and
-        # the next boot on this root replays it.
+        # the next boot on this root replays it from the cached rows.
         failed = self.jobs.sweep_shutdown()
         if failed:
             self._log.info("shutdown failed %d unfinished batch job(s)",
@@ -877,56 +888,60 @@ class DesignServer(HttpServerBase):
 
     # -- the process pool ------------------------------------------------
 
-    async def _in_pool(self, fn, *args):
+    async def _in_pool(self, fn, *args, job=None):
         """``fn(worker cache, *args)`` in the pool, under the current
-        trace context; the worker's telemetry and cache-stats deltas are
-        folded into this process."""
-        if self._closing.is_set():
-            raise asyncio.CancelledError("server is stopping")
+        trace context, once a worker slot is free (*job*, whose task
+        this is, starts running then); the worker's telemetry and
+        cache-stats deltas are folded into this process."""
         task = (fn, args, current_trace_id(), current_span_id())
-        for retry in (True, False):
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.engine.workers,
-                    mp_context=_pool_context(),
-                    initializer=_init_request_worker,
-                    initargs=(_cache_spec(self.engine.cache),))
-            pool = self._pool
-            try:
-                value, telemetry, stats = await asyncio.wrap_future(
-                    pool.submit(_pool_task, task))
-                break
-            except BrokenProcessPool:
-                # A worker died (killed, out of memory) and took the pool
-                # down with every task in it: start a fresh pool, and
-                # run this task once more.
-                if self._pool is pool:
-                    self._pool = None
-                    pool.shutdown(wait=False)
-                if not retry:
-                    raise
+        async with self._slots:
+            if self._closing.is_set():
+                raise asyncio.CancelledError("server is stopping")
+            if job is not None and job.status == "queued":
+                job.start()
+            for retry in (True, False):
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.engine.workers,
+                        mp_context=_pool_context(),
+                        initializer=_init_request_worker,
+                        initargs=(_cache_spec(self.engine.cache),))
+                pool = self._pool
+                try:
+                    value, telemetry, stats = await asyncio.wrap_future(
+                        pool.submit(_pool_task, task))
+                    break
+                except BrokenProcessPool:
+                    # A worker died (killed, out of memory) and took the
+                    # pool down with every task in it: start a fresh
+                    # pool, and run this task once more.
+                    if self._pool is pool:
+                        self._pool = None
+                        pool.shutdown(wait=False)
+                    if not retry:
+                        raise
         merge_telemetry(telemetry)
         if stats is not None:
             self.engine.cache.merge_stats(stats)
         return value
 
-    async def _compile(self, group: PlanGroup) -> list:
-        """One design group through the pool, with at most one compile
-        per ``design_key`` in flight: a compile of the same design
-        already running is waited for first, and the worker then finds
-        what it left in the cache tiers."""
+    async def _compile(self, group: PlanGroup, job=None) -> list:
+        """One design group (of *job*, if any) through the pool, with at
+        most one compile per ``design_key`` in flight: a compile of the
+        same design already running is waited for first, and the
+        worker then finds what it left in the cache tiers."""
         key = group.design_key
         while (flight := self._flights.get(key)) is not None:
             await asyncio.wait((flight,))
         flight = self._flights[key] = asyncio.ensure_future(
-            self._flight(group))
+            self._flight(group, job))
         # shielded: a caller that goes away must not cancel a compile
         # other requests are waiting on
         return await asyncio.shield(flight)
 
-    async def _flight(self, group: PlanGroup) -> list:
+    async def _flight(self, group: PlanGroup, job) -> list:
         try:
-            results = await self._in_pool(_run_group, group, True)
+            results = await self._in_pool(_run_group, group, True, job=job)
         finally:
             del self._flights[group.design_key]
         # before the flight completes, so its waiters find these warm
@@ -937,14 +952,17 @@ class DesignServer(HttpServerBase):
 
     def _spawn_job(self, job, body) -> None:
         """Run *body*, a coroutine returning *job*'s result, as that job
-        under its trace ids.  A body that :meth:`stop` cancels leaves
+        under its trace ids.  The job stays queued until one of its
+        tasks gets a pool slot.  A body that :meth:`stop` cancels leaves
         the job unsettled: the shutdown sweep fails a batch, and an
         exploration stays journaled for the next boot."""
         async def run():
             try:
-                job.start()
                 with trace_context(job.trace_id, job.trace_parent):
-                    job.finish(await body)
+                    result = await body
+                if job.status == "queued":  # it needed no pool task
+                    job.start()
+                job.finish(result)
             except asyncio.CancelledError:
                 pass
             except Exception as exc:  # noqa: BLE001 — job table captures it
@@ -973,17 +991,20 @@ class DesignServer(HttpServerBase):
 
         async def run(group):
             async with slots:
-                batch.collect(await self._compile(group))
+                batch.collect(await self._compile(group, job))
 
         with trace_span("job:batch", job=job.id, n_requests=len(requests)):
-            # Record the planner's dry run before executing, so a poller
-            # sees how the batch collapses (duplicates, cache hits,
-            # schedule groups) while it is running.
-            job.plan = self.engine.plan(requests).to_dict()
             with trace_span("batch", n_requests=len(requests),
                             workers=workers):
                 batch = self.engine.begin(requests, progress,
                                           memory_only=True)
+                # The plan goes up before the compiles, so a poller sees
+                # how the batch collapses (duplicates, cache hits,
+                # schedule groups) while it is running.
+                job.plan = batch.plan.to_dict()
+                # the cache pass was one long step: let the requests it
+                # held up in before this job takes another
+                await asyncio.sleep(0)
                 await asyncio.gather(*map(run, batch.groups))
         results = batch.results()
         return {"results": [r.to_json(include_rtl) for r in results],
@@ -995,26 +1016,49 @@ class DesignServer(HttpServerBase):
                            for r in results if not r.ok]}
 
     async def _explore_job(self, job) -> dict:
+        """One :func:`~repro.dse.strategies.search` driven from the loop:
+        the search's bookkeeping runs here, the rows of each evaluation
+        it asks for in the pool."""
+        from ..dse.explorer import space_from_dict
+        from ..dse.strategies import search
+        from ..models import zoo
+
+        params = job.params
+        steps = search(
+            [zoo.MODEL_BUILDERS[name]() for name in params["models"]],
+            (space_from_dict(params["space"])
+             if params["space"] is not None else None),
+            strategy=params["strategy"], objective=params["objective"],
+            area_budget_mm2=params["area_budget_mm2"],
+            max_evals=params["max_evals"], seed=params["seed"])
+        rows = None
         with trace_span("job:explore", job=job.id):
-            return await self._in_pool(_explore, job.params)
+            try:
+                while True:
+                    try:
+                        request = steps.send(rows)
+                    except StopIteration as stop:
+                        return stop.value.to_json()
+                    rows = await self._rows(job, *request)
+            finally:
+                steps.close()
 
+    async def _rows(self, job, models, archs, tech) -> list[dict]:
+        """*models* evaluated on every arch in *archs*, in order: split
+        into one pool task per worker, at most ``_ROWS_PER_TASK`` rows
+        each, and at most ``workers`` of them in the pool at once."""
+        workers = self.engine.workers
+        size = min(_ROWS_PER_TASK, -(-len(archs) // workers))
+        slots = asyncio.Semaphore(workers)
 
-def _explore(cache, params: dict) -> dict:
-    """An ``/explore`` job's body, in a pool worker: one
-    :func:`~repro.dse.run_search` call over the request's fields, with
-    every row stored in (and read back from) *cache*.  It evaluates
-    serially — a pool worker does not fork a pool of its own."""
-    from ..dse.explorer import space_from_dict
-    from ..dse.strategies import run_search
-    from ..models import zoo
+        async def run(part):
+            async with slots:
+                return await self._in_pool(_evaluate_rows, models, part,
+                                           tech, job=job)
 
-    return run_search(
-        [zoo.MODEL_BUILDERS[name]() for name in params["models"]],
-        (space_from_dict(params["space"])
-         if params["space"] is not None else None),
-        strategy=params["strategy"], objective=params["objective"],
-        area_budget_mm2=params["area_budget_mm2"], cache=cache,
-        max_evals=params["max_evals"], seed=params["seed"]).to_json()
+        parts = [archs[i:i + size] for i in range(0, len(archs), size)]
+        return [row for rows in await asyncio.gather(*map(run, parts))
+                for row in rows]
 
 
 # ---------------------------------------------------------------------------

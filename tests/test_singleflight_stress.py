@@ -62,7 +62,7 @@ class FakePool:
         self.gate = asyncio.Event()
         self.error: Exception | None = None
 
-    async def __call__(self, fn, group, lookup):
+    async def __call__(self, fn, group, lookup, job=None):
         self.calls.append(group.design_key)
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)

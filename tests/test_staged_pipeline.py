@@ -329,3 +329,55 @@ class TestJobExecutor:
         assert result["ok"] and not result["from_cache"]
         assert statuses != ["done", "done"], \
             "the /generate waited for both batches' whole backlog"
+
+    def test_generate_not_starved_by_exploration(self, tmp_path):
+        """One pool worker and a long exploration (six pool tasks of
+        eight rows of every zoo model): a cold /generate sent after it
+        returns while the search is still running, because the search
+        sends its rows to the pool a few at a time."""
+        from repro.models import zoo
+        from repro.service import ServiceClient
+        from repro.service.server import ServerThread
+
+        thread = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / "c"), workers=1))
+        with thread as url, ServiceClient.from_url(url) as client:
+            job = client.explore(models=sorted(zoo.MODEL_BUILDERS))
+            result = client.generate(**TINY)
+            status = client.job(job)["status"]
+            assert client.wait(job, timeout=120)["status"] == "done"
+        assert result["ok"] and not result["from_cache"]
+        assert status == "running", \
+            "the /generate waited for the whole exploration"
+
+    def test_explore_fans_rows_over_the_pool(self, tmp_path):
+        """On a two-worker server an exhaustive search's 48 rows go to
+        the pool as six tasks of eight, two at a time, and the result
+        is the in-process search's, bit for bit."""
+        from repro.dse import DesignSpace, run_search
+        from repro.models import zoo
+        from repro.service import ServiceClient
+        from repro.service.server import ServerThread
+
+        thread = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path / "c"), workers=2))
+        server, in_pool = thread.server, thread.server._in_pool
+        tasks, in_flight, peak = [], [0], [0]
+
+        async def counting(fn, *args, **kwargs):
+            tasks.append(len(args[1]))
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+            try:
+                return await in_pool(fn, *args, **kwargs)
+            finally:
+                in_flight[0] -= 1
+
+        server._in_pool = counting
+        with thread as url, ServiceClient.from_url(url) as client:
+            final = client.wait(client.explore(models=["ResNet50"]),
+                                timeout=120)
+        reference = run_search([zoo.resnet50()], DesignSpace()).to_json()
+        assert final["result"] == reference
+        assert tasks == [8] * 6
+        assert peak == [2]
