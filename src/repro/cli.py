@@ -344,8 +344,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 for name, text in result.artifacts.items():
                     suffix = _artifact_suffix(name, result.request.module)
                     (out / f"{stem}{suffix}").write_text(text)
+                # sorted: a design read back from the cache and one just
+                # built here write the same bytes
                 (out / f"{stem}.json").write_text(
-                    json.dumps(result.design, indent=1))
+                    json.dumps(result.design, indent=1, sort_keys=True))
             print(f"wrote {sum(r.ok for r in results)} designs to {out}")
 
     elapsed = max(elapsed, 1e-9)

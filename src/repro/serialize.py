@@ -135,7 +135,8 @@ def _dag_from_dict(data: dict) -> DAG:
     dag = DAG()
     for spec in data["dag"]["nodes"]:
         node = Primitive(spec["id"], spec["kind"], width=spec["width"],
-                         latency=spec["latency"], params=spec["params"],
+                         latency=spec["latency"],
+                         params=_restore_params(spec["params"]),
                          place=tuple(spec["place"])
                          if isinstance(spec["place"], list) else spec["place"])
         dag.restore_node(node)
@@ -156,10 +157,6 @@ class _LoadedDataflow:
         self.name = name
         self.rt = tuple(int(r) for r in rt)
         self.total_timestamps = int(total_timestamps)
-
-    def __repr__(self) -> str:  # pragma: no cover — debugging aid
-        return (f"_LoadedDataflow({self.name!r}, rt={self.rt}, "
-                f"total_timestamps={self.total_timestamps})")
 
 
 def _restore_params(params: dict) -> dict:
@@ -188,21 +185,9 @@ def design_from_dict(data: dict) -> Design:
     if data.get("format") != "lego-design-v1":
         raise ValueError("not a LEGO design dictionary")
     dag = _dag_from_dict(data)
-    for node in dag.nodes.values():
-        node.params = _restore_params(node.params)
 
     configs: dict[str, DataflowConfig] = {}
-    missing_liveness = False
     for name, raw in data["configs"].items():
-        rt = raw.get("rt")
-        if rt is None:
-            # Pre-staged-pipeline record: recover the temporal basis
-            # from any address generator (they all share it).
-            for ag in raw["addrgen"].values():
-                rt = ag["rt"]
-                break
-            else:
-                rt = [int(raw["total_timestamps"])]
         addrgen = {
             int(k): AddrGenConfig(
                 rt=tuple(int(r) for r in a["rt"]),
@@ -212,8 +197,9 @@ def design_from_dict(data: dict) -> Design:
                 gate_dt=(tuple(int(x) for x in a["gate_dt"])
                          if a.get("gate_dt") else None))
             for k, a in raw["addrgen"].items()}
-        cfg = DataflowConfig(
-            dataflow=_LoadedDataflow(name, rt, raw["total_timestamps"]),
+        configs[name] = DataflowConfig(
+            dataflow=_LoadedDataflow(name, raw["rt"],
+                                     raw["total_timestamps"]),
             mux_select={int(k): int(v)
                         for k, v in raw["mux_select"].items()},
             mux_policy={int(k): [(int(p), tuple(int(x) for x in dt)
@@ -226,14 +212,11 @@ def design_from_dict(data: dict) -> Design:
             addrgen=addrgen,
             write_enable=set(raw["write_enable"]),
             read_enable=set(raw["read_enable"]),
-            active_nodes=set(raw.get("active_nodes", ())),
-            active_edges=set(raw.get("active_edges", ())),
+            active_nodes=set(raw["active_nodes"]),
+            active_edges=set(raw["active_edges"]),
             ctrl_offset={int(k): int(v)
                          for k, v in raw.get("ctrl_offset", {}).items()},
         )
-        if "active_nodes" not in raw:
-            missing_liveness = True
-        configs[name] = cfg
 
     design = Design(adg=None, dag=dag, configs=configs,
                     report=data.get("report", {}))
@@ -241,8 +224,4 @@ def design_from_dict(data: dict) -> Design:
                         "dataflows": data.get("dataflows",
                                               sorted(configs)),
                         "adg": data.get("adg", {})}
-    if missing_liveness:
-        from .backend.codegen import compute_liveness
-
-        compute_liveness(design)
     return design

@@ -1,4 +1,4 @@
-"""Content-addressed design cache: spec-hash → finished design.
+"""Content-addressed design cache: spec-hash → finished result.
 
 Two tiers.  An in-memory LRU (dict of parsed records, bounded by
 ``memory_entries``) absorbs the hot loop of a DSE run; an on-disk store
@@ -15,12 +15,15 @@ a cross-process advisory file lock (``.evict.lock``) so concurrent
 writers (a server's pool workers, say) don't both act on the same stale
 directory snapshot and evict twice the excess.
 
-Besides finished designs, the cache stores **keyed intermediates** of
+Besides finished results, the cache stores **keyed intermediates** of
 the staged cold path (:meth:`DesignCache.get_phase` /
 :meth:`DesignCache.put_phase`): scheduled-design and golden-vector
 records addressed by ``(phase, phase key)``, namespaced into the same
 content-addressed store so eviction and corruption recovery apply
-uniformly.  A small **live tier**
+uniformly.  A result's record names its scheduled design by
+``design_key`` rather than carrying it: the tree is stored once, in the
+phase record, and read only when ``DesignResult.design`` is asked for.
+A small **live tier**
 (:meth:`~DesignCache.get_live`/:meth:`~DesignCache.put_live`) keeps
 unserializable in-process objects (front-end ADGs, reloaded designs)
 for the duration of a burst — it never touches disk and dies with the
@@ -42,7 +45,7 @@ import pathlib
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 try:
     import fcntl
@@ -63,6 +66,15 @@ _FORMAT = "lego-cache-v1"
 _LOOKUPS = get_registry().counter(
     "repro_cache_lookups_total",
     "design-cache lookups by tier and outcome", ("tier", "outcome"))
+
+
+def _unlink(path: pathlib.Path) -> bool:
+    """Remove *path*; False if it could not be (already gone, say)."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -94,13 +106,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts, "evictions": self.evictions,
-                "corrupt": self.corrupt, "memory_hits": self.memory_hits,
-                "phase_hits": self.phase_hits,
-                "phase_misses": self.phase_misses,
-                "live_hits": self.live_hits,
-                "hit_rate": round(self.hit_rate, 4)}
+        return dict(asdict(self), hit_rate=round(self.hit_rate, 4))
 
     def tiers(self) -> dict:
         """Tier-by-tier breakdown (memory / disk / phase / live) — the
@@ -164,18 +170,26 @@ class DesignCache:
 
     # -- read / write ------------------------------------------------------
 
+    @staticmethod
+    def _read(path: pathlib.Path) -> dict:
+        """The record in the entry at *path*; ValueError if the file
+        is not an entry."""
+        with open(path) as fh:
+            wrapper = json.load(fh)
+        if (not isinstance(wrapper, dict)
+                or wrapper.get("format") != _FORMAT
+                or "record" not in wrapper):
+            raise ValueError("bad cache wrapper")
+        return wrapper["record"]
+
     def peek(self, key: str) -> dict | None:
         """Read a record without touching cache state: no stats, no LRU
         promotion, no mtime refresh, no corruption cleanup.  For
         listings and diagnostics only."""
         try:
-            with open(self.path_for(key)) as fh:
-                wrapper = json.load(fh)
+            return self._read(self.path_for(key))
         except (OSError, ValueError):
             return None
-        if isinstance(wrapper, dict) and wrapper.get("format") == _FORMAT:
-            return wrapper.get("record")
-        return None
 
     def get_memory(self, key: str) -> dict | None:
         """Memory-tier-only lookup: no disk I/O, so it is safe on an
@@ -199,31 +213,17 @@ class DesignCache:
             return record
         path = self.path_for(key)
         try:
-            with open(path) as fh:
-                wrapper = json.load(fh)
-            if (not isinstance(wrapper, dict)
-                    or wrapper.get("format") != _FORMAT
-                    or "record" not in wrapper):
-                raise ValueError("bad cache wrapper")
-        except FileNotFoundError:
-            with self._lock:
-                self.stats.misses += 1
-            _LOOKUPS.labels(tier="disk", outcome="miss").inc()
-            return None
-        except (ValueError, OSError):
+            record = self._read(path)
+        except (ValueError, OSError) as exc:
             # Corrupted entry: drop it and let the caller regenerate.
             # Decrement the approximate disk count only once the entry
             # is actually gone — decrementing on a failed unlink makes
             # the eviction trigger undercount and the disk tier creep
             # past its bound.
-            unlinked = False
-            try:
-                path.unlink()
-                unlinked = True
-            except OSError:
-                pass
+            corrupt = not isinstance(exc, FileNotFoundError)
+            unlinked = corrupt and _unlink(path)
             with self._lock:
-                self.stats.corrupt += 1
+                self.stats.corrupt += corrupt
                 self.stats.misses += 1
                 if unlinked and self._disk_count is not None:
                     self._disk_count = max(0, self._disk_count - 1)
@@ -231,14 +231,12 @@ class DesignCache:
             return None
         with self._lock:
             self.stats.hits += 1
-            self._remember(key, wrapper["record"])
+            self._remember(key, record)
         _LOOKUPS.labels(tier="disk", outcome="hit").inc()
         # Refresh mtime so disk eviction approximates LRU, not FIFO.
-        try:
+        with contextlib.suppress(OSError):
             os.utime(path)
-        except OSError:
-            pass
-        return wrapper["record"]
+        return record
 
     def put(self, key: str, record: dict) -> None:
         """Store *record* under *key* (atomic write; last writer wins)."""
@@ -253,10 +251,7 @@ class DesignCache:
                 fh.write(payload)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(pathlib.Path(tmp))
             raise
         with self._lock:
             self.stats.puts += 1
@@ -280,13 +275,7 @@ class DesignCache:
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""
-        n = 0
-        for key in self.keys():
-            try:
-                self.path_for(key).unlink()
-                n += 1
-            except OSError:
-                pass
+        n = sum(_unlink(self.path_for(key)) for key in self.keys())
         with self._lock:
             self._memory.clear()
             self._live.clear()
@@ -312,14 +301,11 @@ class DesignCache:
     def get_phase(self, phase: str, key: str) -> dict | None:
         """The cached intermediate of *phase* under *key*, or None."""
         record = self.get(self.phase_address(phase, key))
+        hit = record is not None
         with self._lock:
-            if record is not None:
-                self.stats.phase_hits += 1
-            else:
-                self.stats.phase_misses += 1
-        _LOOKUPS.labels(tier="phase",
-                        outcome="hit" if record is not None
-                        else "miss").inc()
+            self.stats.phase_hits += hit
+            self.stats.phase_misses += not hit
+        _LOOKUPS.labels(tier="phase", outcome="hit" if hit else "miss").inc()
         return record
 
     def put_phase(self, phase: str, key: str, record: dict) -> None:
@@ -414,13 +400,9 @@ class DesignCache:
                 except OSError:
                     return 0.0
             for path in sorted(paths, key=mtime)[:excess]:
-                try:
-                    path.unlink()
-                    with self._lock:
-                        self.stats.evictions += 1
-                except OSError:
-                    pass
+                evicted = _unlink(path)
                 with self._lock:
+                    self.stats.evictions += evicted
                     self._memory.pop(path.stem, None)
         with self._lock:
             self._disk_count = len(paths) - excess

@@ -140,7 +140,8 @@ def _run_group(cache: DesignCache | None, group: PlanGroup,
         if lookup and cache is not None:
             record = cache.get(request.spec_hash())
             if record is not None:
-                return DesignResult.from_record(request.spec_hash(), record)
+                return DesignResult.from_record(request.spec_hash(), record,
+                                                cache)
         result = execute_request(request, cache=cache)
         if cache is not None and result.ok:
             cache.put(result.spec_hash, result.to_record())
@@ -189,9 +190,12 @@ def remember_built(cache: DesignCache | None,
                    results: Iterable[DesignResult]) -> None:
     """Keep this process's memory tier as warm as an in-process run:
     a pool worker wrote these records to disk, and the next lookup
-    here should not have to read them back."""
+    here should not have to read them back.  Each result's design
+    resolves through *cache*: a worker with a cache sent it without
+    the tree, which that worker wrote to the phase tier."""
     if cache is not None:
         for result in results:
+            result.cache = cache
             if result.ok:
                 cache.remember(result.spec_hash, result.to_record())
 
@@ -377,7 +381,8 @@ class BatchEngine:
                 continue
             record = lookup(key) if lookup is not None else None
             if record is not None:
-                batch.collect([DesignResult.from_record(key, record)])
+                batch.collect([DesignResult.from_record(key, record,
+                                                        cache)])
             else:
                 cold[key] = req
         groups = (self._group_by_design(cold.values()) if plan else

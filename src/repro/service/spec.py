@@ -4,7 +4,7 @@ A :class:`DesignRequest` captures everything that determines a generated
 design — kernel, dataflow set, FU array shape, workload bound overrides,
 emitter backend family, backend options, and frontend tunables — in a
 frozen dataclass with a deterministic JSON form.  Its SHA-256 content
-hash is the identity under which the cache stores the finished design,
+hash is the identity under which the cache stores the finished result,
 so two processes that build the same request always agree on the
 address.
 
@@ -34,6 +34,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from ..backend import BackendOptions
 from ..backends import DEFAULT_BACKEND, backend_names, get_backend
@@ -42,18 +43,17 @@ from ..obs import (PHASE_ADG, PHASE_DESIGN, PHASE_DESIGN_LOAD, PHASE_EMIT,
                    PHASE_SCHEDULE, timed_phase, trace_span)
 from ..serialize import canonical_dumps
 
+if TYPE_CHECKING:
+    from .cache import DesignCache
+
 __all__ = ["DesignRequest", "DesignResult", "execute_request",
            "SUPPORTED_KERNELS"]
 
 SUPPORTED_KERNELS = ("gemm", "conv2d", "mttkrp", "attention")
 
 
-def _options_to_dict(options: BackendOptions) -> dict:
-    return {f.name: getattr(options, f.name) for f in fields(BackendOptions)}
-
-
-def _frontend_to_dict(config: FrontendConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(FrontendConfig)}
+def _fields_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ class DesignRequest:
             "array": list(self.array),
             "systolic": self.systolic,
             "bounds": {k: v for k, v in self.bounds},
-            "options": _options_to_dict(self.options),
-            "frontend": _frontend_to_dict(self.frontend),
+            "options": _fields_dict(self.options),
+            "frontend": _fields_dict(self.frontend),
             "module": self.module,
             "backend": self.backend,
         }
@@ -240,13 +240,35 @@ class DesignRequest:
         ]
 
 
+class _Design:
+    """:attr:`DesignResult.design`: the tree the result holds, else
+    resolved once through its cache by :func:`_build_scheduled_design`
+    (the live tier, the phase record, or a rebuild if it was evicted)."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        if result._design is None and result.ok:
+            result._design = _build_scheduled_design(
+                result.request, result.cache, {})[1]
+        return result._design
+
+    def __set__(self, result, tree):
+        result._design = tree
+
+
 @dataclass
 class DesignResult:
-    """The finished (or failed) product of one :class:`DesignRequest`."""
+    """The finished (or failed) product of one :class:`DesignRequest`.
+
+    Its cache record leaves out :attr:`design`: the phase record at
+    ``request.design_key()`` holds it.  A result built here keeps its
+    tree; one read from a record, or sent by a pool worker that has a
+    cache, resolves it through :attr:`cache` when first asked."""
 
     spec_hash: str
     request: DesignRequest
-    design: dict | None = None
+    design: dict | None = _Design()  # the scheduled design's JSON tree
     #: the full artifact set, ``{filename: text}`` — first entry is the
     #: primary artifact, extra entries are companions (e.g. the HLS-C
     #: family's compilable testbench harness)
@@ -266,6 +288,16 @@ class DesignResult:
     #: serving job table so a batch's design #713 can be debugged from
     #: the client side.
     traceback: str | None = None
+    cache: DesignCache | None = field(default=None, repr=False,
+                                      compare=False)
+
+    def __getstate__(self) -> dict:
+        # A pool worker's reply; the receiver points it at its own cache
+        # (engine.remember_built), which has the tree if the worker's did.
+        state = dict(self.__dict__, cache=None)
+        if self.cache is not None:
+            state["_design"] = None
+        return state
 
     @property
     def ok(self) -> bool:
@@ -285,7 +317,6 @@ class DesignResult:
     def to_record(self) -> dict:
         return {
             "request": self.request.to_dict(),
-            "design": self.design,
             "artifacts": self.artifacts,
             "summary": self.summary,
             "elapsed_s": self.elapsed_s,
@@ -316,17 +347,19 @@ class DesignResult:
 
     @classmethod
     def from_record(cls, spec_hash: str, record: dict,
-                    from_cache: bool = True) -> "DesignResult":
+                    cache: DesignCache | None = None) -> "DesignResult":
+        """A cached result whose design resolves through *cache* (a
+        ``"design"`` older records embed is ignored)."""
         return cls(spec_hash=spec_hash,
                    request=DesignRequest.from_dict(record["request"]),
-                   design=record["design"],
                    artifacts=record["artifacts"],
                    summary=record["summary"],
                    elapsed_s=record.get("elapsed_s", 0.0),
                    phases=record.get("phases", {}),
-                   from_cache=from_cache,
+                   from_cache=True,
                    error=record.get("error"),
-                   traceback=record.get("traceback"))
+                   traceback=record.get("traceback"),
+                   cache=cache)
 
 
 def _build_scheduled_design(request: DesignRequest, cache,
@@ -418,6 +451,7 @@ def execute_request(request: DesignRequest,
             summary=summary,
             elapsed_s=time.perf_counter() - start,
             phases=phases,
+            cache=cache,
         )
     except Exception as exc:  # noqa: BLE001 — per-request capture is the point
         return DesignResult(

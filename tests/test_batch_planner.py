@@ -33,11 +33,12 @@ BACKENDS = ["verilog", "hls_c"]
 MODULES = ["lego_top", "alt_top"]
 
 
-def record_identity(record: dict) -> str:
-    """Canonical bytes of a result record minus its timing fields."""
-    out = {k: v for k, v in record.items()
+def record_identity(result) -> str:
+    """Canonical bytes of a result's record plus its design (which the
+    record names rather than carries), minus the timing fields."""
+    out = {k: v for k, v in result.to_record().items()
            if k not in ("elapsed_s", "phases")}
-    return canonical_dumps(out)
+    return canonical_dumps(dict(out, design=result.design))
 
 
 def schedule_count() -> float:
@@ -110,8 +111,7 @@ class TestByteIdentity:
         a = planned.generate_many(batch, plan=True)
         b = baseline.generate_many(batch, plan=False)
         for ra, rb in zip(a, b):
-            assert record_identity(ra.to_record()) == \
-                record_identity(rb.to_record())
+            assert record_identity(ra) == record_identity(rb)
 
     def test_unplanned_schedules_once_per_cold_spec(self, tmp_path):
         """The baseline the planner beats: plan=False pays one pipeline
@@ -169,7 +169,7 @@ class TestVariantsEmitFromTheLiveDesign:
                 for i, (workers, plan) in enumerate(
                     [(2, True), (2, False), (1, True)])]
         pooled, unplanned, in_process = (
-            [record_identity(r.to_record()) for r in run] for run in runs)
+            [record_identity(r) for r in run] for run in runs)
         assert pooled == unplanned == in_process
 
 

@@ -4,6 +4,7 @@ cache, the parallel batch engine, and the CLI integration."""
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -13,8 +14,10 @@ from repro.cli import main as cli_main
 from repro.dse.explorer import DesignSpace
 from repro.dse.strategies import run_search
 from repro.models import zoo
+from repro.obs import PHASE_DESIGN
 from repro.service import (BatchEngine, DesignCache, DesignRequest,
-                           execute_request, requests_from_space)
+                           ServerThread, ServiceClient, execute_request,
+                           requests_from_space)
 from repro.service.spec import SUPPORTED_KERNELS
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -302,6 +305,82 @@ class TestBatchEngine:
         assert [r.ok for r in results] == [True, True]
 
 
+def _containers(value) -> int:
+    """JSON containers (objects and arrays) in *value*, itself included."""
+    if isinstance(value, dict):
+        return 1 + sum(_containers(v) for v in value.values())
+    if isinstance(value, list):
+        return 1 + sum(_containers(v) for v in value)
+    return 0
+
+
+class TestRecordNamesItsDesign:
+    """A full record holds request, artifacts, summary, timings and
+    error; its design is the phase record at ``request.design_key()``,
+    read only when a caller asks for ``result.design``."""
+
+    def test_record_leaves_the_design_out(self, tmp_path):
+        result = BatchEngine(cache=DesignCache(root=tmp_path)).submit(
+            DesignRequest(array=(2, 2)))
+        record = json.loads(json.dumps(result.to_record()))
+        assert "design" not in record
+        assert _containers(record) <= 20
+        assert _containers(result.design) > 300  # what it used to carry
+
+    def test_pooled_result_crosses_without_its_design(self, tmp_path):
+        def carries_design(result) -> bool:
+            size = len(pickle.dumps(result))  # before the design is read
+            return size > (len(pickle.dumps(result.to_record()))
+                           + len(pickle.dumps(result.design)) // 2)
+
+        requests = [DesignRequest(array=(2, 2), bounds={"k": 8 + i})
+                    for i in range(2)]
+        uncached = execute_request(requests[0])
+        cached = BatchEngine(cache=DesignCache(root=tmp_path)) \
+            .generate_many(requests, workers=2)[0]
+        assert not carries_design(cached)
+        assert cached.design_bytes() == uncached.design_bytes()
+        # without a cache nothing else holds the tree, so it travels
+        bare = BatchEngine(cache=None).generate_many(requests, workers=2)[0]
+        assert carries_design(bare)
+        assert bare.design_bytes() == uncached.design_bytes()
+
+    def test_legacy_record_with_embedded_design_loads(self, tmp_path):
+        req = DesignRequest(array=(2, 2))
+        cold = BatchEngine(cache=DesignCache(root=tmp_path)).submit(req)
+        DesignCache(root=tmp_path).put(
+            req.spec_hash(), dict(cold.to_record(), design=cold.design))
+        cache = DesignCache(root=tmp_path)
+        [hit] = BatchEngine(cache=cache).generate_many([req])
+        assert hit.from_cache and hit.artifacts == cold.artifacts
+        assert hit.design_bytes() == cold.design_bytes()
+
+    def test_hit_serves_after_its_phase_record_is_evicted(self, tmp_path):
+        req = DesignRequest(array=(2, 2))
+        cold = BatchEngine(cache=DesignCache(root=tmp_path)).submit(req)
+        cache = DesignCache(root=tmp_path)
+        phase_file = cache.path_for(
+            cache.phase_address(PHASE_DESIGN, req.design_key()))
+        phase_file.unlink()
+        [hit] = BatchEngine(cache=cache).generate_many([req], workers=2)
+        assert hit.from_cache and hit.artifacts == cold.artifacts
+        # serving the hit never touched the phase tier ...
+        assert cache.stats.phase_hits == cache.stats.phase_misses == 0
+        # ... and asking for the design regenerates it
+        assert hit.design_bytes() == cold.design_bytes()
+        assert cache.stats.phase_misses == 1
+        handle = ServerThread(BatchEngine(
+            cache=DesignCache(root=tmp_path))).start()
+        try:
+            phase_file.unlink()  # the regeneration above stored it again
+            with ServiceClient.from_url(handle.url) as client:
+                served = client.generate(req.to_dict(), include_rtl=True)
+        finally:
+            handle.stop()
+        assert served["ok"] and served["from_cache"]
+        assert served["artifacts"] == cold.artifacts
+
+
 class TestExplorerIntegration:
     SPACE = DesignSpace(arrays=((8, 8), (16, 16)), buffer_kb=(128.0,),
                         dataflow_sets=(("ICOC",), ("MN", "ICOC")))
@@ -342,6 +421,35 @@ class TestServiceCLI:
         assert len(list((tmp_path / "out").glob("*.v"))) == 4
         assert cli_main(argv) == 0
         assert "4/4 designs ok (4 from cache)" in capsys.readouterr().out
+
+    def test_batch_output_dir_warm_equals_cold(self, tmp_path, capsys):
+        """Every ``<stem>.json`` of an all-cached run reads its design
+        back from the phase tier (or regenerates it when that record is
+        gone) and equals the cold run's, and an uncached run's, byte
+        for byte."""
+        cache_dir = tmp_path / "cache"
+
+        def run(out: str, *cache_args: str) -> dict:
+            assert cli_main(["batch", "--kernel", "gemm", "--dataflows",
+                             "KJ", "IJ", "--arrays", "2x2", "--backend",
+                             "hls_c", "--workers", "2", "--output-dir",
+                             str(tmp_path / out), *cache_args]) == 0
+            return {p.name: p.read_bytes()
+                    for p in (tmp_path / out).iterdir()}
+
+        uncached = run("uncached", "--no-cache")
+        capsys.readouterr()
+        cold = run("cold", "--cache-dir", str(cache_dir))
+        assert cold == uncached
+        assert "2/2 designs ok (0 from cache)" in capsys.readouterr().out
+        assert run("warm", "--cache-dir", str(cache_dir)) == cold
+        assert "2/2 designs ok (2 from cache)" in capsys.readouterr().out
+        cache = DesignCache(root=cache_dir)
+        for key in cache.keys():
+            if cache.peek(key).get("kind") == "phase-design-v1":
+                cache.path_for(key).unlink()
+        assert run("evicted", "--cache-dir", str(cache_dir)) == cold
+        assert len([n for n in cold if n.endswith(".json")]) == 2
 
     def test_batch_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "batch.json"

@@ -21,11 +21,12 @@ from repro.service.spec import DesignRequest, execute_request
 TINY = dict(kernel="gemm", dataflows=("KJ",), array=(2, 2))
 
 
-def record_identity(record: dict) -> str:
-    """Canonical bytes of a result record minus its timing fields."""
-    out = {k: v for k, v in record.items()
+def record_identity(result) -> str:
+    """Canonical bytes of a result's record plus its design (which the
+    record names rather than carries), minus the timing fields."""
+    out = {k: v for k, v in result.to_record().items()
            if k not in ("elapsed_s", "phases")}
-    return canonical_dumps(out)
+    return canonical_dumps(dict(out, design=result.design))
 
 
 @pytest.fixture()
@@ -175,16 +176,14 @@ class TestStagedReuse:
         engine.submit(DesignRequest(**TINY))  # primes the design phase
         staged = engine.submit(request)
         assert staged.ok and not staged.from_cache
-        assert record_identity(staged.to_record()) == \
-            record_identity(uncached.to_record())
+        assert record_identity(staged) == record_identity(uncached)
 
     def test_warm_hit_byte_identical(self, engine):
         request = DesignRequest(**TINY)
         cold = engine.submit(request)
         warm = engine.submit(request)
         assert warm.from_cache
-        assert record_identity(warm.to_record()) == \
-            record_identity(cold.to_record())
+        assert record_identity(warm) == record_identity(cold)
 
     def test_module_variant_reuses_golden_vectors(self, engine):
         engine.submit(DesignRequest(backend="hls_c", **TINY))
