@@ -30,6 +30,7 @@ True
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
@@ -112,12 +113,7 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        buckets = self._family.buckets
-        i = len(buckets)
-        for j, bound in enumerate(buckets):
-            if value <= bound:
-                i = j
-                break
+        i = bisect.bisect_left(self._family.buckets, value)  # first >=
         with self._family._lock:
             self.bucket_counts[i] += 1
             self.sum += value
@@ -142,10 +138,15 @@ class _Family:
         self.buckets = buckets
         self._lock = lock
         self._children: dict[tuple, object] = {}
+        #: ``labels()`` keywords as passed -> child (valid sets only)
+        self._by_items: dict[tuple, object] = {}
 
     def labels(self, **labelvalues):
         """The child at these label values (created on first use)."""
-        if set(labelvalues) != set(self.labelnames):
+        child = self._by_items.get(items := tuple(labelvalues.items()))
+        if child is not None:
+            return child
+        if labelvalues.keys() != set(self.labelnames):
             raise ValueError(
                 f"{self.name} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}")
@@ -153,28 +154,22 @@ class _Family:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = _CHILD_TYPES[self.kind](self)
-                self._children[key] = child
+                child = self._children[key] = _CHILD_TYPES[self.kind](self)
+            self._by_items[items] = child
             return child
 
     # Label-less families act as their own single child.
-    def _solo(self):
-        if self.labelnames:
-            raise ValueError(f"{self.name} requires labels "
-                             f"{self.labelnames}; use .labels(...)")
-        return self.labels()
-
     def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
+        self.labels().inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
+        self.labels().dec(amount)
 
     def set(self, value: float) -> None:
-        self._solo().set(value)
+        self.labels().set(value)
 
     def observe(self, value: float) -> None:
-        self._solo().observe(value)
+        self.labels().observe(value)
 
 
 class MetricsRegistry:

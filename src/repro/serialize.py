@@ -20,12 +20,16 @@ from .backend.primitives import Primitive
 
 __all__ = ["design_to_dict", "design_from_dict", "canonical_dumps"]
 
+#: the encoder ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+#: would build on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON — sorted keys, no whitespace.  The service
     layer hashes and byte-compares this form, so it must not vary across
     processes or Python versions."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def _jsonable(value):

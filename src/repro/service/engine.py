@@ -141,7 +141,7 @@ def _run_group(cache: DesignCache | None, group: PlanGroup,
             record = cache.get(request.spec_hash())
             if record is not None:
                 return DesignResult.from_record(request.spec_hash(), record,
-                                                cache)
+                                                cache, request)
         result = execute_request(request, cache=cache)
         if cache is not None and result.ok:
             cache.put(result.spec_hash, result.to_record())
@@ -382,7 +382,7 @@ class BatchEngine:
             record = lookup(key) if lookup is not None else None
             if record is not None:
                 batch.collect([DesignResult.from_record(key, record,
-                                                        cache)])
+                                                        cache, req)])
             else:
                 cold[key] = req
         groups = (self._group_by_design(cold.values()) if plan else

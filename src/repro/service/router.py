@@ -67,8 +67,9 @@ from .faults import get_faults
 from .health import (BackendHealth, backoff_delays, classify_error,
                      probe_forever)
 from .server import (HttpServerBase, Request, Route, ServerOnThread,
-                     StreamPayload, _BadRequest, _NotFound, _parse_body,
-                     _request_from_body, _run_blocking)
+                     StreamPayload, _BadRequest, _NotFound,
+                     _generate_request, _parse_body, _request_from_body,
+                     _run_blocking)
 
 __all__ = ["DesignRouter", "RouterThread", "route"]
 
@@ -471,14 +472,6 @@ class DesignRouter(HttpServerBase):
         backend whose cache already holds its design."""
         return int(spec_hash[:2], 16) % len(self.backends)
 
-    def _shard_for_generate(self, data) -> int:
-        if not isinstance(data, dict):
-            raise _BadRequest("body must be a JSON object")
-        spec = data.get("request")
-        if not isinstance(spec, dict):
-            spec = {k: v for k, v in data.items() if k != "include_rtl"}
-        return self.shard_for(_request_from_body(spec).spec_hash())
-
     # -- routing -----------------------------------------------------------
 
     async def _route_raw(self, route: Route, body: bytes):
@@ -491,7 +484,8 @@ class DesignRouter(HttpServerBase):
         index = self._route_cache.get(body)
         if index is None:
             # both may raise _BadRequest
-            index = self._shard_for_generate(_parse_body(body))
+            index = self.shard_for(
+                _generate_request(_parse_body(body)).spec_hash())
             self._route_cache[body] = index
             if len(self._route_cache) > self.route_cache_entries:
                 self._route_cache.popitem(last=False)

@@ -61,6 +61,7 @@ bit-for-bit the uninterrupted one.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import signal
@@ -240,21 +241,34 @@ _EXPLORE_FIELDS = {"models": ["ResNet50"], "strategy": "exhaustive",
                    "area_budget_mm2": None, "space": None}
 
 
+@functools.cache
+def _request_defaults() -> dict:  # shared: callers only read it
+    return DesignRequest().to_dict()
+
+
 def _request_from_body(data: dict) -> DesignRequest:
     """A full :class:`DesignRequest` from a (possibly partial) dict,
     with unknown keys rejected rather than silently ignored."""
     if not isinstance(data, dict):
         raise _BadRequest("design request must be a JSON object")
-    base = DesignRequest().to_dict()
-    unknown = set(data) - set(base)
-    if unknown:
+    defaults = _request_defaults()
+    if unknown := data.keys() - defaults.keys():
         raise _BadRequest(f"unknown design request fields: "
                           f"{sorted(unknown)}")
-    base.update(data)
     try:
-        return DesignRequest.from_dict(base)
+        return DesignRequest.from_dict({**defaults, **data})
     except (ValueError, TypeError, KeyError) as exc:
         raise _BadRequest(f"invalid design request: {exc}") from None
+
+
+def _generate_request(data) -> DesignRequest:
+    """The ``"request"`` of a ``/generate`` body, else the body."""
+    if not isinstance(data, dict):
+        raise _BadRequest("body must be a JSON object")
+    spec = data.get("request")
+    if spec is None:
+        spec = {k: v for k, v in data.items() if k != "include_rtl"}
+    return _request_from_body(spec)
 
 
 class StreamPayload:
@@ -574,8 +588,7 @@ class HttpServerBase:
             self._log.error("500 on %s %s: %s", method, path, exc)
         elapsed = time.perf_counter() - t0
         _HTTP_SECONDS.labels(route=label).observe(elapsed)
-        _HTTP_REQUESTS.labels(route=label, method=method,
-                              status=str(status)).inc()
+        _HTTP_REQUESTS.labels(route=label, method=method, status=status).inc()
         if (self.slow_request_ms
                 and elapsed * 1000.0 >= self.slow_request_ms):
             trace_id = (payload.get("trace_id", "-")
@@ -772,14 +785,8 @@ class DesignServer(HttpServerBase):
     # -- write endpoints ---------------------------------------------------
 
     async def _ep_generate(self, req: Request) -> tuple[int, dict]:
-        data = req.data
-        if not isinstance(data, dict):
-            raise _BadRequest("body must be a JSON object")
-        include_rtl = bool(data.get("include_rtl", False))
-        payload = data.get("request")
-        if payload is None:
-            payload = {k: v for k, v in data.items() if k != "include_rtl"}
-        request = _request_from_body(payload)
+        request = _generate_request(req.data)
+        include_rtl = bool(req.data.get("include_rtl", False))
         # Reuse the trace id an upstream hop sent in X-Repro-Trace (the
         # router's proxy span, or a traced client) so the whole request
         # is one tree; mint only for untraced callers.
@@ -794,7 +801,8 @@ class DesignServer(HttpServerBase):
             record = cache.get_memory(key) if cache is not None else None
             if record is not None:
                 _GENERATE_PATH.labels(path="event_loop").inc()
-                result = DesignResult.from_record(key, record)
+                result = DesignResult.from_record(key, record,
+                                                  request=request)
                 return 200, dict(result.to_json(include_rtl),
                                  trace_id=trace_id)
             flight = self._flights.get(request.design_key())

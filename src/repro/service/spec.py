@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..backend import BackendOptions
@@ -50,10 +50,6 @@ __all__ = ["DesignRequest", "DesignResult", "execute_request",
            "SUPPORTED_KERNELS"]
 
 SUPPORTED_KERNELS = ("gemm", "conv2d", "mttkrp", "attention")
-
-
-def _fields_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,9 @@ class DesignRequest:
             "array": list(self.array),
             "systolic": self.systolic,
             "bounds": {k: v for k, v in self.bounds},
-            "options": _fields_dict(self.options),
-            "frontend": _fields_dict(self.frontend),
+            # a frozen dataclass's __dict__ is its fields, in order
+            "options": dict(vars(self.options)),
+            "frontend": dict(vars(self.frontend)),
             "module": self.module,
             "backend": self.backend,
         }
@@ -250,7 +247,7 @@ class _Design:
             return None  # the field's default
         if result._design is None and result.ok:
             result._design = _build_scheduled_design(
-                result.request, result.cache, {})[1]
+                result.request, result.cache, {}, load=False)[1]
         return result._design
 
     def __set__(self, result, tree):
@@ -347,11 +344,14 @@ class DesignResult:
 
     @classmethod
     def from_record(cls, spec_hash: str, record: dict,
-                    cache: DesignCache | None = None) -> "DesignResult":
+                    cache: DesignCache | None = None,
+                    request: DesignRequest | None = None) -> "DesignResult":
         """A cached result whose design resolves through *cache* (a
-        ``"design"`` older records embed is ignored)."""
+        ``"design"`` older records embed is ignored); a caller that
+        found it by *request*'s hash passes that request along."""
         return cls(spec_hash=spec_hash,
-                   request=DesignRequest.from_dict(record["request"]),
+                   request=(request if request is not None else
+                            DesignRequest.from_dict(record["request"])),
                    artifacts=record["artifacts"],
                    summary=record["summary"],
                    elapsed_s=record.get("elapsed_s", 0.0),
@@ -363,13 +363,14 @@ class DesignResult:
 
 
 def _build_scheduled_design(request: DesignRequest, cache,
-                            phases: dict[str, float]):
+                            phases: dict[str, float], load: bool = True):
     """Phases 1+2 of the staged cold path: ``(design, design_dict,
     summary)`` for *request*, reusing the intermediate cache — the live
     tier, then the phase record, then the cold build: front-end ADG
     (itself live-cached, so requests differing only in backend-pass
     options share it) followed by the §V pass pipeline.  Cold results
-    are stored back in both tiers.
+    are stored back in both tiers; *load* False returns a phase record
+    as stored, its ``design`` None (the caller wants the tree).
     """
     from ..backend import generate, run_backend
     from ..core.frontend import build_adg
@@ -384,6 +385,8 @@ def _build_scheduled_design(request: DesignRequest, cache,
         record = cache.get_phase(PHASE_DESIGN, design_key)
         if (isinstance(record, dict)
                 and record.get("kind") == "phase-design-v1"):
+            if not load:
+                return None, record["design"], record["summary"]
             with timed_phase(PHASE_DESIGN_LOAD, phases,
                              design_key=design_key[:12]):
                 design = design_from_dict(record["design"])

@@ -96,6 +96,20 @@ class TestRegistry:
         with pytest.raises(ValueError):
             r.gauge("ok_total")
 
+    def test_labels_memo_keeps_validation(self):
+        r = MetricsRegistry()
+        c = r.counter("req_total", "", ("route", "status"))
+        child = c.labels(route="/g", status="200")
+        assert c.labels(route="/g", status="200") is child
+        assert c.labels(status=200, route="/g") is child
+        for bad in ({"route": "/g"},
+                    {"route": "/g", "status": "200", "method": "POST"},
+                    {"route": "/g", "stauts": "200"}):
+            for _ in range(2):  # a failed call leaves nothing behind
+                with pytest.raises(ValueError, match="takes labels"):
+                    c.labels(**bad)
+        assert len(c._children) == 1
+
     def test_thread_safety_under_concurrent_increments(self):
         r = MetricsRegistry()
         c = r.counter("threads_total", "", ("worker",))

@@ -22,8 +22,10 @@ import pytest
 from repro.dse import run_search, space_from_dict
 from repro.dse.explorer import DesignSpace
 from repro.models import zoo
-from repro.service import (BatchEngine, DesignCache, ServerThread,
-                           ServiceClient, ServiceError)
+from repro.service import (BatchEngine, DesignCache, DesignRequest,
+                           DesignResult, ServerThread, ServiceClient,
+                           ServiceError)
+from repro.service.server import _request_from_body
 from test_fleet_chaos import (_boot, _free_port, _kill, assert_replayed,
                               explore_then_sigkill,
                               uninterrupted_exploration)
@@ -115,6 +117,42 @@ class TestGenerate:
     def test_health(self, client):
         health = client.health()
         assert health["ok"] and health["cache"]["root"]
+
+
+class TestMemoryTierHit:
+    """A warm ``/generate`` parses, validates and hashes its request
+    once and replies from that request, not the record's copy."""
+
+    def test_hit_builds_one_request_and_replies_as_its_record(
+            self, server, client, monkeypatch):
+        client.generate(TINY)
+        key = _request_from_body(TINY).spec_hash()
+        record = server.server.engine.cache.get_memory(key)
+        expected = {rtl: DesignResult.from_record(key, record).to_json(rtl)
+                    for rtl in (False, True)}
+        built = []
+        post_init = DesignRequest.__post_init__
+        monkeypatch.setattr(DesignRequest, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        for include_rtl in (False, True):
+            built.clear()
+            reply = client.generate(TINY, include_rtl=include_rtl)
+            assert len(built) == 1
+            assert reply == dict(expected[include_rtl],
+                                 trace_id=reply["trace_id"])
+
+    def test_partial_body_and_unknown_field_answer_as_before(self, client):
+        assert client.generate({"array": [2, 2]})["ok"]
+        with pytest.raises(ServiceError) as err:
+            client.generate(dict(TINY, kernal="gemm"))
+        assert err.value.status == 400
+        assert err.value.payload == {
+            "error": "unknown design request fields: ['kernal']"}
+        with pytest.raises(ServiceError) as err:
+            client.generate(dict(TINY, options={"pin_reuse": False}))
+        assert err.value.payload == {
+            "error": "invalid design request: BackendOptions.__init__() "
+                     "got an unexpected keyword argument 'pin_reuse'"}
 
 
 class TestHttpEdges:

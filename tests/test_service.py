@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from repro.backend import BackendOptions
 from repro.cli import main as cli_main
+from repro.core.frontend import FrontendConfig
 from repro.dse.explorer import DesignSpace
 from repro.dse.strategies import run_search
 from repro.models import zoo
@@ -95,6 +97,72 @@ class TestDesignRequest:
                 array=(2, 2))
             dfs = req.build_dataflows()
             assert dfs and all(df.rs == (2, 2) for df in dfs)
+
+
+#: ``(name, request, spec_hash, design_key, adg_key)``, recorded before
+#: ``DesignRequest.to_dict`` stopped calling ``dataclasses.fields`` per
+#: request: a digest that moves re-addresses every cached design.
+PINNED_KEYS = [
+    ("defaults", DesignRequest(),
+     "4ffe74d59708dc1798bd21f104ab23317650f94942f8eeab8eec547aecbaac97",
+     "166e9faf4f6179df453dc908ea9784ab2a60d70c565a6de9350c638d4b3f1149",
+     "b1f4d128b810074d22643ff0ba98a0d87f27f2c7966870af13624c2850e347b6"),
+    ("attention-caller-dataflows",
+     DesignRequest(kernel="attention", dataflows=("KJ", "IJ"),
+                   array=(2, 2)),
+     "1e68dc717ed590ae8bc7c8c21217128a748b343cc1ed69dac0541376df9bafb1",
+     "1c90540389724ef19f83945700e80d92c49925e16ffc284d59e9dfc429d8563d",
+     "3a7721e5b807dbeed4443cf6848ceb14a8e0ad8c3993490ed5462a05a259292b"),
+    ("unordered-bounds",
+     DesignRequest(kernel="gemm", dataflows=("KJ", "IJ"), array=(2, 4),
+                   bounds={"n": 8, "k": 32, "m": 4}),
+     "4dc7f86a20e4c34338cf3b5d994b400a2b6ca5442d80f0725778f1d9ad4ed68b",
+     "aa1c4d4b6188ff1e87e607204b5aabccc025cecf3d5d590eb8d71b4a0e8339c3",
+     "8a8c33aa21bdb787e33d315699164a968f73e61de0928f2ebc958d04588d015e"),
+    ("backend-and-frontend-options",
+     DesignRequest(kernel="gemm", dataflows=("IJ",), array=(4, 2),
+                   systolic=False,
+                   options=BackendOptions(reduction_tree=False,
+                                          power_gating=False),
+                   frontend=FrontendConfig(max_dist=2, memory_fetch_cost=8,
+                                           fuse_heuristic=False)),
+     "cbe3b6f17ab9e591f844fd9068a547142716de4833a85372f56df82b6a799e9b",
+     "c946cadaa852d0b99940540cb5f751dff878027d3190b5c7e7feb91c24750f8b",
+     "0eabfc315ea99d89f708218becdc1ad1312174820a10bdcab941b0723c9fa833"),
+    ("hls_c-custom-module",
+     DesignRequest(kernel="mttkrp", array=(2, 2), backend="hls_c",
+                   module="my_top"),
+     "20f5711d575b4250b58b7b237f43567e16cd6808dbb6b77c8bc3fb92a53abb11",
+     "53705c797a3a5b1dd98ea5d7b1566b99e5dd4c20e6e3baa8fe7cbe46efdaa2f1",
+     "8430387a20c940aad37f997ff196f9a972e22b630ebd53d3c6010957688a6859"),
+    ("no-testbench",
+     DesignRequest(array=(2, 2), backend="hls_c",
+                   options=BackendOptions(emit_testbench=False)),
+     "de30b79db83177f06dd001913fe84469b7ea4805d26698a418e6415f96a07649",
+     "71b716824cfe8e57507a947c9b0996b7a17b75dfc48cfc1ccdfc87472ff9de87",
+     "80de3e7f4da836afd8fd7d8ca457be875aaf31e142ec62710c6661a3a69ae6fd"),
+]
+
+
+class TestCacheKeyPins:
+    @pytest.mark.parametrize("req, spec, design, adg",
+                             [row[1:] for row in PINNED_KEYS],
+                             ids=[row[0] for row in PINNED_KEYS])
+    def test_keys_match_their_pins(self, req, spec, design, adg):
+        assert (req.spec_hash(), req.design_key(), req.adg_key()) == \
+            (spec, design, adg)
+
+    def test_to_dict_field_order(self):
+        """The hashed form sorts its keys, so only this catches a field
+        that moved in ``to_dict``."""
+        data = DesignRequest().to_dict()
+        assert list(data) == ["format", "kernel", "dataflows", "array",
+                              "systolic", "bounds", "options", "frontend",
+                              "module", "backend"]
+        assert list(data["options"]) == ["reduction_tree", "rewiring",
+                                         "power_gating", "emit_testbench"]
+        assert list(data["frontend"]) == ["max_dist", "memory_fetch_cost",
+                                          "fuse_heuristic"]
 
 
 class TestCache:
@@ -354,6 +422,23 @@ class TestRecordNamesItsDesign:
         [hit] = BatchEngine(cache=cache).generate_many([req])
         assert hit.from_cache and hit.artifacts == cold.artifacts
         assert hit.design_bytes() == cold.design_bytes()
+
+    def test_design_resolves_to_the_phase_record_as_stored(
+            self, tmp_path, monkeypatch):
+        import repro.serialize
+        from repro.service import DesignResult
+
+        req = DesignRequest(array=(2, 2))
+        cold = BatchEngine(cache=DesignCache(root=tmp_path)).submit(req)
+        loads = []
+        real = repro.serialize.design_from_dict
+        monkeypatch.setattr(repro.serialize, "design_from_dict",
+                            lambda tree: loads.append(tree) or real(tree))
+        cache = DesignCache(root=tmp_path)
+        hit = DesignResult.from_record(
+            req.spec_hash(), cache.get(req.spec_hash()), cache)
+        assert hit.design_bytes() == cold.design_bytes()
+        assert loads == [] and cache.stats.phase_hits == 1
 
     def test_hit_serves_after_its_phase_record_is_evicted(self, tmp_path):
         req = DesignRequest(array=(2, 2))
