@@ -6,12 +6,11 @@ the server closes it.  It is deliberately synchronous — benchmark
 workers, tests and notebooks drive it directly, and concurrency comes
 from running many clients.  An instance is not thread-safe.
 
-The client writes its own framing for the one peer it talks to: the
-constant request headers are bytes built once, each request is one
-``sendall``, and a reply has a ``Content-Length`` body or is read to EOF
-(``Connection: close`` is honoured); only ``/jobs/<id>/stream`` answers
-chunked.  A reply that breaks this framing (not HTTP, cut short) raises
-a ``ConnectionError`` naming ``host:port``.
+The client only moves bytes: each request is one ``sendall``, and a
+reply is read with ``recv`` until :mod:`repro.service.wire`, the framing
+codec the server and router share, has a whole head, body or event.
+A reply that breaks the framing (not HTTP, cut short, a head over the
+codec's bound) raises a ``ConnectionError`` naming ``host:port``.
 
 A trace id bound in the calling context (``trace_context``) rides on
 every request as ``X-Repro-Trace``, so the server (or the router, and
@@ -27,7 +26,8 @@ import socket
 import time
 import urllib.parse
 
-from ..obs.tracing import TRACE_HEADER, format_trace_header
+from ..obs.tracing import format_trace_header
+from . import wire
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -45,17 +45,6 @@ class ServiceError(RuntimeError):
 class _BudgetTimeout(TimeoutError):
     """A timeout already attributed to one budget (connect vs read) —
     the message names which one expired."""
-
-
-class _ProtocolError(ConnectionError):
-    """A reply that breaks the framing: not HTTP, or cut short."""
-
-
-def _decode(data: bytes) -> dict:
-    try:
-        return json.loads(data.decode()) if data else {}
-    except ValueError:
-        return {"error": data.decode(errors="replace")}
 
 
 class ServiceClient:
@@ -82,10 +71,6 @@ class ServiceClient:
         self.connect_timeout = connect_timeout
         self.retries = max(0, int(retries))
         self._sock: socket.socket | None = None
-        netloc = f"[{host}]" if ":" in host else host
-        self._fixed = (f" HTTP/1.1\r\nHost: {netloc}:{port}\r\n"
-                       "Content-Type: application/json\r\n"
-                       "Content-Length: ").encode()
 
     @classmethod
     def from_url(cls, url: str, timeout: float = 120.0,
@@ -122,16 +107,13 @@ class ServiceClient:
                 body: dict | None = None) -> dict:
         """One round-trip; raises :class:`ServiceError` on non-2xx.
 
-        A stale keep-alive socket is retried once — but only when the
-        failure happened while *sending* (the server cannot have acted
-        on a half-written request) or on an idempotent GET (which gets
-        the full *retries* allowance).  A POST whose response was lost
-        is NOT resent: ``/batch``/``/explore`` would create a duplicate
-        job.  An expired time budget raises :class:`ServiceError` with
-        a synthesized 504 naming the budget.
+        A transport failure is retried as :func:`wire.may_resend`
+        allows, a GET up to *retries* more times.  An expired time
+        budget raises :class:`ServiceError` with a synthesized 504
+        naming the budget.
         """
         status, data = self._roundtrip(method, path, body)
-        decoded = _decode(data)
+        decoded = wire.decode_json(data)
         if status >= 400:
             raise ServiceError(status, decoded)
         return decoded
@@ -162,80 +144,53 @@ class ServiceClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def _message(self, method: str, path: str, payload: bytes) -> bytes:
-        """The whole request: line, pre-built constant headers, length,
-        the bound trace id if any, and the body."""
-        if " " in path or not path.isprintable():
-            raise ValueError(f"invalid request target {path!r}")
-        head = (method.encode() + b" " + path.encode() + self._fixed
-                + b"%d\r\n" % len(payload))
-        trace = format_trace_header()  # bound trace id, if any
-        if trace is not None:
-            head += f"{TRACE_HEADER}: {trace}\r\n".encode()
-        return head + b"\r\n" + payload
+    def _message(self, method: str, path: str,
+                 payload: bytes | None) -> bytes:
+        """The whole request, with the bound trace id if any."""
+        return wire.encode_request(method, path, self.host, self.port,
+                                   payload, format_trace_header())
 
-    def _broken(self, what: str) -> _ProtocolError:
-        return _ProtocolError(f"{self.host}:{self.port} {what}")
+    def _named(self, exc: ConnectionError) -> ConnectionError:
+        return type(exc)(f"{self.host}:{self.port} {exc}")
 
-    def _recv(self, sock: socket.socket, what: str) -> bytes:
-        if data := sock.recv(65536):
-            return data
-        raise self._broken(what)
+    def _recv(self, sock: socket.socket, replied: bool) -> bytes:
+        if more := sock.recv(65536):
+            return more
+        raise wire.eof_error(replied)
 
-    def _read_head(self, sock: socket.socket) -> tuple[int, dict, bytes]:
-        """``(status, lower-cased header fields, bytes read past the
-        head)`` of one reply."""
-        data = self._recv(sock, "closed the connection without a reply")
-        while (end := data.find(b"\r\n\r\n")) < 0:
-            data += self._recv(sock, "cut the reply head short")
-        lines = data[:end].split(b"\r\n")
-        parts = lines[0].split(None, 2)
-        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
-                or len(parts[1]) != 3 or not parts[1].isdigit()):
-            raise self._broken(f"sent a bad status line {lines[0][:80]!r}")
-        return int(parts[1]), dict(line.lower().partition(b":")[::2]
-                                   for line in lines[1:]), data[end + 4:]
+    def _reply(self, sock: socket.socket, stream: bool = False):
+        """``(status, body, keep-alive)`` of one reply; with *stream*
+        and a status below 400, the body is a generator of the lines of
+        the chunked NDJSON that follows the head.  A failure to read it
+        is a ``ConnectionError`` naming the peer."""
+        try:
+            data = self._recv(sock, False)
+            while (end := wire.head_end(data)) < 0:
+                data += self._recv(sock, True)
+            status, length, keep = wire.parse_response(data[:end])
+            if stream and status < 400:
+                return status, self._chunked_lines(sock, data[end:]), False
+            parts = [data[end:]]
+            if length is None:
+                while more := sock.recv(65536):
+                    parts.append(more)
+                return status, b"".join(parts), False
+            got = len(parts[0])
+            while got < length:
+                parts.append(self._recv(sock, True))
+                got += len(parts[-1])
+        except ConnectionError as exc:
+            raise self._named(exc) from None
+        return status, b"".join(parts)[:length], keep and got == length
 
-    def _read_body(self, sock: socket.socket, fields: dict,
-                   body: bytes) -> tuple[bytes, bool]:
-        """``(body, keep-alive)`` after :meth:`_read_head`: a
-        ``Content-Length`` body, or one read to EOF, after which the
-        socket is spent."""
-        length = fields.get(b"content-length", b"").strip()
-        parts = [body]
-        if not length:
-            while data := sock.recv(65536):
-                parts.append(data)
-            return b"".join(parts), False
-        if not length.isdigit():
-            raise self._broken(f"sent a bad Content-Length {length!r}")
-        need, got = int(length), len(body)
-        while got < need:
-            parts.append(self._recv(sock, f"cut the reply short at {got} "
-                                          f"of {need} bytes"))
-            got += len(parts[-1])
-        keep = (got == need
-                and fields.get(b"connection", b"").strip() != b"close")
-        return b"".join(parts)[:need], keep
-
-    def _lines(self, sock: socket.socket, data: bytes):
-        """The non-blank lines of a chunked body (*data* is what was
-        read past the head), up to its zero-size chunk."""
-        buffer = b""
-        while True:
-            while (eol := data.find(b"\r\n")) < 0:
-                data += self._recv(sock, "cut a chunk short")
-            size = data[:eol].split(b";")[0].strip()
-            if not size or size.strip(b"0123456789abcdefABCDEF"):
-                raise self._broken(f"sent a bad chunk size {size[:80]!r}")
-            if not (size := int(size, 16)):
-                return
-            end = eol + 2 + size
-            while len(data) < end + 2:
-                data += self._recv(sock, "cut a chunk short")
-            *lines, buffer = (buffer + data[eol + 2:end]).split(b"\n")
-            yield from filter(None, map(bytes.strip, lines))
-            data = data[end + 2:]
+    def _chunked_lines(self, sock: socket.socket, data: bytes):
+        decoder = wire.ChunkedLines()
+        try:
+            yield from decoder.feed(data)
+            while not decoder.done:
+                yield from decoder.feed(self._recv(sock, True))
+        except ConnectionError as exc:
+            raise self._named(exc) from None
 
     def _read_timeout(self, exc: OSError) -> _BudgetTimeout:
         if isinstance(exc, _BudgetTimeout):
@@ -250,7 +205,7 @@ class ServiceClient:
 
     def _roundtrip(self, method: str, path: str,
                    body: dict | None) -> tuple[int, bytes]:
-        message = self._message(method, path, b"" if body is None
+        message = self._message(method, path, None if body is None
                                 else json.dumps(body).encode())
         # Non-GETs keep the historical two attempts (the second only
         # replaces a stale keep-alive socket); idempotent GETs add the
@@ -264,14 +219,14 @@ class ServiceClient:
                     self._sock = self._dial()
                 self._sock.sendall(message)
                 sent = True
-                status, fields, rest = self._read_head(self._sock)
-                data, keep = self._read_body(self._sock, fields, rest)
+                status, data, keep = self._reply(self._sock)
             except OSError as exc:
                 self.close()
                 if isinstance(exc, TimeoutError):
                     raise ServiceError(504, {
                         "error": str(self._read_timeout(exc))}) from exc
-                if (sent and method != "GET") or attempt == attempts - 1:
+                if (not wire.may_resend(method, sent)
+                        or attempt == attempts - 1):
                     raise
                 self._retry_pause(attempt)
                 attempt += 1
@@ -398,7 +353,7 @@ class ServiceClient:
         connection when it ends), so the client's persistent connection
         stays usable; abandoning the generator early closes the stream.
         """
-        message = self._message("GET", f"/jobs/{job_id}/stream", b"")
+        message = self._message("GET", f"/jobs/{job_id}/stream", None)
         # Resume state: the server replays a job's buffered events from
         # the start of every stream, so after a mid-stream drop we
         # reconnect and skip the `seen` events already yielded
@@ -412,12 +367,10 @@ class ServiceClient:
             try:
                 sock = self._dial()
                 sock.sendall(message)
-                status, fields, data = self._read_head(sock)
+                status, body, _keep = self._reply(sock, stream=True)
                 if status >= 400:
-                    raise ServiceError(status, _decode(
-                        self._read_body(sock, fields, data)[0]))
-                for line in itertools.islice(self._lines(sock, data), seen,
-                                             None):
+                    raise ServiceError(status, wire.decode_json(body))
+                for line in itertools.islice(body, seen, None):
                     event = json.loads(line.decode())
                     seen += 1
                     failures = 0
@@ -427,8 +380,9 @@ class ServiceClient:
                         return  # the protocol's terminal event
                 # The zero-size chunk came before the "end" event, the
                 # only trusted ending: resume like any mid-stream drop.
-                raise self._broken("ended the stream before the terminal "
-                                   f"event ({seen} events seen)")
+                raise self._named(wire.ProtocolError(
+                    f"ended the stream before the terminal event ({seen} "
+                    "events seen)"))
             except OSError as exc:
                 if isinstance(exc, TimeoutError):
                     raise self._read_timeout(exc) from exc

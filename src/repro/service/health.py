@@ -33,11 +33,11 @@ Exported metrics: ``repro_backend_state{backend}`` (2=up, 1=degraded,
 from __future__ import annotations
 
 import asyncio
-import http.client
 import random
 import time
 
 from ..obs import get_registry
+from .wire import ProtocolError
 
 __all__ = ["BackendHealth", "backoff_delays", "classify_error",
            "probe_forever"]
@@ -56,8 +56,6 @@ STATE_VALUES = {"up": 2.0, "degraded": 1.0, "down": 0.0}
 def classify_error(exc: BaseException) -> str:
     """Name the transport-failure class for error payloads and the
     ``repro_router_retries_total{reason}`` label."""
-    # RemoteDisconnected subclasses both ConnectionResetError and
-    # BadStatusLine; the reset test must come first.
     if isinstance(exc, ConnectionRefusedError):
         return "refused"
     if isinstance(exc, (ConnectionResetError, BrokenPipeError,
@@ -65,7 +63,7 @@ def classify_error(exc: BaseException) -> str:
         return "reset"
     if isinstance(exc, TimeoutError):
         return "timeout"
-    if isinstance(exc, http.client.HTTPException):
+    if isinstance(exc, ProtocolError):
         return "protocol"
     if isinstance(exc, OSError):
         return "os_error"

@@ -50,7 +50,6 @@ router restarts only forget fan ids — the underlying per-shard jobs
 from __future__ import annotations
 
 import asyncio
-import http.client
 import itertools
 import json
 import re
@@ -59,17 +58,18 @@ import time
 from collections import OrderedDict
 from urllib.parse import urlsplit
 
-from ..obs import (TRACE_HEADER, MetricsRegistry, Profile,
-                   current_span_id, current_trace_id, format_trace_header,
-                   get_registry, new_trace_id, refresh_trace_metrics,
-                   setup_logging, trace_context, trace_span)
+from ..obs import (MetricsRegistry, Profile, current_span_id,
+                   current_trace_id, format_trace_header, get_registry,
+                   new_trace_id, refresh_trace_metrics, setup_logging,
+                   trace_context, trace_span)
+from . import wire
 from .faults import get_faults
 from .health import (BackendHealth, backoff_delays, classify_error,
                      probe_forever)
 from .server import (HttpServerBase, Request, Route, ServerOnThread,
                      StreamPayload, _BadRequest, _NotFound,
                      _generate_request, _parse_body, _request_from_body,
-                     _run_blocking)
+                     _run_blocking, read_head)
 
 __all__ = ["DesignRouter", "RouterThread", "route"]
 
@@ -82,45 +82,6 @@ _ROUTER_RETRIES = get_registry().counter(
     "repro_router_retries_total",
     "write-path forwards retried or failed over, by what failed the "
     "previous attempt", ("reason",))
-
-
-async def _read_head(reader) -> tuple[int, dict]:
-    """``(status, lower-cased header fields)`` of one backend response,
-    failing as :mod:`http.client` would, so :func:`classify_error`
-    names each failure alike."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise http.client.RemoteDisconnected(
-                "Remote end closed connection without response") from None
-        head = exc.partial
-    except asyncio.LimitOverrunError:
-        raise http.client.LineTooLong("response head") from None
-    lines = head.split(b"\r\n")
-    parts = lines[0].split(None, 2)
-    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
-            or len(parts[1]) != 3 or not parts[1].isdigit()):
-        raise http.client.BadStatusLine(repr(lines[0]))
-    if not head.endswith(b"\r\n\r\n"):
-        raise http.client.IncompleteRead(head)
-    return int(parts[1]), dict(line.lower().partition(b":")[::2]
-                               for line in lines[1:])
-
-
-async def _read_body(reader, fields: dict) -> tuple[bytes, bool]:
-    """``(body, keep-alive)`` after :func:`_read_head`: read to EOF
-    without ``Content-Length``, and then the connection is spent."""
-    length = fields.get(b"content-length", b"").strip()
-    if not length:
-        return await reader.read(), False
-    if not length.isdigit():
-        raise http.client.IncompleteRead(b"")
-    try:
-        body = await reader.readexactly(int(length))
-    except asyncio.IncompleteReadError as exc:
-        raise http.client.IncompleteRead(exc.partial) from None
-    return body, fields.get(b"connection", b"").strip() != b"close"
 
 
 class _ProxyStream(StreamPayload):
@@ -136,20 +97,15 @@ class _ProxyStream(StreamPayload):
         self.reader = reader
         self.writer = writer
 
-    async def _chunk(self) -> bytes:
-        size = int((await self.reader.readline()).split(b";")[0], 16)
-        return (await self.reader.readexactly(size + 2))[:-2] if size else b""
-
     async def events(self, closing):
-        buffer = b""
+        decoder = wire.ChunkedLines()
         try:
-            while not closing.is_set():
-                data = await asyncio.wait_for(self._chunk(),
+            while not (closing.is_set() or decoder.done):
+                data = await asyncio.wait_for(self.reader.read(65536),
                                               self.router.timeout)
                 if not data:
                     return
-                *lines, buffer = (buffer + data).split(b"\n")
-                for line in filter(None, map(bytes.strip, lines)):
+                for line in decoder.feed(data):
                     event = json.loads(line)
                     job = (event.get("job") if event.get("event") == "end"
                            else None)
@@ -157,7 +113,7 @@ class _ProxyStream(StreamPayload):
                                                             str):
                         job["id"] = self.router._tag(self.index, job["id"])
                     yield event
-        except (OSError, EOFError, ValueError, asyncio.TimeoutError):
+        except (OSError, ValueError, asyncio.TimeoutError):
             pass  # the backend dropped: no ``end``, so the client resumes
 
     def close(self) -> None:
@@ -257,8 +213,8 @@ class DesignRouter(HttpServerBase):
         host, port = self._addrs[index]
         budget = min(5.0, self.timeout)
         try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(host, port), budget)
+            return await asyncio.wait_for(asyncio.open_connection(
+                host, port, limit=wire.STREAM_LIMIT), budget)
         except asyncio.TimeoutError:
             raise TimeoutError(f"connect to {host}:{port} exceeded the "
                                f"connect budget ({budget:g}s)") from None
@@ -268,20 +224,12 @@ class DesignRouter(HttpServerBase):
                         stream: bool = False):
         """One request to backend *index*: ``(status, body)``, or with
         *stream* a successful answer's unread body as a
-        :class:`_ProxyStream`.  As in :class:`ServiceClient`, a failed
-        send is resent once on a fresh connection and a failed read only
-        for a GET (a lost POST may have created a job).  A *timeout*
-        deadline aborts the transport; the read it ends is a
-        ``timeout``.  A transport failure raises (:class:`OSError` or
-        :class:`http.client.HTTPException`)."""
+        :class:`_ProxyStream`.  A failed exchange is resent once on a
+        fresh connection when :func:`wire.may_resend` allows it.  A
+        *timeout* deadline aborts the transport; the read it ends is a
+        ``timeout``.  A transport failure raises :class:`OSError`."""
         host, port = self._addrs[index]
-        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-        if trace is not None:
-            head += f"{TRACE_HEADER}: {trace}\r\n"
-        if body is not None:
-            head += ("Content-Type: application/json\r\n"
-                     f"Content-Length: {len(body)}\r\n")
-        data = (head + "\r\n").encode("latin-1") + (body or b"")
+        data = wire.encode_request(method, path, host, port, body, trace)
         loop = asyncio.get_running_loop()
         for attempt in (0, 1):
             writer = deadline = None
@@ -293,23 +241,28 @@ class DesignRouter(HttpServerBase):
                 writer.write(data)
                 await writer.drain()
                 sent = True
-                status, fields = await _read_head(reader)
+                status, length, keep = wire.parse_response(
+                    await read_head(reader))
                 if stream and status < 400:
                     return status, _ProxyStream(self, index, reader, writer)
-                raw, keep = await _read_body(reader, fields)
+                try:
+                    raw = await (reader.read() if length is None
+                                 else reader.readexactly(length))
+                except asyncio.IncompleteReadError:
+                    raise wire.eof_error(True) from None
             except BaseException as exc:
                 if writer is not None:
                     writer.close()
                 # a backend speaking non-HTTP or truncating its answer
                 # is as dead to the router as a refused connect
-                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                if not isinstance(exc, OSError):
                     raise
                 if deadline is not None and deadline.when() <= loop.time():
                     raise TimeoutError(
                         f"read from {host}:{port} exceeded the total "
                         f"budget (timeout={self.timeout:g}s)") from None
                 if (attempt or isinstance(exc, TimeoutError)
-                        or (sent and method != "GET")):
+                        or not wire.may_resend(method, sent)):
                     raise
                 continue
             finally:
@@ -333,7 +286,7 @@ class DesignRouter(HttpServerBase):
         try:
             answer = await self._exchange(index, method, path, body, trace,
                                           stream)
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             self.health[index].record(False, f"{type(exc).__name__}: {exc}")
             return 502, json.dumps(
                 {"error": f"backend {self.backends[index]} "
@@ -352,13 +305,12 @@ class DesignRouter(HttpServerBase):
         try:
             status, raw = await asyncio.wait_for(
                 self._exchange(index, "GET", "/healthz"), budget)
-        except (OSError, http.client.HTTPException,
-                asyncio.TimeoutError) as exc:
+        except (OSError, asyncio.TimeoutError) as exc:
             error = (f"probe: {type(exc).__name__}: "
                      f"{str(exc) or f'no answer within {budget:g}s'}")
         else:
-            error = (None if status < 400 else
-                     f"probe: HTTP {status}: {self._decode(raw).get('error')}")
+            error = (None if status < 400 else f"probe: HTTP {status}: "
+                     f"{wire.decode_json(raw).get('error')}")
         self.health[index].record(error is None, error)
         return error is None
 
@@ -389,10 +341,7 @@ class DesignRouter(HttpServerBase):
     @staticmethod
     def _failure_reason(status: int, raw: bytes) -> str:
         if status == 502:
-            try:
-                reason = json.loads(raw.decode()).get("reason")
-            except (ValueError, UnicodeDecodeError, AttributeError):
-                reason = None
+            reason = wire.decode_json(raw).get("reason")
             if isinstance(reason, str):
                 return reason
         return f"http_{status}"
@@ -452,14 +401,6 @@ class DesignRouter(HttpServerBase):
                 await asyncio.sleep(delay)
             span.set(status=last[0], served_by=self.backends[last[2]])
         return last
-
-    @staticmethod
-    def _decode(raw: bytes) -> dict:
-        try:
-            payload = json.loads(raw.decode()) if raw else {}
-        except ValueError:
-            payload = {"error": raw.decode(errors="replace")}
-        return payload if isinstance(payload, dict) else {"value": payload}
 
     def _tag(self, index: int, job_id: str) -> str:
         return f"s{index}.{job_id}"
@@ -533,7 +474,7 @@ class DesignRouter(HttpServerBase):
             # the primary the shard map names.
             status, raw, served = await self._proxy(index, "POST",
                                                     "/batch", data)
-            payload = self._decode(raw)
+            payload = wire.decode_json(raw)
             if status < 400 and isinstance(payload.get("job"), str):
                 payload["job"] = self._tag(served, payload["job"])
                 payload["shards"] = [self.backends[served]]
@@ -543,7 +484,7 @@ class DesignRouter(HttpServerBase):
             body = dict(data, requests=[specs[p] for p in positions])
             status, raw, served = await self._proxy(index, "POST",
                                                     "/batch", body)
-            return served, positions, status, self._decode(raw)
+            return served, positions, status, wire.decode_json(raw)
 
         outcomes = await asyncio.gather(
             *(submit(i, ps) for i, ps in sorted(shards.items())))
@@ -572,7 +513,7 @@ class DesignRouter(HttpServerBase):
         status, raw, served = await self._proxy(
             index, req.method, req.route.pattern,
             req.data if req.method == "POST" else None)
-        payload = self._decode(raw)
+        payload = wire.decode_json(raw)
         if status < 400 and isinstance(payload.get("job"), str):
             payload["job"] = self._tag(served, payload["job"])
             payload["backend"] = self.backends[served]
@@ -604,7 +545,7 @@ class DesignRouter(HttpServerBase):
                 req.query), stream=req.route.name == "stream")
         if isinstance(raw, _ProxyStream):
             return status, raw
-        payload = self._decode(raw)
+        payload = wire.decode_json(raw)
         for key in ("job", "id"):
             if isinstance(payload.get(key), str):
                 payload[key] = self._tag(index, payload[key])
@@ -616,7 +557,7 @@ class DesignRouter(HttpServerBase):
         polls = await asyncio.gather(
             *(self._forward(p["shard"], "GET", f"/jobs/{p['job']}")
               for p in parts))
-        payloads = [self._decode(raw) for _status, raw in polls]
+        payloads = [wire.decode_json(raw) for _status, raw in polls]
         for part, (status, _raw), payload in zip(parts, polls, payloads):
             if status >= 400:
                 return status, {
@@ -672,7 +613,7 @@ class DesignRouter(HttpServerBase):
         polls = await asyncio.gather(
             *(self._forward(index, "GET", target)
               for index in range(len(self.backends))))
-        return [(index, status, self._decode(raw))
+        return [(index, status, wire.decode_json(raw))
                 for index, (status, raw) in enumerate(polls)]
 
     async def _ep_jobs(self, req: Request) -> tuple[int, dict]:

@@ -16,11 +16,11 @@ is a coroutine that keeps at most ``workers`` of its tasks waiting for
 or in a worker, so an interactive request queues behind a few tasks of
 each job, never behind a job's backlog.
 
-The HTTP layer itself (connection handling, request parsing, dispatch
-telemetry, JSON/text/chunked-stream responses) lives in
-:class:`HttpServerBase`, shared with the fleet router
-(:mod:`repro.service.router`), which speaks the same protocol in front
-of N of these servers.
+The HTTP layer itself (connections, dispatch telemetry, JSON/text and
+chunked-stream responses) lives in :class:`HttpServerBase`, shared with
+the fleet router (:mod:`repro.service.router`), which speaks the same
+protocol in front of N of these servers; the bytes on the wire are
+framed by :mod:`repro.service.wire`.
 
 The HTTP surface is declared once, in the module-level :data:`ROUTES`
 table below — dispatch, the 404/405 answers, metric labels, chaos-fault
@@ -61,6 +61,7 @@ bit-for-bit the uninterrupted one.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import os
@@ -78,6 +79,7 @@ from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
                    new_trace_id, parse_trace_header, profile_for,
                    refresh_trace_metrics, setup_logging, trace_context,
                    trace_span)
+from . import wire
 from .engine import (BatchEngine, PlanGroup, _cache_spec,
                      _evaluate_rows, _init_request_worker, _pool_context,
                      _pool_task, _run_group, remember_built)
@@ -89,11 +91,6 @@ from .spec import DesignRequest, DesignResult
 __all__ = ["DesignServer", "HttpServerBase", "ROUTES", "Route",
            "ServerOnThread", "ServerThread", "StreamPayload", "serve"]
 
-_STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                404: "Not Found", 405: "Method Not Allowed",
-                500: "Internal Server Error", 501: "Not Implemented",
-                502: "Bad Gateway", 503: "Service Unavailable"}
-_MAX_BODY = 64 * 1024 * 1024
 #: the most DSE rows one ``/explore`` pool task evaluates, which bounds
 #: how long a request can queue behind it (8 rows of every zoo model
 #: take about 0.2 s on one core)
@@ -167,9 +164,11 @@ _STATIC_ROUTES = {r.pattern: r for r in ROUTES if "<id>" not in r.pattern}
 #: per-job routes by what follows the id ("" for ``/jobs/<id>`` itself)
 _JOB_ROUTES = {r.pattern.partition("<id>")[2].lstrip("/"): r
                for r in ROUTES if "<id>" in r.pattern}
-#: the one metric label / fault site of every path the table lacks, so
-#: junk traffic cannot mint a time series per path
+#: the one metric label / fault site of every path the table lacks, and
+#: the ``method`` label of every method it lacks, so junk traffic cannot
+#: mint a time series per path or method
 UNMATCHED = "unmatched"
+_METHODS = frozenset(method for route in ROUTES for method in route.methods)
 
 
 def match_route(path: str) -> tuple[Route | None, str | None]:
@@ -202,6 +201,22 @@ class _BadRequest(ValueError):
 
 class _NotFound(_BadRequest):
     status = 404
+
+
+async def read_head(reader: asyncio.StreamReader) -> bytes:
+    """One head off *reader*, opened with ``limit=wire.STREAM_LIMIT``;
+    an overrun or EOF is the codec's error."""
+    try:
+        return await reader.readuntil(wire.HEAD_END)
+    except asyncio.LimitOverrunError:
+        raise wire.head_too_long() from None
+    except asyncio.IncompleteReadError as exc:
+        raise wire.eof_error(bool(exc.partial)) from None
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(65536):
+        pass
 
 
 def _parse_query(query: str) -> dict:
@@ -352,7 +367,7 @@ class HttpServerBase:
     async def start(self) -> "HttpServerBase":
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            limit=_MAX_BODY)
+            limit=wire.STREAM_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -408,21 +423,29 @@ class HttpServerBase:
         self._writers.add(writer)
         try:
             while not self._closing.is_set():
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                method, path, headers, body = request
                 try:
+                    method, path, headers, length, keep_alive = (
+                        wire.parse_request(await read_head(reader)))
+                    body = await reader.readexactly(length)
                     status, payload = await self._dispatch(
                         method, path, body, headers)
+                except wire.ProtocolError as exc:
+                    # Bytes that break the framing: answer, half-close,
+                    # and drop what the peer still sends for a while, as
+                    # a close on unread bytes would reset the connection
+                    # before the peer reads the answer.
+                    writer.write(wire.encode_response(
+                        exc.status, {"error": str(exc)}))
+                    writer.write_eof()
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(_discard(reader), 1.0)
+                    break
                 except FaultDrop:
                     # injected connection drop: abort without writing a
                     # response — the peer sees a reset, exactly as if
                     # the process died mid-request
                     writer.transport.abort()
                     break
-                keep_alive = (headers.get("connection", "").lower()
-                              != "close")
                 if isinstance(payload, StreamPayload):
                     # Streams close the connection when they end: the
                     # terminating zero-chunk plus Connection: close is
@@ -430,11 +453,12 @@ class HttpServerBase:
                     # keep-alive framing after an aborted stream.
                     await self._respond_stream(writer, status, payload)
                     break
-                await self._respond(writer, status, payload, keep_alive)
+                writer.write(wire.encode_response(status, payload,
+                                                  keep_alive))
+                await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             self._writers.discard(writer)
@@ -444,74 +468,10 @@ class HttpServerBase:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader, writer):
-        """One HTTP/1.1 request -> (method, path, headers, body), or
-        None when the peer closed the connection cleanly."""
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except (UnicodeDecodeError, ValueError):
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"}, False)
-            return None
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if "transfer-encoding" in headers:
-            # A body framed some other way than Content-Length would be
-            # read as an empty body, and its bytes as the next request.
-            await self._respond(writer, 501, {
-                "error": "Transfer-Encoding is not supported; send the "
-                         "body with Content-Length"}, False)
-            return None
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY:
-            await self._respond(writer, 400,
-                                {"error": "bad Content-Length"}, False)
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
-
-    async def _respond(self, writer, status: int, payload,
-                       keep_alive: bool) -> None:
-        # A ``str`` payload is served verbatim as text (the Prometheus
-        # exposition of /metrics); ``bytes`` pass through as
-        # already-encoded JSON (the router's proxy path); everything
-        # else is JSON-encoded here.
-        if isinstance(payload, str):
-            data = payload.encode()
-            ctype = "text/plain; version=0.0.4; charset=utf-8"
-        elif isinstance(payload, bytes):
-            data = payload
-            ctype = "application/json"
-        else:
-            data = json.dumps(payload).encode()
-            ctype = "application/json"
-        head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(data)}\r\n"
-                f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                f"\r\n\r\n")
-        writer.write(head.encode("ascii") + data)
-        await writer.drain()
-
     async def _respond_stream(self, writer, status: int,
                               stream: StreamPayload) -> None:
-        head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Transfer-Encoding: chunked\r\n"
-                "Connection: close\r\n\r\n")
         try:
-            writer.write(head.encode("ascii"))
+            writer.write(wire.encode_response(status, None))
             await writer.drain()
             async for event in stream.events(self._closing):
                 try:
@@ -527,10 +487,9 @@ class HttpServerBase:
                 if delay:
                     await asyncio.sleep(delay)
                 line = event if isinstance(event, str) else json.dumps(event)
-                data = line.encode() + b"\n"
-                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+                writer.write(wire.encode_chunk(line.encode() + b"\n"))
                 await writer.drain()
-            writer.write(b"0\r\n\r\n")
+            writer.write(wire.encode_chunk(b""))
             await writer.drain()
         finally:
             stream.close()
@@ -588,7 +547,9 @@ class HttpServerBase:
             self._log.error("500 on %s %s: %s", method, path, exc)
         elapsed = time.perf_counter() - t0
         _HTTP_SECONDS.labels(route=label).observe(elapsed)
-        _HTTP_REQUESTS.labels(route=label, method=method, status=status).inc()
+        _HTTP_REQUESTS.labels(
+            route=label, method=method if method in _METHODS else UNMATCHED,
+            status=status).inc()
         if (self.slow_request_ms
                 and elapsed * 1000.0 >= self.slow_request_ms):
             trace_id = (payload.get("trace_id", "-")
@@ -1073,6 +1034,25 @@ class DesignServer(HttpServerBase):
 # Entry points: blocking serve() for the CLI, ServerThread for embedding.
 # ---------------------------------------------------------------------------
 
+def _steady_heap() -> None:
+    """Pin glibc's malloc thresholds for a serving process.  asyncio
+    reads each request into a fresh 256 KiB buffer and shrinks it; with
+    glibc's sliding thresholds, whether the freed tail then trims the
+    heap depends on what else sits at its top, and when it does every
+    read grows the heap again: ~1 page fault per request and +30 % on a
+    warm ``/generate``, toggled by unrelated code or environment
+    changes.  Fixed thresholds take such buffers from the heap and
+    return memory only above 16 MiB free.  (No glibc, no change.)"""
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 1 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD
+
+
 def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
     """Run *server* until ctrl-C or SIGTERM — the body of both ``repro
     serve`` and ``repro route``.  Unless *quiet*, ``server.banner()``
@@ -1087,6 +1067,7 @@ def _run_blocking(server: HttpServerBase, quiet: bool = False) -> None:
         # goes in before the banner, which tells a caller it may signal.
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        _steady_heap()
         try:
             await server.start()
             if not quiet:

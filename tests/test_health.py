@@ -5,7 +5,6 @@ folding and gauge export, and the router's on-loop prober — its
 verdicts against live and dead endpoints and its backoff schedule."""
 
 import asyncio
-import http.client
 import socket
 import threading
 import time
@@ -16,6 +15,7 @@ from repro.obs import get_registry, snapshot_value
 from repro.service import (BackendHealth, BatchEngine, RouterThread,
                            ServerThread, ServiceClient, get_faults,
                            reset_faults)
+from repro.service import wire
 from repro.service.health import (STATE_VALUES, backoff_delays,
                                   classify_error, probe_forever)
 from repro.service.router import DesignRouter
@@ -34,11 +34,14 @@ class TestClassifyError:
         (ConnectionResetError(), "reset"),
         (BrokenPipeError(), "reset"),
         (ConnectionAbortedError(), "reset"),
-        (http.client.RemoteDisconnected("gone"), "reset"),
+        (wire.eof_error(replied=False), "reset"),
         (TimeoutError(), "timeout"),
-        (http.client.BadStatusLine("I AM NOT HTTP"), "protocol"),
+        (wire.ProtocolError("sent a bad status line 'I AM NOT HTTP'"),
+         "protocol"),
         (OSError("no route"), "os_error"),
         (RuntimeError("misc"), "error"),
+        (wire.eof_error(replied=True), "protocol"),
+        (wire.head_too_long(), "protocol"),
     ])
     def test_classes(self, exc, expected):
         assert classify_error(exc) == expected

@@ -2,7 +2,7 @@
 
 * the **client tier** — ``import repro``, ``repro.cli`` and its parser,
   ``repro.service.client``, ``repro.obs`` — is stdlib-only: no numpy, no
-  scipy, no generator package; the client does not even load
+  scipy, no generator package; no end of the serving tier loads
   ``http.client``;
 * the **generator tier** — ``repro.service.spec``/``server``/``router``,
   the perf model and the DSE — adds numpy but not the solver;
@@ -123,11 +123,15 @@ class TestLayers:
         assert not loaded(modules, *THIRD_PARTY, *GENERATOR, "repro.solvers")
 
     def test_client_writes_its_own_http(self):
-        """The client frames HTTP itself on a raw socket: importing it
-        loads neither ``http.client`` nor, through it, ``ssl``/``email``
-        (~37 ms at every ``repro ... --url`` start)."""
-        modules = run_child("import repro.service.client" + REPORT)
-        assert not loaded(modules, "http.client", "ssl", "email")
+        """Every end frames HTTP with ``repro.service.wire``: importing
+        one loads no ``http.client`` nor, through it, ``email`` (and the
+        client no ``ssl``: ~37 ms at every ``repro ... --url`` start;
+        asyncio loads ``ssl`` for the other two)."""
+        for end, unloaded in (("client", ("http.client", "ssl", "email")),
+                              ("router", ("http.client", "email")),
+                              ("server", ("http.client", "email"))):
+            modules = run_child(f"import repro.service.{end}" + REPORT)
+            assert not loaded(modules, *unloaded), end
 
     @pytest.mark.parametrize("entry", [
         TWO_POINT_SEARCH,

@@ -22,6 +22,7 @@ import pytest
 from repro.dse import run_search, space_from_dict
 from repro.dse.explorer import DesignSpace
 from repro.models import zoo
+from repro.obs import get_registry
 from repro.service import (BatchEngine, DesignCache, DesignRequest,
                            DesignResult, ServerThread, ServiceClient,
                            ServiceError)
@@ -173,6 +174,33 @@ class TestHttpEdges:
             while len(rest) < length:
                 rest += sock.recv(65536)
             return status, json.loads(rest.decode())
+
+    @pytest.mark.parametrize("request_bytes, message", [
+        (b"GET /healthz\r\n\r\n", "malformed request line"),
+        (b"POST /generate HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+         "bad Content-Length"),
+    ], ids=["request-line", "content-length"])
+    def test_malformed_head_400(self, server, request_bytes, message):
+        assert self._raw(server, request_bytes) == (400, {"error": message})
+
+    def test_unknown_methods_share_one_label(self, server):
+        """Junk methods cannot mint a ``method`` label each."""
+        def children() -> int:
+            [family] = [f for f in get_registry().snapshot()["metrics"]
+                        if f["name"] == "repro_http_requests_total"]
+            return len(family["children"])
+
+        before = children()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            for i in range(200):
+                sock.sendall(b"M%d /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                             % i)
+                data = b""
+                while not data.endswith(b"}"):
+                    data += sock.recv(65536)
+                assert data.startswith(b"HTTP/1.1 405 ")
+        assert children() - before <= 1
 
     def test_malformed_json_400(self, server):
         body = b"{this is not json"
