@@ -16,11 +16,12 @@ Unlike the structural Verilog (whose address generators are left as
 black boxes), the emitted C is **functionally complete**: compiled with
 any system C compiler and driven by the emitted testbench it reproduces
 the Python cycle-accurate simulator bit for bit, which is what the test
-suite asserts.  Emission is specialized per dataflow — one ``static``
-function per configuration with that dataflow's mux selects, FIFO
-depths, and address matrices baked in as constants — and a top function
-dispatches on ``cfg_dataflow`` exactly like the Verilog module's
-configuration word.
+suite asserts.  Emission prints each dataflow's
+:class:`~repro.backend.netlist.Netlist`, the lowering the vectorized
+simulator executes — one ``static`` function per configuration with
+that dataflow's mux selects, FIFO depths, and address matrices baked in
+as constants — and a top function dispatches on ``cfg_dataflow``
+exactly like the Verilog module's configuration word.
 """
 
 from __future__ import annotations
@@ -90,56 +91,34 @@ def _literal_rows(values, per_line: int = 12, indent: str = "  ") -> str:
 # ---------------------------------------------------------------------------
 
 class _DataflowLowering:
-    """Everything needed to print one dataflow's ``static`` C function.
-
-    Reuses the cycle-accurate :class:`~repro.sim.dag_sim.Simulator`'s
-    graph preparation (active topological order, per-pin input map,
-    pipeline-depth bound) so the C is a transliteration of exactly the
-    schedule the simulator executes.
+    """Prints one dataflow's :class:`~repro.backend.netlist.Netlist` as
+    its ``static`` C function: the ops the vectorized simulator executes,
+    so the C is a transliteration of exactly that schedule.  Each op's
+    value and valid bit live in a ring buffer one slot deeper than the
+    deepest lookback any op reads it at.
     """
 
     def __init__(self, design: Design, name: str, ordinal: int):
-        from ..sim.dag_sim import Simulator
+        from ..backend.netlist import Netlist
 
         self.design = design
-        # reference=True: only the graph preparation is used here, so
-        # skip compiling a vectorized step program that never runs.
-        self.sim = Simulator(design, name, reference=True)
-        self.cfg = self.sim.cfg
+        self.net = Netlist(design, name)
+        self.cfg = self.net.cfg
         self.name = name
         self.p = f"df{ordinal}"
-        self.n_cycles = (self.cfg.total_timestamps
-                         + self.sim.pipeline_bound + 2)
         self.tensors = _df_tensors(design, self.cfg)
-        # Ring-buffer depth per producing node: one slot past the
-        # deepest lookback any consumer performs.
-        self.ring: dict[int, int] = {nid: 1 for nid in self.sim.order}
-        for nid, pins in self.sim.inputs.items():
-            extra = self._extra_delay(nid)
-            for _pin, (src, el) in pins.items():
-                self.ring[src] = max(self.ring.get(src, 1), el + extra + 1)
-
-    def _extra_delay(self, nid: int) -> int:
-        """Cycles, beyond the edge pipeline stages, by which *nid* reads
-        its inputs in the past — mirrors ``Simulator.run`` exactly."""
-        node = self.design.dag.nodes[nid]
-        if node.kind == "fifo":
-            return self.cfg.fifo_phys.get(
-                nid, self.cfg.fifo_depth.get(nid, 0))
-        if node.kind in ("ctrl_tap", "wire", "output", "mux", "mem_write"):
-            return 0
-        return node.latency
+        self.ops = self.net.ops()
+        self.ring: dict[int, int] = dict.fromkeys(self.net.order, 1)
+        for op in self.ops:
+            for src, lb in filter(None, op.operands):
+                self.ring[src] = max(self.ring[src], lb + 1)
 
     # -- expression helpers ------------------------------------------------
 
-    def _read(self, nid: int, pin: int) -> tuple[str, str] | None:
-        """(value, valid) C expressions for input *pin* of *nid*, or
-        None when the pin is unconnected in this dataflow."""
-        entry = self.sim.inputs.get(nid, {}).get(pin)
-        if entry is None:
-            return None
-        src, el = entry
-        lb = el + self._extra_delay(nid)
+    def _read(self, operand) -> tuple[str, str]:
+        """(value, valid) C expressions for one ``(src, lookback)``
+        operand."""
+        src, lb = operand
         h = self.ring[src]
         idx = "0" if h == 1 else (f"c % {h}" if lb == 0
                                   else f"(c - {lb}) % {h}")
@@ -150,19 +129,19 @@ class _DataflowLowering:
         return value, valid
 
     def _slot(self, nid: int) -> str:
-        h = self.ring.get(nid, 1)
+        h = self.ring[nid]
         return "0" if h == 1 else f"c % {h}"
 
     # -- helper functions (unrank + address generators) --------------------
 
     def emit_helpers(self, out) -> None:
-        rt = tuple(int(r) for r in self.sim.rt)
+        rt = self.net.rt
         assert rt, "a dataflow always has at least one temporal dim"
         total = int(np.prod(rt))
         nt = len(rt)
         out(f"/* {self.name}: temporal extents {rt}, "
             f"{self.cfg.total_timestamps} timestamps, "
-            f"pipeline bound {self.sim.pipeline_bound} */")
+            f"pipeline bound {self.net.pipeline_bound} */")
         out(f"static int {self.p}_unrank(lego_val_t t, lego_val_t *u)")
         out("{")
         out(f"  static const lego_val_t rt[{nt}] = "
@@ -176,14 +155,12 @@ class _DataflowLowering:
         out("  return 1;")
         out("}")
         out("")
-        for ag in sorted(self.cfg.addrgen):
-            self._emit_ag(out, ag)
+        for op in sorted((op for op in self.ops if op.kind == "addrgen"),
+                         key=lambda op: op.nid):
+            self._emit_ag(out, op)
 
-    def _emit_ag(self, out, ag: int) -> None:
-        agc = self.cfg.addrgen[ag]
-        rt = tuple(int(r) for r in agc.rt)
-        assert rt == tuple(int(r) for r in self.sim.rt), \
-            "address generators share the dataflow's temporal basis"
+    def _emit_ag(self, out, op) -> None:
+        ag, agc, rt = op.nid, op.agc, self.net.rt
         nt, nr = len(rt), len(agc.offset)
         mdt = np.array(agc.mdt, dtype=np.int64).reshape(nr, nt)
         tensor = self.design.dag.nodes[ag].params["tensor"]
@@ -229,208 +206,137 @@ class _DataflowLowering:
     # -- the per-dataflow run function -------------------------------------
 
     def emit_run(self, out) -> None:
-        dag = self.design.dag
-        cfg = self.cfg
+        ops = self.ops
         direction = _tensor_directions(self.design)
         params = ", ".join(
             (f"lego_val_t *mem_{t}" if direction[t]
              else f"const lego_val_t *mem_{t}")
             for t in self.tensors) or "void"
         out(f"/* dataflow {self.name} "
-            f"(cfg_dataflow {self.p[2:]}): {len(self.sim.order)} active "
-            f"primitives, {self.n_cycles} cycles */")
+            f"(cfg_dataflow {self.p[2:]}): {len(ops)} active "
+            f"primitives, {self.net.n_cycles} cycles */")
         out(f"static int {self.p}_run({params})")
         out("{")
-        # Ring buffers: value + valid per active primitive.  `static`
-        # keeps them off the stack; an HLS tool maps them to BRAM/regs.
-        decls = []
-        for nid in self.sim.order:
+        # Ring buffers: value + valid per active primitive but the memory
+        # write sinks.  `static` keeps them off the stack; an HLS tool
+        # maps them to BRAM/regs.
+        rings = [op.nid for op in ops if op.prim != "mem_write"]
+        for nid in rings:
             h = self.ring[nid]
-            if dag.nodes[nid].kind == "mem_write":
-                continue  # sink: no consumers, no ring
-            decls.append(f"static lego_val_t v{nid}[{h}]; "
-                         f"static uint8_t k{nid}[{h}];")
-        for line in decls:
-            out(f"  {line}")
-        for nid in self.sim.order:
-            if dag.nodes[nid].kind == "mem_write":
-                continue
+            out(f"  static lego_val_t v{nid}[{h}]; "
+                f"static uint8_t k{nid}[{h}];")
+        for nid in rings:
             out(f"  memset(k{nid}, 0, sizeof k{nid});")
         # Constants are cycle-invariant: fill every ring slot up front.
-        for nid in self.sim.order:
-            node = dag.nodes[nid]
-            if node.kind != "const":
-                continue
-            value = int(node.params.get("value", 0))
-            h = self.ring[nid]
-            out(f"  for (int i = 0; i < {h}; ++i) "
-                f"{{ v{nid}[i] = {value}; k{nid}[i] = 1; }}")
+        for op in ops:
+            if op.kind == "const":
+                out(f"  for (int i = 0; i < {self.ring[op.nid]}; ++i) "
+                    f"{{ v{op.nid}[i] = {op.value}; k{op.nid}[i] = 1; }}")
         # LUT contents (loaded at configuration time in hardware).
-        for nid in self.sim.order:
-            node = dag.nodes[nid]
-            if node.kind == "lut" and node.params.get("table") is not None:
-                table = [int(v) for v in node.params["table"]]
-                out(f"  static const lego_val_t lut{nid}[{len(table)}] = "
-                    f"{{ {_literal_rows(table)} }};")
+        for op in ops:
+            if op.kind == "lut":
+                out(f"  static const lego_val_t lut{op.nid}"
+                    f"[{len(op.table)}] = {{ {_literal_rows(op.table)} }};")
         out("")
-        out(f"  for (lego_val_t c = 0; c < {self.n_cycles}; ++c) {{")
+        out(f"  for (lego_val_t c = 0; c < {self.net.n_cycles}; ++c) {{")
         out("#pragma HLS PIPELINE II=1")
-        for nid in self.sim.order:
-            self._emit_node(out, nid)
+        for op in ops:
+            self._emit_op(out, op)
         out("  }")
-        out(f"  return {self.n_cycles};")
+        out(f"  return {self.net.n_cycles};")
         out("}")
         out("")
 
-    def _emit_node(self, out, nid: int) -> None:
-        dag = self.design.dag
-        cfg = self.cfg
-        node = dag.nodes[nid]
-        kind = node.kind
-        s = self._slot(nid)
-        place = f" @{node.place}" if node.place is not None else ""
-
-        def pass_through(pin: int) -> None:
-            rd = self._read(nid, pin)
-            if rd is None:
-                out(f"    k{nid}[{s}] = 0;")
-                return
-            value, valid = rd
-            out(f"    {{ int kk = {valid}; k{nid}[{s}] = (uint8_t)kk; "
-                f"if (kk) v{nid}[{s}] = {value}; }}")
-
+    def _emit_op(self, out, op) -> None:
+        nid, kind = op.nid, op.kind
         if kind == "const":
             return  # pre-filled before the loop
-        out(f"    /* n{nid} {kind}{place} */")
-        if kind == "ctrl":
-            offset = cfg.ctrl_offset.get(nid, 0)
-            expr = "c" if offset == 0 else f"c - {offset}"
-            out(f"    v{nid}[{s}] = {expr}; k{nid}[{s}] = 1;")
-        elif kind in ("ctrl_tap", "wire", "output", "fifo"):
-            pass_through(0)
-        elif kind == "mux":
-            policy = cfg.mux_policy.get(nid)
-            if policy is None:
-                pass_through(cfg.mux_select.get(nid, 0))
-            else:
-                self._emit_dynamic_mux(out, nid, policy, s)
-        elif kind == "addrgen":
-            rd = self._read(nid, 0)
-            if rd is None or nid not in cfg.addrgen:
+        s = self._slot(nid)
+        place = self.design.dag.nodes[nid].place
+        out(f"    /* n{nid} {op.prim}"
+            f"{'' if place is None else f' @{place}'} */")
+        reads = [operand and self._read(operand) for operand in op.operands]
+        if kind == "idle":
+            if op.prim != "mem_write":
                 out(f"    k{nid}[{s}] = 0;")
-            else:
-                value, valid = rd
-                out(f"    {{ k{nid}[{s}] = 0;")
-                out(f"      if ({valid}) {{")
+        elif kind == "ctrl":
+            expr = "c" if op.value == 0 else f"c - {op.value}"
+            out(f"    v{nid}[{s}] = {expr}; k{nid}[{s}] = 1;")
+        elif kind == "pass":
+            value, valid = reads[0]
+            out(f"    {{ int kk = {valid}; k{nid}[{s}] = (uint8_t)kk; "
+                f"if (kk) v{nid}[{s}] = {value}; }}")
+        elif kind == "mux_dyn":
+            self._emit_dynamic_mux(out, op, s, reads)
+        elif kind in ("addrgen", "mem_read"):
+            value, valid = reads[0]
+            out(f"    {{ k{nid}[{s}] = 0;")
+            out(f"      if ({valid}) {{")
+            if kind == "addrgen":
                 out(f"        lego_val_t a = {self.p}_ag{nid}({value});")
                 out(f"        if (a != {_NONE}) "
                     f"{{ v{nid}[{s}] = a; k{nid}[{s}] = 1; }}")
-                out("      } }")
-        elif kind == "mem_read":
-            rd = self._read(nid, 0)
-            if nid not in cfg.read_enable or rd is None:
-                out(f"    k{nid}[{s}] = 0;")
             else:
-                tensor = node.params["tensor"]
-                value, valid = rd
-                out(f"    {{ k{nid}[{s}] = 0;")
-                out(f"      if ({valid}) {{")
                 out(f"        lego_val_t a = {value};")
-                out(f"        v{nid}[{s}] = (a < 0) ? 0 : mem_{tensor}[a];"
+                out(f"        v{nid}[{s}] = (a < 0) ? 0 : mem_{op.tensor}[a];"
                     f" /* padding reads zero */")
                 out(f"        k{nid}[{s}] = 1;")
-                out("      } }")
+            out("      } }")
         elif kind == "mem_write":
-            if nid not in cfg.write_enable:
-                return
-            addr = self._read(nid, 0)
-            data = self._read(nid, 1)
-            if addr is None or data is None:
-                return
-            tensor = node.params["tensor"]
-            op = "+=" if node.params.get("accumulate", True) else "="
-            out(f"    if ({addr[1]} && {data[1]}) {{")
-            out(f"      lego_val_t a = {addr[0]};")
-            out(f"      if (a >= 0) mem_{tensor}[a] {op} {data[0]};")
+            (addr, addr_ok), (data, data_ok) = reads
+            update = "+=" if op.accumulate else "="
+            out(f"    if ({addr_ok} && {data_ok}) {{")
+            out(f"      lego_val_t a = {addr};")
+            out(f"      if (a >= 0) mem_{op.tensor}[a] {update} {data};")
             out("    }")
-        elif kind in ("mul", "add", "sub", "shl", "shr", "max"):
-            a = self._read(nid, 0)
-            b = self._read(nid, 1)
-            if a is None or b is None:
-                out(f"    k{nid}[{s}] = 0;")
-                return
-            if kind == "max":
-                expr = (f"({a[0]} > {b[0]}) ? {a[0]} : {b[0]}")
-            else:
-                expr = f"{a[0]} {_ARITH_OPS[kind]} {b[0]}"
-            out(f"    {{ int kk = {a[1]} && {b[1]};")
+        elif kind == "alu":
+            (a, a_ok), (b, b_ok) = reads
+            expr = (f"({a} > {b}) ? {a} : {b}" if op.prim == "max"
+                    else f"{a} {_ARITH_OPS[op.prim]} {b}")
+            out(f"    {{ int kk = {a_ok} && {b_ok};")
             out(f"      k{nid}[{s}] = (uint8_t)kk; "
                 f"if (kk) v{nid}[{s}] = {expr}; }}")
         elif kind == "reducer":
-            pin_dfs = node.params.get("pin_dataflows", {})
-            pins = sorted(self.sim.inputs.get(nid, {}))
-            if pin_dfs:
-                pins = [p for p in pins
-                        if self.name in pin_dfs.get(p, ())]
             out(f"    {{ lego_val_t acc = 0; int seen = 0;")
-            for pin in pins:
-                value, valid = self._read(nid, pin)
+            for value, valid in reads:
                 out(f"      if ({valid}) {{ acc += {value}; seen = 1; }}")
             out(f"      k{nid}[{s}] = (uint8_t)seen; "
                 f"if (seen) v{nid}[{s}] = acc; }}")
-        elif kind == "lut":
-            rd = self._read(nid, 0)
-            table = node.params.get("table")
-            if rd is None or table is None:
-                out(f"    k{nid}[{s}] = 0;")
-                return
-            value, valid = rd
-            n = len(table)
+        else:  # lut
+            value, valid = reads[0]
+            n = len(op.table)
             out(f"    {{ int kk = {valid}; k{nid}[{s}] = (uint8_t)kk;")
             out(f"      if (kk) {{ lego_val_t x = {value} % {n}; "
                 f"if (x < 0) x += {n}; v{nid}[{s}] = lut{nid}[x]; }} }}")
-        else:  # pragma: no cover — exhaustive over PRIMITIVE_LATENCY
-            raise ValueError(f"no HLS-C template for {kind!r}")
 
-    def _emit_dynamic_mux(self, out, nid: int, policy, s: str) -> None:
-        """Timestamp-gated operand mux: pin 0 carries the local
-        timestamp; the first source whose coverage test passes wins."""
-        ts = self._read(nid, 0)
+    def _emit_dynamic_mux(self, out, op, s: str, reads) -> None:
+        """Timestamp-gated operand mux: operand 0 carries the local
+        timestamp; the first source whose coverage test passes wins (an
+        unconnected one forwards an invalid value)."""
+        nid = op.nid
+        (ts_value, ts_valid), *sources = reads
+        rt = self.net.rt
         out(f"    {{ k{nid}[{s}] = 0; /* timestamp-gated mux */")
-        if ts is None:
-            out("    }")
-            return
-        rt = tuple(int(r) for r in self.sim.rt)
         out(f"      lego_val_t u[{len(rt)}];")
-        out(f"      if ({ts[1]} && {self.p}_unrank({ts[0]}, u)) {{")
+        out(f"      if ({ts_valid} && {self.p}_unrank({ts_value}, u)) {{")
         branch = "if"
-        closed = False
-        for pin, dt in policy:
-            rd = self._read(nid, pin)
-            if rd is None:
-                continue
-            value, valid = rd
+        for source, dt in zip(sources, op.dts):
             if dt is None:
-                cond = "1" if branch == "if" else None
-                if cond is None:
-                    out("        else {")
-                else:
-                    out(f"        {branch} ({cond}) {{")
+                out("        if (1) {" if branch == "if" else "        else {")
             else:
                 tests = " && ".join(
-                    f"(u[{i}] - {int(d)} >= 0 && "
-                    f"u[{i}] - {int(d)} < {rt[i]})"
+                    f"(u[{i}] - {d} >= 0 && u[{i}] - {d} < {rt[i]})"
                     for i, d in enumerate(dt))
                 out(f"        {branch} ({tests}) {{")
-            out(f"          int kk = {valid}; "
-                f"k{nid}[{s}] = (uint8_t)kk; "
-                f"if (kk) v{nid}[{s}] = {value};")
+            if source is not None:
+                value, valid = source
+                out(f"          int kk = {valid}; "
+                    f"k{nid}[{s}] = (uint8_t)kk; "
+                    f"if (kk) v{nid}[{s}] = {value};")
             out("        }")
             if dt is None:
-                closed = True
                 break
             branch = "else if"
-        del closed
         out("      }")
         out("    }")
 

@@ -7,16 +7,19 @@ must produce bit-exact results against the numpy reference — this closes
 the loop over the *entire* flow: interconnect solving, MST planning,
 memory banking, codegen, and every backend pass.
 
-Two execution engines share one graph preparation:
+Two execution engines share one graph preparation, that of the
+dataflow's :class:`~repro.backend.netlist.Netlist`:
 
 * the **vectorized step program** (:mod:`.step_program`, the default):
-  compiled once at construction — pass-through primitives become
+  compiled once at construction from the netlist's ops, the one
+  lowering the HLS-C family prints too — pass-through primitives become
   aliases, address generators and dynamic muxes read *static streams*
   (the counter's timestamp series unranked once per program), and the
   remaining primitives run as levelized steps of whole-series numpy
   operations over value/valid matrices;
 * the **reference interpreter** (``Simulator(..., reference=True)``):
-  the original per-cycle Python loop, kept as the oracle the vectorized
+  the original per-cycle Python loop with its own per-kind rules (it
+  never reads the netlist's ops), kept as the oracle the vectorized
   engine is property-tested bit-exact against (outputs, cycle count,
   toggle counts, memory access counters).
 
@@ -80,34 +83,18 @@ class Simulator:
                  reference: bool = False):
         self.design = design
         self.dag = design.dag
-        self.cfg: DataflowConfig = design.configs[dataflow]
         self.dataflow = dataflow
         self.reference = reference
-        self.rt = self.cfg.dataflow.rt
+        from ..backend.netlist import Netlist
 
-        cfg = self.cfg
-        dag = self.dag
+        # graph preparation only; a step program lowers to ops
+        self.netlist = net = Netlist(design, dataflow)
+        self.cfg: DataflowConfig = net.cfg
+        self.rt = net.rt
+        self.order, self.inputs = net.order, net.inputs
+        self.pipeline_bound = net.pipeline_bound
 
-        def active_edge(e) -> bool:
-            return e.uid in cfg.active_edges
-
-        self.order = dag.topo_order(sequential_break=False,
-                                    edge_filter=active_edge)
-        self.order = [nid for nid in self.order if nid in cfg.active_nodes]
-        # Pre-resolve inputs per node: list of (src, total_delay) per pin.
-        self.inputs: dict[int, dict[int, tuple[int, int]]] = {}
-        for e in dag.edges:
-            if not active_edge(e):
-                continue
-            if e.dst not in cfg.active_nodes or e.src not in cfg.active_nodes:
-                continue
-            self.inputs.setdefault(e.dst, {})[e.dst_pin] = (e.src, e.el)
-
-        # Total pipeline depth bound for the run length.
-        self.pipeline_bound = self._longest_path()
-
-        # Precompile the vectorized step program (input/latency/FIFO
-        # index tables are all static per configuration).
+        # compile the netlist's ops into the vectorized step program
         self._program = None
         self.engine = "reference"
         self.fallback: str | None = None
@@ -140,21 +127,6 @@ class Simulator:
             rem //= r
         out.reverse()
         return tuple(out)
-
-    def _node_delay(self, nid: int) -> int:
-        node = self.dag.nodes[nid]
-        if node.kind == "fifo":
-            return self.cfg.fifo_phys.get(nid, self.cfg.fifo_depth.get(nid, 0))
-        return node.latency
-
-    def _longest_path(self) -> int:
-        dist = {nid: 0 for nid in self.order}
-        for nid in self.order:
-            for pin, (src, el) in self.inputs.get(nid, {}).items():
-                cand = dist[src] + el + self._node_delay(nid)
-                if cand > dist[nid]:
-                    dist[nid] = cand
-        return max(dist.values(), default=0)
 
     def _prepare_storage(self, tensors: dict[str, np.ndarray]
                          ) -> tuple[dict[str, np.ndarray],
@@ -218,8 +190,7 @@ class Simulator:
         oracle)."""
         dag = self.dag
         cfg = self.cfg
-        total_t = cfg.total_timestamps
-        n_cycles = total_t + self.pipeline_bound + 2
+        n_cycles = self.netlist.n_cycles
 
         values: dict[int, list] = {nid: [None] * n_cycles for nid in self.order}
         toggles = {nid: 0 for nid in self.order}
@@ -268,8 +239,7 @@ class Simulator:
                                     out = in_val(nid, pin, n)
                                     break
                 elif kind == "fifo":
-                    depth = self._node_delay(nid)
-                    t = n - depth
+                    t = n - cfg.fifo_phys.get(nid, cfg.fifo_depth.get(nid, 0))
                     out = in_val(nid, 0, t) if t >= 0 else None
                 elif kind == "addrgen":
                     v = in_val(nid, 0, n - node.latency)

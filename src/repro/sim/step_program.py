@@ -1,10 +1,11 @@
 """Vectorized execution of a design's cycle schedule — the fast cold path.
 
 The per-cycle interpreter in :mod:`.dag_sim` walks every active primitive
-every cycle in Python.  This module compiles the same schedule *once*
-into a **step program** and executes it as whole-series numpy operations
-over value/valid matrices ``V``/``K`` of shape ``(rows, cycles)``.  Three
-compile-time facts keep that cheap:
+every cycle in Python.  This module compiles the dataflow's
+:class:`~repro.backend.netlist.Netlist` (the one lowering, which the
+HLS-C family prints too) *once* into a **step program** and executes it
+as whole-series numpy operations over value/valid matrices ``V``/``K``
+of shape ``(rows, cycles)``.  Three compile-time facts keep that cheap:
 
 * **Pass-throughs are aliases.**  A ``ctrl_tap``, ``wire``, ``output``,
   ``fifo`` or statically selected ``mux`` only delays its one input, so
@@ -53,10 +54,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["StepProgram"]
 
-#: kinds executed by one shifted copy of their single input series
-_PASS_KINDS = ("ctrl_tap", "wire", "output", "fifo")
-_ALU_KINDS = ("mul", "add", "sub", "shl", "shr", "max")
-
 #: magnitude ceiling for the int64 engine: if any value the program can
 #: produce may reach this, the run falls back to the interpreter (whose
 #: Python ints never wrap) instead of silently wrapping
@@ -84,19 +81,20 @@ def value_dtype(peak: int):
 class StepProgram:
     """Precompiled vectorized execution plan for one dataflow config.
 
-    Built from a :class:`~repro.sim.dag_sim.Simulator` (which owns the
-    graph preparation: active order, per-pin input map, pipeline bound).
-    ``fallback`` is the reason the design needs the reference
-    interpreter (``supported`` is then False and ``run`` must not be
-    called).  ``steps`` lists the groups in execution order as ``(kind,
-    specs)``; every spec has its ``row`` and the rows it reads at run
-    time (``_srcs``).
+    Compiled from the ops of a :class:`~repro.sim.dag_sim.Simulator`'s
+    :class:`~repro.backend.netlist.Netlist`, the one lowering of the
+    dataflow (read delays, static selects, reducer pins and idle
+    primitives are decided there).  ``fallback`` is the reason the
+    design needs the reference interpreter (``supported`` is then False
+    and ``run`` must not be called).  ``steps`` lists the groups in
+    execution order as ``(kind, specs)``; every spec has its ``row`` and
+    the rows it reads at run time (``_srcs``).
     """
 
     def __init__(self, sim):
-        self.sim = sim
-        self.n_cycles = sim.cfg.total_timestamps + sim.pipeline_bound + 2
-        self.order = list(sim.order)
+        self.net = sim.netlist
+        self.n_cycles = self.net.n_cycles
+        self.order = list(self.net.order)
         self.row = {nid: i for i, nid in enumerate(self.order)}
         self.steps: list[tuple[str, list[dict]]] = []
         self.fallback: str | None = None
@@ -113,17 +111,17 @@ class StepProgram:
 
     # -- compilation -------------------------------------------------------
 
-    def _input(self, nid: int, pin: int, extra: int):
-        """(root row, total lookback) one input pin reads, or None when
-        the pin is unconnected or its source never carries a value."""
-        entry = self.sim.inputs.get(nid, {}).get(pin)
-        if entry is None:
+    def _input(self, operand):
+        """(root row, total lookback) a netlist operand reads, or None
+        when it is unconnected or its source never carries a value."""
+        if operand is None:
             return None
-        src, el = entry
+        src, lookback = operand
         root, lb = self._alias[self.row[src]]
         if root == self._zero:
             return None
-        return root, min(lb + max(el + extra, 0), self.n_cycles)
+        lb += lookback if lookback > 0 else 0
+        return root, lb if lb < self.n_cycles else self.n_cycles
 
     def _stream(self, nid: int, entry):
         """``(shift, start)`` of a timestamp input: it carries ``n -
@@ -144,14 +142,10 @@ class StepProgram:
                                f"address generator")
 
     def _compile(self) -> None:
-        sim = self.sim
-        dag = sim.dag
-        cfg = sim.cfg
-        read_tensors = {dag.nodes[n].params["tensor"]
-                        for n in cfg.read_enable if n in self.row}
-        written = {dag.nodes[n].params["tensor"]
-                   for n in cfg.write_enable if n in self.row}
-        for tensor in sorted(read_tensors & written):
+        ops = self.net.ops()
+        read = {op.tensor for op in ops if op.kind == "mem_read"}
+        for tensor in sorted(read & {op.tensor for op in ops
+                                     if op.kind == "mem_write"}):
             # The interpreter interleaves the accesses cycle by cycle;
             # whole-series execution cannot.
             raise _Unsupported(f"memory feedback on tensor {tensor!r}")
@@ -165,16 +159,20 @@ class StepProgram:
         self._index_range: dict = {}         # M_DT -> per-row (min, max)
         level: dict[int, int] = {}
         groups: dict[tuple[int, str], list[dict]] = {}
-        for nid in self.order:
-            kind, spec = self._compile_node(nid)
-            row = spec["row"]
+        for row, op in enumerate(ops):
+            kind = op.kind
             if kind == "pass":
-                self._alias.append(spec["input"] or (self._zero, 0))
+                self._alias.append(self._input(op.operands[0])
+                                   or (self._zero, 0))
                 continue
+            if kind != "idle":
+                kind, spec = self._compile_node(op, row)
             materialized = kind not in ("idle", "mem_write")
             self._alias.append((row, 0) if materialized else (self._zero, 0))
             if kind == "idle":
                 continue
+            spec["_srcs"] = tuple(root for root, _lb in _gathered(kind, spec)
+                                  if root != self._zero)
             depth = 1 + max((level[s] for s in spec["_srcs"]), default=-1)
             level[row] = depth
             groups.setdefault((depth, kind), []).append(spec)
@@ -182,128 +180,67 @@ class StepProgram:
         self.steps = [(kind, specs) for (_depth, kind), specs
                       in sorted(groups.items(), key=lambda kv: kv[0][0])]
 
-    def _compile_node(self, nid: int) -> tuple[str, dict]:
-        sim = self.sim
-        node = sim.dag.nodes[nid]
-        cfg = sim.cfg
-        kind = node.kind
-        row = self.row[nid]
-        spec: dict = {"row": row, "_srcs": ()}
-
-        def srcs(*entries):
-            spec["_srcs"] = tuple(e[0] for e in entries
-                                  if e is not None and e[0] != self._zero)
-
+    def _compile_node(self, op, row: int) -> tuple[str, dict]:
+        """One materialized or committing op as ``(step kind, spec)``:
+        operands resolved through the aliases, and the idle step when one
+        never carries a value."""
+        kind, nid = op.kind, op.nid
+        spec: dict = {"row": row}
+        ins = [self._input(operand) for operand in op.operands]
         if kind == "const":
-            spec["value"] = int(node.params.get("value", 0))
-            return "const", spec
-        if kind == "ctrl":
-            spec["offset"] = int(cfg.ctrl_offset.get(nid, 0))
-            self._counter[row] = spec["offset"]
-            return "ctrl", spec
-        if kind in _PASS_KINDS:
-            extra = sim._node_delay(nid) if kind == "fifo" else 0
-            spec["input"] = self._input(nid, 0, extra)
-            return "pass", spec
-        if kind == "mux":
-            policy = cfg.mux_policy.get(nid)
-            if policy is None:
-                spec["input"] = self._input(nid, cfg.mux_select.get(nid, 0),
-                                            0)
-                return "pass", spec
-            spec["stream"] = self._stream(nid, self._input(nid, 0, 0))
-            if spec["stream"] is None:
+            spec["value"] = op.value
+        elif kind == "ctrl":
+            spec["offset"] = self._counter[row] = op.value
+        elif kind in ("mux_dyn", "addrgen"):
+            stream = self._stream(nid, ins[0])
+            if stream is None:
                 return "idle", spec
-            # an unconnected pin still claims its cycles (as invalid)
-            spec["policy"] = [
-                (self._input(nid, pin, 0) or (self._zero, 0),
-                 None if dt is None else tuple(int(d) for d in dt))
-                for pin, dt in policy]
-            srcs(*(entry for entry, _dt in spec["policy"]))
-            return "mux_dyn", spec
-        if kind == "addrgen":
-            agc = cfg.addrgen.get(nid)
-            stream = self._stream(nid, self._input(nid, 0, node.latency))
-            if agc is None or stream is None:
+            if kind == "addrgen":
+                self._compile_addrgen(spec, op.agc, stream)
+                self._addrgen[row] = spec
+            else:
+                # an unconnected source still claims its cycles (as invalid)
+                spec["stream"] = stream
+                spec["policy"] = [(entry or (self._zero, 0), dt)
+                                  for entry, dt in zip(ins[1:], op.dts)]
+        elif kind == "reducer":
+            spec["pins"] = [entry for entry in ins if entry is not None]
+            if not spec["pins"]:
                 return "idle", spec
-            assert tuple(int(r) for r in agc.rt) == tuple(
-                int(r) for r in sim.rt), \
-                "address generators share the dataflow's temporal basis"
-            self._compile_addrgen(spec, agc, stream)
-            self._addrgen[row] = spec
-            return "addrgen", spec
-        if kind == "mem_read":
-            spec["addr"] = self._input(nid, 0, node.latency)
-            spec["tensor"] = node.params["tensor"]
-            if nid not in cfg.read_enable or spec["addr"] is None:
-                return "idle", spec
-            self._check_address(nid, spec["addr"])
-            return "mem_read", spec
-        if kind == "mem_write":
-            if nid not in cfg.write_enable:
-                return "idle", spec
-            spec["addr"] = self._input(nid, 0, 0)
-            spec["data"] = self._input(nid, 1, 0)
-            spec["tensor"] = node.params["tensor"]
-            if spec["addr"] is None or spec["data"] is None:
-                return "idle", spec
-            if not node.params.get("accumulate", True):
+        elif None in ins:
+            return "idle", spec
+        elif kind in ("mem_read", "mem_write"):
+            if kind == "mem_write" and not op.accumulate:
                 # Overwriting commits are order-sensitive across write
                 # ports; only the interpreter serializes them exactly.
                 raise _Unsupported(f"non-accumulating commit on node {nid}")
-            self._check_address(nid, spec["addr"])
-            srcs(spec["data"])
-            return "mem_write", spec
-        if kind in _ALU_KINDS:
-            spec["op"] = kind
-            spec["a"] = self._input(nid, 0, node.latency)
-            spec["b"] = self._input(nid, 1, node.latency)
-            if spec["a"] is None or spec["b"] is None:
-                return "idle", spec
-            srcs(spec["a"], spec["b"])
-            return "alu", spec
-        if kind == "reducer":
-            pin_dfs = node.params.get("pin_dataflows", {})
-            pins = []
-            for pin in sim.inputs.get(nid, {}):
-                if pin_dfs and sim.dataflow not in pin_dfs.get(pin, ()):
-                    continue
-                entry = self._input(nid, pin, node.latency)
-                if entry is not None:
-                    pins.append(entry)
-            spec["pins"] = pins
-            if not pins:
-                return "idle", spec
-            srcs(*pins)
-            return "reducer", spec
-        if kind == "lut":
-            spec["input"] = self._input(nid, 0, node.latency)
-            table = node.params.get("table")
-            if spec["input"] is None or table is None:
-                return "idle", spec
-            spec["table"] = np.array([int(v) for v in table],
-                                     dtype=np.int64)
-            srcs(spec["input"])
-            return "lut", spec
-        # Unknown kinds produce None every cycle in the interpreter.
-        return "idle", spec
+            self._check_address(nid, ins[0])
+            spec.update(addr=ins[0], tensor=op.tensor)
+            if kind == "mem_write":
+                spec["data"] = ins[1]
+        elif kind == "alu":
+            spec.update(op=op.prim, a=ins[0], b=ins[1])
+        elif kind == "lut":
+            spec.update(input=ins[0],
+                        table=np.array(op.table, dtype=np.int64))
+        return kind, spec
 
     def _compile_addrgen(self, spec: dict, agc, stream) -> None:
         """The static part of one address generator: its matrix, the
         flat-address contribution of its offset (``carry``) and the
         tensor dimensions its index can leave (``checks``: dim and the
         allowed ``[low, high)`` of ``M_DT @ digits`` there)."""
-        mdt = tuple(tuple(int(x) for x in r) for r in agc.mdt)
+        mdt = tuple(tuple(map(int, r)) for r in agc.mdt)
         ranges = self._index_range.get(mdt)
         if ranges is None:
             # every digit sweeps its full range, so each index row spans
             # the sums of its negative and of its positive terms
-            rt = [int(r) for r in self.sim.rt]
+            rt = self.net.rt
             ranges = self._index_range[mdt] = [
                 (sum(min(0, c * (r - 1)) for c, r in zip(coeffs, rt)),
                  sum(max(0, c * (r - 1)) for c, r in zip(coeffs, rt)))
                 for coeffs in mdt]
-        dims = tuple(int(x) for x in agc.dims)
+        dims = tuple(map(int, agc.dims))
         carry, stride, checks = 0, 1, []
         for dim in range(len(dims) - 1, -1, -1):
             offset = int(agc.offset[dim])
@@ -315,7 +252,7 @@ class StepProgram:
         spec.update(stream=stream, mdt=mdt, dims=dims, carry=carry,
                     checks=checks,
                     gate=(None if agc.gate_dt is None
-                          else tuple(int(d) for d in agc.gate_dt)))
+                          else tuple(map(int, agc.gate_dt))))
 
     # -- magnitude safety --------------------------------------------------
 
@@ -551,7 +488,7 @@ class _Streams:
     def __init__(self, program: StepProgram):
         self.n_cycles = program.n_cycles
         self._addrgen = program._addrgen
-        self.rt = np.array([int(r) for r in program.sim.rt], dtype=np.int64)
+        self.rt = np.array(program.net.rt, dtype=np.int64)
         self.total = int(np.prod(self.rt))
         strides = np.ones(len(self.rt), dtype=np.int64)
         for i in range(len(self.rt) - 2, -1, -1):

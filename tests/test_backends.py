@@ -178,52 +178,75 @@ class TestHlsCFamily:
         assert list(result.artifacts) == ["lego_top.c", "lego_top_tb.c"]
         assert result.rtl == result.artifacts["lego_top.c"]
 
+    def test_printing_runs_no_simulator(self, tiny_design, monkeypatch):
+        """The C prints the dataflow's netlist; only the testbench's
+        golden vectors come from a simulator run."""
+        from repro.sim import dag_sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("emit_hls_c constructed a Simulator")
+
+        monkeypatch.setattr(dag_sim.Simulator, "__init__", refuse)
+        assert "static int df0_run(" in emit_hls_c(tiny_design)
+
     @pytest.mark.skipif(_compiler() is None,
                         reason="no system C compiler available")
-    def test_compiles_and_reproduces_simulator(self, tiny_design,
-                                               tmp_path):
-        """The acceptance bar: the lowered C compiles with the system C
-        compiler and its baked testbench (golden vectors from the Python
+    def test_compiles_and_reproduces_simulator(self, tmp_path):
+        """The acceptance bar: the lowered C of every single-dataflow
+        golden kernel compiles warning-clean with the system C compiler
+        and its baked testbench (golden vectors from the Python
         cycle-accurate simulator) passes bit for bit."""
-        (tmp_path / "top.c").write_text(emit_hls_c(tiny_design))
-        (tmp_path / "tb.c").write_text(
-            emit_hls_testbench(tiny_design, "GEMM-KJ"))
-        compile_run = subprocess.run(
-            [_compiler(), "-O1", "-o", str(tmp_path / "tb"),
-             str(tmp_path / "top.c"), str(tmp_path / "tb.c")],
-            capture_output=True, text=True)
-        assert compile_run.returncode == 0, compile_run.stderr
-        bench = subprocess.run([str(tmp_path / "tb")],
-                               capture_output=True, text=True)
-        assert bench.returncode == 0, bench.stdout + bench.stderr
-        assert "TESTBENCH PASSED" in bench.stdout
+        assert sum(run_testbenches(design, tmp_path, label)
+                   for label, design in _golden_designs(fused=False)) == 8
 
     @pytest.mark.skipif(_compiler() is None,
                         reason="no system C compiler available")
     def test_fused_design_every_dataflow_passes(self, tmp_path):
         """A fused multi-dataflow design exercises the config-selected
-        operand muxes: every cfg_dataflow ordinal must validate."""
-        from repro.backend import generate, run_backend
-        from repro.core.frontend import build_adg
+        operand muxes: every cfg_dataflow ordinal of every fused golden
+        kernel must validate."""
+        assert sum(run_testbenches(design, tmp_path, label)
+                   for label, design in _golden_designs(fused=True)) == 12
 
-        request = DesignRequest(kernel="gemm", dataflows=("KJ", "IJ"),
-                                array=(2, 2))
-        design = run_backend(generate(build_adg(
-            request.build_dataflows(), request.frontend)),
-            request.options)
-        (tmp_path / "top.c").write_text(emit_hls_c(design))
-        for dataflow in sorted(design.configs):
-            (tmp_path / "tb.c").write_text(
-                emit_hls_testbench(design, dataflow))
-            compile_run = subprocess.run(
-                [_compiler(), "-O1", "-o", str(tmp_path / "tb"),
-                 str(tmp_path / "top.c"), str(tmp_path / "tb.c")],
-                capture_output=True, text=True)
-            assert compile_run.returncode == 0, compile_run.stderr
-            bench = subprocess.run([str(tmp_path / "tb")],
-                                   capture_output=True, text=True)
-            assert "TESTBENCH PASSED" in bench.stdout, \
-                (dataflow, bench.stdout)
+
+def _golden_designs(fused: bool):
+    """``(label, design)`` of every golden kernel at 2x2 under default
+    and ``baseline()`` options whose design is (or is not) *fused*."""
+    from repro.backend import generate, run_backend
+    from repro.core.frontend import build_adg
+    from test_golden_identity import KERNELS, OPTIONS
+
+    for kernel, spec in KERNELS.items():
+        for option, options in OPTIONS.items():
+            request = DesignRequest(array=(2, 2), options=options, **spec)
+            dataflows = request.build_dataflows()
+            if (len(dataflows) > 1) == fused:
+                yield f"{kernel}/{option}", run_backend(generate(build_adg(
+                    dataflows, request.frontend)), request.options)
+
+
+def run_testbenches(design, tmp_path, label: str,
+                    werror: bool = True) -> int:
+    """Compile *design*'s C once (with warnings as errors unless told
+    otherwise), then link and run each dataflow's testbench against it;
+    returns how many passed (all of them, or an assertion names the
+    first failure)."""
+    cc = [_compiler(), "-O1", "-Wall", "-Wextra", "-Wno-unknown-pragmas",
+          *(["-Werror"] if werror else [])]
+    top, tb, exe = (str(tmp_path / name) for name in ("top", "tb.c", "tb"))
+    pathlib.Path(top + ".c").write_text(emit_hls_c(design))
+    compiled = subprocess.run([*cc, "-c", "-o", top + ".o", top + ".c"],
+                              capture_output=True, text=True)
+    assert compiled.returncode == 0, (label, compiled.stderr)
+    for dataflow in sorted(design.configs):
+        pathlib.Path(tb).write_text(emit_hls_testbench(design, dataflow))
+        linked = subprocess.run([*cc, "-o", exe, top + ".o", tb],
+                                capture_output=True, text=True)
+        assert linked.returncode == 0, (label, linked.stderr)
+        bench = subprocess.run([exe], capture_output=True, text=True)
+        assert bench.returncode == 0 and "TESTBENCH PASSED" in bench.stdout, \
+            (label, dataflow, bench.stdout)
+    return len(design.configs)
 
 
 class TestEngineRouting:

@@ -240,7 +240,7 @@ CAUSE_GEMMINI = ("Gemmini is the LEGO perf model with fixed penalties "
 CAUSE_LEGO = ("analytic roofline per layer (sim/perf_model.py) with "
               "per-primitive energy constants, not RTL simulation")
 CAUSE_RATIO = ("ratio of two modelled designs; its gap to the paper is not "
-               "yet decomposed per term (ROADMAP item 5(b))")
+               "yet decomposed per term")
 
 
 @functools.cache
