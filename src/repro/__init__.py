@@ -20,9 +20,9 @@ __version__ = "1.2.0"
 _EXPORTS = {
     "AffineMap": ".core", "Workload": ".core", "TensorAccess": ".core",
     "BodyOp": ".core", "Dataflow": ".core", "kernels": ".core",
-    "build_adg": ".core.frontend", "FrontendConfig": ".core.frontend",
+    "build_adg": ".core.frontend", "FrontendConfig": ".options",
     "generate": ".backend", "run_backend": ".backend",
-    "BackendOptions": ".backend",
+    "BackendOptions": ".options",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

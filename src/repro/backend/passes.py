@@ -19,8 +19,8 @@ pins that two dataflows could share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ..options import BackendOptions
 from .codegen import Design, compute_liveness
 from .dag import DAG
 from .delay_matching import delay_match
@@ -29,32 +29,6 @@ from .reduction import extract_reduction_trees
 from .rewiring import run_rewiring
 
 __all__ = ["BackendOptions", "infer_bitwidths", "power_gate", "run_backend"]
-
-
-@dataclass(frozen=True, kw_only=True)
-class BackendOptions:
-    """Which optional §V optimizations to run.  Delay matching itself is
-    mandatory (the design does not meet timing without it, Fig. 10).
-    Keyword-only, so a field added or removed never shifts the meaning
-    of another.
-
-    ``emit_testbench`` is an *emission-phase* knob, not a scheduling
-    one: families with companion self-checking testbench artifacts
-    (``hls_c`` today) skip them when it is False, so bulk sweeps only
-    pay for the kernel.  It does not affect the scheduled design and is
-    excluded from the design-phase cache key.
-    """
-
-    reduction_tree: bool = True
-    rewiring: bool = True
-    power_gating: bool = True
-    emit_testbench: bool = True
-
-    @staticmethod
-    def baseline() -> "BackendOptions":
-        """Delay matching only — the Fig. 10/13/14 comparison baseline."""
-        return BackendOptions(reduction_tree=False, rewiring=False,
-                              power_gating=False)
 
 
 def _width(node, in_w: list[int]) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import BackendOptions
 from ..backend.codegen import Design
 
 __all__ = ["emit_hls_c", "emit_hls_testbench", "HlsCFamily"]
@@ -483,22 +482,7 @@ def emit_hls_testbench(design: Design, dataflow: str,
 
 
 class HlsCFamily:
-    """The HLS-C emitter as a registrable backend family."""
-
-    name = "hls_c"
-    description = ("behavioural HLS-style C: per-dataflow cycle loops "
-                   "with baked mux selects / FIFO delay lines / affine "
-                   "address kernels, PIPELINE+UNROLL pragmas, and a "
-                   "self-checking C testbench from simulator vectors")
-    suffix = ".c"
-
-    def artifact_names(self, module_name: str) -> list[str]:
-        return [f"{module_name}.c", f"{module_name}_tb.c"]
-
-    def validate(self, options: BackendOptions) -> None:
-        if not isinstance(options, BackendOptions):
-            raise ValueError(f"hls_c backend expects BackendOptions, "
-                             f"got {type(options).__name__}")
+    """The HLS-C emitter, ``hls_c`` in :data:`repro.options.BACKENDS`."""
 
     def emit(self, design, module_name: str = "lego_top",
              context=None) -> dict[str, str]:

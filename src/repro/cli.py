@@ -44,10 +44,8 @@ import json
 import pathlib
 import sys
 
-# The built-in emitter families by name, for ``--backend`` ``choices=``:
-# asking ``repro.backends`` would load both emitters, the back end and
-# numpy in every invocation, ``--help`` included.
-from ._builtin_backends import BUILTIN_BACKENDS
+from .options import (DEFAULT_BACKEND, BackendOptions, backend_names,
+                      backends_info)
 
 
 def _build_engine(args: argparse.Namespace):
@@ -73,7 +71,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 def _request_from_args(args: argparse.Namespace, dataflows=None):
     import dataclasses
 
-    from .backend import BackendOptions
     from .service.spec import DesignRequest
 
     options = (BackendOptions.baseline() if args.no_optimize
@@ -88,7 +85,7 @@ def _request_from_args(args: argparse.Namespace, dataflows=None):
         systolic=not args.broadcast,
         options=options,
         module=getattr(args, "module", "lego_top"),
-        backend=getattr(args, "backend", "verilog"),
+        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
 
 
@@ -368,8 +365,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from .backends import backends_info
-
     families = backends_info()
     if args.names:
         for family in families:
@@ -827,8 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="delay matching only (the Fig. 10 baseline)")
     gen.add_argument("--topology", action="store_true",
                      help="print per-tensor interconnect diagrams")
-    gen.add_argument("--backend", default="verilog",
-                     choices=BUILTIN_BACKENDS,
+    gen.add_argument("--backend", default=DEFAULT_BACKEND,
+                     choices=backend_names(),
                      help="emitter backend family (see `repro backends`)")
     gen.add_argument("--no-testbench", action="store_true",
                      help="skip companion self-checking testbench "
@@ -858,8 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "instead of one design per dataflow")
     bat.add_argument("--broadcast", action="store_true")
     bat.add_argument("--no-optimize", action="store_true")
-    bat.add_argument("--backend", default="verilog",
-                     choices=BUILTIN_BACKENDS,
+    bat.add_argument("--backend", default=DEFAULT_BACKEND,
+                     choices=backend_names(),
                      help="emitter backend family for flag-built "
                      "requests (see `repro backends`)")
     bat.add_argument("--no-testbench", action="store_true",

@@ -17,10 +17,9 @@ The result is an :class:`~repro.core.adg.ADG`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..options import FrontendConfig
 from .adg import ADG, ADGConnection, ADGDataNode, MemoryLayout
 from .dataflow import Dataflow
 from .fusion import (condensed_delay_tree, partition_chains,
@@ -33,23 +32,6 @@ from .mst import spanning_forest_with_memory_root
 __all__ = ["FrontendConfig", "build_adg"]
 
 Coord = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FrontendConfig:
-    """Tunables of the front-end analysis.
-
-    ``max_dist`` is the spatial search window ``d_S`` of Eq. 6/7.
-    ``memory_fetch_cost`` is the MST cost of feeding an FU directly from
-    memory (address-generator + switch port, in register equivalents) —
-    reuse edges cheaper than this win; absurdly deep FIFOs lose.
-    ``fuse_heuristic`` toggles §IV-C planning (False = naive merge, the
-    Table V baseline).
-    """
-
-    max_dist: int = 1
-    memory_fetch_cost: int = 16
-    fuse_heuristic: bool = True
 
 
 def build_adg(dataflows: list[Dataflow],

@@ -5,6 +5,8 @@ produced: the ADG (front-end decisions), the DAG (primitive netlist with
 delay-matching results), and the per-dataflow runtime configurations.
 The format is plain JSON — stable keys, integer-exact — and round-trips
 through :func:`design_from_dict` for the simulator and the emitters.
+Serving processes only need :func:`canonical_dumps`, so the design
+codec imports the generator inside its functions.
 
 (Workload/dataflow definitions are code, not data: the ADG embeds only
 what downstream consumers need — matrices, bounds, names.)
@@ -13,10 +15,11 @@ what downstream consumers need — matrices, bounds, names.)
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .backend.codegen import AddrGenConfig, DataflowConfig, Design
-from .backend.dag import DAG
-from .backend.primitives import Primitive
+if TYPE_CHECKING:
+    from .backend.codegen import Design
+    from .backend.dag import DAG
 
 __all__ = ["design_to_dict", "design_from_dict", "canonical_dumps"]
 
@@ -136,6 +139,9 @@ def design_to_dict(design: Design) -> dict:
 
 def _dag_from_dict(data: dict) -> DAG:
     """Rebuild the primitive DAG of a serialized design."""
+    from .backend.dag import DAG
+    from .backend.primitives import Primitive
+
     dag = DAG()
     for spec in data["dag"]["nodes"]:
         node = Primitive(spec["id"], spec["kind"], width=spec["width"],
@@ -186,6 +192,8 @@ def design_from_dict(data: dict) -> Design:
     This is the content-addressed intermediate the staged cold path
     caches between the scheduling and emission phases.
     """
+    from .backend.codegen import AddrGenConfig, DataflowConfig, Design
+
     if data.get("format") != "lego-design-v1":
         raise ValueError("not a LEGO design dictionary")
     dag = _dag_from_dict(data)

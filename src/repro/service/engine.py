@@ -63,10 +63,10 @@ _DSE_DATAFLOW_MAP = {
 
 def _pool_context():
     # fork is cheap and hands the workers every module the parent has
-    # loaded; the solver is not among them unless the parent has solved
-    # (repro.solvers loads at the first solve), so _run_pooled imports
-    # it before it forks workers that will schedule.  spawn is the
-    # fallback.
+    # loaded; the generator is not among them in a serving process, nor
+    # the solver unless the parent has solved (repro.solvers loads at
+    # the first solve), so _run_pooled loads both before it forks
+    # workers that will use them.  spawn is the fallback.
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — platforms without fork
@@ -80,9 +80,19 @@ def _pool_context():
 _WORKER_CACHE: DesignCache | None = None
 
 
+def _load_generator() -> None:
+    """Import what a request compiles with (:func:`execute_request`
+    imports it inside its body, so importing this module does not): in
+    a pool's parent before it forks, or in a worker forked from a
+    serving process, so no task's spans pay for it."""
+    from .. import backends, report  # noqa: F401
+    from ..core import frontend  # noqa: F401
+
+
 def _init_request_worker(cache_spec: dict | None) -> None:
     global _WORKER_CACHE
     _detach_from_parent()
+    _load_generator()
     _WORKER_CACHE = (DesignCache(**cache_spec)
                      if cache_spec is not None else None)
 
@@ -444,6 +454,7 @@ class BatchEngine:
         tasks = [(_run_group, (group,), current_trace_id(),
                   current_span_id()) for group in groups]
         cache = self.cache
+        _load_generator()
         if cache is None or any(
                 cache.phase_address(PHASE_DESIGN, g.design_key)
                 not in cache for g in groups):

@@ -323,20 +323,27 @@ class DesignRouter(HttpServerBase):
         return [(shard + offset) % count for offset in
                 range(self.replicas)]
 
-    def _candidates(self, owners: list[int]) -> list[int]:
+    def _candidates(self, owners: list[int]):
         """Backends to try this round, in preference order: live owners
         first; with the whole replica group down, one live non-owner
         (a cache miss beats an outage — graceful degradation); as a
-        last resort the owners anyway (breakers can be stale)."""
+        last resort the owners anyway (breakers can be stale).  Lazy:
+        the owners' breakers are read again after the live ones were
+        tried, so a round that opened the last of them goes on to a
+        live non-owner before the caller backs off — a backoff that
+        outlasts the cooldown would re-admit a dead owner instead."""
         live = [index for index in owners if self.health[index].allows()]
-        if live:
-            return live
+        yield from live
+        if live and any(self.health[index].breaker != "open"
+                        for index in owners):
+            return
         others = [index for index in range(len(self.backends))
                   if index not in owners and self.health[index].allows()]
         if others:
             _ROUTER_RETRIES.labels(reason="degraded_reroute").inc()
-            return [others[next(self._rr) % len(others)]]
-        return list(owners)
+            yield others[next(self._rr) % len(others)]
+        elif not live:
+            yield from owners
 
     @staticmethod
     def _failure_reason(status: int, raw: bytes) -> str:

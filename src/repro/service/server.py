@@ -79,6 +79,7 @@ from ..obs import (DEFAULT_HZ, current_span_id, current_trace_id,
                    new_trace_id, parse_trace_header, profile_for,
                    refresh_trace_metrics, setup_logging, trace_context,
                    trace_span)
+from ..options import backend_names, backends_info
 from . import wire
 from .engine import (BatchEngine, PlanGroup, _cache_spec,
                      _evaluate_rows, _init_request_worker, _pool_context,
@@ -704,8 +705,6 @@ class DesignServer(HttpServerBase):
     # -- read endpoints ----------------------------------------------------
 
     async def _ep_health(self, req: Request) -> tuple[int, dict]:
-        from ..backends import backend_names
-
         cache = self.engine.cache
         return 200, {"ok": True,
                      "jobs": self.jobs.counts(),
@@ -736,8 +735,6 @@ class DesignServer(HttpServerBase):
         return 200, get_registry().render()
 
     async def _ep_backends(self, req: Request) -> tuple[int, dict]:
-        from ..backends import backends_info
-
         return 200, {"backends": backends_info()}
 
     async def _ep_jobs(self, req: Request) -> tuple[int, dict]:

@@ -36,11 +36,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..backend import BackendOptions
-from ..backends import DEFAULT_BACKEND, backend_names, get_backend
-from ..core.frontend import FrontendConfig
 from ..obs import (PHASE_ADG, PHASE_DESIGN, PHASE_DESIGN_LOAD, PHASE_EMIT,
                    PHASE_SCHEDULE, timed_phase, trace_span)
+from ..options import (BACKENDS, DEFAULT_BACKEND, BackendOptions,
+                       FrontendConfig, backend_names)
 from ..serialize import canonical_dumps
 
 if TYPE_CHECKING:
@@ -85,12 +84,12 @@ class DesignRequest:
         if self.kernel not in SUPPORTED_KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"expected one of {SUPPORTED_KERNELS}")
-        if self.backend not in backend_names():
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"expected one of {backend_names()}")
-        # Families reject options they cannot honour *before* the
-        # request is hashed, queued, or cached.
-        get_backend(self.backend).validate(self.options)
+        if not isinstance(self.options, BackendOptions):
+            raise ValueError(f"options must be BackendOptions, got "
+                             f"{type(self.options).__name__}")
         if self.kernel == "attention":
             # The attention dataflow pair is fixed (QK then PV, §II);
             # normalize so equal designs hash equally whatever the
@@ -428,7 +427,7 @@ def execute_request(request: DesignRequest,
     Failures are captured, not raised: a batch must survive one bad
     request, and the caller decides what to do with the error string.
     """
-    from ..backends import EmitContext, emit_artifacts
+    from ..backends import EmitContext, get_backend
 
     start = time.perf_counter()
     spec_hash = request.spec_hash()
@@ -440,12 +439,11 @@ def execute_request(request: DesignRequest,
             family = get_backend(request.backend)
             design, design_dict, summary = _build_scheduled_design(
                 request, cache, phases)
-            with timed_phase(PHASE_EMIT, phases, family=family.name):
+            with timed_phase(PHASE_EMIT, phases, family=request.backend):
                 context = EmitContext(cache=cache, request=request,
                                       design_key=request.design_key())
-                artifacts = emit_artifacts(family, design,
-                                           module_name=request.module,
-                                           context=context)
+                artifacts = family.emit(design, module_name=request.module,
+                                        context=context)
         return DesignResult(
             spec_hash=spec_hash,
             request=request,

@@ -1,4 +1,4 @@
-"""Multi-backend emitter subsystem: registry semantics, the HLS-C
+"""Multi-backend emitter subsystem: the family table, the HLS-C
 family (including compile-and-run validation against the Python
 cycle-accurate simulator), hash/cache isolation across families, and
 the serving/CLI surface."""
@@ -12,9 +12,9 @@ import sys
 
 import pytest
 
-from repro.backends import (BackendFamily, backend_names, backends_info,
-                            get_backend, register_backend)
+from repro.backends import get_backend
 from repro.backends.hls_c import emit_hls_c, emit_hls_testbench
+from repro.options import BACKENDS, backend_names, backends_info
 from repro.service import BatchEngine, DesignCache
 from repro.service.spec import DesignRequest, execute_request
 
@@ -51,22 +51,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match=r"hls_c.*verilog"):
             get_backend("firrtl")
 
-    def test_families_implement_protocol(self):
-        for name in backend_names():
-            family = get_backend(name)
-            assert isinstance(family, BackendFamily)
-            assert family.name == name
-            assert family.suffix.startswith(".")
-
-    def test_double_registration_rejected(self):
-        family = get_backend("verilog")
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(family)
-        register_backend(family, replace=True)  # explicit override ok
-
-    def test_non_family_rejected(self):
-        with pytest.raises(TypeError):
-            register_backend(object())
+    @pytest.mark.parametrize("name", backend_names())
+    def test_every_name_emits_its_table_row(self, name, tiny_design):
+        """The table the serving tier answers from names exactly the
+        artifacts the emitter behind each name writes."""
+        artifacts = get_backend(name).emit(tiny_design, module_name="m")
+        assert list(artifacts) == ["m" + s for s in BACKENDS[name].suffixes]
 
     def test_backends_info_shape(self):
         info = backends_info()

@@ -4,8 +4,11 @@
   ``repro.service.client``, ``repro.obs`` — is stdlib-only: no numpy, no
   scipy, no generator package; no end of the serving tier loads
   ``http.client``;
-* the **generator tier** — ``repro.service.spec``/``server``/``router``,
-  the perf model and the DSE — adds numpy but not the solver;
+* the **serving tier** — ``repro.service.spec``/``server``/``router`` —
+  is stdlib-only too: the request vocabulary is ``repro/options.py``, and
+  a server loads the generator in its pool workers, never in itself;
+* the **generator tier** — the front end, the perf model and the DSE —
+  adds numpy but not the solver;
 * the **solver** (``repro/solvers.py``, the one module that imports
   scipy) loads at the first delay-matching solve, or in ``BatchEngine``
   right before it forks a worker pool that has a design to schedule (a
@@ -134,13 +137,18 @@ class TestLayers:
             assert not loaded(modules, *unloaded), end
 
     @pytest.mark.parametrize("entry", [
-        TWO_POINT_SEARCH,
         "import repro.service.spec",
         "import repro.service.server",
         "import repro.service.router",
+    ], ids=["service.spec", "service.server", "service.router"])
+    def test_serving_tier_is_stdlib_only(self, entry):
+        modules = run_child(entry + REPORT)
+        assert not loaded(modules, *THIRD_PARTY, *GENERATOR, "repro.solvers")
+
+    @pytest.mark.parametrize("entry", [
+        TWO_POINT_SEARCH,
         "from repro import kernels, build_adg, generate, run_backend",
-    ], ids=["dse-two-point-search", "service.spec", "service.server",
-            "service.router", "readme-quickstart-names"])
+    ], ids=["dse-two-point-search", "readme-quickstart-names"])
     def test_generator_tier_does_not_load_the_solver(self, entry):
         modules = run_child(entry + REPORT)
         assert "numpy" in modules
@@ -167,8 +175,8 @@ class TestLayers:
 class TestClientTierWithoutNumpy:
     def test_cli_and_client_against_a_live_server(self, tmp_path):
         """``--help``, ``top``, ``trace --url``, ``metrics --url``,
-        ``profile --url`` and a ``ServiceClient`` run where numpy and
-        scipy cannot be imported."""
+        ``profile --url``, ``backends`` and a ``ServiceClient`` run where
+        numpy and scipy cannot be imported."""
         handle = ServerThread(BatchEngine(
             cache=DesignCache(root=tmp_path / "cache"))).start()
         try:
@@ -203,17 +211,19 @@ class TestClientTierWithoutNumpy:
                     trace=repro_main("trace", "--url", url),
                     metrics=repro_main("metrics", "--url", url),
                     profile=repro_main("profile", "--url", url,
-                                       "--seconds", "0.2"))
+                                       "--seconds", "0.2"),
+                    backends=repro_main("backends"))
                 out["numpy"] = "numpy" in sys.modules
                 print(json.dumps(out))
             """, handle.url)
         finally:
             handle.stop()
         for command in ("help", "generate_help", "top_help", "top", "trace",
-                        "metrics", "profile"):
+                        "metrics", "profile", "backends"):
             code, text = out[command]
             assert code == 0 and text, (command, code, text)
         assert "{hls_c,verilog}" in out["generate_help"][1]
+        assert "artifacts : <module>.c, <module>_tb.c" in out["backends"][1]
         assert out["health"] is True and out["generate"] is True
         assert "schedule" in out["trace"][1]  # the generate's spans
         assert out["numpy"] is False
@@ -232,6 +242,8 @@ import json
 print(json.dumps({"ok": [r.ok for r in results],
                   "errors": [r.error for r in results],
                   "from_cache": [r.from_cache for r in results],
+                  "generator_loaded": [m in sys.modules for m in (
+                      "repro.core.frontend", "repro.backends")],
                   "solver_loaded": "repro.solvers" in sys.modules,
                   "scipy_loaded": "scipy" in sys.modules}))
 """
@@ -263,6 +275,62 @@ class TestForkPoolInheritsTheSolver:
         assert restage["ok"] == [True, True]
         assert restage["from_cache"] == [False, False]
         assert not restage["solver_loaded"] and not restage["scipy_loaded"]
+
+
+class TestForkPoolInheritsTheGenerator:
+    def test_loaded_before_the_fork_and_only_for_pooled_work(
+            self, tmp_path):
+        """The parent imported nothing to build its requests, and the
+        workers compiled and emitted everything, yet it holds the front
+        end and the emitters: it imported them to fork them, restage
+        (emit only) included.  A warm batch forks no pool."""
+        root = str(tmp_path / "cache")
+        cold = run_child(TWO_COLD_POOLED, root)
+        assert cold["from_cache"] == [False, False]
+        assert cold["generator_loaded"] == [True, True]
+        restage = run_child(TWO_COLD_POOLED, root, "restaged_top")
+        assert restage["from_cache"] == [False, False]
+        assert restage["generator_loaded"] == [True, True]
+        warm = run_child(TWO_COLD_POOLED, root)
+        assert warm["from_cache"] == [True, True]
+        assert warm["generator_loaded"] == [False, False]
+
+
+SERVER_ROUND_TRIP = """
+import json
+from repro.service import BatchEngine, DesignCache, ServerThread
+from repro.service.client import ServiceClient
+
+spec = {"kernel": "gemm", "dataflows": ["KJ"], "array": [2, 2]}
+out = {}
+with ServerThread(BatchEngine(cache=DesignCache(root=sys.argv[1]),
+                              workers=2)) as url:
+    with ServiceClient.from_url(url) as client:
+        cold = client.generate(spec)
+        warm = client.generate(spec)
+        job = client.batch([dict(spec, array=[2, 3]),
+                            dict(spec, backend="hls_c")])
+        done = client.wait(job)
+        out["generate"] = [[r["ok"], r["from_cache"]] for r in (cold, warm)]
+        out["batch"] = [r["ok"] for r in done["result"]["results"]]
+        out["health"] = client.health()["backends"]
+        out["backends"] = [b["name"] for b in client.backends()]
+out["modules"] = sorted(sys.modules)
+print(json.dumps(out))
+"""
+
+
+class TestServerLoadsNoGenerator:
+    def test_compiles_run_in_its_pool(self, tmp_path):
+        """A cold ``/generate``, a warm hit, a ``/batch``, ``/healthz``
+        and ``/backends``: the server answers them all and never loads
+        the generator itself; its pool workers compiled the designs."""
+        out = run_child(SERVER_ROUND_TRIP, str(tmp_path / "cache"))
+        assert out["generate"] == [[True, False], [True, True]]
+        assert out["batch"] == [True, True]
+        assert out["health"] == out["backends"] == ["hls_c", "verilog"]
+        assert not loaded(out["modules"], *THIRD_PARTY, *GENERATOR,
+                          "repro.solvers")
 
 
 class TestMissingScipy:

@@ -116,17 +116,12 @@ class TestEmitFault:
         """The leader fails *after* the design phase (emission only):
         the scheduled design is in the cache, so its variants emit for
         themselves instead of inheriting the leader's failure."""
-        from repro import backends as backends_mod
+        from repro.backends.verilog import VerilogFamily
 
-        real = backends_mod.emit_artifacts
+        def emit(self, design, module_name="lego_top", context=None):
+            raise RuntimeError("injected emit fault")
 
-        def emit(family, design, module_name="lego_top", context=None):
-            if family.name == "verilog":
-                raise RuntimeError("injected emit fault")
-            return real(family, design, module_name=module_name,
-                        context=context)
-
-        monkeypatch.setattr(backends_mod, "emit_artifacts", emit)
+        monkeypatch.setattr(VerilogFamily, "emit", emit)
         engine = BatchEngine(cache=DesignCache(root=tmp_path / "c"))
         batch = batch_of((2, 2))  # leader verilog, variant hls_c
         results = engine.generate_many(batch)

@@ -8,6 +8,7 @@ import asyncio
 import json
 import socket
 import threading
+import types
 
 import pytest
 
@@ -374,6 +375,50 @@ class TestBackendFailure:
     def test_router_rejects_scheme_less_backend(self):
         with pytest.raises(ValueError, match="http://host:port"):
             DesignRouter(["127.0.0.1:9001"])
+
+
+class TestFailoverRound:
+    def test_tripped_owners_reroute_before_the_backoff(self, monkeypatch):
+        """A round whose tries open the last owner's breaker goes on to a
+        live non-owner at once.  On a fake clock with the largest
+        backoff draws (each longer than the breaker's cooldown), backing
+        off first re-admitted the dead owner as a half-open trial every
+        round until the 2 s retry budget ran out: a 502 for a request
+        the live backend answers."""
+        import repro.service.health as health_mod
+        import repro.service.router as router_mod
+
+        now = [0.0]
+        clock = types.SimpleNamespace(monotonic=lambda: now[0])
+
+        async def sleep(delay):
+            now[0] += delay
+
+        monkeypatch.setattr(health_mod, "time", clock)
+        monkeypatch.setattr(health_mod, "random",
+                            types.SimpleNamespace(random=lambda: 0.999))
+        monkeypatch.setattr(router_mod, "time", clock)
+        monkeypatch.setattr(router_mod, "asyncio", types.SimpleNamespace(
+            **dict(vars(asyncio), sleep=sleep)))
+
+        async def exchange(index, method, path, body=None, trace=None,
+                           stream=False):
+            if index == 1:
+                raise ConnectionRefusedError("nothing listens")
+            return 200, b'{"ok": true}'
+
+        async def proxy():
+            router = DesignRouter(["http://127.0.0.1:8", "http://127.0.0.1:9"],
+                                  probe_interval_s=0, retry_budget_s=2.0)
+            router._exchange = exchange
+            return router, await router._proxy(1, "POST", "/generate",
+                                               b"{}")
+
+        router, (status, _raw, served) = asyncio.run(proxy())
+        assert (status, served) == (200, 0)
+        assert router.health[1].breaker == "open"
+        # two backoffs (after the first and second refusals), no third
+        assert now[0] == pytest.approx(0.05 * 1.499 + 0.1 * 1.499)
 
 
 class TestRouterConcurrency:
