@@ -25,9 +25,8 @@ The LP polytope is the dual of a shortest-path problem, so optimal vertex
 solutions are integral; we round defensively.
 
 The model is assembled as arrays: one pass turns the DAG into edge and
-node tables, and each family of rows goes straight into the CSR triplets
-the solver takes (a spatial array has thousands of edges, and building a
-row per edge in Python cost a third of what the solve does).
+node tables, and one stable sort turns the row pieces into the column-wise
+arrays HiGHS takes (a row per edge in Python cost a third of a solve).
 """
 
 from __future__ import annotations
@@ -48,42 +47,26 @@ def broadcast_sources(design: Design) -> list[int]:
     return sorted(nid for nid, k in fan.items() if k > 1)
 
 
-class _Rows:
-    """The rows of one constraint block (``A x = b`` or ``A x <= b``),
-    collected as CSR pieces over variable *keys*; :meth:`csr` swaps the
-    keys for variable numbers once those are known."""
+def _add_rows(block: list, keys: np.ndarray, coeffs: list[float],
+              rhs: np.ndarray, lengths: list[int] | None = None) -> None:
+    """Append to *block* a group of rows per row of *keys* (its variables;
+    *coeffs*, their coefficients, are the same in every group), split into
+    rows of *lengths* entries (default: one), right-hand sides ``rhs[g]``."""
+    block.append((keys.ravel(), np.tile(coeffs, len(keys)),
+                  np.tile(lengths or [keys.shape[1]], len(keys)),
+                  rhs.ravel()))
 
-    def __init__(self) -> None:
-        self.keys: list[np.ndarray] = []
-        self.coeffs: list[np.ndarray] = []
-        self.lengths: list[np.ndarray] = []
-        self.rhs: list[np.ndarray] = []
 
-    def add(self, keys: np.ndarray, coeffs: list[float], rhs: np.ndarray,
-            lengths: list[int] | None = None) -> None:
-        """Append one group of rows per row of *keys*: ``keys[g]`` are the
-        group's variables in column order and *coeffs* their coefficients
-        (the same in every group); *lengths* splits a group's entries
-        into consecutive rows (default: one row), ``rhs[g]`` holding one
-        right-hand side per such row."""
-        self.keys.append(keys.ravel())
-        self.coeffs.append(np.tile(coeffs, len(keys)))
-        self.lengths.append(np.tile(lengths or [keys.shape[1]], len(keys)))
-        self.rhs.append(rhs.ravel())
-
-    def __len__(self) -> int:
-        return sum(map(len, self.lengths))
-
-    def csr(self, number: np.ndarray, n_vars: int, csr_matrix):
-        """``(A, b)`` for the solver, ``(None, None)`` for an empty block."""
-        if not len(self):
-            return None, None
-        lengths = np.concatenate(self.lengths)
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        matrix = csr_matrix(
-            (np.concatenate(self.coeffs), number[np.concatenate(self.keys)],
-             indptr), shape=(len(lengths), n_vars))
-        return matrix, np.concatenate(self.rhs)
+def _colwise(lengths: np.ndarray, cols: np.ndarray, values: np.ndarray,
+             n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of *lengths* entries (columns *cols*, coefficients *values*) as
+    CSC ``(start, index, value)``, each column's entries in row order: the
+    stable sort of scipy's CSR-to-CSC conversion, what ``linprog`` passed."""
+    by_col = np.argsort(cols, kind="stable")
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    return start, rows[by_col], values[by_col]
 
 
 def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
@@ -99,9 +82,9 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
 
     The LP's optimum is not unique, so the registers emitted are the
     vertex HiGHS picks for *this* statement of the problem: variables
-    numbered in the order the row-by-row construction below first uses
-    them, rows in construction order, columns within a row as written.
-    All three are part of the output (``tests/test_golden_lp.py``).
+    numbered in the order the construction below first uses them, the
+    ``A_ub`` rows then the ``A_eq`` rows, each in construction order, and
+    ``repro.solvers``'s options.  All are output (``tests/test_golden_lp.py``).
     """
     compute_liveness(design)
     dag = design.dag
@@ -141,7 +124,7 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
     mb0 = pm0 + n_ids
     n_keys = mb0 + n_ids
 
-    eq, ub = _Rows(), _Rows()
+    eq, ub = [], []     # row blocks: A_eq x = b_eq, A_ub x <= b_ub
     uses = [np.empty(0, dtype=np.int64)]    # every key, in order of use
 
     for df, cfg in enumerate(configs.values()):
@@ -156,8 +139,8 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
         # PM >= P^df below tying it to the FIFO's input phase.
         from_fifo = is_fifo[src]
         k_dst, k_src = a + dst, np.where(from_fifo, a_out, a) + src
-        eq.add(np.column_stack([k_dst, k_src, el]), [1.0, -1.0, -1.0],
-               latency[dst])
+        _add_rows(eq, np.column_stack([k_dst, k_src, el]), [1.0, -1.0, -1.0],
+                  latency[dst])
         # (a FIFO's output phase is named before its consumer's)
         uses.append(np.column_stack([np.where(from_fifo, k_src, k_dst),
                                      np.where(from_fifo, k_dst, k_src),
@@ -167,15 +150,15 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
         source, fifo = is_source[live], is_fifo[live]
         sources, fifos = live[source], live[fifo]
         # Sources define phase zero (counters start at cycle 0).
-        eq.add(a + sources[:, None], [1.0], np.zeros(len(sources)))
+        _add_rows(eq, a + sources[:, None], [1.0], np.zeros(len(sources)))
         depth_sem = np.array([cfg.fifo_depth.get(nid, 0)
                               for nid in fifos.tolist()], dtype=float)
         # P^df >= 0     <=>  -Aout + A <= depth_sem
         # PM >= P^df    <=>  -PM + Aout - A <= -depth_sem
-        ub.add(np.column_stack([a_out + fifos, a + fifos,
-                                pm0 + fifos, a_out + fifos, a + fifos]),
-               [-1.0, 1.0, -1.0, 1.0, -1.0],
-               np.column_stack([depth_sem, -depth_sem]), lengths=[2, 3])
+        _add_rows(ub, np.column_stack([a_out + fifos, a + fifos, pm0 + fifos,
+                                       a_out + fifos, a + fifos]),
+                  [-1.0, 1.0, -1.0, 1.0, -1.0],
+                  np.column_stack([depth_sem, -depth_sem]), lengths=[2, 3])
         # (node by node: a source's phase, then a FIFO's Aout, A and PM)
         named = np.full((len(live), 4), -1, dtype=np.int64)
         named[source, 0] = a + sources
@@ -191,7 +174,7 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
         virtual = np.flatnonzero(fan_out[e_src] > 1)
         virtual = virtual[np.argsort(e_src[virtual], kind="stable")]
         keys = np.column_stack([mb0 + e_src[virtual], el0 + e_uid[virtual]])
-        ub.add(keys, [-1.0, 1.0], np.zeros(len(virtual)))
+        _add_rows(ub, keys, [-1.0, 1.0], np.zeros(len(virtual)))
         uses.append(keys.ravel())
 
     # ---- number the variables in order of first use -------------------------------
@@ -204,27 +187,24 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
     number = np.full(n_keys, -1, dtype=np.int64)
     number[var_keys] = np.arange(n_vars)
 
-    from ..solvers import csr_matrix, linprog
-
     # ---- objective --------------------------------------------------------------
     key_cost = np.zeros(n_keys)
     # delaying a constant is free (it never changes)
     key_cost[el0 + e_uid] = np.where(is_const[e_src], 0.0,
                                      [e.width for e in edges])
     key_cost[el0 + e_uid[virtual]] = 0.0    # replaced by the MB term
-    # Marginally cheaper than plain pipeline registers so ties break toward
-    # absorbing slack in the already-present programmable FIFO instead of
-    # instantiating new registers.
+    # Marginally cheaper than pipeline registers: ties break toward absorbing
+    # slack in the programmable FIFO that is already there.
     key_cost[pm0:mb0] = width * 0.98
     key_cost[mb0:] = width
 
-    a_eq, b_eq = eq.csr(number, n_vars, csr_matrix)
-    a_ub, b_ub = ub.csr(number, n_vars, csr_matrix)
-    res = linprog(key_cost[var_keys], A_eq=a_eq, b_eq=b_eq, A_ub=a_ub,
-                  b_ub=b_ub, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"delay matching LP failed: {res.message}")
-    x = res.x
+    # HiGHS's rows: the A_ub block, then the A_eq block (linprog's order)
+    from ..solvers import solve_lp
+    keys, coeffs, lengths, rhs = map(np.concatenate, zip(*ub, *eq))
+    n_ub = sum(len(piece[2]) for piece in ub)
+    x, objective = solve_lp(
+        key_cost[var_keys], *_colwise(lengths, number[keys], coeffs, n_vars),
+        np.concatenate((np.full(n_ub, -np.inf), rhs[n_ub:])), rhs)
 
     # ---- write back ---------------------------------------------------------------
     el_var = number[el0 + e_uid]
@@ -234,17 +214,12 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
     fifo_nodes = {nid for nid, n in dag.nodes.items() if n.kind == "fifo"}
     for df, cfg in enumerate(configs.values()):
         cfg.fifo_phys = {}
-        for nid in fifo_nodes:
-            if nid not in cfg.active_nodes:
-                continue
+        for nid in (nid for nid in fifo_nodes if nid in cfg.active_nodes):
             depth_sem = cfg.fifo_depth.get(nid, 0)
             out_var = number[aout0 + df * n_ids + nid]
-            if out_var < 0:
-                # FIFO with no active consumer under this dataflow.
-                cfg.fifo_phys[nid] = depth_sem
-                continue
-            a_in = x[number[df * n_ids + nid]]
-            cfg.fifo_phys[nid] = int(round(x[out_var] - a_in + depth_sem))
+            # (a FIFO with no active consumer under df keeps depth_sem)
+            cfg.fifo_phys[nid] = depth_sem if out_var < 0 else int(round(
+                x[out_var] - x[number[df * n_ids + nid]] + depth_sem))
     # FIFO capacity = max physical depth over dataflows.
     for nid in fifo_nodes:
         depths = [cfg.fifo_phys.get(nid, cfg.fifo_depth.get(nid, 0))
@@ -253,10 +228,6 @@ def delay_match(design: Design, *, broadcast_virtual_cost: bool = False
         dag.nodes[nid].params["depth"] = max(depths, default=0)
 
     register_bits = dag.pipeline_register_bits() + dag.fifo_register_bits()
-    return {
-        "status": float(res.status),
-        "objective": float(res.fun),
-        "register_bits": float(register_bits),
-        "n_vars": float(n_vars),
-        "n_constraints": float(len(eq) + len(ub)),
-    }
+    return {"status": 0.0, "objective": float(objective),
+            "register_bits": float(register_bits), "n_vars": float(n_vars),
+            "n_constraints": float(len(lengths))}

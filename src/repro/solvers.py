@@ -1,39 +1,67 @@
 """The solver dependency: the one module under ``repro`` that imports scipy.
 
-HiGHS (through ``scipy.optimize``; the paper uses HiGHS too) solves the
-one optimisation problem of the flow that needs a solver:
-``repro.backend.delay_matching.delay_match``, the delay-matching LP
-(§V-A, Eq. 10/11).  The front end's reuse delays (§IV-A, Eq. 7) are
-found by exact enumeration in ``repro.core.interconnect`` and never load
-it.
+:func:`solve_lp` solves the §V-A delay-matching LP (``delay_match``) with
+the HiGHS build scipy ships (``scipy.optimize._highspy._core``, which
+``linprog``'s own wrapper calls) and ``linprog(method="highs")``'s
+options, so it returns ``linprog``'s vertex (``tests/test_solvers.py``)
+without its input checks, sparse conversions and result bookkeeping.
 
-``scipy.optimize`` costs ~0.7 s and ~45 MB to import, several times the
-rest of the package together, and most processes that import ``repro``
-never solve anything (the CLI's client subcommands, the router, a DSE
-sweep over the analytical model, a warm-cache ``generate``).  So nothing
-imports this module at module scope: the solve site imports it inside
-the function that solves, and ``BatchEngine`` imports it once before it
-forks a worker pool so that the workers inherit it loaded — but only
-when some design group is not in the phase tier and will schedule; a
-batch that only re-emits stored designs never loads it
-(``tests/test_import_layers.py`` holds these rules).
+Importing it loads ``scipy.optimize`` (0.35-0.45 s and ~49 MB on a 2-vCPU
+x86-64 host), which most processes never need, so nothing imports it at
+module scope: ``delay_match`` imports it where it solves, ``BatchEngine``
+before it forks a pool with a design to schedule (docs/architecture.md).
 """
 
 from __future__ import annotations
 
-try:
-    from scipy.optimize import LinearConstraint, linprog, milp
-    from scipy.sparse import csr_matrix
-except ImportError as exc:
-    # Reaches the user as one request's ``DesignResult.error`` (possibly
-    # out of a pool worker), so it has to stand on its own.
-    raise ImportError(
-        "repro cannot solve without scipy, a declared requirement "
-        "(pyproject.toml: dependencies = [\"numpy\", \"scipy\"]), and "
-        f"importing it failed: {exc}.  It is needed by "
-        "repro.backend.delay_matching.delay_match (delay-matching LP); "
-        "cache hits, the front end, the client subcommands, model "
-        "evaluation and DSE run without it."
-    ) from exc
+import numpy as np
 
-__all__ = ["linprog", "milp", "LinearConstraint", "csr_matrix"]
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    # Reaches the user alone, as a request's ``DesignResult.error``.
+    raise ImportError(
+        "repro cannot solve without scipy.optimize._highspy (verified on "
+        f"scipy 1.17.1, HiGHS 1.12.0): {exc}.  scipy is a declared "
+        "requirement (pyproject.toml); repro.backend.delay_matching."
+        "delay_match needs it for the delay-matching LP, while cache hits, "
+        "the front end, the client subcommands, model evaluation and DSE "
+        "run without it.") from exc
+
+__all__ = ["solve_lp"]
+
+# ``linprog(method="highs")``'s settings: other ones may pick another vertex.
+_OPTIONS = (
+    ("presolve", "on"),
+    ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("log_to_console", False),
+    ("output_flag", False),
+    ("simplex_strategy",
+     int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+)
+
+
+def solve_lp(c: np.ndarray, a_start: np.ndarray, a_index: np.ndarray,
+             a_value: np.ndarray, row_lower: np.ndarray,
+             row_upper: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(x, c @ x)`` minimising ``c @ x`` over ``x >= 0`` subject to
+    ``row_lower <= A @ x <= row_upper``, ``A`` given as int32 CSC arrays.
+    Raises ``RuntimeError`` naming HiGHS's model status unless optimal."""
+    n, m, nnz = len(c), len(row_lower), len(a_value)
+    if len(a_start) != n + 1 or len(row_upper) != m or len(a_index) != nnz:
+        raise ValueError("solve_lp: the LP's array lengths disagree")
+    highs = _highs._Highs()
+    for name, value in _OPTIONS:
+        if highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS refused option {name}={value!r}")
+    passed = highs.passModel(      # (HiGHS reads n integrality flags)
+        n, m, nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+        0.0, c, np.zeros(n), np.full(n, np.inf), row_lower, row_upper,
+        a_start, a_index, a_value, np.zeros(n, dtype=np.int32))
+    if passed != _highs.HighsStatus.kError:
+        highs.run()
+    status = highs.getModelStatus()     # "Not Set" if HiGHS refused the model
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError("HiGHS did not solve the LP: model status "
+                           f"{highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getObjectiveValue()
